@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .warp import DisplacementField, JacobianMap, _trilinear
+from .warp import DisplacementField, JacobianMap, _trilinear, folding_fraction
 
 __all__ = [
     "LandmarkSet",
@@ -154,15 +154,12 @@ def case_metrics(errors_after, errors_before, jmap: JacobianMap | None = None) -
         )
     if after.size == 0:
         raise ValueError("empty error vectors")
-    folding = None
-    if jmap is not None:
-        folding = float(np.mean(jmap.data <= 0.0))
     return CaseMetrics(
         mae_median=float(np.median(after)),
         mae_mean=float(np.mean(after)),
         mtre=float(np.mean(after)),
         robustness=float(np.mean(after < before)),
-        folding_fraction=folding,
+        folding_fraction=None if jmap is None else folding_fraction(jmap),
         errors=tuple(float(e) for e in after),
     )
 

@@ -1,16 +1,14 @@
-"""Deformation parameterizations and their training machinery.
+"""The convnet parameterization, Adam and network checkpoints.
 
-Two ways to produce a displacement field:
+A small 3D convolutional encoder/decoder predicts the displacement field
+from the stacked image pair.  Forward and backward passes are written out by
+hand on channels-first float64 arrays, so every parameter gradient can be
+checked against finite differences.  (The freeform parameterization needs no
+model: its parameter is the field itself.)
 
-* FreeFormModel: the field itself is the parameter vector (identity
-  parameterization, gradients pass through unchanged).
-* A small 3D convolutional encoder/decoder that predicts the field from the
-  stacked image pair.  Forward and backward passes are written out by hand
-  on channels-first float64 arrays, so every parameter gradient can be
-  checked against finite differences.
-
-Also provides the bias-corrected Adam update used by the registration
-driver, and a binary checkpoint format for the network weights.
+Also provides the bias-corrected Adam update that registration uses for
+both parameterizations, and a binary checkpoint format for the network
+weights.
 
 Network layout (levels L, base filters F): the encoder applies, per level,
 two 3x3x3 same-padded convolutions each followed by ReLU, then 2x max
@@ -20,6 +18,11 @@ encoder features, one 3x3x3 convolution, optional batch normalization and
 ReLU.  A final 1x1x1 convolution maps to 3 channels interpreted as mm
 displacements.  The head starts at exactly zero, so an untrained network
 predicts the identity transform.
+
+Batch normalization always normalizes with the statistics of the current
+pass.  With one image pair per pass that is instance normalization, so there
+are no running statistics: every tensor is trainable, and a saved checkpoint
+reproduces the field it was saved with.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .volume import Volume
 from .warp import DisplacementField
 
 __all__ = [
-    "FreeFormModel",
     "ConvNetConfig",
     "ConvNetParameters",
     "AdamState",
@@ -42,28 +44,13 @@ __all__ = [
     "init_convnet_parameters",
     "convnet_forward",
     "convnet_backward",
-    "freeform_apply",
-    "trainable_tensors",
     "save_checkpoint",
     "load_checkpoint",
 ]
 
 _BN_EPS = 1e-5
-_BN_MOMENTUM = 0.9  # keep rate of the running statistics
 _CHECKPOINT_MAGIC = b"IRNW"
-_CHECKPOINT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class FreeFormModel:
-    """The displacement field itself as the optimization variable."""
-
-    field: DisplacementField
-
-
-def freeform_apply(model: FreeFormModel) -> DisplacementField:
-    """Identity parameterization: parameters are the field, gradients pass through."""
-    return model.field
+_CHECKPOINT_VERSION = 2  # 1 also stored batch-norm running statistics
 
 
 @dataclass(frozen=True)
@@ -84,11 +71,7 @@ class ConvNetConfig:
 
 @dataclass
 class ConvNetParameters:
-    """Named weight tensors in canonical declaration order.
-
-    Batch-norm running statistics live here too but are not trainable; they
-    are refreshed in place during training-mode forward passes.
-    """
+    """Named trainable tensors in canonical declaration order."""
 
     config: ConvNetConfig
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
@@ -115,8 +98,6 @@ def _layer_plan(cfg: ConvNetConfig):
         if cfg.use_batchnorm:
             plan.append((f"dec{l}_bn_gamma", (f,)))
             plan.append((f"dec{l}_bn_beta", (f,)))
-            plan.append((f"dec{l}_bn_running_mean", (f,)))
-            plan.append((f"dec{l}_bn_running_var", (f,)))
         up_ch = f
     plan.append(("head_w", (3, cfg.base_filters, 1, 1, 1)))
     plan.append(("head_b", (3,)))
@@ -134,16 +115,11 @@ def init_convnet_parameters(cfg: ConvNetConfig, seed: int = 0) -> ConvNetParamet
             fan_in = int(np.prod(shape[1:]))
             bound = np.sqrt(6.0 / fan_in)
             tensors[name] = rng.uniform(-bound, bound, size=shape)
-        elif name.endswith(("_gamma", "_running_var")):
+        elif name.endswith("_gamma"):
             tensors[name] = np.ones(shape)
         else:
             tensors[name] = np.zeros(shape)
     return ConvNetParameters(config=cfg, tensors=tensors)
-
-
-def trainable_tensors(params: ConvNetParameters) -> dict[str, np.ndarray]:
-    """Everything Adam should update (running statistics excluded)."""
-    return {k: v for k, v in params.tensors.items() if "running" not in k}
 
 
 # ---------------------------------------------------------------------------
@@ -221,28 +197,19 @@ def _upsample_backward(dout):
     return dout.reshape(c, nx // 2, 2, ny // 2, 2, nz // 2, 2).sum(axis=(2, 4, 6))
 
 
-def _bn_forward(x, gamma, beta, running_mean, running_var, train):
-    if train:
-        mu = x.mean(axis=(1, 2, 3))
-        var = x.var(axis=(1, 2, 3))
-        new_mean = _BN_MOMENTUM * running_mean + (1.0 - _BN_MOMENTUM) * mu
-        new_var = _BN_MOMENTUM * running_var + (1.0 - _BN_MOMENTUM) * var
-    else:
-        mu, var = running_mean, running_var
-        new_mean, new_var = running_mean, running_var
+def _bn_forward(x, gamma, beta):
+    mu = x.mean(axis=(1, 2, 3))
+    var = x.var(axis=(1, 2, 3))
     inv = 1.0 / np.sqrt(var + _BN_EPS)
     xhat = (x - mu[:, None, None, None]) * inv[:, None, None, None]
     out = gamma[:, None, None, None] * xhat + beta[:, None, None, None]
-    return out, (xhat, inv, gamma, train), new_mean, new_var
+    return out, (xhat, inv, gamma)
 
 
 def _bn_backward(cache, dout):
-    xhat, inv, gamma, train = cache
+    xhat, inv, gamma = cache
     dgamma = (dout * xhat).sum(axis=(1, 2, 3))
     dbeta = dout.sum(axis=(1, 2, 3))
-    if not train:
-        dx = dout * (gamma * inv)[:, None, None, None]
-        return dx, dgamma, dbeta
     m = xhat[0].size
     s = (gamma * inv)[:, None, None, None]
     mean_dy = dout.mean(axis=(1, 2, 3))[:, None, None, None]
@@ -254,23 +221,13 @@ def _bn_backward(cache, dout):
 # ---------------------------------------------------------------------------
 
 
-def convnet_forward(
-    params: ConvNetParameters,
-    fixed: Volume,
-    moving: Volume,
-    cfg: ConvNetConfig | None = None,
-    train: bool = True,
-):
+def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     """Predict a displacement field from the stacked pair.
 
-    Returns (field, cache); the cache feeds convnet_backward.  In training
-    mode batch-norm uses the current activations' statistics (and refreshes
-    the running ones in place); inference mode uses the running statistics.
+    Returns (field, cache); the cache feeds convnet_backward.  Reads the
+    parameters and never modifies them.
     """
-    if cfg is None:
-        cfg = params.config
-    elif cfg != params.config:
-        raise ValueError(f"config {cfg} does not match parameters' config {params.config}")
+    cfg = params.config
     if fixed.dims != moving.dims:
         raise ValueError(f"dims mismatch: fixed {fixed.dims} vs moving {moving.dims}")
     div = 2**cfg.levels
@@ -301,17 +258,7 @@ def convnet_forward(
         x, xp = _conv3_forward(x, w, b)
         records.append(("conv", f"dec{l}_conv", xp, w))
         if cfg.use_batchnorm:
-            x, bn_cache, new_mean, new_var = _bn_forward(
-                x,
-                t[f"dec{l}_bn_gamma"],
-                t[f"dec{l}_bn_beta"],
-                t[f"dec{l}_bn_running_mean"],
-                t[f"dec{l}_bn_running_var"],
-                train,
-            )
-            if train:
-                t[f"dec{l}_bn_running_mean"] = new_mean
-                t[f"dec{l}_bn_running_var"] = new_var
+            x, bn_cache = _bn_forward(x, t[f"dec{l}_bn_gamma"], t[f"dec{l}_bn_beta"])
             records.append(("bn", f"dec{l}_bn", bn_cache))
         mask = x > 0
         x = x * mask
@@ -325,7 +272,7 @@ def convnet_forward(
 
 
 def convnet_backward(cache, grad_field: DisplacementField) -> dict[str, np.ndarray]:
-    """Backpropagate a loss gradient on the field to all trainable tensors."""
+    """Backpropagate a loss gradient on the field to every parameter tensor."""
     if grad_field.dims != cache["dims"]:
         raise ValueError(
             f"grad field dims {grad_field.dims} do not match forward dims {cache['dims']}"
@@ -456,7 +403,10 @@ def load_checkpoint(path) -> ConvNetParameters:
         raise ValueError(f"bad checkpoint magic {raw[:4]!r}")
     version, levels, base_filters, use_bn, ksize = struct.unpack_from("<5I", raw, 4)
     if version != _CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(
+            f"unsupported checkpoint version {version}; this build reads version "
+            f"{_CHECKPOINT_VERSION} only"
+        )
     cfg = ConvNetConfig(
         levels=levels,
         base_filters=base_filters,

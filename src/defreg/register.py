@@ -1,14 +1,21 @@
 """Self-supervised registration driver for a single volume pair.
 
 Minimizes windowed-NCC dissimilarity plus displacement-gradient smoothness
-with Adam, coarse to fine over a mean-downsampling pyramid.  Two modes:
+with Adam.  One level loop serves both parameterizations; each level runs
+Adam from a fresh state and tracks its best iterate, with the same
+convergence and time-budget stops.  The modes differ only in what a level
+optimizes and what is returned:
 
-* freeform: the displacement field is optimized directly; the coarsest level
-  starts from zero and each finer level starts from the upsampled result.
+* freeform: the parameter is the displacement field itself, over a
+  mean-downsampling pyramid.  The coarsest level starts from zero, each
+  finer level starts from the coarser level's best iterate, resampled, and
+  the finest level's best iterate is returned.
 * convnet: a small encoder/decoder predicts the field from the image pair
-  and its weights are optimized; "levels" become full-resolution rounds with
-  re-initialized optimizer state (the network's internal strides already
-  form a pyramid), so pyramid_levels defaults to 1 here.
+  and its weights are optimized.  "Levels" become full-resolution rounds
+  (the network's internal strides already form a pyramid, so
+  pyramid_levels defaults to 1 here); each round continues from the last
+  iterate, and the best iterate over all rounds is returned with its
+  weights.
 
 Inputs are z-score normalized on entry if they are not already.
 """
@@ -16,7 +23,7 @@ Inputs are z-score normalized on entry if they are not already.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,11 +31,11 @@ from .loss import LossConfig, LossValue, overall_loss
 from .model import (
     AdamState,
     ConvNetConfig,
+    ConvNetParameters,
     adam_step,
     convnet_backward,
     convnet_forward,
     init_convnet_parameters,
-    trainable_tensors,
 )
 from .volume import Volume, zscore_normalize
 from .warp import DisplacementField, resample_field
@@ -213,19 +220,9 @@ def _converged(totals: list[float], tol: float) -> bool:
     return abs(cur - prev) < tol * max(abs(prev), 1e-12)
 
 
-def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> RegistrationReport:
-    if fixed.dims != moving.dims:
-        raise ValueError(f"dims mismatch: fixed {fixed.dims} vs moving {moving.dims}")
-    fixed = _ensure_normalized(fixed)
-    moving = _ensure_normalized(moving)
-    if cfg.mode == "freeform":
-        return _register_freeform(fixed, moving, cfg)
-    return _register_convnet(fixed, moving, cfg)
-
-
-def _register_freeform(fixed, moving, cfg) -> RegistrationReport:
-    n_levels = cfg.resolved_levels
-    pairs = [(fixed, moving)]  # finest first
+def _pyramid(fixed: Volume, moving: Volume, n_levels: int) -> list[tuple[Volume, Volume]]:
+    """Image pairs of a mean-downsampling pyramid, coarsest first."""
+    pairs = [(fixed, moving)]
     for _ in range(n_levels - 1):
         f, m = pairs[-1]
         try:
@@ -234,74 +231,7 @@ def _register_freeform(fixed, moving, cfg) -> RegistrationReport:
             raise ValueError(
                 f"dims {fixed.dims} cannot support {n_levels} pyramid levels"
             ) from None
-    pairs.reverse()  # coarsest first
-
-    clock = _Clock(cfg.max_seconds)
-    traces: list[LevelTrace] = []
-    total_iters = 0
-    stop_reason = "max_iters"
-    field_cur: DisplacementField | None = None
-    budget_hit = False
-
-    for lvl, (f_l, m_l) in enumerate(pairs):
-        if field_cur is None:
-            field_cur = DisplacementField.zeros(f_l.dims, f_l.spacing, f_l.origin)
-        else:
-            field_cur = resample_field(field_cur, f_l.dims, spacing=f_l.spacing)
-        iters = cfg.iterations_for(lvl)
-        params = {"field": field_cur.data}
-        state = AdamState.init(params, alpha=cfg.resolved_learning_rate)
-        lv, grad = overall_loss(f_l, m_l, field_cur, cfg.loss)
-        losses = [lv]
-        best_val, best_data, best_it = lv, params["field"], 0
-        level_stop = "max_iters"
-        for it in range(1, iters + 1):
-            params, state = adam_step(params, {"field": grad.data}, state)
-            field_cur = DisplacementField(
-                data=params["field"], spacing=f_l.spacing, origin=f_l.origin
-            )
-            lv, grad = overall_loss(f_l, m_l, field_cur, cfg.loss)
-            losses.append(lv)
-            total_iters += 1
-            if lv.total < best_val.total:
-                best_val, best_data, best_it = lv, params["field"], it
-            if _converged([x.total for x in losses], cfg.convergence_tol):
-                level_stop = "converged"
-                break
-            if clock.exhausted():
-                level_stop = "budget"
-                budget_hit = True
-                break
-        if iters == 0:
-            level_stop = "max_iters"
-        field_cur = DisplacementField(data=best_data, spacing=f_l.spacing, origin=f_l.origin)
-        traces.append(
-            LevelTrace(
-                level=lvl,
-                dims=f_l.dims,
-                spacing=f_l.spacing,
-                losses=losses,
-                best_iteration=best_it,
-                iterations=len(losses) - 1,
-                stop_reason=level_stop,
-            )
-        )
-        stop_reason = level_stop
-        if budget_hit:
-            break
-
-    if field_cur.dims != fixed.dims:
-        field_cur = resample_field(field_cur, fixed.dims, spacing=fixed.spacing)
-    return RegistrationReport(
-        field=field_cur,
-        levels=traces,
-        wall_seconds=clock.elapsed(),
-        iterations_executed=total_iters,
-        stop_reason=stop_reason,
-        dims=fixed.dims,
-        padded_dims=fixed.dims,
-        config=cfg,
-    )
+    return pairs[::-1]
 
 
 def _pad_to_multiple(v: Volume, mult: int) -> Volume:
@@ -312,86 +242,103 @@ def _pad_to_multiple(v: Volume, mult: int) -> Volume:
     return Volume(data=data, spacing=v.spacing, origin=v.origin)
 
 
-def _register_convnet(fixed, moving, cfg) -> RegistrationReport:
-    div = 2**cfg.convnet.levels
-    f_pad = _pad_to_multiple(fixed, div)
-    m_pad = _pad_to_multiple(moving, div)
-    params = init_convnet_parameters(cfg.convnet, seed=cfg.seed)
+def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> RegistrationReport:
+    if fixed.dims != moving.dims:
+        raise ValueError(f"dims mismatch: fixed {fixed.dims} vs moving {moving.dims}")
+    fixed = _ensure_normalized(fixed)
+    moving = _ensure_normalized(moving)
+    freeform = cfg.mode == "freeform"
+    if freeform:
+        pairs = _pyramid(fixed, moving, cfg.resolved_levels)
+    else:
+        div = 2**cfg.convnet.levels
+        pair = (_pad_to_multiple(fixed, div), _pad_to_multiple(moving, div))
+        pairs = [pair] * cfg.resolved_levels
+        params = init_convnet_parameters(cfg.convnet, seed=cfg.seed).tensors
+
+    def predict(params, f_l, m_l):
+        """Parameters -> (field, cache for the backward pass)."""
+        if freeform:
+            data = params["field"]
+            data.flags.writeable = False  # lets the field share it uncopied
+            return DisplacementField(data=data, spacing=f_l.spacing, origin=f_l.origin), None
+        return convnet_forward(ConvNetParameters(cfg.convnet, params), f_l, m_l)
+
+    def backward(cache, grad):
+        """Field gradient -> parameter gradients."""
+        return {"field": grad.data} if freeform else convnet_backward(cache, grad)
 
     clock = _Clock(cfg.max_seconds)
     traces: list[LevelTrace] = []
     total_iters = 0
-    stop_reason = "max_iters"
-    best_val = None
-    best_field = None
-    best_tensors = dict(params.tensors)
-    budget_hit = False
-
-    for rnd in range(cfg.resolved_levels):
-        iters = cfg.iterations_for(rnd)
-        state = AdamState.init(trainable_tensors(params), alpha=cfg.resolved_learning_rate)
-        pred, cache = convnet_forward(params, f_pad, m_pad, train=True)
-        lv, grad = overall_loss(f_pad, m_pad, pred, cfg.loss)
+    best = None  # (loss, params, field) of the iterate to return
+    for lvl, (f_l, m_l) in enumerate(pairs):
+        if freeform:
+            # start from the coarser level's best; return the finest level's
+            if best is None:
+                u = DisplacementField.zeros(f_l.dims, f_l.spacing, f_l.origin)
+            else:
+                u = resample_field(best[2], f_l.dims, spacing=f_l.spacing)
+            params, best = {"field": u.data}, None
+        # convnet: a round continues from the last iterate; all rounds compete
+        state = AdamState.init(params, alpha=cfg.resolved_learning_rate)
+        u, cache = predict(params, f_l, m_l)
+        lv, grad = overall_loss(f_l, m_l, u, cfg.loss)
         losses = [lv]
-        if best_val is None or lv.total < best_val.total:
-            best_val, best_field, best_tensors = lv, pred, dict(params.tensors)
-        round_best_val, round_best_it = lv, 0
-        level_stop = "max_iters"
-        for it in range(1, iters + 1):
-            grads = convnet_backward(cache, grad)
-            new_trainable, state = adam_step(trainable_tensors(params), grads, state)
-            params.tensors.update(new_trainable)
-            pred, cache = convnet_forward(params, f_pad, m_pad, train=True)
-            lv, grad = overall_loss(f_pad, m_pad, pred, cfg.loss)
+        if best is None or lv.total < best[0].total:
+            best = (lv, params, u)
+        level_best, level_stop = 0, "max_iters"
+        for it in range(1, cfg.iterations_for(lvl) + 1):
+            params, state = adam_step(params, backward(cache, grad), state)
+            u, cache = predict(params, f_l, m_l)
+            lv, grad = overall_loss(f_l, m_l, u, cfg.loss)
             losses.append(lv)
             total_iters += 1
-            if lv.total < best_val.total:
-                best_val, best_field, best_tensors = lv, pred, dict(params.tensors)
-            if lv.total < round_best_val.total:
-                round_best_val, round_best_it = lv, it
+            if lv.total < best[0].total:
+                best = (lv, params, u)
+            if lv.total < losses[level_best].total:
+                level_best = it
             if _converged([x.total for x in losses], cfg.convergence_tol):
                 level_stop = "converged"
                 break
             if clock.exhausted():
                 level_stop = "budget"
-                budget_hit = True
                 break
-        if iters == 0:
-            level_stop = "max_iters"
         traces.append(
             LevelTrace(
-                level=rnd,
-                dims=f_pad.dims,
-                spacing=f_pad.spacing,
+                level=lvl,
+                dims=f_l.dims,
+                spacing=f_l.spacing,
                 losses=losses,
-                best_iteration=round_best_it,
+                best_iteration=level_best,
                 iterations=len(losses) - 1,
                 stop_reason=level_stop,
             )
         )
-        stop_reason = level_stop
-        if budget_hit:
+        # free this level's arrays before the next level allocates its own
+        state = u = cache = grad = None
+        if level_stop == "budget":
             break
 
-    params.tensors = best_tensors
-    out = best_field
+    _, params, out = best
     if out.dims != fixed.dims:
-        nx, ny, nz = fixed.dims
-        out = DisplacementField(
-            data=out.data[:nx, :ny, :nz, :],
-            spacing=fixed.spacing,
-            origin=fixed.origin,
-        )
+        if freeform:  # a budget stop before the finest level
+            out = resample_field(out, fixed.dims, spacing=fixed.spacing)
+        else:  # crop the padding
+            nx, ny, nz = fixed.dims
+            out = DisplacementField(
+                data=out.data[:nx, :ny, :nz, :], spacing=fixed.spacing, origin=fixed.origin
+            )
     return RegistrationReport(
         field=out,
         levels=traces,
         wall_seconds=clock.elapsed(),
         iterations_executed=total_iters,
-        stop_reason=stop_reason,
+        stop_reason=level_stop,
         dims=fixed.dims,
-        padded_dims=f_pad.dims,
+        padded_dims=pairs[-1][0].dims,
         config=cfg,
-        parameters=params,
+        parameters=None if freeform else ConvNetParameters(cfg.convnet, params),
     )
 
 

@@ -71,10 +71,6 @@ class Volume:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    @property
-    def num_voxels(self) -> int:
-        return int(self.data.size)
-
 
 @dataclass(frozen=True)
 class VolumeHeader:

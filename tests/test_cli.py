@@ -207,6 +207,44 @@ class TestRegisterCommand:
         params = load_checkpoint(ckpt)
         assert params.config.levels == 2
 
+    def test_checkpoint_reproduces_saved_field(self, tmp_path):
+        from defreg.model import convnet_forward, load_checkpoint
+        from defreg.register import _pad_to_multiple
+        from defreg.volume import Volume, load_volume, save_volume, zscore_normalize
+        from defreg.warp import load_field
+
+        # dims not divisible by 2^net-levels, so the check covers pad and crop
+        rng = np.random.default_rng(21)
+        for name in ("fixed", "moving"):
+            save_volume(Volume(data=rng.normal(size=(18, 16, 14))), tmp_path / f"{name}.vol")
+        field = tmp_path / "cn.dfield"
+        ckpt = tmp_path / "cn.ckpt"
+        proc = run_cli(
+            "register",
+            "--fixed", str(tmp_path / "fixed.vol"),
+            "--moving", str(tmp_path / "moving.vol"),
+            "--out-field", str(field),
+            "--out-checkpoint", str(ckpt),
+            "--mode", "convnet", "--iters", "3", "--learning-rate", "0.01",
+            "--net-levels", "2", "--base-filters", "2",
+            "--ncc-window", "5", "--lambda", "0.1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        params = load_checkpoint(ckpt)
+        assert params.config.use_batchnorm
+        fixed, moving = (
+            _pad_to_multiple(zscore_normalize(load_volume(tmp_path / f"{n}.vol")), 4)
+            for n in ("fixed", "moving")
+        )
+        pred, _ = convnet_forward(params, fixed, moving)
+        saved = load_field(field).data
+        assert saved.shape == (18, 16, 14, 3)
+        assert np.abs(saved).max() > 1e-3
+        # weights and field are both stored as float32
+        np.testing.assert_allclose(
+            pred.data[:18, :16, :14], saved, rtol=0, atol=1e-5 * np.abs(saved).max()
+        )
+
     def test_single_thread_runs_are_byte_identical(self, case_dir, tmp_path):
         fields = []
         for tag in ("a", "b"):

@@ -1,6 +1,6 @@
-"""Parameterization tests: convnet layers, end-to-end gradients, Adam, checkpoints."""
+"""Model tests: convnet layers, end-to-end gradients, Adam, checkpoints."""
 
-import copy
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from defreg.model import (
     AdamState,
     ConvNetConfig,
     ConvNetParameters,
-    FreeFormModel,
     _bn_forward,
     _conv3_forward,
     _layer_plan,
@@ -20,11 +19,9 @@ from defreg.model import (
     adam_step,
     convnet_backward,
     convnet_forward,
-    freeform_apply,
     init_convnet_parameters,
     load_checkpoint,
     save_checkpoint,
-    trainable_tensors,
 )
 from defreg.warp import DisplacementField
 
@@ -90,8 +87,6 @@ class TestInit:
         params = init_convnet_parameters(tiny_config(), seed=0)
         assert np.array_equal(params.tensors["dec0_bn_gamma"], np.ones(2))
         assert not params.tensors["dec0_bn_beta"].any()
-        assert not params.tensors["dec0_bn_running_mean"].any()
-        assert np.array_equal(params.tensors["dec0_bn_running_var"], np.ones(2))
 
     def test_seed_determinism(self):
         cfg = tiny_config()
@@ -101,13 +96,6 @@ class TestInit:
         for k in a.tensors:
             assert np.array_equal(a.tensors[k], b.tensors[k])
         assert any(not np.array_equal(a.tensors[k], c.tensors[k]) for k in a.tensors)
-
-    def test_trainable_excludes_running_stats(self):
-        params = init_convnet_parameters(tiny_config(), seed=0)
-        train = trainable_tensors(params)
-        assert "dec0_bn_running_mean" not in train
-        assert "dec0_bn_running_var" not in train
-        assert "dec0_bn_gamma" in train and "head_w" in train
 
 
 class TestLayerPrimitives:
@@ -167,31 +155,16 @@ class TestLayerPrimitives:
         rhs = float((x * _upsample_backward(y)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_bn_train_normalizes_and_updates_running(self, rng):
+    def test_bn_normalizes_with_batch_statistics(self, rng):
         x = rng.standard_normal((3, 4, 4, 4)) * 2.0 + 1.5
-        gamma = np.ones(3)
-        beta = np.zeros(3)
-        rmean = np.full(3, 0.25)
-        rvar = np.full(3, 4.0)
-        out, _, new_mean, new_var = _bn_forward(x, gamma, beta, rmean, rvar, train=True)
-        np.testing.assert_allclose(out.mean(axis=(1, 2, 3)), 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.var(axis=(1, 2, 3)), 1.0, atol=1e-3)
-        np.testing.assert_allclose(new_mean, 0.9 * rmean + 0.1 * x.mean(axis=(1, 2, 3)), atol=1e-12)
-        np.testing.assert_allclose(new_var, 0.9 * rvar + 0.1 * x.var(axis=(1, 2, 3)), atol=1e-12)
-
-    def test_bn_eval_uses_running_stats(self, rng):
-        x = rng.standard_normal((2, 4, 4, 4))
-        gamma = np.array([2.0, 0.5])
-        beta = np.array([1.0, -1.0])
-        rmean = np.array([0.5, -0.25])
-        rvar = np.array([4.0, 0.25])
-        out, _, new_mean, new_var = _bn_forward(x, gamma, beta, rmean, rvar, train=False)
-        want = gamma[:, None, None, None] * (x - rmean[:, None, None, None]) / np.sqrt(
-            rvar[:, None, None, None] + 1e-5
-        ) + beta[:, None, None, None]
-        np.testing.assert_allclose(out, want, atol=1e-12)
-        np.testing.assert_array_equal(new_mean, rmean)
-        np.testing.assert_array_equal(new_var, rvar)
+        gamma = np.array([1.0, 2.0, 0.5])
+        beta = np.array([0.0, 1.0, -1.0])
+        out, _ = _bn_forward(x, gamma, beta)
+        np.testing.assert_allclose(out.mean(axis=(1, 2, 3)), beta, atol=1e-12)
+        np.testing.assert_allclose(out.std(axis=(1, 2, 3)), gamma, rtol=1e-3)
+        # batch statistics absorb an affine change of the input (up to eps)
+        shifted, _ = _bn_forward(3.0 * x - 7.0, gamma, beta)
+        np.testing.assert_allclose(shifted, out, atol=1e-4)
 
 
 class TestConvNetForward:
@@ -269,11 +242,16 @@ class TestConvNetForward:
         with pytest.raises(ValueError):
             convnet_forward(params, random_volume(rng, (8, 8, 8)), random_volume(rng, (8, 8, 10)))
 
-    def test_config_mismatch_rejected(self, rng):
-        params = init_convnet_parameters(tiny_config(), seed=0)
-        other = ConvNetConfig(levels=2, base_filters=2)
-        with pytest.raises(ValueError):
-            convnet_forward(params, random_volume(rng, (8, 8, 8)), random_volume(rng, (8, 8, 8)), cfg=other)
+    def test_forward_and_backward_leave_parameters_untouched(self, rng):
+        params = init_convnet_parameters(tiny_config(levels=2), seed=8)
+        before = {k: v.copy() for k, v in params.tensors.items()}
+        fixed = random_volume(rng, (8, 8, 8))
+        moving = random_volume(rng, (8, 8, 8))
+        _, cache = convnet_forward(params, fixed, moving)
+        convnet_backward(cache, DisplacementField(rng.standard_normal((8, 8, 8, 3))))
+        assert set(params.tensors) == set(before)
+        for k, v in before.items():
+            assert np.array_equal(params.tensors[k], v)
 
 
 class TestConvNetBackward:
@@ -283,7 +261,7 @@ class TestConvNetBackward:
         moving = random_volume(rng, (8, 8, 8))
         _, cache = convnet_forward(params, fixed, moving)
         grads = convnet_backward(cache, DisplacementField.zeros((8, 8, 8)))
-        assert set(grads) == set(trainable_tensors(params))
+        assert set(grads) == set(params.tensors)
         for g in grads.values():
             assert not g.any()
 
@@ -340,24 +318,6 @@ class TestConvNetBackward:
                         break
                 worst = max(worst, err)
         assert worst < 1e-4
-
-
-class TestFreeForm:
-    def test_zero_parameters(self):
-        model = FreeFormModel(field=DisplacementField.zeros((3, 3, 3)))
-        assert not freeform_apply(model).data.any()
-
-    def test_constant_parameters(self):
-        data = np.broadcast_to([1.0, 2.0, 3.0], (3, 3, 3, 3)).copy()
-        model = FreeFormModel(field=DisplacementField(data))
-        np.testing.assert_array_equal(
-            freeform_apply(model).data, np.broadcast_to([1.0, 2.0, 3.0], (3, 3, 3, 3))
-        )
-
-    def test_identity_passthrough(self, rng):
-        field = DisplacementField(rng.standard_normal((4, 4, 4, 3)))
-        model = FreeFormModel(field=field)
-        assert freeform_apply(model) is field
 
 
 class TestAdam:
@@ -452,10 +412,8 @@ class TestCheckpoint:
         save_checkpoint(p, init_convnet_parameters(cfg, seed=0))
         raw = p.read_bytes()
         assert raw[:4] == b"IRNW"
-        import struct
-
         version, levels, base, bn, k = struct.unpack_from("<5I", raw, 4)
-        assert (version, levels, base, bn, k) == (1, 2, 5, 0, 3)
+        assert (version, levels, base, bn, k) == (2, 2, 5, 0, 3)
 
     def test_bad_magic_rejected(self, tmp_path):
         params = init_convnet_parameters(tiny_config(), seed=0)
@@ -475,6 +433,16 @@ class TestCheckpoint:
         raw[4] = 99
         p.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
+            load_checkpoint(p)
+
+    def test_version_1_rejected_by_name(self, tmp_path):
+        # version 1 also stored batch-norm running statistics
+        p = tmp_path / "net.ckpt"
+        save_checkpoint(p, init_convnet_parameters(tiny_config(), seed=0))
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<I", raw, 4, 1)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="checkpoint version 1"):
             load_checkpoint(p)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -502,6 +470,6 @@ class TestCheckpoint:
         loaded = load_checkpoint(p)
         fixed = random_volume(rng, (8, 8, 8))
         moving = random_volume(rng, (8, 8, 8))
-        f1, _ = convnet_forward(copy.deepcopy(params), fixed, moving, train=False)
-        f2, _ = convnet_forward(loaded, fixed, moving, train=False)
+        f1, _ = convnet_forward(params, fixed, moving)
+        f2, _ = convnet_forward(loaded, fixed, moving)
         assert np.array_equal(f1.data, f2.data)

@@ -180,6 +180,17 @@ class TestRegisterFreeform:
         best_total = min(x.total for x in report.levels[-1].losses)
         assert lv.total == pytest.approx(best_total, abs=1e-12)
 
+    def test_budget_stop_at_coarse_level_returns_full_size_field(self, rng):
+        fixed = random_volume(rng, (16, 16, 16), spacing=(1.0, 1.5, 2.0))
+        moving = random_volume(rng, (16, 16, 16), spacing=(1.0, 1.5, 2.0))
+        cfg = quick_cfg(pyramid_levels=3, iterations_per_level=1000, max_seconds=1e-9)
+        report = register(fixed, moving, cfg)
+        assert report.stop_reason == "budget"
+        assert len(report.levels) == 1
+        assert report.levels[0].dims == (4, 4, 4)
+        assert report.field.dims == (16, 16, 16)
+        assert report.field.spacing == (1.0, 1.5, 2.0)
+
     def test_budget_stop(self, rng):
         fixed = random_volume(rng, (16, 16, 16))
         moving = random_volume(rng, (16, 16, 16))
@@ -281,10 +292,10 @@ class TestRegisterConvNet:
         b = cn.levels[0].losses[0]
         assert (a.total, a.similarity, a.smoothness) == (b.total, b.similarity, b.smoothness)
 
-    def test_best_parameters_reproduce_best_field(self, rng):
-        # the returned tensor snapshot must regenerate the reported field
+    @pytest.mark.parametrize("use_batchnorm", [False, True])
+    def test_best_parameters_reproduce_best_field(self, rng, use_batchnorm):
+        # the returned tensors must regenerate the reported field
         from defreg.model import convnet_forward
-        from defreg.register import _pad_to_multiple
 
         fixed = random_volume(rng, (8, 8, 8))
         moving = random_volume(rng, (8, 8, 8))
@@ -292,14 +303,42 @@ class TestRegisterConvNet:
             mode="convnet",
             iterations_per_level=4,
             loss=LossConfig(ncc_window=5, reg_weight=0.1),
-            convnet=ConvNetConfig(levels=1, base_filters=2, use_batchnorm=False),
+            convnet=ConvNetConfig(levels=1, base_filters=2, use_batchnorm=use_batchnorm),
             seed=3,
         )
         report = register(fixed, moving, cfg)
         fn = zscore_normalize(fixed)
         mn = zscore_normalize(moving)
-        pred, _ = convnet_forward(report.parameters, fn, mn, train=True)
+        pred, _ = convnet_forward(report.parameters, fn, mn)
         np.testing.assert_allclose(pred.data, report.field.data, atol=1e-12)
+
+    def test_rounds_continue_from_last_iterate_and_return_best_of_all(self, rng):
+        fixed = random_volume(rng, (16, 16, 16))
+        moving = random_volume(rng, (16, 16, 16))
+        cfg = RegistrationConfig(
+            mode="convnet",
+            pyramid_levels=3,
+            iterations_per_level=4,
+            learning_rate=1.0,
+            loss=LossConfig(ncc_window=5, reg_weight=0.1),
+            convnet=ConvNetConfig(levels=1, base_filters=2),
+            seed=5,
+        )
+        report = register(fixed, moving, cfg)
+        rounds = report.levels
+        assert len(rounds) == 3
+        for prev, nxt in zip(rounds, rounds[1:]):
+            assert nxt.losses[0].total == pytest.approx(prev.losses[-1].total, abs=1e-12)
+        best = min(x.total for r in rounds for x in r.losses)
+        # this setting ends a round above its best, and the best iterate is
+        # not in the last round, so neither the last iterate nor the last
+        # round's best would pass
+        assert any(r.best_iteration < r.iterations for r in rounds)
+        assert min(x.total for x in rounds[-1].losses) > best
+        lv, _ = overall_loss(
+            zscore_normalize(fixed), zscore_normalize(moving), report.field, cfg.loss
+        )
+        assert lv.total == pytest.approx(best, abs=1e-12)
 
 
 class TestReportJson:
