@@ -19,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .warp import DisplacementField, JacobianMap, _trilinear, folding_fraction
+from .warp import (
+    DisplacementField,
+    JacobianMap,
+    _trilinear,
+    _world_to_index,
+    folding_fraction,
+)
 
 __all__ = [
     "LandmarkSet",
@@ -116,8 +122,7 @@ def transform_landmarks(lms: LandmarkSet, field: DisplacementField) -> LandmarkS
     Points outside the field's extent sample the clamped border value and
     come back flagged.
     """
-    sp = np.asarray(field.spacing)
-    coords = lms.points / sp  # voxel coordinates on the field grid
+    coords = _world_to_index(lms.points, field.spacing, field.origin)
     nx, ny, nz = field.dims
     clamped = (
         (coords[:, 0] < 0.0)
@@ -127,11 +132,7 @@ def transform_landmarks(lms: LandmarkSet, field: DisplacementField) -> LandmarkS
         | (coords[:, 2] < 0.0)
         | (coords[:, 2] > nz - 1.0)
     )
-    disp = np.empty_like(lms.points)
-    for c in range(3):
-        disp[:, c], _ = _trilinear(
-            field.data[..., c], coords[:, 0], coords[:, 1], coords[:, 2], want_grad=False
-        )
+    disp, _ = _trilinear(field.data, coords[:, 0], coords[:, 1], coords[:, 2], want_grad=False)
     return LandmarkSet(ids=lms.ids.copy(), points=lms.points + disp, clamped=clamped)
 
 

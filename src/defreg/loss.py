@@ -6,9 +6,15 @@ minimization improves alignment), and a displacement-gradient smoothness
 penalty.  Both expose exact analytic gradients with respect to the
 displacement field, verified against finite differences in the tests.
 
-Window statistics use moving-sum (box-filter) accumulation, O(N) per axis
-instead of O(N * window^3); windows are clipped at the borders rather than
-padded.  Summation order is fixed, so results are bit-reproducible.
+Window statistics use separable box sums, O(N) per axis instead of
+O(N * window^3); windows are clipped at the borders rather than padded.
+Along each axis a cumulative sum is taken once and each window is the
+difference of two of its entries, formed with slices into one output (no
+running add/subtract window, whose rounding would drift along the axis).
+Summation order is fixed, so results are bit-reproducible.  The window
+statistics and gradients are computed in place, each temporary dropped
+after its last use; one evaluation of ``overall_loss`` peaks near 18
+image volumes of memory.
 """
 
 from __future__ import annotations
@@ -59,20 +65,47 @@ class LossValue:
     smoothness: float
 
 
+def _cumsum_axis0(a: np.ndarray, out: np.ndarray) -> None:
+    """``np.cumsum(a, axis=0, out=out)``, added slab by slab.
+
+    The same additions in the same order, but streaming through memory:
+    numpy accumulates along the outer axis with a stride of one slab, which
+    is several times slower on volumes.
+    """
+    out[0] = a[0]
+    for i in range(1, len(a)):
+        np.add(out[i - 1], a[i], out=out[i])
+
+
 def _box_sum(a: np.ndarray, w: int) -> np.ndarray:
-    """Separable sliding-window sum with window side ``w``, clipped at borders."""
+    """Separable sliding-window sum with window side ``w``, clipped at borders.
+
+    Per axis: C = cumsum, then out[i] = C[min(i+r, n-1)] - C[i-r-1], the
+    second term only where i-r-1 >= 0, written with slices into one output.
+    One buffer holds the cumulative sums, the other the windowed sums.
+    """
     if w == 1:
         return a.copy()
     r = w // 2
-    out = a
+    csum = np.empty_like(a)
+    out = np.empty_like(a)
     for axis in range(3):
+        if axis:
+            np.cumsum(out, axis=axis, out=csum)
+        else:
+            _cumsum_axis0(a, csum)
         n = out.shape[axis]
-        pref = np.concatenate(
-            [np.zeros_like(out.take([0], axis=axis)), np.cumsum(out, axis=axis)], axis=axis
-        )
-        hi = np.minimum(np.arange(n) + r, n - 1) + 1
-        lo = np.maximum(np.arange(n) - r, 0)
-        out = np.take(pref, hi, axis=axis) - np.take(pref, lo, axis=axis)
+
+        def ax(start, stop):
+            idx = [slice(None)] * 3
+            idx[axis] = slice(start, stop)
+            return tuple(idx)
+
+        m = max(n - r, 0)  # windows whose upper edge is inside the axis
+        out[ax(0, m)] = csum[ax(r, n)]
+        out[ax(m, n)] = csum[ax(n - 1, n)]
+        if n > r + 1:
+            out[ax(r + 1, n)] -= csum[ax(0, n - r - 1)]
     return out
 
 
@@ -87,29 +120,72 @@ def _box_counts(dims, w: int) -> np.ndarray:
 
 
 def _ncc_terms(F: np.ndarray, G: np.ndarray, w: int, eps: float, with_grad: bool):
-    """Mean windowed correlation of F and G, optionally with d(value)/dG."""
+    """Mean windowed correlation of F and G, optionally with d(value)/dG.
+
+    The arithmetic is that of the closed forms in the comments, in the same
+    order, with each intermediate updated in place and dropped after its
+    last use (a buffer keeps one name at a time, so ``del`` frees it).
+    """
     n = _box_counts(F.shape, w)
     sF = _box_sum(F, w)
     sG = _box_sum(G, w)
     muF = sF / n
     muG = sG / n
-    cross = _box_sum(F * G, w) - muF * sG
-    varF = np.maximum(_box_sum(F * F, w) - muF * sF, 0.0)
-    varG = np.maximum(_box_sum(G * G, w) - muG * sG, 0.0)
-    d0 = np.sqrt(varF * varG)
-    d = np.maximum(d0, eps)
-    cc = cross / d
+    del n
+    cc = _box_sum(F * G, w)  # cross = box(F*G) - muF*sG
+    cc -= muF * sG
+    d = _box_sum(F * F, w)  # varF = max(box(F*F) - muF*sF, 0)
+    d -= muF * sF
+    np.maximum(d, 0.0, out=d)
+    del sF
+    varG = _box_sum(G * G, w)  # varG = max(box(G*G) - muG*sG, 0)
+    varG -= muG * sG
+    np.maximum(varG, 0.0, out=varG)
+    del sG
+    d *= varG  # d = max(sqrt(varF*varG), eps)
+    np.sqrt(d, out=d)
+    floored = d < eps if with_grad else None
+    np.maximum(d, eps, out=d)
+    cc /= d  # cc = cross / d
     value = float(np.mean(cc))
     if not with_grad:
         return value, None
     # d cc(x)/d G_j = (F_j - muF)/d - cc * (G_j - muG)/varG for j in window x
     # (second term absent where the floor is active: d is locally constant)
-    floored = d0 < eps
-    varG_safe = np.where(varG > 0, varG, 1.0)
-    a = 1.0 / d
-    e = np.where(floored, 0.0, cc / varG_safe)
-    grad = (F * _box_sum(a, w) - _box_sum(muF * a, w) - G * _box_sum(e, w) + _box_sum(muG * e, w)) / F.size
+    np.copyto(varG, 1.0, where=~(varG > 0))  # safe divisor
+    e = cc  # e = where(floored, 0, cc/varG), in cc's buffer
+    del cc
+    e /= varG
+    np.copyto(e, 0.0, where=floored)
+    del varG, floored
+    a = np.divide(1.0, d, out=d)  # a = 1/d, in d's buffer
+    del d
+    # grad = (F*box(a) - box(muF*a) - G*box(e) + box(muG*e)) / F.size
+    grad = _box_sum(a, w)
+    grad *= F
+    muF *= a
+    del a
+    grad -= _box_sum(muF, w)
+    del muF
+    muG *= e
+    t = _box_sum(e, w)
+    del e
+    t *= G
+    grad -= t
+    del t
+    grad += _box_sum(muG, w)
+    grad /= F.size
     return value, grad
+
+
+def _fresh_field(data: np.ndarray, like: DisplacementField) -> DisplacementField:
+    """Wrap a freshly allocated gradient array on ``like``'s grid.
+
+    Marking it read-only lets the field take the array without a copy; the
+    field still checks that it is finite.
+    """
+    data.flags.writeable = False
+    return DisplacementField(data=data, spacing=like.spacing, origin=like.origin)
 
 
 def ncc(fixed: Volume, warped: Volume, cfg: LossConfig) -> float:
@@ -130,17 +206,19 @@ def similarity_loss(fixed: Volume, moving: Volume, field: DisplacementField, cfg
         raise ValueError(f"dims mismatch: fixed {fixed.dims} vs field {field.dims}")
     warped, sample_grad = warp_volume_with_gradient(moving, field)
     value, dG = _ncc_terms(fixed.data, warped.data, cfg.ncc_window, cfg.variance_floor, True)
-    grad = DisplacementField(
-        data=-dG[..., None] * sample_grad, spacing=field.spacing, origin=field.origin
-    )
-    return -value, grad
+    del warped
+    np.negative(dG, out=dG)
+    sample_grad *= dG[..., None]
+    return -value, _fresh_field(sample_grad, field)
 
 
 def smoothness_loss(field: DisplacementField):
     """Mean squared Frobenius norm of the displacement gradient.
 
     Forward differences in mm with replicate boundary (the last difference
-    along each axis is zero).  Returns (value, analytic gradient).
+    along each axis is zero).  Returns (value, analytic gradient).  The
+    differences and the shifted copy live in two scratch buffers reused for
+    every axis.
     """
     if min(field.dims) < 2:
         raise ValueError(f"smoothness needs dims >= 2 per axis, got {field.dims}")
@@ -148,22 +226,32 @@ def smoothness_loss(field: DisplacementField):
     n_vox = u.size // 3
     value = 0.0
     grad = np.zeros_like(u)
-    inner = [slice(None)] * 4
-    outer = [slice(None)] * 4
+    d = np.empty_like(u)
+    scratch = np.empty_like(u)
+
+    def ax(axis, start, stop):
+        idx = [slice(None)] * 4
+        idx[axis] = slice(start, stop)
+        return tuple(idx)
+
     for axis in range(3):
         s = field.spacing[axis]
-        d = np.zeros_like(u)
-        inner[axis] = slice(0, u.shape[axis] - 1)
-        d[tuple(inner)] = np.diff(u, axis=axis) / s
-        value += float(np.sum(d * d))
-        shifted = np.zeros_like(u)
-        outer[axis] = slice(1, u.shape[axis])
-        shifted[tuple(outer)] = d[tuple(inner)]
-        grad += 2.0 * (shifted - d) / (s * n_vox)
-        inner[axis] = slice(None)
-        outer[axis] = slice(None)
+        n = u.shape[axis]
+        # d = forward difference / s, zero on the last slice
+        np.subtract(u[ax(axis, 1, n)], u[ax(axis, 0, n - 1)], out=d[ax(axis, 0, n - 1)])
+        d[ax(axis, 0, n - 1)] /= s
+        d[ax(axis, n - 1, n)] = 0.0
+        np.multiply(d, d, out=scratch)
+        value += float(np.sum(scratch))
+        # grad += 2 * (shifted - d) / (s * n_vox), shifted[i] = d[i-1], 0 at i = 0
+        scratch[ax(axis, 1, n)] = d[ax(axis, 0, n - 1)]
+        scratch[ax(axis, 0, 1)] = 0.0
+        scratch -= d
+        scratch *= 2.0
+        scratch /= s * n_vox
+        grad += scratch
     value /= n_vox
-    return value, DisplacementField(data=grad, spacing=field.spacing, origin=field.origin)
+    return value, _fresh_field(grad, field)
 
 
 def overall_loss(fixed: Volume, moving: Volume, field: DisplacementField, cfg: LossConfig):
@@ -171,9 +259,7 @@ def overall_loss(fixed: Volume, moving: Volume, field: DisplacementField, cfg: L
     sim, sim_grad = similarity_loss(fixed, moving, field, cfg)
     smooth, smooth_grad = smoothness_loss(field)
     total = sim + cfg.reg_weight * smooth
-    grad = DisplacementField(
-        data=sim_grad.data + cfg.reg_weight * smooth_grad.data,
-        spacing=field.spacing,
-        origin=field.origin,
-    )
-    return LossValue(total=total, similarity=sim, smoothness=smooth), grad
+    data = cfg.reg_weight * smooth_grad.data
+    data += sim_grad.data
+    return LossValue(total=total, similarity=sim, smoothness=smooth), _fresh_field(data, field)
+

@@ -358,11 +358,24 @@ def adam_step(
             raise ValueError(
                 f"gradient shape {g.shape} != parameter shape {params[k].shape} for {k!r}"
             )
-        mk = state.beta1 * m[k] + (1.0 - state.beta1) * g
-        vk = state.beta2 * v[k] + (1.0 - state.beta2) * (g * g)
-        mhat = mk / (1.0 - state.beta1**t)
-        vhat = vk / (1.0 - state.beta2**t)
-        new_params[k] = params[k] - state.alpha * mhat / (np.sqrt(vhat) + state.eps)
+        # mk = beta1*m + (1-beta1)*g; vk = beta2*v + (1-beta2)*g*g;
+        # new = p - alpha*mhat / (sqrt(vhat) + eps), in place on fresh arrays.
+        # The products with g are short-lived temporaries: freed within the
+        # step, their memory is reused while still mapped, which measured
+        # faster than fewer, longer-lived buffers.
+        mk = state.beta1 * m[k]
+        mk += (1.0 - state.beta1) * g
+        vk = g * g
+        vk *= 1.0 - state.beta2
+        vk += state.beta2 * v[k]
+        den = vk / (1.0 - state.beta2**t)
+        np.sqrt(den, out=den)
+        den += state.eps
+        mhat = mk / (1.0 - state.beta1**t)  # laid out like m, not like g
+        mhat *= state.alpha
+        mhat /= den
+        del den
+        new_params[k] = np.subtract(params[k], mhat, out=mhat)
         m[k] = mk
         v[k] = vk
     return new_params, replace(state, m=m, v=v, t=t)

@@ -152,9 +152,7 @@ def _bump_field(cfg: SynthConfig, rng: np.random.Generator) -> DisplacementField
 def _sample_field_at(field: DisplacementField, cx, cy, cz) -> np.ndarray:
     from .warp import _trilinear
 
-    out = np.empty(cx.shape + (3,))
-    for c in range(3):
-        out[..., c], _ = _trilinear(field.data[..., c], cx, cy, cz, want_grad=False)
+    out, _ = _trilinear(field.data, cx, cy, cz, want_grad=False)
     return out
 
 

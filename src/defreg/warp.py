@@ -3,13 +3,25 @@
 A displacement field u lives on the fixed-image grid and maps fixed-space
 points into moving space: the warped image at grid point x is the moving
 image sampled at world(x) + u(x).  Displacements are stored in millimeters,
-so values carry unchanged across grid resolutions.
+so values carry unchanged across grid resolutions.  World coordinates are
+index * spacing + origin on every grid; ``_world_to_index`` is the one map
+back to voxel coordinates, used by point sampling, warping (for the offset
+between the field's and the moving image's origins) and landmark transfer.
 
 Sampling clamps out-of-grid coordinates to the border.  The derivative of a
 sample with respect to its coordinate is the slope of one interpolation
 cell; at exact-integer coordinates the cell with the lower base index is
 used (deterministic sub-gradient), and the derivative is zero where the
 pre-clamp coordinate falls outside the grid.
+
+Trilinear sampling gathers with one flat index per sample: the base cells
+of the three axes are combined into an offset into the flattened data, and
+the 8 corners are read with ``np.take`` at fixed offsets from it.  Corner
+pairs are folded into x-lerps as they are read, and every intermediate is
+updated in place; the operations and their order are those of the plain
+8-corner blend, so the results are the same to the bit.  A trailing channel
+axis (a displacement field's 3 components) shares one set of indices and
+weights.
 """
 
 from __future__ import annotations
@@ -72,65 +84,128 @@ class DisplacementField:
 JacobianMap = Volume
 
 
-def _cell_indices(t: np.ndarray, n: int):
-    """Base/upper corner indices and fraction for coordinates already in [0, n-1].
+def _world_to_index(points, spacing, origin) -> np.ndarray:
+    """Voxel coordinates of mm points (last axis x, y, z) on a grid with
+    the given spacing and origin: (p - origin) / spacing."""
+    return (np.asarray(points, dtype=np.float64) - np.asarray(origin)) / np.asarray(spacing)
 
-    The base index is ceil(t) - 1 (clamped), so an exact-integer coordinate
-    belongs to the cell below it.
+
+def _cell(c, n: int):
+    """Base cell index and fraction along one axis of length ``n``.
+
+    The coordinate is clamped to [0, n-1]; the base index is ceil(t) - 1,
+    clipped to [0, n-2], so an exact-integer coordinate belongs to the cell
+    below it.  Returns (int64 base, fraction t - base).
     """
-    i0 = np.clip(np.ceil(t).astype(np.int64) - 1, 0, max(n - 2, 0))
-    i1 = np.minimum(i0 + 1, n - 1)
-    return i0, i1, t - i0
+    t = np.clip(c, 0.0, n - 1.0)
+    i0 = np.ceil(t).astype(np.int64)
+    i0 -= 1
+    np.clip(i0, 0, max(n - 2, 0), out=i0)
+    t -= i0
+    return i0, t
 
 
 def _trilinear(data: np.ndarray, cx, cy, cz, want_grad: bool):
     """Trilinear interpolation of ``data`` at voxel coordinates (cx, cy, cz).
 
-    Coordinates may lie outside the grid; they are clamped.  When
-    ``want_grad`` is set, also returns d(value)/d(coordinate) per axis, zero
-    wherever the unclamped coordinate is out of grid.
-    """
-    nx, ny, nz = data.shape
-    tx = np.clip(cx, 0.0, nx - 1.0)
-    ty = np.clip(cy, 0.0, ny - 1.0)
-    tz = np.clip(cz, 0.0, nz - 1.0)
-    ix0, ix1, fx = _cell_indices(tx, nx)
-    iy0, iy1, fy = _cell_indices(ty, ny)
-    iz0, iz1, fz = _cell_indices(tz, nz)
+    ``data`` has shape (nx, ny, nz) or (nx, ny, nz, C); a trailing channel
+    axis is interpolated with one set of cell indices and weights, and comes
+    back as the last axis of the value.  Coordinates are arrays that
+    broadcast together, or scalars; they may lie outside the grid, where
+    they are clamped.  When ``want_grad`` is set, also returns
+    d(value)/d(coordinate) as a trailing axis of length 3, zero wherever the
+    unclamped coordinate is out of grid.
 
-    c000 = data[ix0, iy0, iz0]
-    c100 = data[ix1, iy0, iz0]
-    c010 = data[ix0, iy1, iz0]
-    c110 = data[ix1, iy1, iz0]
-    c001 = data[ix0, iy0, iz1]
-    c101 = data[ix1, iy0, iz1]
-    c011 = data[ix0, iy1, iz1]
-    c111 = data[ix1, iy1, iz1]
+    Per axis the base cell and fraction are computed once and the three
+    base cells are combined into one flat index; the 8 corners are gathered
+    from the flattened data at fixed offsets (0 along an axis of length 1)
+    and folded into x-lerps (and x-differences for the gradient) as they
+    arrive, so few full-size temporaries are alive at once.
+    """
+    nx, ny, nz = data.shape[:3]
+    chan = data.shape[3:]
+    cx, cy, cz = (np.asarray(c, dtype=np.float64) for c in (cx, cy, cz))
+    shape = np.broadcast_shapes(cx.shape, cy.shape, cz.shape)
+    if not shape:  # scalars: in-place updates need arrays
+        cx, cy, cz = (c.reshape(1) for c in (cx, cy, cz))
+    flat = data.reshape((nx * ny * nz,) + chan)
+    # broadcasts a per-voxel weight against the channel axis
+    ch = (Ellipsis,) + (None,) * len(chan)
+
+    base = np.zeros(shape or (1,), dtype=np.int64)
+    weights = []
+    for c, n, stride in ((cx, nx, ny * nz), (cy, ny, nz), (cz, nz, 1)):
+        i0, f = _cell(c, n)
+        i0 *= stride
+        base += i0
+        weights.append(f[ch])
+    del i0
+    fx, fy, fz = weights
+    ox, oy, oz = (s if n > 1 else 0 for n, s in ((nx, ny * nz), (ny, nz), (nz, 1)))
 
     # symmetric lerp weights keep node coordinates (f in {0, 1}) bit-exact
     wx = 1.0 - fx
-    a00 = wx * c000 + fx * c100
-    a10 = wx * c010 + fx * c110
-    a01 = wx * c001 + fx * c101
-    a11 = wx * c011 + fx * c111
     wy = 1.0 - fy
-    b0 = wy * a00 + fy * a10
-    b1 = wy * a01 + fy * a11
-    value = (1.0 - fz) * b0 + fz * b1
-    if not want_grad:
-        return value, None
+    wz = 1.0 - fz
 
-    in_x = (cx >= 0.0) & (cx <= nx - 1.0)
-    in_y = (cy >= 0.0) & (cy <= ny - 1.0)
-    in_z = (cz >= 0.0) & (cz <= nz - 1.0)
+    def x_lerp(off):
+        """Corner pair at flat offset ``off`` lerped along x; and hi - lo."""
+        lo = np.take(flat[off:], base, axis=0)
+        hi = np.take(flat[off + ox :], base, axis=0)
+        diff = hi - lo if want_grad else None
+        lo *= wx
+        hi *= fx
+        lo += hi
+        return lo, diff
 
-    gx = (wy * (c100 - c000) + fy * (c110 - c010)) * (1.0 - fz) + (
-        wy * (c101 - c001) + fy * (c111 - c011)
-    ) * fz
-    gy = (a10 - a00) * (1.0 - fz) + (a11 - a01) * fz
-    gz = b1 - b0
-    grad = np.stack([gx * in_x, gy * in_y, gz * in_z], axis=-1)
-    return value, grad
+    def y_lerp(off, w):
+        """The four corners at z offset ``off`` lerped along x, then y.
+
+        Also returns, for the gradient, the y-difference and the
+        x-differences lerped along y and scaled by the z weight ``w``.
+        """
+        a0, dx0 = x_lerp(off)
+        a1, dx1 = x_lerp(off + oy)
+        dy = dx = None
+        if want_grad:
+            dy = a1 - a0
+            dx0 *= wy
+            dx1 *= fy
+            dx0 += dx1
+            dx0 *= w
+            dx = dx0
+        a0 *= wy
+        a1 *= fy
+        a0 += a1
+        return a0, dy, dx
+
+    b0, gy, gx = y_lerp(0, wz)
+    b1, gy1, gx1 = y_lerp(oz, fz)
+    del base
+    grad = None
+    if want_grad:
+        in_x = ((cx >= 0.0) & (cx <= nx - 1.0))[ch]
+        in_y = ((cy >= 0.0) & (cy <= ny - 1.0))[ch]
+        in_z = ((cz >= 0.0) & (cz <= nz - 1.0))[ch]
+        grad = np.empty(b0.shape + (3,))
+        gx += gx1
+        del gx1
+        np.multiply(gx, in_x, out=grad[..., 0])
+        del gx
+        gy *= wz
+        gy1 *= fz
+        gy += gy1
+        del gy1
+        np.multiply(gy, in_y, out=grad[..., 1])
+        del gy
+        np.subtract(b1, b0, out=grad[..., 2])
+        np.multiply(grad[..., 2], in_z, out=grad[..., 2])
+    b0 *= wz
+    b1 *= fz
+    b0 += b1
+    if not shape:
+        return b0.reshape(chan), None if grad is None else grad.reshape(chan + (3,))
+    return b0, grad
 
 
 def sample_trilinear(v: Volume, p) -> float:
@@ -138,25 +213,30 @@ def sample_trilinear(v: Volume, p) -> float:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (3,) or not np.isfinite(p).all():
         raise ValueError(f"point must be a finite 3-vector, got {p!r}")
-    coords = p / np.asarray(v.spacing)
+    coords = _world_to_index(p, v.spacing, v.origin)
     value, _ = _trilinear(v.data, coords[0], coords[1], coords[2], want_grad=False)
     return float(value)
 
 
 def _warp(moving: Volume, field: DisplacementField, want_grad: bool):
-    # Work in the moving grid's index space: ratio 1.0 and zero displacement
-    # then leave coordinates exactly on nodes, so the zero field is an exact
-    # identity warp.
+    # Work in the moving grid's index space: node i of the field grid lies
+    # at index i * ratio + shift of the moving grid, where shift is the
+    # field origin's moving-grid index.  Ratio 1.0, equal origins and zero
+    # displacement then leave coordinates exactly on nodes, so the zero
+    # field is an exact identity warp.
     nx, ny, nz = field.dims
     rx, ry, rz = (fs / ms for fs, ms in zip(field.spacing, moving.spacing))
+    ox, oy, oz = _world_to_index(field.origin, moving.spacing, moving.origin)
     sx, sy, sz = moving.spacing
-    cx = np.arange(nx)[:, None, None] * rx + field.data[..., 0] / sx
-    cy = np.arange(ny)[None, :, None] * ry + field.data[..., 1] / sy
-    cz = np.arange(nz)[None, None, :] * rz + field.data[..., 2] / sz
+    cx = (np.arange(nx) * rx + ox)[:, None, None] + field.data[..., 0] / sx
+    cy = (np.arange(ny) * ry + oy)[None, :, None] + field.data[..., 1] / sy
+    cz = (np.arange(nz) * rz + oz)[None, None, :] + field.data[..., 2] / sz
     value, grad = _trilinear(moving.data, cx, cy, cz, want_grad)
+    del cx, cy, cz
+    value.flags.writeable = False  # fresh array: the volume need not copy it
     warped = Volume(data=value, spacing=field.spacing, origin=field.origin)
     if grad is not None:
-        grad = grad / np.array([sx, sy, sz])  # d(sample)/d(displacement in mm)
+        grad /= np.array([sx, sy, sz])  # d(sample)/d(displacement in mm)
     return warped, grad
 
 
@@ -199,7 +279,7 @@ def folding_fraction(jmap: JacobianMap) -> float:
 
 
 def resample_field(field: DisplacementField, new_dims, spacing=None) -> DisplacementField:
-    """Trilinearly resample each component onto a new grid.
+    """Trilinearly resample the field onto a new grid, all components at once.
 
     Displacement values (mm) carry unchanged.  Unless an explicit spacing is
     given, spacing is rescaled so the physical extent (n-1)*s of each axis
@@ -221,12 +301,14 @@ def resample_field(field: DisplacementField, new_dims, spacing=None) -> Displace
         else:
             coords.append(np.arange(n_new) * (n_old - 1) / (n_new - 1))
             out_spacing.append(s_old * (n_old - 1) / (n_new - 1))
-    cx = coords[0][:, None, None] + np.zeros(new_dims)
-    cy = coords[1][None, :, None] + np.zeros(new_dims)
-    cz = coords[2][None, None, :] + np.zeros(new_dims)
-    out = np.empty(new_dims + (3,))
-    for c in range(3):
-        out[..., c], _ = _trilinear(field.data[..., c], cx, cy, cz, want_grad=False)
+    out, _ = _trilinear(
+        field.data,
+        coords[0][:, None, None],
+        coords[1][None, :, None],
+        coords[2][None, None, :],
+        want_grad=False,
+    )
+    out.flags.writeable = False  # fresh array: the field need not copy it
     if spacing is None:
         spacing = tuple(out_spacing)
     return DisplacementField(data=out, spacing=spacing, origin=field.origin)

@@ -99,6 +99,36 @@ class TestTransformLandmarks:
         out = transform_landmarks(lms([[4.0, 0.0, 0.0]]), field)
         np.testing.assert_allclose(out.points[0], [7.0, 0.0, 0.0], atol=1e-12)
 
+    def test_respects_origin(self):
+        # field origin (10, 0, 0) and ux = 1 at index 1: world x = 11 is
+        # index 1, so the landmark moves to 12
+        data = np.zeros((3, 2, 2, 3))
+        data[1, ..., 0] = 1.0
+        field = DisplacementField(data, origin=(10.0, 0.0, 0.0))
+        out = transform_landmarks(lms([[11.0, 0.0, 0.0]]), field)
+        np.testing.assert_allclose(out.points[0], [12.0, 0.0, 0.0], atol=1e-12)
+        assert not out.clamped.any()
+
+    def test_origin_and_anisotropic_spacing_against_oracle(self, rng):
+        spacing, origin = (1.5, 0.75, 2.0), (-7.0, 3.5, 12.0)
+        field = DisplacementField(rng.uniform(-2.0, 2.0, (6, 5, 4, 3)), spacing, origin)
+        idx = rng.uniform(-1.0, 6.0, size=(25, 3))
+        pts = idx * spacing + np.asarray(origin)
+        out = transform_landmarks(lms(pts), field)
+        for p, (x, y, z), got, clamped in zip(pts, idx, out.points, out.clamped):
+            # brute force: blend the 8 corners of the clamped cell
+            disp = np.zeros(3)
+            t = [min(max(c, 0.0), n - 1.0) for c, n in zip((x, y, z), field.dims)]
+            base = [min(int(np.floor(c)), n - 2) for c, n in zip(t, field.dims)]
+            for corner in np.ndindex(2, 2, 2):
+                w = 1.0
+                for a in range(3):
+                    f = t[a] - base[a]
+                    w *= f if corner[a] else 1.0 - f
+                disp += w * field.data[base[0] + corner[0], base[1] + corner[1], base[2] + corner[2]]
+            np.testing.assert_allclose(got, p + disp, atol=1e-12)
+            assert clamped == any(c < 0.0 or c > n - 1.0 for c, n in zip((x, y, z), field.dims))
+
 
 class TestLandmarkErrors:
     def test_identical_sets_zero(self, rng):

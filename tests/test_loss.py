@@ -1,5 +1,7 @@
 """Objective tests: windowed correlation, smoothness penalty, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from defreg.loss import (
     LossValue,
     _box_counts,
     _box_sum,
+    _ncc_terms,
     ncc,
     overall_loss,
     similarity_loss,
@@ -34,6 +37,66 @@ def brute_box_sum(a, w):
                     max(k - r, 0) : min(k + r, nz - 1) + 1,
                 ].sum()
     return out
+
+
+def concat_take_box_sum(a, w):
+    """The earlier prefix-sum box filter, kept as the bit-exact reference:
+    a zero-prefixed cumsum per axis, then two fancy ``take``s."""
+    if w == 1:
+        return a.copy()
+    r = w // 2
+    out = a
+    for axis in range(3):
+        n = out.shape[axis]
+        pref = np.concatenate(
+            [np.zeros_like(out.take([0], axis=axis)), np.cumsum(out, axis=axis)], axis=axis
+        )
+        hi = np.minimum(np.arange(n) + r, n - 1) + 1
+        lo = np.maximum(np.arange(n) - r, 0)
+        out = np.take(pref, hi, axis=axis) - np.take(pref, lo, axis=axis)
+    return out
+
+
+def closed_form_ncc_terms(F, G, w, eps):
+    """The windowed correlation and its gradient as plain expressions, in the
+    operation order of ``_ncc_terms``; the bit-exact reference."""
+    box = concat_take_box_sum
+    n = _box_counts(F.shape, w)
+    sF = box(F, w)
+    sG = box(G, w)
+    muF = sF / n
+    muG = sG / n
+    cross = box(F * G, w) - muF * sG
+    varF = np.maximum(box(F * F, w) - muF * sF, 0.0)
+    varG = np.maximum(box(G * G, w) - muG * sG, 0.0)
+    d0 = np.sqrt(varF * varG)
+    d = np.maximum(d0, eps)
+    cc = cross / d
+    varG_safe = np.where(varG > 0, varG, 1.0)
+    a = 1.0 / d
+    e = np.where(d0 < eps, 0.0, cc / varG_safe)
+    grad = (F * box(a, w) - box(muF * a, w) - G * box(e, w) + box(muG * e, w)) / F.size
+    return float(np.mean(cc)), grad
+
+
+def closed_form_smoothness(u, spacing):
+    """Smoothness value and gradient with a fresh array per step; reference."""
+    n_vox = u.size // 3
+    value = 0.0
+    grad = np.zeros_like(u)
+    for axis in range(3):
+        s = spacing[axis]
+        inner = [slice(None)] * 4
+        outer = [slice(None)] * 4
+        inner[axis] = slice(0, u.shape[axis] - 1)
+        outer[axis] = slice(1, u.shape[axis])
+        d = np.zeros_like(u)
+        d[tuple(inner)] = np.diff(u, axis=axis) / s
+        value += float(np.sum(d * d))
+        shifted = np.zeros_like(u)
+        shifted[tuple(outer)] = d[tuple(inner)]
+        grad += 2.0 * (shifted - d) / (s * n_vox)
+    return value / n_vox, grad
 
 
 def brute_ncc(F, G, w, eps):
@@ -103,6 +166,24 @@ class TestBoxFilter:
         a = np.random.default_rng(seed).standard_normal((nx, ny, nz))
         np.testing.assert_allclose(_box_sum(a, w), brute_box_sum(a, w), atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "dims", [(5, 4, 6), (1, 7, 3), (2, 1, 9), (6, 2, 1), (1, 1, 1), (2, 2, 2), (13, 11, 12)]
+    )
+    @pytest.mark.parametrize("w", [1, 3, 5, 9, 15, 31])
+    def test_equals_prefix_take_reference_bitwise(self, rng, dims, w):
+        # windows wider than an axis included (w = 15, 31)
+        a = rng.standard_normal(dims)
+        a.reshape(-1)[0] = -0.0
+        got = _box_sum(a, w)
+        assert np.array_equal(got, concat_take_box_sum(a, w))
+        assert got.flags.c_contiguous
+
+    def test_input_untouched(self, rng):
+        a = rng.standard_normal((6, 5, 4))
+        keep = a.copy()
+        _box_sum(a, 3)
+        assert np.array_equal(a, keep)
+
 
 class TestNcc:
     def test_identical_is_one(self, rng):
@@ -147,6 +228,30 @@ class TestNcc:
         b = random_volume(rng, (4, 4, 5))
         with pytest.raises(ValueError):
             ncc(a, b, LossConfig())
+
+
+class TestNccTermsExactness:
+    """In-place window statistics reproduce the closed forms bit for bit."""
+
+    @pytest.mark.parametrize("dims", [(9, 8, 7), (1, 6, 5), (2, 2, 2), (4, 1, 1)])
+    @pytest.mark.parametrize("w", [1, 3, 9])
+    def test_value_and_gradient_equal_reference(self, rng, dims, w):
+        F = rng.standard_normal(dims)
+        G = rng.standard_normal(dims)
+        G[0] = 0.5  # a flat slab floors some windows
+        got_value, got_grad = _ncc_terms(F, G, w, 1e-5, True)
+        want_value, want_grad = closed_form_ncc_terms(F, G, w, 1e-5)
+        assert got_value == want_value
+        assert np.array_equal(got_grad, want_grad)
+        assert _ncc_terms(F, G, w, 1e-5, False) == (want_value, None)
+
+    def test_constant_moving_floors_everywhere(self, rng):
+        F = rng.standard_normal((5, 5, 5))
+        G = np.full((5, 5, 5), 2.0)
+        got_value, got_grad = _ncc_terms(F, G, 3, 1e-5, True)
+        want_value, want_grad = closed_form_ncc_terms(F, G, 3, 1e-5)
+        assert got_value == want_value
+        assert np.array_equal(got_grad, want_grad)
 
 
 class TestSimilarityLoss:
@@ -248,6 +353,17 @@ class TestSmoothnessLoss:
             smoothness_loss(DisplacementField.zeros((1, 4, 4)))
 
 
+class TestSmoothnessExactness:
+    @pytest.mark.parametrize("dims", [(6, 5, 4), (2, 2, 2), (2, 7, 3)])
+    def test_value_and_gradient_equal_reference(self, rng, dims):
+        spacing = (1.5, 1.0, 0.75)
+        u = rng.standard_normal(dims + (3,))
+        value, grad = smoothness_loss(DisplacementField(u, spacing=spacing))
+        want_value, want_grad = closed_form_smoothness(u, spacing)
+        assert value == want_value
+        assert np.array_equal(grad.data, want_grad)
+
+
 class TestOverallLoss:
     def test_identical_pair_zero_field(self, rng):
         v = random_volume(rng, (8, 8, 8))
@@ -300,3 +416,26 @@ class TestOverallLoss:
         num = fd_gradient(fn, field, idx, step=1e-4)
         ana = np.array([grad.data[pos] for pos in idx])
         assert rel_err(num, ana) < 1e-5
+
+
+class TestLossMemory:
+    # Peak traced bytes of one overall_loss evaluation, in volumes of the
+    # image size.  The in-place hot path peaks near 18 volumes at 40^3; the
+    # bound leaves a margin for numpy versions.
+    PEAK_VOLUMES = 24
+
+    def test_one_evaluation_stays_under_bound(self):
+        rng = np.random.default_rng(0)
+        dims = (40, 40, 40)
+        fixed = Volume(data=rng.standard_normal(dims))
+        moving = Volume(data=rng.standard_normal(dims))
+        field = DisplacementField(data=rng.uniform(-2.0, 2.0, dims + (3,)))
+        cfg = LossConfig()
+        overall_loss(fixed, moving, field, cfg)  # warm-up
+        tracemalloc.start()
+        try:
+            overall_loss(fixed, moving, field, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_VOLUMES * fixed.data.nbytes

@@ -320,7 +320,44 @@ class TestConvNetBackward:
         assert worst < 1e-4
 
 
+def closed_form_adam(params, grads, state):
+    """Adam with a fresh array per step; the bit-exact reference."""
+    t = state.t + 1
+    out, m, v = dict(params), dict(state.m), dict(state.v)
+    for k, g in grads.items():
+        m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
+        v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * (g * g)
+        mhat = m[k] / (1.0 - state.beta1**t)
+        vhat = v[k] / (1.0 - state.beta2**t)
+        out[k] = params[k] - state.alpha * mhat / (np.sqrt(vhat) + state.eps)
+    return out, m, v
+
+
 class TestAdam:
+    def test_three_steps_equal_reference_bitwise(self, rng):
+        params = {"w": rng.standard_normal((4, 5)), "b": rng.standard_normal((3, 2, 1, 1, 1))}
+        state = AdamState.init(params, alpha=0.3)
+        for _ in range(3):
+            grads = {
+                "w": rng.standard_normal((4, 5)),
+                # broadcast strides, as a bias-like gradient can have
+                "b": np.broadcast_to(rng.standard_normal((2, 3)).T[:, :, None, None, None],
+                                     (3, 2, 1, 1, 1)),
+            }
+            kept = {k: (params[k].copy(), state.m[k].copy(), state.v[k].copy()) for k in params}
+            want, want_m, want_v = closed_form_adam(params, grads, state)
+            new_params, new_state = adam_step(params, grads, state)
+            for k in params:
+                assert np.array_equal(new_params[k], want[k])
+                assert np.array_equal(new_state.m[k], want_m[k])
+                assert np.array_equal(new_state.v[k], want_v[k])
+                assert new_params[k].flags.c_contiguous
+                # inputs untouched: the caller may still hold them
+                p0, m0, v0 = kept[k]
+                assert np.array_equal(params[k], p0)
+                assert np.array_equal(state.m[k], m0) and np.array_equal(state.v[k], v0)
+            params, state = new_params, new_state
+
     def test_first_step_unit_gradient(self):
         params = {"w": np.full((3, 3), 10.0)}
         grads = {"w": np.ones((3, 3))}

@@ -6,6 +6,7 @@ import pytest
 from defreg.volume import Volume
 from defreg.warp import (
     DisplacementField,
+    _trilinear,
     folding_fraction,
     jacobian_determinant,
     load_field,
@@ -50,6 +51,111 @@ def trilinear_reference(data, x, y, z):
                 kk = k1 if dk else k0
                 out += wi * wj * wk * data[ii, jj, kk]
     return out
+
+
+def eight_corner_trilinear(data, cx, cy, cz, want_grad):
+    """The earlier 8-gather implementation, kept as the bit-exact reference.
+
+    Same clamping, cell choice and arithmetic order as ``_trilinear``, with
+    one fancy-index gather per corner and the gradient stacked at the end.
+    """
+
+    def cell(t, n):
+        i0 = np.clip(np.ceil(t).astype(np.int64) - 1, 0, max(n - 2, 0))
+        i1 = np.minimum(i0 + 1, n - 1)
+        return i0, i1, t - i0
+
+    nx, ny, nz = data.shape
+    ix0, ix1, fx = cell(np.clip(cx, 0.0, nx - 1.0), nx)
+    iy0, iy1, fy = cell(np.clip(cy, 0.0, ny - 1.0), ny)
+    iz0, iz1, fz = cell(np.clip(cz, 0.0, nz - 1.0), nz)
+    c000 = data[ix0, iy0, iz0]
+    c100 = data[ix1, iy0, iz0]
+    c010 = data[ix0, iy1, iz0]
+    c110 = data[ix1, iy1, iz0]
+    c001 = data[ix0, iy0, iz1]
+    c101 = data[ix1, iy0, iz1]
+    c011 = data[ix0, iy1, iz1]
+    c111 = data[ix1, iy1, iz1]
+    wx = 1.0 - fx
+    a00 = wx * c000 + fx * c100
+    a10 = wx * c010 + fx * c110
+    a01 = wx * c001 + fx * c101
+    a11 = wx * c011 + fx * c111
+    wy = 1.0 - fy
+    b0 = wy * a00 + fy * a10
+    b1 = wy * a01 + fy * a11
+    value = (1.0 - fz) * b0 + fz * b1
+    if not want_grad:
+        return value, None
+    in_x = (cx >= 0.0) & (cx <= nx - 1.0)
+    in_y = (cy >= 0.0) & (cy <= ny - 1.0)
+    in_z = (cz >= 0.0) & (cz <= nz - 1.0)
+    gx = (wy * (c100 - c000) + fy * (c110 - c010)) * (1.0 - fz) + (
+        wy * (c101 - c001) + fy * (c111 - c011)
+    ) * fz
+    gy = (a10 - a00) * (1.0 - fz) + (a11 - a01) * fz
+    gz = b1 - b0
+    return value, np.stack([gx * in_x, gy * in_y, gz * in_z], axis=-1)
+
+
+def hard_coordinates(rng, dims, shape):
+    """Coordinates mixing in-grid, out-of-grid and exact-integer values."""
+    out = []
+    for n in dims:
+        c = rng.uniform(-2.0, n + 1.0, size=shape)
+        flat = c.reshape(-1)
+        flat[::3] = np.round(flat[::3])  # exact integers, some on the border
+        flat[1] = -0.0
+        flat[2] = n - 1.0
+        out.append(c)
+    return out
+
+
+class TestTrilinearExactness:
+    """The one-gather trilinear reproduces the 8-corner reference bit for bit."""
+
+    @pytest.mark.parametrize(
+        "dims", [(5, 6, 7), (1, 4, 3), (2, 1, 5), (4, 2, 1), (1, 1, 1), (2, 2, 2), (7, 1, 1)]
+    )
+    def test_values_and_gradients_equal_reference(self, rng, dims):
+        data = rng.standard_normal(dims)
+        cx, cy, cz = hard_coordinates(rng, dims, (6, 5, 4))
+        for want_grad in (False, True):
+            got, got_grad = _trilinear(data, cx, cy, cz, want_grad)
+            want, want_grad_arr = eight_corner_trilinear(data, cx, cy, cz, want_grad)
+            assert np.array_equal(got, want)
+            if want_grad:
+                assert np.array_equal(got_grad, want_grad_arr)
+            else:
+                assert got_grad is None
+
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (1, 2, 3)])
+    def test_scalar_coordinates(self, rng, dims):
+        data = rng.standard_normal(dims)
+        for x, y, z in [(0.3, 1.0, -1.0), (2.0, 0.0, 9.5), (-0.0, 0.5, 1.25)]:
+            got, got_grad = _trilinear(data, x, y, z, True)
+            want, want_grad = eight_corner_trilinear(data, x, y, z, True)
+            assert got.shape == () and got_grad.shape == (3,)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_grad, want_grad)
+            assert np.array_equal(_trilinear(data, np.array(x), y, z, False)[0], want)
+
+    @pytest.mark.parametrize("dims", [(5, 6, 7), (1, 4, 2)])
+    def test_channels_and_broadcast_coordinates(self, rng, dims):
+        # one call on vector data with broadcastable 1-D coordinates equals
+        # one call per component on full coordinate arrays
+        data = rng.standard_normal(dims + (3,))
+        cx = rng.uniform(-1.0, dims[0], size=(4, 1, 1))
+        cy = rng.uniform(-1.0, dims[1], size=(1, 3, 1))
+        cz = np.array([0.0, 1.0, dims[2] - 0.5]).reshape(1, 1, 3)
+        full = [c + np.zeros((4, 3, 3)) for c in (cx, cy, cz)]
+        got, got_grad = _trilinear(data, cx, cy, cz, True)
+        assert got.shape == (4, 3, 3, 3) and got_grad.shape == (4, 3, 3, 3, 3)
+        for c in range(3):
+            want, want_grad = eight_corner_trilinear(data[..., c], *full, True)
+            assert np.array_equal(got[..., c], want)
+            assert np.array_equal(got_grad[..., c, :], want_grad)
 
 
 class TestDisplacementField:
@@ -111,6 +217,67 @@ class TestSampleTrilinear:
         v = ramp_volume_x([0.0, 10.0], spacing=(4.0, 1.0, 1.0))
         # world x = 2 mm is the voxel midpoint on a 4 mm grid
         assert sample_trilinear(v, (2.0, 0.0, 0.0)) == pytest.approx(5.0, abs=1e-12)
+
+    def test_respects_origin(self, rng):
+        data = rng.standard_normal((5, 4, 6))
+        v = Volume(data=data, spacing=(1.5, 0.75, 2.0), origin=(-3.0, 10.0, 0.5))
+        for _ in range(50):
+            x, y, z = rng.uniform(-2.0, 7.0, size=3)
+            p = np.array([x, y, z]) * v.spacing + v.origin
+            want = trilinear_reference(data, x, y, z)
+            assert sample_trilinear(v, p) == pytest.approx(want, abs=1e-12)
+
+
+def affine_volume(dims, spacing, origin, a, b):
+    """Volume whose intensity is a . world + b; trilinear sampling is exact."""
+    idx = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in dims), indexing="ij")
+    data = b + sum(a[k] * (idx[k] * spacing[k] + origin[k]) for k in range(3))
+    return Volume(data=data, spacing=spacing, origin=origin)
+
+
+class TestWarpWorldCoordinates:
+    """Pull-back warping in world coordinates: world = index * spacing + origin."""
+
+    def test_origin_offset_against_brute_force_oracle(self, rng):
+        # fixed and moving grids differ in origin and spacing; each warped
+        # voxel is checked against a per-point world-coordinate computation
+        moving = Volume(
+            data=rng.standard_normal((9, 7, 8)), spacing=(1.0, 1.5, 0.8), origin=(2.0, -1.0, 3.0)
+        )
+        field = offgrid_field(rng, (6, 5, 7), spacing=(1.2, 1.0, 0.7))
+        field = DisplacementField(field.data, spacing=field.spacing, origin=(3.5, 0.25, 4.0))
+        out, grad = warp_volume_with_gradient(moving, field)
+        sp_m, o_m = np.array(moving.spacing), np.array(moving.origin)
+        for i, j, k in np.ndindex(field.dims):
+            world = np.array([i, j, k]) * field.spacing + field.origin + field.data[i, j, k]
+            x, y, z = (world - o_m) / sp_m
+            assert out.data[i, j, k] == pytest.approx(
+                trilinear_reference(moving.data, x, y, z), abs=1e-12
+            )
+        assert grad.shape == field.dims + (3,)
+
+    def test_affine_image_warps_exactly_across_origins(self, rng):
+        a, b = np.array([0.5, -1.25, 2.0]), 0.75
+        moving = affine_volume((12, 10, 11), (1.0, 1.25, 0.75), (-4.0, 2.0, 1.0), a, b)
+        dims, sp, org = (5, 6, 4), (1.5, 1.0, 1.25), (-1.0, 4.0, 2.5)
+        field = DisplacementField(rng.uniform(-0.8, 0.8, size=dims + (3,)), sp, org)
+        out, grad = warp_volume_with_gradient(moving, field)
+        idx = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in dims), indexing="ij")
+        world = np.stack([idx[k] * sp[k] + org[k] for k in range(3)], axis=-1) + field.data
+        np.testing.assert_allclose(out.data, world @ a + b, atol=1e-12)
+        # interior samples: d(sample)/d(u) is the image gradient a
+        np.testing.assert_allclose(grad, np.broadcast_to(a, grad.shape), atol=1e-12)
+
+    def test_equal_origins_match_zero_origins_bitwise(self, rng):
+        moving = random_volume(rng, (7, 6, 5), spacing=(1.0, 2.0, 0.5))
+        field = offgrid_field(rng, (7, 6, 5), spacing=(1.0, 2.0, 0.5))
+        shift = (12.5, -3.0, 7.25)
+        moved = Volume(data=moving.data, spacing=moving.spacing, origin=shift)
+        shifted = DisplacementField(field.data, spacing=field.spacing, origin=shift)
+        a, ga = warp_volume_with_gradient(moving, field)
+        b, gb = warp_volume_with_gradient(moved, shifted)
+        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(ga, gb)
 
 
 class TestWarpVolume:
