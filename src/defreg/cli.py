@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 __all__ = ["main", "build_parser"]
 
@@ -79,22 +80,158 @@ def _configure_threads(threads: int | None) -> None:
         os.environ[var] = str(threads)
 
 
-def _load_config_file(path) -> dict:
+# ---------------------------------------------------------------------------
+# settings: one row per value a command takes from a flag or its --config file.
+# Rows hold no defaults: a setting given neither way is not passed on, so the
+# config dataclass supplies it (importing those here would load numpy early).
+
+
+def _scalar(what: str, *types) -> Callable:
+    def check(value):
+        if type(value) not in types:  # exact: neither 1.7 nor true is an integer
+            raise ValueError(f"expected {what}, got {json.dumps(value)}")
+        return types[0](value)
+
+    return check
+
+
+def _list_of(item: Callable) -> Callable:
+    def check(value):
+        if type(value) is not list:
+            raise ValueError(f"expected a list, got {json.dumps(value)}")
+        return tuple(item(v) for v in value)
+
+    return check
+
+
+_int = _scalar("an integer", int)
+_float = _scalar("a number", float, int)
+_bool = _scalar("true or false", bool)
+_str = _scalar("a string", str)
+_floats = _list_of(_float)
+
+
+def _ints(value) -> tuple:
+    if isinstance(value, str):  # "10,10,0", the form --iters-schedule takes
+        try:
+            return tuple(int(v) for v in value.split(","))
+        except ValueError:
+            got = json.dumps(value)
+            raise ValueError(f"expected comma-separated integers, got {got}") from None
+    return _list_of(_int)(value)
+
+
+# add_argument keywords of each type; a row's own keywords extend them
+_ARGPARSE = {_int: {"type": int}, _float: {"type": float}, _str: {}, _ints: {},
+             _floats: {"type": float}, _bool: {"action": "store_true", "default": None}}
+
+
+class _Setting(NamedTuple):
+    flag: str | None  # None: config file only
+    key: str  # config field name; "loss.x" and "convnet.x" sit in those sections
+    check: Callable
+    help: str | None = None
+    argparse: dict = {}
+
+
+_REGISTER = (
+    _Setting("--mode", "mode", _str, "parameterization (default: freeform)",
+             {"choices": ("freeform", "convnet")}),
+    _Setting("--levels", "pyramid_levels", _int, "pyramid levels (default: 3 freeform, 1 convnet)"),
+    _Setting("--iters", "iterations_per_level", _int,
+             "iterations per level (default: 200 freeform, 100 convnet)"),
+    _Setting("--iters-schedule", "iterations_schedule", _ints,
+             "comma-separated per-level iterations, coarsest first (overrides --iters)"),
+    _Setting("--lambda", "loss.reg_weight", _float, "smoothness weight (default: 1.0)"),
+    _Setting("--ncc-window", "loss.ncc_window", _int, "NCC window side in voxels (default: 9)"),
+    _Setting("--variance-floor", "loss.variance_floor", _float,
+             "NCC denominator floor (default: 1e-5)"),
+    _Setting("--learning-rate", "learning_rate", _float,
+             "Adam step size (default: 1.0 freeform, 1e-4 convnet)"),
+    _Setting("--convergence-tol", "convergence_tol", _float,
+             "relative loss-change tolerance over a 10-iteration window (default: 1e-6)"),
+    _Setting("--max-seconds", "max_seconds", _float, "wall-clock budget (default: none)"),
+    _Setting("--seed", "seed", _int, "network init seed, convnet mode (default: 0)"),
+    _Setting("--net-levels", "convnet.levels", _int, "encoder depth, convnet mode (default: 3)"),
+    _Setting("--base-filters", "convnet.base_filters", _int,
+             "first-level filter count, convnet mode (default: 8)"),
+    _Setting(None, "convnet.use_batchnorm", _bool),
+)
+
+_SYNTH = (
+    _Setting("--dims", "dims", _ints, "grid size (default: 48 48 48)",
+             {"type": int, "nargs": 3, "metavar": ("NX", "NY", "NZ")}),
+    _Setting("--spacing", "spacing", _floats, "voxel spacing in mm (default: 1 1 1)",
+             {"nargs": 3, "metavar": ("SX", "SY", "SZ")}),
+    _Setting("--seed", "seed", _int, "generator seed (default: 0)"),
+    _Setting("--num-blobs", "num_blobs", _int, "intensity blob count (default: 12)"),
+    _Setting("--field-bumps", "field_bumps", _int, "vector bump count (default: 4)"),
+    _Setting("--max-disp", "max_displacement", _float, "peak displacement in mm (default: 5)"),
+    _Setting("--num-landmarks", "num_landmarks", _int, "landmark count (default: 20)"),
+    _Setting("--noise-sigma", "noise_sigma", _float, "moving-image noise sigma (default: 0.02)"),
+    _Setting("--cavity", "cavity", _bool,
+             "zero out a spherical region of the moving image (default: off)"),
+)
+
+
+def _add_settings(p, settings) -> None:
+    for s in settings:
+        if s.flag:
+            p.add_argument(s.flag, help=s.help, **_ARGPARSE[s.check], **s.argparse)
+    p.add_argument("--config", help="JSON config file; flags override its values")
+
+
+def _load_config_file(path, settings) -> dict:
+    """The file's values by setting key; a key not in ``settings`` is an error."""
     if path is None:
         return {}
-    cfg = json.loads(Path(path).read_text())
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config file must hold a JSON object")
-    return cfg
+    keys = {tuple(s.key.split(".")): s.key for s in settings}
+    sections = {k[0] for k in keys if len(k) == 2}
+    values = {}
+    for name, value in cfg.items():
+        if name not in sections:
+            entries = [((name,), value)]
+        elif type(value) is dict:
+            entries = [((name, k), v) for k, v in value.items()]
+        else:
+            raise ValueError(f"{path}: {name}: expected an object, got {json.dumps(value)}")
+        for key, v in entries:
+            if key not in keys:
+                near = [k for k in keys.values() if k.rpartition(".")[2] == key[-1]]
+                hint = f" (did you mean {near[0]!r}?)" if near else ""
+                raise ValueError(f"{path}: unknown key {'.'.join(key)!r}{hint}")
+            values[keys[key]] = v
+    return values
 
 
-def _pick(flag_value, file_cfg: dict, key: str, default=None):
-    # precedence: explicit flag > config file > built-in default
-    if flag_value is not None:
-        return flag_value
-    if key in file_cfg and file_cfg[key] is not None:
-        return file_cfg[key]
-    return default
+def _resolve(settings, args) -> dict:
+    """Config keyword arguments, each from its flag or else from the file.
+
+    A file value of null counts as not given, and settings given neither way
+    are left out.  "loss.x" and "convnet.x" values come back in nested dicts
+    under "loss" and "convnet".
+    """
+    file_values = _load_config_file(args.config, settings)
+    kwargs = {}
+    for s in settings:
+        flag_value = getattr(args, s.flag[2:].replace("-", "_")) if s.flag else None
+        value = file_values.get(s.key) if flag_value is None else flag_value
+        if value is None:
+            continue
+        try:
+            value = s.check(value)
+        except ValueError as exc:
+            where = s.flag if flag_value is not None else f"{args.config}: {s.key}"
+            raise ValueError(f"{where}: {exc}") from None
+        section, _, name = s.key.rpartition(".")
+        (kwargs.setdefault(section, {}) if section else kwargs)[name] = value
+    return kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -109,41 +246,11 @@ def _cmd_register(args) -> int:
     from .warp import save_field, warp_volume
 
     t0 = time.monotonic()
-    file_cfg = _load_config_file(args.config)
-    loss_file = file_cfg.get("loss", {})
-    net_file = file_cfg.get("convnet", {})
-
-    mode = _pick(args.mode, file_cfg, "mode", "freeform")
-    loss_cfg = LossConfig(
-        ncc_window=int(_pick(args.ncc_window, loss_file, "ncc_window", 9)),
-        reg_weight=float(_pick(args.reg_weight, loss_file, "reg_weight", 1.0)),
-        variance_floor=float(_pick(args.variance_floor, loss_file, "variance_floor", 1e-5)),
-    )
-    net_cfg = ConvNetConfig(
-        levels=int(_pick(args.net_levels, net_file, "levels", 3)),
-        base_filters=int(_pick(args.base_filters, net_file, "base_filters", 8)),
-        use_batchnorm=bool(_pick(None, net_file, "use_batchnorm", True)),
-    )
-    schedule = _pick(args.iters_schedule, file_cfg, "iterations_schedule")
-    if isinstance(schedule, str):
-        schedule = tuple(int(s) for s in schedule.split(",") if s.strip())
-    elif schedule is not None:
-        schedule = tuple(int(s) for s in schedule)
-    levels = _pick(args.levels, file_cfg, "pyramid_levels")
-    iters = _pick(args.iters, file_cfg, "iterations_per_level")
-    lr = _pick(args.learning_rate, file_cfg, "learning_rate")
-    max_seconds = _pick(args.max_seconds, file_cfg, "max_seconds")
+    kwargs = _resolve(_REGISTER, args)
     cfg = RegistrationConfig(
-        mode=mode,
-        pyramid_levels=None if levels is None else int(levels),
-        iterations_per_level=None if iters is None else int(iters),
-        iterations_schedule=schedule,
-        loss=loss_cfg,
-        learning_rate=None if lr is None else float(lr),
-        convergence_tol=float(_pick(args.convergence_tol, file_cfg, "convergence_tol", 1e-6)),
-        max_seconds=None if max_seconds is None else float(max_seconds),
-        seed=int(_pick(args.seed, file_cfg, "seed", 0)),
-        convnet=net_cfg,
+        loss=LossConfig(**kwargs.pop("loss", {})),
+        convnet=ConvNetConfig(**kwargs.pop("convnet", {})),
+        **kwargs,
     )
     if args.out_checkpoint and cfg.mode != "convnet":
         raise ValueError("--out-checkpoint requires --mode convnet")
@@ -280,7 +387,7 @@ def _cmd_eval(args) -> int:
         )
     print(
         f"case={case} mae_median={metrics.mae_median!r} mae_mean={metrics.mae_mean!r} "
-        f"mtre={metrics.mtre!r} robustness={metrics.robustness!r} "
+        f"mtre={metrics.mae_mean!r} robustness={metrics.robustness!r} "
         f"folding_fraction={metrics.folding_fraction!r} "
         f"initial_mae_median={initial_median!r}"
     )
@@ -295,18 +402,7 @@ def _cmd_synth(args) -> int:
     from .synth import SynthConfig, generate_case, save_case
 
     t0 = time.monotonic()
-    file_cfg = _load_config_file(args.config)
-    cfg = SynthConfig(
-        dims=tuple(_pick(args.dims, file_cfg, "dims", (48, 48, 48))),
-        spacing=tuple(_pick(args.spacing, file_cfg, "spacing", (1.0, 1.0, 1.0))),
-        seed=int(_pick(args.seed, file_cfg, "seed", 0)),
-        num_blobs=int(_pick(args.num_blobs, file_cfg, "num_blobs", 12)),
-        field_bumps=int(_pick(args.field_bumps, file_cfg, "field_bumps", 4)),
-        max_displacement=float(_pick(args.max_disp, file_cfg, "max_displacement", 5.0)),
-        num_landmarks=int(_pick(args.num_landmarks, file_cfg, "num_landmarks", 20)),
-        noise_sigma=float(_pick(args.noise_sigma, file_cfg, "noise_sigma", 0.02)),
-        cavity=bool(_pick(args.cavity or None, file_cfg, "cavity", False)),
-    )
+    cfg = SynthConfig(**_resolve(_SYNTH, args))
     case = generate_case(cfg)
     manifest = save_case(case, args.out)
     outdir = Path(args.out)
@@ -388,50 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-warped", help="optional warped moving volume (.vol)")
     p.add_argument("--out-report", help="report JSON path (default: <out-field>.report.json)")
     p.add_argument("--out-checkpoint", help="network checkpoint path (convnet mode)")
-    p.add_argument(
-        "--mode", choices=("freeform", "convnet"), help="parameterization (default: freeform)"
-    )
-    p.add_argument(
-        "--levels",
-        type=int,
-        help="pyramid levels (default: 3 freeform, 1 convnet)",
-    )
-    p.add_argument(
-        "--iters",
-        type=int,
-        help="iterations per level (default: 200 freeform, 100 convnet)",
-    )
-    p.add_argument(
-        "--iters-schedule",
-        help="comma-separated per-level iterations, coarsest first (overrides --iters)",
-    )
-    p.add_argument(
-        "--lambda",
-        dest="reg_weight",
-        type=float,
-        help="smoothness weight (default: 1.0)",
-    )
-    p.add_argument("--ncc-window", type=int, help="NCC window side in voxels (default: 9)")
-    p.add_argument(
-        "--variance-floor", type=float, help="NCC denominator floor (default: 1e-5)"
-    )
-    p.add_argument(
-        "--learning-rate",
-        type=float,
-        help="Adam step size (default: 1.0 freeform, 1e-4 convnet)",
-    )
-    p.add_argument(
-        "--convergence-tol",
-        type=float,
-        help="relative loss-change tolerance over a 10-iteration window (default: 1e-6)",
-    )
-    p.add_argument("--max-seconds", type=float, help="wall-clock budget (default: none)")
-    p.add_argument("--seed", type=int, help="network init seed, convnet mode (default: 0)")
-    p.add_argument("--net-levels", type=int, help="encoder depth, convnet mode (default: 3)")
-    p.add_argument(
-        "--base-filters", type=int, help="first-level filter count, convnet mode (default: 8)"
-    )
-    p.add_argument("--config", help="JSON config file; flags override its values")
+    _add_settings(p, _REGISTER)
     p.set_defaults(func=_cmd_register)
 
     p = sub.add_parser("eval", help="landmark evaluation of a displacement field")
@@ -451,19 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic ground-truth case")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--dims", type=int, nargs=3, metavar=("NX", "NY", "NZ"),
-                   help="grid size (default: 48 48 48)")
-    p.add_argument("--spacing", type=float, nargs=3, metavar=("SX", "SY", "SZ"),
-                   help="voxel spacing in mm (default: 1 1 1)")
-    p.add_argument("--seed", type=int, help="generator seed (default: 0)")
-    p.add_argument("--num-blobs", type=int, help="intensity blob count (default: 12)")
-    p.add_argument("--field-bumps", type=int, help="vector bump count (default: 4)")
-    p.add_argument("--max-disp", type=float, help="peak displacement in mm (default: 5)")
-    p.add_argument("--num-landmarks", type=int, help="landmark count (default: 20)")
-    p.add_argument("--noise-sigma", type=float, help="moving-image noise sigma (default: 0.02)")
-    p.add_argument("--cavity", action="store_true", default=False,
-                   help="zero out a spherical region of the moving image (default: off)")
-    p.add_argument("--config", help="JSON config file; flags override its values")
+    _add_settings(p, _SYNTH)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("slices", help="export a 2D PGM slice from a volume or Jacobian map")

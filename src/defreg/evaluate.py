@@ -91,8 +91,7 @@ class LandmarkSet:
 @dataclass(frozen=True)
 class CaseMetrics:
     mae_median: float
-    mae_mean: float
-    mtre: float
+    mae_mean: float  # the mean landmark distance, written as mTRE in the outputs
     robustness: float
     folding_fraction: float | None
     errors: tuple[float, ...]
@@ -158,7 +157,6 @@ def case_metrics(errors_after, errors_before, jmap: JacobianMap | None = None) -
     return CaseMetrics(
         mae_median=float(np.median(after)),
         mae_mean=float(np.mean(after)),
-        mtre=float(np.mean(after)),
         robustness=float(np.mean(after < before)),
         folding_fraction=None if jmap is None else folding_fraction(jmap),
         errors=tuple(float(e) for e in after),
@@ -237,7 +235,7 @@ def save_metrics(records, csv_path, json_path=None) -> None:
         fold = "" if m.folding_fraction is None else repr(float(m.folding_fraction))
         lines.append(
             f"{r.case},{float(r.initial_mae_median)!r},{float(m.mae_median)!r},"
-            f"{float(m.robustness)!r},{float(m.mtre)!r},{fold}"
+            f"{float(m.robustness)!r},{float(m.mae_mean)!r},{fold}"
         )
     Path(csv_path).write_text("\n".join(lines) + "\n")
     if json_path is not None:
@@ -247,7 +245,7 @@ def save_metrics(records, csv_path, json_path=None) -> None:
                 "initial_mae_median": r.initial_mae_median,
                 "mae_median": r.metrics.mae_median,
                 "mae_mean": r.metrics.mae_mean,
-                "mtre": r.metrics.mtre,
+                "mtre": r.metrics.mae_mean,
                 "robustness": r.metrics.robustness,
                 "folding_fraction": r.metrics.folding_fraction,
                 "errors": list(r.metrics.errors),

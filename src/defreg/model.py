@@ -51,6 +51,7 @@ __all__ = [
 _BN_EPS = 1e-5
 _CHECKPOINT_MAGIC = b"IRNW"
 _CHECKPOINT_VERSION = 2  # 1 also stored batch-norm running statistics
+KERNEL_SIZE = 3  # interior convolutions; checkpoint headers record it
 
 
 @dataclass(frozen=True)
@@ -58,15 +59,12 @@ class ConvNetConfig:
     levels: int = 3
     base_filters: int = 8
     use_batchnorm: bool = True
-    kernel_size: int = 3
 
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
         if self.base_filters < 1:
             raise ValueError(f"base_filters must be >= 1, got {self.base_filters}")
-        if self.kernel_size != 3:
-            raise ValueError("interior convolutions are fixed at kernel size 3")
 
 
 @dataclass
@@ -396,7 +394,7 @@ def save_checkpoint(path, params: ConvNetParameters) -> None:
             cfg.levels,
             cfg.base_filters,
             int(cfg.use_batchnorm),
-            cfg.kernel_size,
+            KERNEL_SIZE,
         ),
         struct.pack("<I", len(plan)),
     ]
@@ -420,12 +418,9 @@ def load_checkpoint(path) -> ConvNetParameters:
             f"unsupported checkpoint version {version}; this build reads version "
             f"{_CHECKPOINT_VERSION} only"
         )
-    cfg = ConvNetConfig(
-        levels=levels,
-        base_filters=base_filters,
-        use_batchnorm=bool(use_bn),
-        kernel_size=ksize,
-    )
+    if ksize != KERNEL_SIZE:
+        raise ValueError(f"checkpoint kernel size {ksize}; convolutions are fixed at {KERNEL_SIZE}")
+    cfg = ConvNetConfig(levels=levels, base_filters=base_filters, use_batchnorm=bool(use_bn))
     plan = _layer_plan(cfg)
     (count,) = struct.unpack_from("<I", raw, 24)
     if count != len(plan):

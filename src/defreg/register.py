@@ -23,12 +23,13 @@ Inputs are z-score normalized on entry if they are not already.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .loss import LossConfig, LossValue, overall_loss
 from .model import (
+    KERNEL_SIZE,
     AdamState,
     ConvNetConfig,
     ConvNetParameters,
@@ -131,19 +132,10 @@ class RegistrationConfig:
             "convergence_tol": self.convergence_tol,
             "max_seconds": self.max_seconds,
             "seed": self.seed,
-            "loss": {
-                "ncc_window": self.loss.ncc_window,
-                "reg_weight": self.loss.reg_weight,
-                "variance_floor": self.loss.variance_floor,
-            },
+            "loss": asdict(self.loss),
         }
         if self.mode == "convnet":
-            d["convnet"] = {
-                "levels": self.convnet.levels,
-                "base_filters": self.convnet.base_filters,
-                "use_batchnorm": self.convnet.use_batchnorm,
-                "kernel_size": self.convnet.kernel_size,
-            }
+            d["convnet"] = {**asdict(self.convnet), "kernel_size": KERNEL_SIZE}
         return d
 
 

@@ -22,7 +22,7 @@ Construction notes:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,17 +69,7 @@ class SynthConfig:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
     def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "spacing": list(self.spacing),
-            "seed": self.seed,
-            "num_blobs": self.num_blobs,
-            "field_bumps": self.field_bumps,
-            "max_displacement": self.max_displacement,
-            "num_landmarks": self.num_landmarks,
-            "noise_sigma": self.noise_sigma,
-            "cavity": self.cavity,
-        }
+        return {**asdict(self), "dims": list(self.dims), "spacing": list(self.spacing)}
 
 
 @dataclass(frozen=True)

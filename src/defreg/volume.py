@@ -22,7 +22,6 @@ __all__ = [
     "VolumeHeader",
     "load_volume",
     "save_volume",
-    "center_crop",
     "zscore_normalize",
     "export_slice",
 ]
@@ -157,25 +156,6 @@ def save_volume(v: Volume, path) -> None:
     payload = v.data.transpose(2, 1, 0).astype("<f4").tobytes()
     path.write_bytes(payload)
     _sidecar_path(path).write_text(header.to_json())
-
-
-def center_crop(v: Volume, target_dims) -> Volume:
-    """Crop to ``target_dims`` around the grid center.
-
-    When (dims - target) is odd along an axis the extra voxel is dropped from
-    the high-index side.  Spacing is preserved; origin shifts by the crop
-    offset so world coordinates of kept voxels are unchanged.
-    """
-    target = tuple(int(d) for d in target_dims)
-    if len(target) != 3 or min(target) < 1:
-        raise ValueError(f"target_dims must be 3 positive ints, got {target_dims}")
-    for t, d in zip(target, v.dims):
-        if t > d:
-            raise ValueError(f"target dims {target} exceed volume dims {v.dims}")
-    lo = [(d - t) // 2 for d, t in zip(v.dims, target)]
-    sl = tuple(slice(o, o + t) for o, t in zip(lo, target))
-    origin = tuple(o + off * s for o, off, s in zip(v.origin, lo, v.spacing))
-    return Volume(data=v.data[sl].copy(), spacing=v.spacing, origin=origin)
 
 
 def zscore_normalize(v: Volume) -> Volume:

@@ -268,6 +268,133 @@ class TestRegisterCommand:
             assert needle in proc.stdout
 
 
+# each was silently misread or crashed with a traceback before the settings table
+BAD_CONFIGS = [
+    ("register", {"loss": None}, "loss"),
+    ("register", {"loss": {"ncc_window": [9]}}, "loss.ncc_window"),
+    ("register", {"ncc_window": 5}, "ncc_window"),  # belongs under "loss"
+    ("register", {"loss": {"ncc_windw": 5}}, "loss.ncc_windw"),
+    ("register", {"convnet": {"use_batchnorm": "false"}}, "convnet.use_batchnorm"),
+    ("register", {"seed": 1.7}, "seed"),
+    ("register", {"seed": True}, "seed"),
+    ("register", {"iterations_schedule": "2,,3"}, "iterations_schedule"),
+    ("synth", {"dims": 16}, "dims"),
+    ("synth", {"num_blob": 3}, "num_blob"),
+    ("synth", {"cavity": "no"}, "cavity"),
+]
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "command,config,key", BAD_CONFIGS, ids=[json.dumps(c) for _, c, _ in BAD_CONFIGS]
+    )
+    def test_bad_config_is_one_line_user_error(self, case_dir, tmp_path, command, config, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        if command == "register":
+            argv = ["--fixed", str(case_dir / "fixed.vol"),
+                    "--moving", str(case_dir / "moving.vol"),
+                    "--out-field", str(tmp_path / "x.dfield")]
+        else:
+            argv = ["--out", str(tmp_path / "case")]
+        proc = run_cli(command, *argv, "--config", str(path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") <= 2
+        assert "defreg: error:" in proc.stderr
+        assert f"run.json: {key}" in proc.stderr or f"{key!r}" in proc.stderr
+
+    def test_blank_schedule_entry_in_flag_rejected(self, case_dir, tmp_path):
+        proc = run_cli(
+            "register",
+            "--fixed", str(case_dir / "fixed.vol"),
+            "--moving", str(case_dir / "moving.vol"),
+            "--out-field", str(tmp_path / "x.dfield"),
+            "--levels", "3", "--iters-schedule", "2,,3",
+        )
+        assert proc.returncode == 1
+        assert "--iters-schedule" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_register_sections_flag_override_and_defaults(self, case_dir, tmp_path):
+        from defreg.loss import LossConfig
+        from defreg.register import RegistrationConfig
+
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "mode": "convnet", "iterations_per_level": 1, "learning_rate": 1,
+            "loss": {"ncc_window": 5, "reg_weight": 0.1},
+            "convnet": {"levels": 1, "base_filters": 2, "use_batchnorm": False},
+        }))
+        field = tmp_path / "cn.dfield"
+        proc = run_cli(
+            "register",
+            "--fixed", str(case_dir / "fixed.vol"),
+            "--moving", str(case_dir / "moving.vol"),
+            "--out-field", str(field), "--config", str(cfg), "--ncc-window", "3",
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads((tmp_path / "cn.dfield.manifest.json").read_text())["config"]
+        assert got["loss"] == {
+            "ncc_window": 3,  # flag wins over the file
+            "reg_weight": 0.1,
+            "variance_floor": LossConfig().variance_floor,  # neither: the dataclass default
+        }
+        assert got["convnet"] == {
+            "levels": 1, "base_filters": 2, "use_batchnorm": False, "kernel_size": 3
+        }
+        assert got["learning_rate"] == 1.0 and isinstance(got["learning_rate"], float)
+        assert got["convergence_tol"] == RegistrationConfig().convergence_tol
+        assert got["seed"] == RegistrationConfig().seed
+
+
+class TestSettingsTable:
+    def test_parser_does_not_import_numpy(self):
+        code = (
+            "import sys\n"
+            "import defreg.cli\n"
+            "defreg.cli.build_parser()\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'numpy'"
+            " or m in ('defreg.loss', 'defreg.model', 'defreg.register', 'defreg.synth')])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["register", "synth"])
+    def test_help_defaults_match_dataclasses(self, command):
+        import functools
+        import re
+
+        from defreg import cli
+        from defreg.register import RegistrationConfig
+        from defreg.synth import SynthConfig
+
+        table, config = {
+            "register": (cli._REGISTER, RegistrationConfig()),
+            "synth": (cli._SYNTH, SynthConfig()),
+        }[command]
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        keys = {s.flag: s.key for s in table}
+        checked = 0
+        for action in sub.choices[command]._actions:
+            m = re.search(r"\(default: ([^)]*)\)", action.help or "")
+            flag = action.option_strings[0] if action.option_strings else None
+            if m is None or flag not in keys or "," in m.group(1):
+                continue  # not a setting, or a default that depends on the mode
+            text = m.group(1)
+            if text in ("none", "off"):
+                shown = {"none": None, "off": False}[text]
+            else:
+                try:
+                    shown = tuple(float(w) for w in text.split())
+                    shown = shown[0] if len(shown) == 1 else shown
+                except ValueError:
+                    shown = text
+            assert shown == functools.reduce(getattr, keys[flag].split("."), config), flag
+            checked += 1
+        assert checked == {"register": 9, "synth": 9}[command]
+
+
 class TestEvalCommand:
     def test_zero_field_against_exact_landmarks(self, case_dir, tmp_path):
         # zero displacement: method errors equal initial errors, nothing

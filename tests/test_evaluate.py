@@ -181,8 +181,7 @@ class TestCaseMetrics:
     def test_median_mean_mtre(self):
         m = case_metrics([1, 2, 9], [9, 9, 9])
         assert m.mae_median == 2.0
-        assert m.mae_mean == 4.0
-        assert m.mtre == 4.0
+        assert m.mae_mean == 4.0  # mTRE: the mean landmark distance
         assert m.errors == (1.0, 2.0, 9.0)
 
     def test_ties_do_not_improve(self):
@@ -210,7 +209,7 @@ class TestCaseMetrics:
         a = case_metrics(after, before)
         b = case_metrics(after[perm], before[perm])
         assert a.mae_median == b.mae_median
-        assert a.mtre == pytest.approx(b.mtre, abs=1e-12)
+        assert a.mae_mean == pytest.approx(b.mae_mean, abs=1e-12)
         assert a.robustness == b.robustness
 
     def test_length_mismatch_rejected(self):
@@ -327,6 +326,7 @@ class TestMetricsOutput:
         assert [d["case"] for d in detail] == ["a", "b"]
         assert detail[0]["errors"] == [1.0, 2.0, 3.0]
         assert detail[0]["robustness"] == 1.0
+        assert detail[0]["mtre"] == detail[0]["mae_mean"] == 2.0
 
     def test_missing_folding_leaves_empty_cell(self, tmp_path):
         m = case_metrics([1.0], [2.0])

@@ -52,20 +52,13 @@ def brute_conv3(x, w, b):
 class TestConvNetConfig:
     def test_defaults(self):
         cfg = ConvNetConfig()
-        assert (cfg.levels, cfg.base_filters, cfg.use_batchnorm, cfg.kernel_size) == (
-            3,
-            8,
-            True,
-            3,
-        )
+        assert (cfg.levels, cfg.base_filters, cfg.use_batchnorm) == (3, 8, True)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ConvNetConfig(levels=0)
         with pytest.raises(ValueError):
             ConvNetConfig(base_filters=0)
-        with pytest.raises(ValueError):
-            ConvNetConfig(kernel_size=5)
 
 
 class TestInit:
@@ -480,6 +473,15 @@ class TestCheckpoint:
         struct.pack_into("<I", raw, 4, 1)
         p.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="checkpoint version 1"):
+            load_checkpoint(p)
+
+    def test_other_kernel_size_rejected(self, tmp_path):
+        p = tmp_path / "net.ckpt"
+        save_checkpoint(p, init_convnet_parameters(tiny_config(), seed=0))
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<I", raw, 20, 5)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="kernel size 5"):
             load_checkpoint(p)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from defreg.volume import (
     Volume,
-    center_crop,
     export_slice,
     load_volume,
     save_volume,
@@ -16,10 +15,6 @@ from defreg.volume import (
 )
 
 from conftest import random_volume
-
-
-def ramp(n):
-    return np.arange(n, dtype=np.float64)
 
 
 class TestVolumeType:
@@ -116,34 +111,6 @@ class TestRoundTrip:
         (tmp_path / "n.vol").write_bytes(bad.tobytes())
         with pytest.raises(ValueError):
             load_volume(tmp_path / "n.vol")
-
-
-class TestCenterCrop:
-    def test_identity(self, rng):
-        v = random_volume(rng, dims=(4, 4, 4))
-        out = center_crop(v, (4, 4, 4))
-        assert np.array_equal(out.data, v.data)
-
-    def test_odd_remainder_symmetric(self):
-        v = Volume(data=ramp(5).reshape(5, 1, 1), spacing=(1.0, 1.0, 1.0))
-        out = center_crop(v, (3, 1, 1))
-        assert out.data.ravel().tolist() == [1, 2, 3]
-
-    def test_extra_voxel_dropped_high_side(self):
-        v = Volume(data=ramp(6).reshape(6, 1, 1), spacing=(1.0, 1.0, 1.0))
-        out = center_crop(v, (3, 1, 1))
-        assert out.data.ravel().tolist() == [1, 2, 3]
-
-    def test_origin_shift(self):
-        v = Volume(data=ramp(6).reshape(6, 1, 1), spacing=(2.0, 1.0, 1.0))
-        out = center_crop(v, (3, 1, 1))
-        assert out.origin[0] == pytest.approx(2.0)  # one voxel of 2 mm
-        assert out.spacing == v.spacing
-
-    def test_target_too_large(self, rng):
-        v = random_volume(rng, dims=(4, 4, 4))
-        with pytest.raises(ValueError):
-            center_crop(v, (5, 4, 4))
 
 
 class TestZscore:
