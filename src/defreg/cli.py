@@ -290,7 +290,7 @@ def _cmd_register(args) -> int:
         outputs,
         time.monotonic() - t0,
     )
-    final = report.levels[-1].losses[report.levels[-1].best_iteration]
+    final = report.final  # the loss of the field just written
     print(
         f"total={final.total!r} similarity={final.similarity!r} "
         f"smoothness={final.smoothness!r} iterations={report.iterations_executed} "
@@ -389,7 +389,7 @@ def _cmd_eval(args) -> int:
         f"case={case} mae_median={metrics.mae_median!r} mae_mean={metrics.mae_mean!r} "
         f"mtre={metrics.mae_mean!r} robustness={metrics.robustness!r} "
         f"folding_fraction={metrics.folding_fraction!r} "
-        f"initial_mae_median={initial_median!r}"
+        f"initial_mae_median={initial_median!r} clamped={int(mapped.clamped.sum())}"
     )
     return 0
 

@@ -52,10 +52,11 @@ class LossConfig:
     def __post_init__(self):
         if self.ncc_window < 1 or self.ncc_window % 2 == 0:
             raise ValueError(f"ncc_window must be odd and >= 1, got {self.ncc_window}")
-        if self.reg_weight < 0:
-            raise ValueError(f"reg_weight must be >= 0, got {self.reg_weight}")
-        if self.variance_floor <= 0:
-            raise ValueError(f"variance_floor must be > 0, got {self.variance_floor}")
+        # written so that NaN fails too: every comparison with NaN is False
+        if not 0 <= self.reg_weight < np.inf:
+            raise ValueError(f"reg_weight must be finite and >= 0, got {self.reg_weight}")
+        if not 0 < self.variance_floor < np.inf:
+            raise ValueError(f"variance_floor must be finite and > 0, got {self.variance_floor}")
 
 
 @dataclass(frozen=True)

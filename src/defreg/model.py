@@ -19,6 +19,12 @@ ReLU.  A final 1x1x1 convolution maps to 3 channels interpreted as mm
 displacements.  The head starts at exactly zero, so an untrained network
 predicts the identity transform.
 
+Convolution, optional batch norm and ReLU form one block.  The forward
+pass keeps, per encoder level, its two blocks' caches and the pool's
+argmax; per decoder level, the channel split of the concatenation and the
+block's cache; and the head's input.  The backward pass walks the same
+structure in reverse and only reads it.
+
 Batch normalization always normalizes with the statistics of the current
 pass.  With one image pair per pass that is instance normalization, so there
 are no running statistics: every tensor is trainable, and a saved checkpoint
@@ -123,47 +129,37 @@ def init_convnet_parameters(cfg: ConvNetConfig, seed: int = 0) -> ConvNetParamet
 # ---------------------------------------------------------------------------
 # layer primitives (channels-first (C, X, Y, Z) float64 arrays)
 
-def _conv3_forward(x, w, b):
-    cout = w.shape[0]
+def _conv_forward(x, w, b):
+    """Same-padded convolution with the k x k x k kernel ``w``; returns
+    (out, padded input).  A 1x1x1 kernel needs no padding, so its input is
+    kept uncopied."""
+    k = w.shape[-1]
     nx, ny, nz = x.shape[1:]
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
-    out = np.broadcast_to(b[:, None, None, None], (cout, nx, ny, nz)).copy()
-    for dx in range(3):
-        for dy in range(3):
-            for dz in range(3):
-                out += np.einsum(
-                    "oi,ixyz->oxyz",
-                    w[:, :, dx, dy, dz],
-                    xp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz],
-                )
+    xp = np.pad(x, ((0, 0),) + ((k // 2, k // 2),) * 3) if k > 1 else x
+    out = np.broadcast_to(b[:, None, None, None], (w.shape[0], nx, ny, nz)).copy()
+    for dx, dy, dz in np.ndindex(k, k, k):
+        out += np.einsum(
+            "oi,ixyz->oxyz",
+            w[:, :, dx, dy, dz],
+            xp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz],
+        )
     return out, xp
 
 
-def _conv3_backward(xp, w, dout):
+def _conv_backward(xp, w, dout):
+    k = w.shape[-1]
     nx, ny, nz = dout.shape[1:]
     dw = np.zeros_like(w)
     db = dout.sum(axis=(1, 2, 3))
     dxp = np.zeros_like(xp)
-    for dx in range(3):
-        for dy in range(3):
-            for dz in range(3):
-                sl = xp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz]
-                dw[:, :, dx, dy, dz] = np.einsum("oxyz,ixyz->oi", dout, sl)
-                dxp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz] += np.einsum(
-                    "oi,oxyz->ixyz", w[:, :, dx, dy, dz], dout
-                )
-    return dxp[:, 1:-1, 1:-1, 1:-1], dw, db
-
-
-def _conv1_forward(x, w, b):
-    return np.einsum("oi,ixyz->oxyz", w[:, :, 0, 0, 0], x) + b[:, None, None, None]
-
-
-def _conv1_backward(x, w, dout):
-    dw = np.einsum("oxyz,ixyz->oi", dout, x)[:, :, None, None, None]
-    db = dout.sum(axis=(1, 2, 3))
-    dx = np.einsum("oi,oxyz->ixyz", w[:, :, 0, 0, 0], dout)
-    return dx, dw, db
+    for dx, dy, dz in np.ndindex(k, k, k):
+        sl = xp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz]
+        dw[:, :, dx, dy, dz] = np.einsum("oxyz,ixyz->oi", dout, sl)
+        dxp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz] += np.einsum(
+            "oi,oxyz->ixyz", w[:, :, dx, dy, dz], dout
+        )
+    p = k // 2
+    return dxp[:, p : p + nx, p : p + ny, p : p + nz], dw, db
 
 
 def _maxpool_forward(x):
@@ -219,11 +215,32 @@ def _bn_backward(cache, dout):
 # ---------------------------------------------------------------------------
 
 
+def _block_forward(x, t, conv, bn=None):
+    """Convolution ``conv``, batch norm ``bn`` if named, then ReLU."""
+    w = t[conv + "_w"]
+    x, xp = _conv_forward(x, w, t[conv + "_b"])
+    bn_cache = None
+    if bn is not None:
+        x, bn_cache = _bn_forward(x, t[bn + "_gamma"], t[bn + "_beta"])
+    mask = x > 0
+    return x * mask, (xp, w, bn_cache, mask)
+
+
+def _block_backward(cache, dout, grads, conv, bn=None):
+    """The block's input gradient; its parameter gradients go into ``grads``."""
+    xp, w, bn_cache, mask = cache
+    dx = dout * mask
+    if bn_cache is not None:
+        dx, grads[bn + "_gamma"], grads[bn + "_beta"] = _bn_backward(bn_cache, dx)
+    dx, grads[conv + "_w"], grads[conv + "_b"] = _conv_backward(xp, w, dx)
+    return dx
+
+
 def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     """Predict a displacement field from the stacked pair.
 
-    Returns (field, cache); the cache feeds convnet_backward.  Reads the
-    parameters and never modifies them.
+    Returns (field, cache); the cache feeds convnet_backward, which only
+    reads it.  Reads the parameters and never modifies them.
     """
     cfg = params.config
     if fixed.dims != moving.dims:
@@ -233,39 +250,25 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
         raise ValueError(f"dims {fixed.dims} not divisible by 2^levels = {div}")
     t = params.tensors
     x = np.stack([fixed.data, moving.data])
-    records = []
-    skips = []
+    enc, skips = [], []
     for l in range(cfg.levels):
-        for conv in (1, 2):
-            w, b = t[f"enc{l}_conv{conv}_w"], t[f"enc{l}_conv{conv}_b"]
-            x, xp = _conv3_forward(x, w, b)
-            records.append(("conv", f"enc{l}_conv{conv}", xp, w))
-            mask = x > 0
-            x = x * mask
-            records.append(("relu", mask))
+        x, block1 = _block_forward(x, t, f"enc{l}_conv1")
+        x, block2 = _block_forward(x, t, f"enc{l}_conv2")
         skips.append(x)
-        x, pool_cache = _maxpool_forward(x)
-        records.append(("pool", pool_cache, l))
+        x, pool = _maxpool_forward(x)
+        enc.append((block1, block2, pool))
+    dec = []  # finest level first, the order the backward pass meets them
     for l in reversed(range(cfg.levels)):
         x = _upsample_forward(x)
-        records.append(("upsample",))
         split = x.shape[0]
-        x = np.concatenate([x, skips[l]], axis=0)
-        records.append(("concat", split, l))
-        w, b = t[f"dec{l}_conv_w"], t[f"dec{l}_conv_b"]
-        x, xp = _conv3_forward(x, w, b)
-        records.append(("conv", f"dec{l}_conv", xp, w))
-        if cfg.use_batchnorm:
-            x, bn_cache = _bn_forward(x, t[f"dec{l}_bn_gamma"], t[f"dec{l}_bn_beta"])
-            records.append(("bn", f"dec{l}_bn", bn_cache))
-        mask = x > 0
-        x = x * mask
-        records.append(("relu", mask))
-    out = _conv1_forward(x, t["head_w"], t["head_b"])
-    records.append(("head", x, t["head_w"]))
+        x = np.concatenate([x, skips.pop()], axis=0)
+        bn = f"dec{l}_bn" if cfg.use_batchnorm else None
+        x, block = _block_forward(x, t, f"dec{l}_conv", bn)
+        dec.insert(0, (split, block))
+    out, head_x = _conv_forward(x, t["head_w"], t["head_b"])
     field_data = np.moveaxis(out, 0, -1)
     pred = DisplacementField(data=field_data, spacing=fixed.spacing, origin=fixed.origin)
-    cache = {"records": records, "dims": fixed.dims, "skip_grads": [None] * cfg.levels}
+    cache = {"dims": fixed.dims, "enc": enc, "dec": dec, "head": (head_x, t["head_w"])}
     return pred, cache
 
 
@@ -276,42 +279,20 @@ def convnet_backward(cache, grad_field: DisplacementField) -> dict[str, np.ndarr
             f"grad field dims {grad_field.dims} do not match forward dims {cache['dims']}"
         )
     grads: dict[str, np.ndarray] = {}
-    skip_grads = cache["skip_grads"]
-    dx = np.moveaxis(grad_field.data, -1, 0)
-    for rec in reversed(cache["records"]):
-        kind = rec[0]
-        if kind == "head":
-            _, x, w = rec
-            dx, dw, db = _conv1_backward(x, w, dx)
-            grads["head_w"] = dw
-            grads["head_b"] = db
-        elif kind == "relu":
-            dx = dx * rec[1]
-        elif kind == "bn":
-            _, name, bn_cache = rec
-            dx, dgamma, dbeta = _bn_backward(bn_cache, dx)
-            grads[name + "_gamma"] = dgamma
-            grads[name + "_beta"] = dbeta
-        elif kind == "conv":
-            _, name, xp, w = rec
-            dx, dw, db = _conv3_backward(xp, w, dx)
-            grads[name + "_w"] = dw
-            grads[name + "_b"] = db
-        elif kind == "concat":
-            _, split, level = rec
-            skip_grads[level] = dx[split:]
-            dx = dx[:split]
-        elif kind == "upsample":
-            dx = _upsample_backward(dx)
-        elif kind == "pool":
-            # re-entering the encoder: the tensor below also fed the matching
-            # skip connection, so fold that branch's gradient back in
-            _, pool_cache, level = rec
-            dx = _maxpool_backward(pool_cache, dx)
-            if skip_grads[level] is not None:
-                dx = dx + skip_grads[level]
-        else:  # pragma: no cover
-            raise AssertionError(f"unknown record {kind}")
+    head_x, head_w = cache["head"]
+    dout = np.moveaxis(grad_field.data, -1, 0)
+    dx, grads["head_w"], grads["head_b"] = _conv_backward(head_x, head_w, dout)
+    skip_grads = []
+    for l, (split, block) in enumerate(cache["dec"]):
+        dx = _block_backward(block, dx, grads, f"dec{l}_conv", f"dec{l}_bn")
+        skip_grads.append(dx[split:])
+        dx = _upsample_backward(dx[:split])
+    for l in reversed(range(len(cache["enc"]))):
+        block1, block2, pool = cache["enc"][l]
+        # the pool's input also fed the skip connection: add both branches
+        dx = _maxpool_backward(pool, dx) + skip_grads.pop()
+        dx = _block_backward(block2, dx, grads, f"enc{l}_conv2")
+        dx = _block_backward(block1, dx, grads, f"enc{l}_conv1")
     return grads
 
 

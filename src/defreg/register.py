@@ -29,7 +29,6 @@ import numpy as np
 
 from .loss import LossConfig, LossValue, overall_loss
 from .model import (
-    KERNEL_SIZE,
     AdamState,
     ConvNetConfig,
     ConvNetParameters,
@@ -95,12 +94,15 @@ class RegistrationConfig:
                     f"iterations_schedule has {len(self.iterations_schedule)} entries "
                     f"for {self.resolved_levels} levels"
                 )
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.convergence_tol < 0:
-            raise ValueError(f"convergence_tol must be >= 0, got {self.convergence_tol}")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError(f"max_seconds must be > 0, got {self.max_seconds}")
+        # written so that NaN fails too: every comparison with NaN is False
+        if self.learning_rate is not None and not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.convergence_tol < np.inf:
+            raise ValueError(
+                f"convergence_tol must be finite and >= 0, got {self.convergence_tol}"
+            )
+        if self.max_seconds is not None and not 0 < self.max_seconds < np.inf:
+            raise ValueError(f"max_seconds must be finite and > 0, got {self.max_seconds}")
 
     @property
     def resolved_levels(self) -> int:
@@ -122,10 +124,12 @@ class RegistrationConfig:
         return 200 if self.mode == "freeform" else 100
 
     def to_dict(self) -> dict:
+        """The resolved settings, keyed so that the dict is a config file
+        that ``defreg register --config`` replays."""
         d = {
             "mode": self.mode,
             "pyramid_levels": self.resolved_levels,
-            "iterations_per_level": [
+            "iterations_schedule": [
                 self.iterations_for(l) for l in range(self.resolved_levels)
             ],
             "learning_rate": self.resolved_learning_rate,
@@ -135,7 +139,7 @@ class RegistrationConfig:
             "loss": asdict(self.loss),
         }
         if self.mode == "convnet":
-            d["convnet"] = {**asdict(self.convnet), "kernel_size": KERNEL_SIZE}
+            d["convnet"] = asdict(self.convnet)
         return d
 
 
@@ -162,6 +166,7 @@ class RegistrationReport:
     dims: tuple[int, int, int]
     padded_dims: tuple[int, int, int]
     config: RegistrationConfig
+    final: LossValue  # the loss of the returned field's iterate
     parameters: object = None  # ConvNetParameters in convnet mode
 
 
@@ -312,7 +317,7 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
         if level_stop == "budget":
             break
 
-    _, params, out = best
+    final, params, out = best
     if out.dims != fixed.dims:
         if freeform:  # a budget stop before the finest level
             out = resample_field(out, fixed.dims, spacing=fixed.spacing)
@@ -330,6 +335,7 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
         dims=fixed.dims,
         padded_dims=pairs[-1][0].dims,
         config=cfg,
+        final=final,
         parameters=None if freeform else ConvNetParameters(cfg.convnet, params),
     )
 
@@ -348,6 +354,7 @@ def report_to_json(
         "wall_seconds": report.wall_seconds,
         "iterations_executed": report.iterations_executed,
         "stop_reason": report.stop_reason,
+        "final": asdict(report.final),
         "levels": [
             {
                 "level": t.level,

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import LandmarkSet, save_landmarks
-from .volume import Volume, save_volume, zscore_normalize
+from .volume import Volume, _check_triple, save_volume, zscore_normalize
 from .warp import (
     DisplacementField,
     folding_fraction,
@@ -56,17 +56,18 @@ class SynthConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
+        object.__setattr__(self, "spacing", _check_triple("spacing", self.spacing, positive=True))
         if len(self.dims) != 3 or any(d < 8 for d in self.dims):
             raise ValueError(f"dims must be 3 axes of at least 8 voxels, got {self.dims}")
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be 3 positive reals, got {self.spacing}")
         if self.num_blobs < 1 or self.field_bumps < 1 or self.num_landmarks < 1:
             raise ValueError("num_blobs, field_bumps, num_landmarks must be positive")
-        if self.max_displacement < 0:
-            raise ValueError(f"max_displacement must be >= 0, got {self.max_displacement}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        # written so that NaN fails too: every comparison with NaN is False
+        if not 0 <= self.max_displacement < np.inf:
+            raise ValueError(
+                f"max_displacement must be finite and >= 0, got {self.max_displacement}"
+            )
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "dims": list(self.dims), "spacing": list(self.spacing)}

@@ -245,6 +245,42 @@ class TestRegisterCommand:
             pred.data[:18, :16, :14], saved, rtol=0, atol=1e-5 * np.abs(saved).max()
         )
 
+    def test_final_line_reports_the_returned_field(self, tmp_path):
+        # convnet returns the best iterate of all rounds; here that is not in
+        # the last round, whose own best the line used to print
+        from defreg.loss import LossConfig, overall_loss
+        from defreg.volume import Volume, load_volume, save_volume, zscore_normalize
+        from defreg.warp import load_field
+
+        rng = np.random.default_rng(0)
+        for name in ("fixed", "moving"):
+            save_volume(Volume(data=rng.standard_normal((16, 16, 16))), tmp_path / f"{name}.vol")
+        field = tmp_path / "cn.dfield"
+        proc = run_cli(
+            "--threads", "1", "register",
+            "--fixed", str(tmp_path / "fixed.vol"),
+            "--moving", str(tmp_path / "moving.vol"),
+            "--out-field", str(field),
+            "--mode", "convnet", "--levels", "3", "--iters", "4", "--learning-rate", "1.0",
+            "--ncc-window", "5", "--lambda", "0.1", "--net-levels", "1",
+            "--base-filters", "2", "--seed", "6",
+        )
+        assert proc.returncode == 0, proc.stderr
+        kv = dict(part.split("=", 1) for part in proc.stdout.split())
+        report = json.loads((tmp_path / "cn.dfield.report.json").read_text())
+        last = report["levels"][-1]
+        assert float(kv["total"]) == report["final"]["total"]
+        assert report["final"]["total"] < last["losses"][last["best_iteration"]]["total"]
+        assert report["final"]["total"] == min(
+            lv["total"] for level in report["levels"] for lv in level["losses"]
+        )
+        # the written field (float32) scores the reported loss
+        fixed, moving = (zscore_normalize(load_volume(tmp_path / f"{n}.vol"))
+                         for n in ("fixed", "moving"))
+        lv, _ = overall_loss(fixed, moving, load_field(field),
+                             LossConfig(ncc_window=5, reg_weight=0.1))
+        assert lv.total == pytest.approx(report["final"]["total"], abs=1e-6)
+
     def test_single_thread_runs_are_byte_identical(self, case_dir, tmp_path):
         fields = []
         for tag in ("a", "b"):
@@ -339,12 +375,79 @@ class TestConfigFile:
             "reg_weight": 0.1,
             "variance_floor": LossConfig().variance_floor,  # neither: the dataclass default
         }
-        assert got["convnet"] == {
-            "levels": 1, "base_filters": 2, "use_batchnorm": False, "kernel_size": 3
-        }
+        # no kernel_size: it is not a setting (the checkpoint header records it)
+        assert got["convnet"] == {"levels": 1, "base_filters": 2, "use_batchnorm": False}
         assert got["learning_rate"] == 1.0 and isinstance(got["learning_rate"], float)
         assert got["convergence_tol"] == RegistrationConfig().convergence_tol
         assert got["seed"] == RegistrationConfig().seed
+
+
+# NaN passed every "x < 0" check; each now fails in the config, naming it
+NON_FINITE = [
+    ("register", ["--lambda", "nan"], "reg_weight"),
+    ("register", ["--variance-floor", "nan"], "variance_floor"),
+    ("register", ["--learning-rate", "nan"], "learning_rate"),
+    ("register", ["--convergence-tol", "nan"], "convergence_tol"),
+    ("register", ["--max-seconds", "inf"], "max_seconds"),
+    ("synth", ["--spacing", "1", "nan", "1"], "spacing"),
+    ("synth", ["--max-disp", "nan"], "max_displacement"),
+    ("synth", ["--noise-sigma", "inf"], "noise_sigma"),
+]
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize(
+        "command,flags,key", NON_FINITE, ids=[" ".join(f) for _, f, _ in NON_FINITE]
+    )
+    def test_rejected_by_name(self, case_dir, tmp_path, command, flags, key):
+        if command == "register":
+            argv = ["--fixed", str(case_dir / "fixed.vol"),
+                    "--moving", str(case_dir / "moving.vol"),
+                    "--out-field", str(tmp_path / "x.dfield"), "--iters", "1"]
+        else:
+            argv = ["--out", str(tmp_path / "case"), "--dims", "8", "8", "8"]
+        proc = run_cli(command, *argv, *flags)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].startswith("defreg: error:")
+        assert key in errors[0]
+
+    def test_nan_in_config_file_rejected_by_name(self, case_dir, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"loss": {"reg_weight": NaN}}')  # Python's JSON reader takes NaN
+        proc = run_cli(
+            "register",
+            "--fixed", str(case_dir / "fixed.vol"),
+            "--moving", str(case_dir / "moving.vol"),
+            "--out-field", str(tmp_path / "x.dfield"), "--config", str(path),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("defreg: error: reg_weight")
+
+
+class TestManifestReplay:
+    @pytest.mark.parametrize("settings", [
+        ["--mode", "freeform", "--levels", "2", "--iters-schedule", "6,3",
+         "--lambda", "0.1", "--ncc-window", "5", "--learning-rate", "0.3"],
+        ["--mode", "convnet", "--levels", "2", "--iters", "2", "--learning-rate", "0.01",
+         "--net-levels", "2", "--base-filters", "2", "--ncc-window", "5", "--seed", "3"],
+    ], ids=["freeform-schedule", "convnet"])
+    def test_manifest_config_reproduces_the_field(self, case_dir, tmp_path, settings):
+        inputs = ["--fixed", str(case_dir / "fixed.vol"), "--moving", str(case_dir / "moving.vol")]
+        first = tmp_path / "first.dfield"
+        proc = run_cli("--threads", "1", "register", *inputs, "--out-field", str(first), *settings)
+        assert proc.returncode == 0, proc.stderr
+        config = json.loads((tmp_path / "first.dfield.manifest.json").read_text())["config"]
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(config))
+        again = tmp_path / "again.dfield"
+        proc = run_cli("--threads", "1", "register", *inputs, "--out-field", str(again),
+                       "--config", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert again.read_bytes() == first.read_bytes()
+        replayed = json.loads((tmp_path / "again.dfield.manifest.json").read_text())["config"]
+        assert replayed == config
 
 
 class TestSettingsTable:
@@ -417,6 +520,7 @@ class TestEvalCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert "robustness=0.0" in proc.stdout
+        assert proc.stdout.split()[-1] == "clamped=0"
         metrics = json.loads((tmp_path / "eval_metrics.json").read_text())[0]
         assert metrics["mae_median"] == pytest.approx(metrics["initial_mae_median"], abs=1e-9)
         long_lines = (tmp_path / "eval_errors_long.csv").read_text().strip().splitlines()
@@ -435,6 +539,21 @@ class TestEvalCommand:
         assert proc.returncode == 0, proc.stderr
         kv = dict(part.split("=", 1) for part in proc.stdout.strip().split())
         assert float(kv["mae_median"]) < float(kv["initial_mae_median"])
+
+    def test_clamped_landmarks_are_counted(self, case_dir, tmp_path):
+        fixed = tmp_path / "fixed.csv"
+        moving = tmp_path / "moving.csv"
+        fixed.write_text("id,x,y,z\n1,4.0,5.0,6.0\n2,40.0,5.0,6.0\n")  # 2 is off the 16^3 grid
+        moving.write_text("id,x,y,z\n1,4.5,5.0,6.0\n2,41.0,5.0,6.0\n")
+        proc = run_cli(
+            "eval",
+            "--field", str(case_dir / "true_field.dfield"),
+            "--fixed-landmarks", str(fixed),
+            "--moving-landmarks", str(moving),
+        )
+        assert proc.returncode == 0, proc.stderr
+        kv = dict(part.split("=", 1) for part in proc.stdout.strip().split())
+        assert kv["clamped"] == "1"
 
     def test_summarize_reproduces_published_row(self, tmp_path):
         col = tmp_path / "initial.csv"

@@ -1,6 +1,7 @@
 """Model tests: convnet layers, end-to-end gradients, Adam, checkpoints."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from defreg.model import (
     AdamState,
     ConvNetConfig,
     ConvNetParameters,
+    _bn_backward,
     _bn_forward,
-    _conv3_forward,
+    _conv_forward,
     _layer_plan,
     _maxpool_backward,
     _maxpool_forward,
@@ -34,19 +36,130 @@ def tiny_config(**overrides):
     return ConvNetConfig(**kw)
 
 
-def brute_conv3(x, w, b):
-    """Direct same-padded 3x3x3 convolution, one output voxel at a time."""
-    cout, cin = w.shape[:2]
+def brute_conv(x, w, b):
+    """Direct same-padded k x k x k convolution, one output voxel at a time."""
+    cout, cin, ks = w.shape[:3]
     nx, ny, nz = x.shape[1:]
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    p = ks // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
     out = np.empty((cout, nx, ny, nz))
     for o in range(cout):
         for i in range(nx):
             for j in range(ny):
                 for k in range(nz):
-                    patch = xp[:, i : i + 3, j : j + 3, k : k + 3]
+                    patch = xp[:, i : i + ks, j : j + ks, k : k + ks]
                     out[o, i, j, k] = (patch * w[o]).sum() + b[o]
     return out
+
+
+# -- the tape implementation the structured forward/backward replaced, kept
+# -- as the bit-exact reference: separate 3x3x3 and 1x1x1 convolutions, and
+# -- a list of tagged records that the backward pass interprets in reverse
+
+def tape_conv3_forward(x, w, b):
+    cout = w.shape[0]
+    nx, ny, nz = x.shape[1:]
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    out = np.broadcast_to(b[:, None, None, None], (cout, nx, ny, nz)).copy()
+    for dx in range(3):
+        for dy in range(3):
+            for dz in range(3):
+                out += np.einsum(
+                    "oi,ixyz->oxyz",
+                    w[:, :, dx, dy, dz],
+                    xp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz],
+                )
+    return out, xp
+
+
+def tape_conv3_backward(xp, w, dout):
+    nx, ny, nz = dout.shape[1:]
+    dw = np.zeros_like(w)
+    db = dout.sum(axis=(1, 2, 3))
+    dxp = np.zeros_like(xp)
+    for dx in range(3):
+        for dy in range(3):
+            for dz in range(3):
+                sl = xp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz]
+                dw[:, :, dx, dy, dz] = np.einsum("oxyz,ixyz->oi", dout, sl)
+                dxp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz] += np.einsum(
+                    "oi,oxyz->ixyz", w[:, :, dx, dy, dz], dout
+                )
+    return dxp[:, 1:-1, 1:-1, 1:-1], dw, db
+
+
+def tape_conv1_forward(x, w, b):
+    return np.einsum("oi,ixyz->oxyz", w[:, :, 0, 0, 0], x) + b[:, None, None, None]
+
+
+def tape_conv1_backward(x, w, dout):
+    dw = np.einsum("oxyz,ixyz->oi", dout, x)[:, :, None, None, None]
+    db = dout.sum(axis=(1, 2, 3))
+    dx = np.einsum("oi,oxyz->ixyz", w[:, :, 0, 0, 0], dout)
+    return dx, dw, db
+
+
+def tape_forward(params, fixed, moving):
+    cfg, t = params.config, params.tensors
+    x = np.stack([fixed.data, moving.data])
+    records, skips = [], []
+    for l in range(cfg.levels):
+        for conv in (1, 2):
+            w, b = t[f"enc{l}_conv{conv}_w"], t[f"enc{l}_conv{conv}_b"]
+            x, xp = tape_conv3_forward(x, w, b)
+            records.append(("conv", f"enc{l}_conv{conv}", xp, w))
+            mask = x > 0
+            x = x * mask
+            records.append(("relu", mask))
+        skips.append(x)
+        x, pool_cache = _maxpool_forward(x)
+        records.append(("pool", pool_cache, l))
+    for l in reversed(range(cfg.levels)):
+        x = _upsample_forward(x)
+        records.append(("upsample",))
+        split = x.shape[0]
+        x = np.concatenate([x, skips[l]], axis=0)
+        records.append(("concat", split, l))
+        w, b = t[f"dec{l}_conv_w"], t[f"dec{l}_conv_b"]
+        x, xp = tape_conv3_forward(x, w, b)
+        records.append(("conv", f"dec{l}_conv", xp, w))
+        if cfg.use_batchnorm:
+            x, bn_cache = _bn_forward(x, t[f"dec{l}_bn_gamma"], t[f"dec{l}_bn_beta"])
+            records.append(("bn", f"dec{l}_bn", bn_cache))
+        mask = x > 0
+        x = x * mask
+        records.append(("relu", mask))
+    out = tape_conv1_forward(x, t["head_w"], t["head_b"])
+    records.append(("head", x, t["head_w"]))
+    return np.moveaxis(out, 0, -1), {"records": records, "skip_grads": [None] * cfg.levels}
+
+
+def tape_backward(cache, grad):
+    grads = {}
+    skip_grads = cache["skip_grads"]
+    dx = np.moveaxis(grad, -1, 0)
+    for rec in reversed(cache["records"]):
+        kind = rec[0]
+        if kind == "head":
+            dx, grads["head_w"], grads["head_b"] = tape_conv1_backward(rec[1], rec[2], dx)
+        elif kind == "relu":
+            dx = dx * rec[1]
+        elif kind == "bn":
+            dx, grads[rec[1] + "_gamma"], grads[rec[1] + "_beta"] = _bn_backward(rec[2], dx)
+        elif kind == "conv":
+            dx, grads[rec[1] + "_w"], grads[rec[1] + "_b"] = tape_conv3_backward(rec[2], rec[3], dx)
+        elif kind == "concat":
+            _, split, level = rec
+            skip_grads[level] = dx[split:]
+            dx = dx[:split]
+        elif kind == "upsample":
+            dx = _upsample_backward(dx)
+        else:  # pool
+            _, pool_cache, level = rec
+            dx = _maxpool_backward(pool_cache, dx)
+            if skip_grads[level] is not None:
+                dx = dx + skip_grads[level]
+    return grads
 
 
 class TestConvNetConfig:
@@ -96,8 +209,17 @@ class TestLayerPrimitives:
         x = rng.standard_normal((3, 4, 5, 4))
         w = rng.standard_normal((2, 3, 3, 3, 3))
         b = rng.standard_normal(2)
-        out, _ = _conv3_forward(x, w, b)
-        np.testing.assert_allclose(out, brute_conv3(x, w, b), atol=1e-10)
+        out, xp = _conv_forward(x, w, b)
+        np.testing.assert_allclose(out, brute_conv(x, w, b), atol=1e-10)
+        assert xp.shape == (3, 6, 7, 6)
+
+    def test_conv1_matches_brute_force_without_padding(self, rng):
+        x = rng.standard_normal((3, 4, 5, 4))
+        w = rng.standard_normal((2, 3, 1, 1, 1))
+        b = rng.standard_normal(2)
+        out, xp = _conv_forward(x, w, b)
+        np.testing.assert_allclose(out, brute_conv(x, w, b), atol=1e-10)
+        assert xp is x  # nothing to pad, so the head's input is not copied
 
     def test_maxpool_blockwise_max(self, rng):
         x = rng.standard_normal((2, 4, 6, 4))
@@ -248,6 +370,43 @@ class TestConvNetForward:
 
 
 class TestConvNetBackward:
+    @pytest.mark.parametrize("use_batchnorm", [True, False])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_equals_tape_reference_bitwise(self, rng, levels, use_batchnorm):
+        cfg = ConvNetConfig(levels=levels, base_filters=2, use_batchnorm=use_batchnorm)
+        params = init_convnet_parameters(cfg, seed=levels)
+        params.tensors["head_w"] = rng.standard_normal((3, 2, 1, 1, 1)) * 0.1
+        params.tensors["head_b"] = rng.standard_normal(3) * 0.1
+        dims = (8, 16, 24)  # non-cubic, divisible by 2^3
+        fixed = random_volume(rng, dims)
+        moving = random_volume(rng, dims)
+        field, cache = convnet_forward(params, fixed, moving)
+        want_field, tape = tape_forward(params, fixed, moving)
+        assert np.array_equal(field.data, want_field)
+        for _ in range(2):  # the cache serves any number of backward passes
+            probe = rng.standard_normal(dims + (3,))
+            grads = convnet_backward(cache, DisplacementField(probe))
+            want = tape_backward(tape, probe)
+            assert list(grads) == list(want)
+            for k in want:
+                assert np.array_equal(grads[k], want[k]), k
+
+    def test_backward_leaves_nothing_alive(self, rng):
+        # the backward pass only reads the cache: once its gradients are
+        # dropped, memory is back where it was before the call
+        params = init_convnet_parameters(ConvNetConfig(levels=2, base_filters=4), seed=3)
+        dims = (16, 16, 16)
+        _, cache = convnet_forward(params, random_volume(rng, dims), random_volume(rng, dims))
+        grad = DisplacementField(rng.standard_normal(dims + (3,)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = convnet_backward(cache, grad)
+            del grads
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 8 * 16**3  # less than one volume of float64
     def test_zero_grad_gives_zero_grads(self, rng):
         params = init_convnet_parameters(tiny_config(), seed=4)
         fixed = random_volume(rng, (8, 8, 8))

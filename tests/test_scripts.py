@@ -1,0 +1,37 @@
+"""Smoke tests of the experiment scripts: each runs a tiny case and prints its table."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+TINY = ["--dims", "16", "--levels", "1", "--iters", "2", "--max-disp", "2"]
+
+SCRIPTS = [
+    ("synth_benchmark.py", [], "seed  init_mae  final_mae", 5),  # seeds 1-5
+    ("synth_benchmark.py", ["--mode", "convnet"], "seed  init_mae  final_mae", 5),
+    ("lambda_sweep.py", [], "lambda   final_mae", 6),  # six default weights
+]
+
+
+@pytest.mark.parametrize(
+    "script,extra,header,rows", SCRIPTS, ids=["synth_benchmark", "synth_benchmark-convnet",
+                                              "lambda_sweep"]
+)
+def test_script_prints_its_table(script, extra, header, rows):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), *TINY, *extra],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    table = [line for line in lines[start + 1 :] if not line.startswith("#")]
+    assert len(table) == rows
+    for line in table:
+        assert len(line.split()) == len(lines[start].split())
