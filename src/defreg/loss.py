@@ -4,7 +4,8 @@ The objective has two parts: a windowed normalized-cross-correlation
 similarity between the fixed image and the warped moving image (negated so
 minimization improves alignment), and a displacement-gradient smoothness
 penalty.  Both expose exact analytic gradients with respect to the
-displacement field, verified against finite differences in the tests.
+displacement field, as plain ``(nx, ny, nz, 3)`` arrays on the field's
+grid, verified against finite differences in the tests.
 
 Window statistics use separable box sums, O(N) per axis instead of
 O(N * window^3); windows are clipped at the borders rather than padded.
@@ -179,16 +180,6 @@ def _ncc_terms(F: np.ndarray, G: np.ndarray, w: int, eps: float, with_grad: bool
     return value, grad
 
 
-def _fresh_field(data: np.ndarray, like: DisplacementField) -> DisplacementField:
-    """Wrap a freshly allocated gradient array on ``like``'s grid.
-
-    Marking it read-only lets the field take the array without a copy; the
-    field still checks that it is finite.
-    """
-    data.flags.writeable = False
-    return DisplacementField(data=data, spacing=like.spacing, origin=like.origin)
-
-
 def ncc(fixed: Volume, warped: Volume, cfg: LossConfig) -> float:
     """Mean local normalized cross-correlation over all voxel-centered windows."""
     if fixed.dims != warped.dims:
@@ -200,8 +191,9 @@ def ncc(fixed: Volume, warped: Volume, cfg: LossConfig) -> float:
 def similarity_loss(fixed: Volume, moving: Volume, field: DisplacementField, cfg: LossConfig):
     """Negated local NCC between fixed and the warped moving image.
 
-    Returns (value, gradient w.r.t. the field), the gradient chained through
-    the trilinear sampling derivative at each voxel.
+    Returns (value, gradient w.r.t. the field), the gradient an
+    ``(nx, ny, nz, 3)`` array chained through the trilinear sampling
+    derivative at each voxel.
     """
     if fixed.dims != field.dims:
         raise ValueError(f"dims mismatch: fixed {fixed.dims} vs field {field.dims}")
@@ -210,16 +202,16 @@ def similarity_loss(fixed: Volume, moving: Volume, field: DisplacementField, cfg
     del warped
     np.negative(dG, out=dG)
     sample_grad *= dG[..., None]
-    return -value, _fresh_field(sample_grad, field)
+    return -value, sample_grad
 
 
 def smoothness_loss(field: DisplacementField):
     """Mean squared Frobenius norm of the displacement gradient.
 
     Forward differences in mm with replicate boundary (the last difference
-    along each axis is zero).  Returns (value, analytic gradient).  The
-    differences and the shifted copy live in two scratch buffers reused for
-    every axis.
+    along each axis is zero).  Returns (value, analytic gradient as an
+    ``(nx, ny, nz, 3)`` array).  The differences and the shifted copy live in
+    two scratch buffers reused for every axis.
     """
     if min(field.dims) < 2:
         raise ValueError(f"smoothness needs dims >= 2 per axis, got {field.dims}")
@@ -252,15 +244,20 @@ def smoothness_loss(field: DisplacementField):
         scratch /= s * n_vox
         grad += scratch
     value /= n_vox
-    return value, _fresh_field(grad, field)
+    return value, grad
 
 
 def overall_loss(fixed: Volume, moving: Volume, field: DisplacementField, cfg: LossConfig):
-    """Similarity plus weighted smoothness; returns (LossValue, gradient field)."""
+    """Similarity plus weighted smoothness; returns (LossValue, gradient).
+
+    The gradient is an ``(nx, ny, nz, 3)`` array on the field's grid.  It is
+    not checked for finiteness: a caller that steps on it checks the loss
+    value first.
+    """
     sim, sim_grad = similarity_loss(fixed, moving, field, cfg)
-    smooth, smooth_grad = smoothness_loss(field)
+    smooth, grad = smoothness_loss(field)
     total = sim + cfg.reg_weight * smooth
-    data = cfg.reg_weight * smooth_grad.data
-    data += sim_grad.data
-    return LossValue(total=total, similarity=sim, smoothness=smooth), _fresh_field(data, field)
+    grad *= cfg.reg_weight
+    grad += sim_grad
+    return LossValue(total=total, similarity=sim, smoothness=smooth), grad
 

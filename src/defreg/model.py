@@ -272,15 +272,16 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     return pred, cache
 
 
-def convnet_backward(cache, grad_field: DisplacementField) -> dict[str, np.ndarray]:
-    """Backpropagate a loss gradient on the field to every parameter tensor."""
-    if grad_field.dims != cache["dims"]:
+def convnet_backward(cache, grad: np.ndarray) -> dict[str, np.ndarray]:
+    """Backpropagate a loss gradient on the field, an ``(nx, ny, nz, 3)``
+    array, to every parameter tensor."""
+    if grad.shape != cache["dims"] + (3,):
         raise ValueError(
-            f"grad field dims {grad_field.dims} do not match forward dims {cache['dims']}"
+            f"gradient shape {grad.shape} does not match forward dims {cache['dims']} + (3,)"
         )
     grads: dict[str, np.ndarray] = {}
     head_x, head_w = cache["head"]
-    dout = np.moveaxis(grad_field.data, -1, 0)
+    dout = np.moveaxis(grad, -1, 0)
     dx, grads["head_w"], grads["head_b"] = _conv_backward(head_x, head_w, dout)
     skip_grads = []
     for l, (split, block) in enumerate(cache["dec"]):

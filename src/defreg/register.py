@@ -3,7 +3,11 @@
 Minimizes windowed-NCC dissimilarity plus displacement-gradient smoothness
 with Adam.  One level loop serves both parameterizations; each level runs
 Adam from a fresh state and tracks its best iterate, with the same
-convergence and time-budget stops.  The modes differ only in what a level
+convergence and time-budget stops.  The loop is also where a diverging
+run is caught: the loss functions do not check finiteness, and a
+non-finite loss value stops the run as ``diverged`` before Adam steps on
+its gradient.  As after a budget stop, no later level runs and the best
+finite iterate is returned.  The modes differ only in what a level
 optimizes and what is returned:
 
 * freeform: the parameter is the displacement field itself, over a
@@ -145,7 +149,12 @@ class RegistrationConfig:
 
 @dataclass
 class LevelTrace:
-    """Per-level diagnostics; losses[0] is the entry loss before any step."""
+    """Per-level diagnostics; losses[0] is the entry loss before any step.
+
+    ``iterations`` counts the Adam steps taken.  A non-finite loss is not
+    recorded, so a level that stops as ``diverged`` holds ``iterations``
+    losses rather than ``iterations + 1``.
+    """
 
     level: int  # 0 = coarsest
     dims: tuple[int, int, int]
@@ -162,7 +171,7 @@ class RegistrationReport:
     levels: list[LevelTrace]
     wall_seconds: float
     iterations_executed: int
-    stop_reason: str  # max_iters | converged | budget
+    stop_reason: str  # max_iters | converged | budget | diverged
     dims: tuple[int, int, int]
     padded_dims: tuple[int, int, int]
     config: RegistrationConfig
@@ -218,16 +227,24 @@ def _converged(totals: list[float], tol: float) -> bool:
 
 
 def _pyramid(fixed: Volume, moving: Volume, n_levels: int) -> list[tuple[Volume, Volume]]:
-    """Image pairs of a mean-downsampling pyramid, coarsest first."""
+    """Image pairs of a mean-downsampling pyramid, coarsest first.
+
+    The smoothness term differences neighbouring voxels, so every level
+    needs at least 2 voxels per axis; a pyramid too deep for the dims is
+    refused before any level is built.
+    """
+    dims = fixed.dims
+    for _ in range(n_levels):
+        if min(dims) < 2:
+            raise ValueError(
+                f"pyramid_levels={n_levels} needs >= 2 voxels per axis on every level, "
+                f"but dims {fixed.dims} give a level of dims {dims}"
+            )
+        dims = tuple((d + 1) // 2 for d in dims)  # downsample_volume's ceil(n/2)
     pairs = [(fixed, moving)]
     for _ in range(n_levels - 1):
         f, m = pairs[-1]
-        try:
-            pairs.append((downsample_volume(f), downsample_volume(m)))
-        except ValueError:
-            raise ValueError(
-                f"dims {fixed.dims} cannot support {n_levels} pyramid levels"
-            ) from None
+        pairs.append((downsample_volume(f), downsample_volume(m)))
     return pairs[::-1]
 
 
@@ -262,8 +279,8 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
         return convnet_forward(ConvNetParameters(cfg.convnet, params), f_l, m_l)
 
     def backward(cache, grad):
-        """Field gradient -> parameter gradients."""
-        return {"field": grad.data} if freeform else convnet_backward(cache, grad)
+        """Field gradient, an (nx, ny, nz, 3) array -> parameter gradients."""
+        return {"field": grad} if freeform else convnet_backward(cache, grad)
 
     clock = _Clock(cfg.max_seconds)
     traces: list[LevelTrace] = []
@@ -276,31 +293,36 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
                 u = DisplacementField.zeros(f_l.dims, f_l.spacing, f_l.origin)
             else:
                 u = resample_field(best[2], f_l.dims, spacing=f_l.spacing)
-            params, best = {"field": u.data}, None
+                # the carried field stands for the coarser best until this
+                # level's entry loss is known to be finite; its own arrays
+                # are freed before this level's first pass
+                best = (best[0], None, u)
+            params = {"field": u.data}
         # convnet: a round continues from the last iterate; all rounds compete
         state = AdamState.init(params, alpha=cfg.resolved_learning_rate)
-        u, cache = predict(params, f_l, m_l)
-        lv, grad = overall_loss(f_l, m_l, u, cfg.loss)
-        losses = [lv]
-        if best is None or lv.total < best[0].total:
-            best = (lv, params, u)
+        losses: list[LossValue] = []
         level_best, level_stop = 0, "max_iters"
-        for it in range(1, cfg.iterations_for(lvl) + 1):
-            params, state = adam_step(params, backward(cache, grad), state)
+        for it in range(cfg.iterations_for(lvl) + 1):  # it 0: the entry iterate
+            if it:
+                params, state = adam_step(params, backward(cache, grad), state)
+                cache = grad = None  # not kept alive through the next forward
             u, cache = predict(params, f_l, m_l)
             lv, grad = overall_loss(f_l, m_l, u, cfg.loss)
+            if not np.isfinite(lv.total):  # before Adam can step on its gradient
+                level_stop = "diverged"
+                break
             losses.append(lv)
-            total_iters += 1
-            if lv.total < best[0].total:
+            if best is None or lv.total < best[0].total or (freeform and not it):
                 best = (lv, params, u)
             if lv.total < losses[level_best].total:
                 level_best = it
             if _converged([x.total for x in losses], cfg.convergence_tol):
                 level_stop = "converged"
                 break
-            if clock.exhausted():
+            if it and clock.exhausted():
                 level_stop = "budget"
                 break
+        total_iters += it
         traces.append(
             LevelTrace(
                 level=lvl,
@@ -308,18 +330,18 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
                 spacing=f_l.spacing,
                 losses=losses,
                 best_iteration=level_best,
-                iterations=len(losses) - 1,
+                iterations=it,
                 stop_reason=level_stop,
             )
         )
         # free this level's arrays before the next level allocates its own
         state = u = cache = grad = None
-        if level_stop == "budget":
+        if level_stop in ("budget", "diverged"):
             break
 
     final, params, out = best
     if out.dims != fixed.dims:
-        if freeform:  # a budget stop before the finest level
+        if freeform:  # a budget or divergence stop before the finest level
             out = resample_field(out, fixed.dims, spacing=fixed.spacing)
         else:  # crop the padding
             nx, ny, nz = fixed.dims

@@ -170,7 +170,7 @@ def test_criterion_04_gradients_match_finite_differences():
                 num = (
                     fn(DisplacementField(up)) - fn(DisplacementField(dn))
                 ) / (2 * step)
-                ana = float(grad.data[pos])
+                ana = float(grad[pos])
                 err = abs(num - ana) / max(abs(num), abs(ana), 1e-8)
                 worst_field = max(worst_field, err)
     assert worst_field < 1e-5
@@ -199,7 +199,7 @@ def test_criterion_04_gradients_match_finite_differences():
         fixed,
         moving,
     )
-    grads = convnet_backward(cache, DisplacementField(probe))
+    grads = convnet_backward(cache, probe)
     worst_net = 0.0
     for name, g in grads.items():
         theta = params.tensors[name]

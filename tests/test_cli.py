@@ -426,6 +426,69 @@ class TestNonFiniteSettings:
         assert proc.stderr.startswith("defreg: error: reg_weight")
 
 
+
+def _refuse_constant(name):
+    raise ValueError(f"report holds the non-JSON constant {name}")
+
+
+class TestDivergence:
+    @pytest.fixture(scope="class")
+    def repro_case(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("repro")
+        proc = run_cli("synth", "--out", str(out), "--dims", "16", "16", "16", "--max-disp", "2")
+        assert proc.returncode == 0, proc.stderr
+        return out
+
+    @pytest.mark.parametrize("flags", [
+        ["--levels", "1", "--learning-rate", "1e308"],
+        ["--levels", "2", "--learning-rate", "1e200"],
+        ["--levels", "1", "--lambda", "1e300", "--learning-rate", "1e200"],
+        ["--mode", "convnet", "--learning-rate", "1e300"],
+    ], ids=" ".join)
+    def test_overflowing_run_stops_as_diverged(self, repro_case, tmp_path, flags):
+        from defreg.warp import load_field
+
+        field = tmp_path / "d.dfield"
+        proc = run_cli(
+            "--threads", "1", "register",
+            "--fixed", str(repro_case / "fixed.vol"),
+            "--moving", str(repro_case / "moving.vol"),
+            "--out-field", str(field), "--iters", "5", *flags,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "stop=diverged"
+        assert load_field(field).dims == (16, 16, 16)
+        text = (tmp_path / "d.dfield.report.json").read_text()
+        report = json.loads(text, parse_constant=_refuse_constant)
+        assert report["stop_reason"] == report["levels"][-1]["stop_reason"] == "diverged"
+
+
+class TestPyramidDepth:
+    @pytest.mark.parametrize("dims,levels,level_dims", [
+        ((8, 8, 1), "1", "(8, 8, 1)"),
+        ((2, 8, 8), "2", "(1, 4, 4)"),
+    ])
+    def test_pyramid_too_deep_is_one_line_user_error(self, tmp_path, dims, levels, level_dims):
+        from defreg.volume import Volume, save_volume
+
+        rng = np.random.default_rng(0)
+        for name in ("fixed", "moving"):
+            save_volume(Volume(data=rng.standard_normal(dims)), tmp_path / f"{name}.vol")
+        proc = run_cli(
+            "register",
+            "--fixed", str(tmp_path / "fixed.vol"),
+            "--moving", str(tmp_path / "moving.vol"),
+            "--out-field", str(tmp_path / "x.dfield"), "--levels", levels, "--iters", "1",
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        # the "registering ..." progress line, then one error line
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("defreg:")]
+        assert errors == proc.stderr.splitlines()[-1:]
+        assert errors[0].startswith("defreg: error: pyramid_levels=")
+        assert level_dims in errors[0]
+
+
 class TestManifestReplay:
     @pytest.mark.parametrize("settings", [
         ["--mode", "freeform", "--levels", "2", "--iters-schedule", "6,3",

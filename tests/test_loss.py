@@ -259,7 +259,7 @@ class TestSimilarityLoss:
         v = random_volume(rng, (8, 8, 8))
         value, grad = similarity_loss(v, v, DisplacementField.zeros(v.dims), LossConfig())
         assert value == pytest.approx(-1.0, abs=1e-9)
-        assert np.abs(grad.data).max() <= 1e-6
+        assert np.abs(grad).max() <= 1e-6
 
     def test_constant_moving_floored(self, rng):
         fixed = random_volume(rng, (6, 6, 6))
@@ -285,7 +285,7 @@ class TestSimilarityLoss:
             for _ in range(16)
         ]
         num = fd_gradient(fn, field, idx, step=1e-4)
-        ana = np.array([grad.data[pos] for pos in idx])
+        ana = np.array([grad[pos] for pos in idx])
         assert rel_err(num, ana) < 1e-5
 
     def test_dims_mismatch_rejected(self, rng):
@@ -299,13 +299,13 @@ class TestSmoothnessLoss:
     def test_zero_field(self):
         value, grad = smoothness_loss(DisplacementField.zeros((4, 4, 4)))
         assert value == 0.0
-        assert not grad.data.any()
+        assert not grad.any()
 
     def test_constant_field(self):
         data = np.broadcast_to([3.0, -2.0, 7.0], (4, 4, 4, 3)).copy()
         value, grad = smoothness_loss(DisplacementField(data))
         assert value == 0.0
-        assert not grad.data.any()
+        assert not grad.any()
 
     def test_linear_ramp_analytic_value(self):
         # u_x = 0.5 * x_mm on an n^3 grid with 2 mm spacing: the only nonzero
@@ -345,7 +345,7 @@ class TestSmoothnessLoss:
             for _ in range(16)
         ]
         num = fd_gradient(fn, field, idx, step=1e-4)
-        ana = np.array([grad.data[pos] for pos in idx])
+        ana = np.array([grad[pos] for pos in idx])
         assert rel_err(num, ana) < 1e-8
 
     def test_degenerate_dims_rejected(self):
@@ -361,7 +361,7 @@ class TestSmoothnessExactness:
         value, grad = smoothness_loss(DisplacementField(u, spacing=spacing))
         want_value, want_grad = closed_form_smoothness(u, spacing)
         assert value == want_value
-        assert np.array_equal(grad.data, want_grad)
+        assert np.array_equal(grad, want_grad)
 
 
 class TestOverallLoss:
@@ -383,9 +383,7 @@ class TestOverallLoss:
         smooth_val, smooth_grad = smoothness_loss(field)
         assert lv.similarity == sim_val
         assert lv.smoothness == smooth_val
-        np.testing.assert_array_equal(
-            grad.data, sim_grad.data + cfg.reg_weight * smooth_grad.data
-        )
+        np.testing.assert_array_equal(grad, sim_grad + cfg.reg_weight * smooth_grad)
 
     def test_zero_weight_is_pure_similarity(self, rng):
         fixed = random_volume(rng, (6, 6, 6))
@@ -395,7 +393,7 @@ class TestOverallLoss:
         lv, grad = overall_loss(fixed, moving, field, cfg)
         sim_val, sim_grad = similarity_loss(fixed, moving, field, cfg)
         assert lv.total == sim_val
-        np.testing.assert_array_equal(grad.data, sim_grad.data)
+        np.testing.assert_array_equal(grad, sim_grad)
 
     def test_gradient_matches_finite_differences(self, rng):
         fixed = random_volume(rng, (8, 8, 8))
@@ -414,7 +412,7 @@ class TestOverallLoss:
             for _ in range(16)
         ]
         num = fd_gradient(fn, field, idx, step=1e-4)
-        ana = np.array([grad.data[pos] for pos in idx])
+        ana = np.array([grad[pos] for pos in idx])
         assert rel_err(num, ana) < 1e-5
 
 

@@ -25,7 +25,6 @@ from defreg.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from defreg.warp import DisplacementField
 
 from conftest import random_volume
 
@@ -363,7 +362,7 @@ class TestConvNetForward:
         fixed = random_volume(rng, (8, 8, 8))
         moving = random_volume(rng, (8, 8, 8))
         _, cache = convnet_forward(params, fixed, moving)
-        convnet_backward(cache, DisplacementField(rng.standard_normal((8, 8, 8, 3))))
+        convnet_backward(cache, rng.standard_normal((8, 8, 8, 3)))
         assert set(params.tensors) == set(before)
         for k, v in before.items():
             assert np.array_equal(params.tensors[k], v)
@@ -385,7 +384,7 @@ class TestConvNetBackward:
         assert np.array_equal(field.data, want_field)
         for _ in range(2):  # the cache serves any number of backward passes
             probe = rng.standard_normal(dims + (3,))
-            grads = convnet_backward(cache, DisplacementField(probe))
+            grads = convnet_backward(cache, probe)
             want = tape_backward(tape, probe)
             assert list(grads) == list(want)
             for k in want:
@@ -397,7 +396,7 @@ class TestConvNetBackward:
         params = init_convnet_parameters(ConvNetConfig(levels=2, base_filters=4), seed=3)
         dims = (16, 16, 16)
         _, cache = convnet_forward(params, random_volume(rng, dims), random_volume(rng, dims))
-        grad = DisplacementField(rng.standard_normal(dims + (3,)))
+        grad = rng.standard_normal(dims + (3,))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -412,7 +411,7 @@ class TestConvNetBackward:
         fixed = random_volume(rng, (8, 8, 8))
         moving = random_volume(rng, (8, 8, 8))
         _, cache = convnet_forward(params, fixed, moving)
-        grads = convnet_backward(cache, DisplacementField.zeros((8, 8, 8)))
+        grads = convnet_backward(cache, np.zeros((8, 8, 8, 3)))
         assert set(grads) == set(params.tensors)
         for g in grads.values():
             assert not g.any()
@@ -423,7 +422,7 @@ class TestConvNetBackward:
         moving = random_volume(rng, (8, 8, 8))
         _, cache = convnet_forward(params, fixed, moving)
         with pytest.raises(ValueError):
-            convnet_backward(cache, DisplacementField.zeros((8, 8, 10)))
+            convnet_backward(cache, np.zeros((8, 8, 10, 3)))
 
     def test_all_parameter_gradients_match_finite_differences(self, rng):
         # linear probe loss L = <field, R>: exact analytic gradient via
@@ -447,7 +446,7 @@ class TestConvNetBackward:
             fixed,
             moving,
         )
-        grads = convnet_backward(cache, DisplacementField(probe))
+        grads = convnet_backward(cache, probe)
 
         worst = 0.0
         for name, g in grads.items():

@@ -1,12 +1,15 @@
 """Registration driver tests: pyramid, convergence, budgets, both modes."""
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import defreg.register
 from defreg.loss import LossConfig, ncc, overall_loss, smoothness_loss
-from defreg.model import ConvNetConfig
+from defreg.model import ConvNetConfig, convnet_backward, convnet_forward, init_convnet_parameters
 from defreg.register import (
     RegistrationConfig,
     RegistrationReport,
@@ -133,6 +136,26 @@ class TestRegisterFreeform:
         v = random_volume(rng, (2, 2, 2))
         with pytest.raises(ValueError):
             register(v, v, quick_cfg(pyramid_levels=4, iterations_per_level=1))
+
+    @pytest.mark.parametrize(
+        "dims,levels,level_dims",
+        [((2, 8, 8), 2, (1, 4, 4)), ((8, 8, 1), 1, (8, 8, 1)), ((12, 5, 12), 4, (2, 1, 2))],
+    )
+    def test_pyramid_too_deep_for_dims_refused_up_front(self, rng, dims, levels, level_dims):
+        # every level needs 2 voxels per axis for the smoothness term; the
+        # error names the setting and the offending level's dims
+        v = random_volume(rng, dims)
+        with pytest.raises(ValueError) as err:
+            register(v, v, quick_cfg(pyramid_levels=levels, iterations_per_level=1))
+        assert f"pyramid_levels={levels}" in str(err.value)
+        assert str(level_dims) in str(err.value)
+
+    @pytest.mark.parametrize("dims,levels", [((2, 8, 8), 1), ((12, 5, 12), 3)])
+    def test_deepest_pyramid_the_dims_allow_runs(self, rng, dims, levels):
+        v = random_volume(rng, dims)
+        report = register(v, v, quick_cfg(pyramid_levels=levels, iterations_per_level=1))
+        assert min(report.levels[0].dims) == 2
+        assert report.field.dims == dims
 
     def test_identical_pair_stays_at_identity(self, rng):
         v = random_volume(rng, (16, 16, 16))
@@ -339,6 +362,163 @@ class TestRegisterConvNet:
             zscore_normalize(fixed), zscore_normalize(moving), report.field, cfg.loss
         )
         assert lv.total == pytest.approx(best, abs=1e-12)
+
+    def test_convnet_pads_axes_a_pyramid_refuses(self, rng):
+        v = random_volume(rng, (8, 8, 1))
+        cfg = RegistrationConfig(
+            mode="convnet",
+            iterations_per_level=1,
+            loss=LossConfig(ncc_window=5),
+            convnet=ConvNetConfig(levels=1, base_filters=2),
+        )
+        report = register(v, v, cfg)
+        assert report.padded_dims == (8, 8, 2)
+        assert report.field.dims == (8, 8, 1)
+
+    def test_loop_drops_cache_and_gradient_before_next_forward(self, rng):
+        # a run holds one pass's arrays plus its best iterate and Adam's
+        # state, far less than a second activation cache; keeping the last
+        # iterate's cache and gradient alive through the next forward pass
+        # raised the run's peak over one pass from 0.20 to 1.06 MB here,
+        # against a 1.55 MB cache
+        dims = (16, 16, 16)
+        fixed = zscore_normalize(random_volume(rng, dims))
+        moving = zscore_normalize(random_volume(rng, dims))
+        cfg = RegistrationConfig(
+            mode="convnet",
+            iterations_per_level=2,
+            loss=LossConfig(ncc_window=5),
+            convnet=ConvNetConfig(levels=2, base_filters=4),
+        )
+        params = init_convnet_parameters(cfg.convnet, seed=cfg.seed)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            field, cache = convnet_forward(params, fixed, moving)
+            cache_bytes = tracemalloc.get_traced_memory()[0] - before
+            _, grad = overall_loss(fixed, moving, field, cfg.loss)
+            convnet_backward(cache, grad)
+            one_pass = tracemalloc.get_traced_memory()[1] - before
+            del field, cache, grad
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            register(fixed, moving, cfg)
+            run = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert run - one_pass < cache_bytes / 2
+
+
+def _fail_loss_at(monkeypatch, call):
+    """Make the level loop's ``call``-th loss evaluation (1-based)
+    non-finite; returns a list that records, per Adam step, whether every
+    gradient it was given is finite."""
+    seen, stepped = [], []
+    real_loss, real_adam = defreg.register.overall_loss, defreg.register.adam_step
+
+    def loss(*args):
+        lv, grad = real_loss(*args)
+        seen.append(lv)
+        if len(seen) == call:
+            return replace(lv, total=float("nan")), np.full_like(grad, np.nan)
+        return lv, grad
+
+    def adam(params, grads, state):
+        stepped.append(all(np.isfinite(g).all() for g in grads.values()))
+        return real_adam(params, grads, state)
+
+    monkeypatch.setattr(defreg.register, "overall_loss", loss)
+    monkeypatch.setattr(defreg.register, "adam_step", adam)
+    return stepped
+
+
+def _strict_json(report) -> dict:
+    return json.loads(json.dumps(report_to_json(report), allow_nan=False))
+
+
+class TestDivergence:
+    def test_non_finite_loss_stops_the_run_before_adam_steps_on_it(self, rng, monkeypatch):
+        spacing = (1.0, 1.5, 2.0)
+        fixed = random_volume(rng, (16, 16, 16), spacing=spacing)
+        moving = random_volume(rng, (16, 16, 16), spacing=spacing)
+        # level 0: entry + 8 steps = calls 1-9; level 1 entry is call 10, so
+        # call 13 is level 1's third step
+        stepped = _fail_loss_at(monkeypatch, 13)
+        report = register(fixed, moving, quick_cfg(pyramid_levels=3, iterations_per_level=8))
+        assert report.stop_reason == "diverged"
+        assert [t.stop_reason for t in report.levels] == ["max_iters", "diverged"]
+        last = report.levels[-1]
+        assert last.iterations == 3
+        assert len(last.losses) == 3  # the non-finite loss is not recorded
+        assert report.iterations_executed == 11 == sum(t.iterations for t in report.levels)
+        assert stepped == [True] * 11
+        assert report.final == min(last.losses, key=lambda lv: lv.total)
+        assert last.losses[last.best_iteration] == report.final
+        # returned like a budget stop: resampled onto the input grid
+        assert report.field.dims == (16, 16, 16)
+        assert report.field.spacing == spacing
+        assert _strict_json(report)["stop_reason"] == "diverged"
+
+    def test_non_finite_entry_loss_returns_the_coarser_best(self, rng, monkeypatch):
+        fixed = random_volume(rng, (12, 12, 12))
+        moving = random_volume(rng, (12, 12, 12))
+        stepped = _fail_loss_at(monkeypatch, 6)  # level 1's entry
+        report = register(fixed, moving, quick_cfg(iterations_per_level=4))
+        coarse, fine = report.levels
+        assert (fine.stop_reason, fine.iterations, fine.losses) == ("diverged", 0, [])
+        assert report.final == coarse.losses[coarse.best_iteration]
+        assert report.field.dims == (12, 12, 12)
+        assert stepped == [True] * 4
+        _strict_json(report)
+
+    def test_convnet_returns_the_best_of_all_rounds_cropped(self, rng, monkeypatch):
+        fixed = random_volume(rng, (9, 9, 9))
+        moving = random_volume(rng, (9, 9, 9))
+        cfg = RegistrationConfig(
+            mode="convnet",
+            pyramid_levels=3,
+            iterations_per_level=3,
+            learning_rate=1.0,
+            loss=LossConfig(ncc_window=5, reg_weight=0.1),
+            convnet=ConvNetConfig(levels=1, base_filters=2),
+            seed=5,
+        )
+        stepped = _fail_loss_at(monkeypatch, 6)  # round 1, first step
+        report = register(fixed, moving, cfg)
+        assert [t.stop_reason for t in report.levels] == ["max_iters", "diverged"]
+        assert report.final.total == min(lv.total for t in report.levels for lv in t.losses)
+        assert stepped == [True] * 4
+        assert report.padded_dims == (10, 10, 10)
+        assert report.field.dims == (9, 9, 9)
+        # the returned weights regenerate the returned field
+        f, m = (
+            Volume(data=np.pad(zscore_normalize(v).data, [(0, 1)] * 3, mode="edge"))
+            for v in (fixed, moving)
+        )
+        pred, _ = convnet_forward(report.parameters, f, m)
+        assert np.array_equal(pred.data[:9, :9, :9], report.field.data)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(pyramid_levels=1, learning_rate=1e308),
+            dict(pyramid_levels=2, learning_rate=1e200),
+            dict(pyramid_levels=1, learning_rate=1e200, loss=LossConfig(reg_weight=1e300)),
+            dict(mode="convnet", learning_rate=1e300),
+        ],
+        ids=["lr1e308", "two-levels", "lambda1e300", "convnet"],
+    )
+    def test_finite_settings_that_overflow_end_as_diverged(self, settings):
+        case = generate_case(SynthConfig(dims=(16, 16, 16), max_displacement=2.0))
+        report = register(
+            case.fixed, case.moving, RegistrationConfig(iterations_per_level=5, **settings)
+        )
+        assert report.stop_reason == "diverged"
+        assert report.levels[-1].stop_reason == "diverged"
+        assert report.field.dims == (16, 16, 16)
+        assert all(np.isfinite(lv.total) for t in report.levels for lv in t.losses)
+        _strict_json(report)
 
 
 class TestReportJson:
