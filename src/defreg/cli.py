@@ -239,6 +239,8 @@ def _resolve(settings, args) -> dict:
 
 
 def _cmd_register(args) -> int:
+    import numpy as np
+
     from .loss import LossConfig
     from .model import ConvNetConfig, save_checkpoint
     from .register import RegistrationConfig, register, report_to_json
@@ -262,7 +264,10 @@ def _cmd_register(args) -> int:
         f"levels={cfg.resolved_levels} dims={fixed.dims}",
         file=sys.stderr,
     )
-    report = register(fixed, moving, cfg)
+    # a diverging run says so in its stop reason; numpy's overflow warnings
+    # would only point into the library's internals
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = register(fixed, moving, cfg)
 
     out_field = Path(args.out_field)
     save_field(report.field, out_field)

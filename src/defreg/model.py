@@ -25,6 +25,17 @@ argmax; per decoder level, the channel split of the concatenation and the
 block's cache; and the head's input.  The backward pass walks the same
 structure in reverse and only reads it.
 
+One primitive computes every convolution, 3x3x3 and 1x1x1 alike, on BLAS:
+per kernel tap, the shifted slice of the zero-padded input is copied into a
+reused contiguous (C_in, voxels) buffer and multiplied by that tap's
+(C_out, C_in) weights, the per-tap half of im2col.  The copies and products
+run over slabs of a few output x-planes, so the buffer and the product stay
+a few MB however large the volume.  The weight gradient multiplies the same
+tap buffers by the output gradient, and the input gradient is the
+transposed convolution: the forward primitive applied to the output
+gradient with the kernel flipped on all three axes and C_in, C_out swapped,
+so no padded input-gradient array is scattered into.
+
 Batch normalization always normalizes with the statistics of the current
 pass.  With one image pair per pass that is instance normalization, so there
 are no running statistics: every tensor is trainable, and a saved checkpoint
@@ -58,6 +69,7 @@ _BN_EPS = 1e-5
 _CHECKPOINT_MAGIC = b"IRNW"
 _CHECKPOINT_VERSION = 2  # 1 also stored batch-norm running statistics
 KERNEL_SIZE = 3  # interior convolutions; checkpoint headers record it
+_SLAB_VOXELS = 1 << 13  # output voxels per tap matmul; bounds its buffers
 
 
 @dataclass(frozen=True)
@@ -129,37 +141,59 @@ def init_convnet_parameters(cfg: ConvNetConfig, seed: int = 0) -> ConvNetParamet
 # ---------------------------------------------------------------------------
 # layer primitives (channels-first (C, X, Y, Z) float64 arrays)
 
+def _taps(xp, k, dims):
+    """Yields (tap, part, cols) for each slab of output x-planes and each
+    kernel tap.  ``cols`` holds the tap's shifted input slice over the slab
+    as a contiguous (C, slab voxels) matrix, copied into one reused buffer;
+    ``part`` selects the slab's columns of the flattened (C, N) output.
+    Slabs split nx evenly into at most _SLAB_VOXELS voxels each."""
+    c = xp.shape[0]
+    nx, ny, nz = dims
+    plane = ny * nz
+    step = max(
+        (d for d in range(1, nx + 1) if nx % d == 0 and d * plane <= _SLAB_VOXELS), default=1
+    )
+    buf = np.empty((c, step, ny, nz))
+    cols = buf.reshape(c, -1)
+    for x0 in range(0, nx, step):
+        x1 = x0 + step
+        for dx, dy, dz in np.ndindex(k, k, k):
+            np.copyto(buf, xp[:, x0 + dx : x1 + dx, dy : dy + ny, dz : dz + nz])
+            yield (dx, dy, dz), slice(x0 * plane, x1 * plane), cols
+
+
 def _conv_forward(x, w, b):
     """Same-padded convolution with the k x k x k kernel ``w``; returns
     (out, padded input).  A 1x1x1 kernel needs no padding, so its input is
     kept uncopied."""
     k = w.shape[-1]
-    nx, ny, nz = x.shape[1:]
+    dims = x.shape[1:]
     xp = np.pad(x, ((0, 0),) + ((k // 2, k // 2),) * 3) if k > 1 else x
-    out = np.broadcast_to(b[:, None, None, None], (w.shape[0], nx, ny, nz)).copy()
-    for dx, dy, dz in np.ndindex(k, k, k):
-        out += np.einsum(
-            "oi,ixyz->oxyz",
-            w[:, :, dx, dy, dz],
-            xp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz],
-        )
-    return out, xp
+    # each tap's (C_out, C_in) weights contiguous, so matmul hands them to BLAS
+    w_taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))
+    out = np.empty((w.shape[0], int(np.prod(dims))))
+    out[...] = b[:, None]
+    tmp = None
+    for tap, part, cols in _taps(xp, k, dims):
+        tmp = np.matmul(w_taps[tap], cols, out=tmp)
+        out[:, part] += tmp
+    return out.reshape((-1,) + dims), xp
 
 
 def _conv_backward(xp, w, dout):
+    """(input, weight, bias) gradients of ``_conv_forward``.  The input
+    gradient is the forward convolution of ``dout`` with the kernel flipped
+    on all three axes and its channel axes swapped."""
     k = w.shape[-1]
-    nx, ny, nz = dout.shape[1:]
+    dims = dout.shape[1:]
+    dout2d = dout.reshape(dout.shape[0], -1)
     dw = np.zeros_like(w)
+    for (dx, dy, dz), part, cols in _taps(xp, k, dims):
+        dw[:, :, dx, dy, dz] += dout2d[:, part] @ cols.T
     db = dout.sum(axis=(1, 2, 3))
-    dxp = np.zeros_like(xp)
-    for dx, dy, dz in np.ndindex(k, k, k):
-        sl = xp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz]
-        dw[:, :, dx, dy, dz] = np.einsum("oxyz,ixyz->oi", dout, sl)
-        dxp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz] += np.einsum(
-            "oi,oxyz->ixyz", w[:, :, dx, dy, dz], dout
-        )
-    p = k // 2
-    return dxp[:, p : p + nx, p : p + ny, p : p + nz], dw, db
+    flipped = w[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)
+    din, _ = _conv_forward(dout, flipped, np.zeros(w.shape[1]))
+    return din, dw, db
 
 
 def _maxpool_forward(x):
@@ -240,7 +274,9 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     """Predict a displacement field from the stacked pair.
 
     Returns (field, cache); the cache feeds convnet_backward, which only
-    reads it.  Reads the parameters and never modifies them.
+    reads it.  Reads the parameters and never modifies them.  Weights that
+    overflow the pass give no field: it is None, and the caller decides what
+    a diverged iterate means.
     """
     cfg = params.config
     if fixed.dims != moving.dims:
@@ -267,7 +303,9 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
         dec.insert(0, (split, block))
     out, head_x = _conv_forward(x, t["head_w"], t["head_b"])
     field_data = np.moveaxis(out, 0, -1)
-    pred = DisplacementField(data=field_data, spacing=fixed.spacing, origin=fixed.origin)
+    pred = None
+    if np.isfinite(field_data).all():
+        pred = DisplacementField(data=field_data, spacing=fixed.spacing, origin=fixed.origin)
     cache = {"dims": fixed.dims, "enc": enc, "dec": dec, "head": (head_x, t["head_w"])}
     return pred, cache
 

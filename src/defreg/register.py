@@ -4,9 +4,10 @@ Minimizes windowed-NCC dissimilarity plus displacement-gradient smoothness
 with Adam.  One level loop serves both parameterizations; each level runs
 Adam from a fresh state and tracks its best iterate, with the same
 convergence and time-budget stops.  The loop is also where a diverging
-run is caught: the loss functions do not check finiteness, and a
-non-finite loss value stops the run as ``diverged`` before Adam steps on
-its gradient.  As after a budget stop, no later level runs and the best
+run is caught: the loss functions do not check finiteness, and the network
+gives no field when its weights overflow the forward pass.  A non-finite
+field or loss value stops the run as ``diverged`` before Adam steps on its
+gradient.  As after a budget stop, no later level runs and the best
 finite iterate is returned.  The modes differ only in what a level
 optimizes and what is returned:
 
@@ -151,9 +152,9 @@ class RegistrationConfig:
 class LevelTrace:
     """Per-level diagnostics; losses[0] is the entry loss before any step.
 
-    ``iterations`` counts the Adam steps taken.  A non-finite loss is not
-    recorded, so a level that stops as ``diverged`` holds ``iterations``
-    losses rather than ``iterations + 1``.
+    ``iterations`` counts the Adam steps taken.  The iterate whose field or
+    loss is non-finite records no loss, so a level that stops as
+    ``diverged`` holds ``iterations`` losses rather than ``iterations + 1``.
     """
 
     level: int  # 0 = coarsest
@@ -271,7 +272,8 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
         params = init_convnet_parameters(cfg.convnet, seed=cfg.seed).tensors
 
     def predict(params, f_l, m_l):
-        """Parameters -> (field, cache for the backward pass)."""
+        """Parameters -> (field, cache for the backward pass); the field is
+        None when network weights overflow the forward pass."""
         if freeform:
             data = params["field"]
             data.flags.writeable = False  # lets the field share it uncopied
@@ -307,8 +309,10 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
                 params, state = adam_step(params, backward(cache, grad), state)
                 cache = grad = None  # not kept alive through the next forward
             u, cache = predict(params, f_l, m_l)
-            lv, grad = overall_loss(f_l, m_l, u, cfg.loss)
-            if not np.isfinite(lv.total):  # before Adam can step on its gradient
+            if u is not None:
+                lv, grad = overall_loss(f_l, m_l, u, cfg.loss)
+            # a non-finite field or loss: stop before Adam steps on its gradient
+            if u is None or not np.isfinite(lv.total):
                 level_stop = "diverged"
                 break
             losses.append(lv)

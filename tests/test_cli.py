@@ -444,6 +444,7 @@ class TestDivergence:
         ["--levels", "2", "--learning-rate", "1e200"],
         ["--levels", "1", "--lambda", "1e300", "--learning-rate", "1e200"],
         ["--mode", "convnet", "--learning-rate", "1e300"],
+        ["--mode", "convnet", "--learning-rate", "1e308"],
     ], ids=" ".join)
     def test_overflowing_run_stops_as_diverged(self, repro_case, tmp_path, flags):
         from defreg.warp import load_field
@@ -461,6 +462,21 @@ class TestDivergence:
         text = (tmp_path / "d.dfield.report.json").read_text()
         report = json.loads(text, parse_constant=_refuse_constant)
         assert report["stop_reason"] == report["levels"][-1]["stop_reason"] == "diverged"
+
+    def test_diverging_run_prints_no_numpy_warnings(self, repro_case, tmp_path):
+        # the stop reason reports the divergence; numpy's overflow warnings
+        # would point into the library's internals
+        proc = run_cli(
+            "--threads", "1", "register",
+            "--fixed", str(repro_case / "fixed.vol"),
+            "--moving", str(repro_case / "moving.vol"),
+            "--out-field", str(tmp_path / "d.dfield"),
+            "--iters", "5", "--levels", "1", "--learning-rate", "1e308",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "stop=diverged"
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.splitlines()[0]]  # the progress line only
 
 
 class TestPyramidDepth:

@@ -6,12 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import defreg.model
 from defreg.model import (
     AdamState,
     ConvNetConfig,
     ConvNetParameters,
     _bn_backward,
     _bn_forward,
+    _conv_backward,
     _conv_forward,
     _layer_plan,
     _maxpool_backward,
@@ -51,52 +53,30 @@ def brute_conv(x, w, b):
     return out
 
 
-# -- the tape implementation the structured forward/backward replaced, kept
-# -- as the bit-exact reference: separate 3x3x3 and 1x1x1 convolutions, and
-# -- a list of tagged records that the backward pass interprets in reverse
-
-def tape_conv3_forward(x, w, b):
-    cout = w.shape[0]
+def brute_conv_adjoint(x, w, dout):
+    """(dx, dw, db) of ``brute_conv`` for the output gradient ``dout``,
+    scattered one output voxel at a time."""
+    cout, cin, ks = w.shape[:3]
     nx, ny, nz = x.shape[1:]
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
-    out = np.broadcast_to(b[:, None, None, None], (cout, nx, ny, nz)).copy()
-    for dx in range(3):
-        for dy in range(3):
-            for dz in range(3):
-                out += np.einsum(
-                    "oi,ixyz->oxyz",
-                    w[:, :, dx, dy, dz],
-                    xp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz],
-                )
-    return out, xp
-
-
-def tape_conv3_backward(xp, w, dout):
-    nx, ny, nz = dout.shape[1:]
-    dw = np.zeros_like(w)
-    db = dout.sum(axis=(1, 2, 3))
+    p = ks // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
     dxp = np.zeros_like(xp)
-    for dx in range(3):
-        for dy in range(3):
-            for dz in range(3):
-                sl = xp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz]
-                dw[:, :, dx, dy, dz] = np.einsum("oxyz,ixyz->oi", dout, sl)
-                dxp[:, dx : dx + nx, dy : dy + ny, dz : dz + nz] += np.einsum(
-                    "oi,oxyz->ixyz", w[:, :, dx, dy, dz], dout
-                )
-    return dxp[:, 1:-1, 1:-1, 1:-1], dw, db
+    dw = np.zeros_like(w)
+    for o in range(cout):
+        for i in range(nx):
+            for j in range(ny):
+                for k in range(nz):
+                    g = dout[o, i, j, k]
+                    dxp[:, i : i + ks, j : j + ks, k : k + ks] += g * w[o]
+                    dw[o] += g * xp[:, i : i + ks, j : j + ks, k : k + ks]
+    return dxp[:, p : p + nx, p : p + ny, p : p + nz], dw, dout.sum(axis=(1, 2, 3))
 
 
-def tape_conv1_forward(x, w, b):
-    return np.einsum("oi,ixyz->oxyz", w[:, :, 0, 0, 0], x) + b[:, None, None, None]
-
-
-def tape_conv1_backward(x, w, dout):
-    dw = np.einsum("oxyz,ixyz->oi", dout, x)[:, :, None, None, None]
-    db = dout.sum(axis=(1, 2, 3))
-    dx = np.einsum("oi,oxyz->ixyz", w[:, :, 0, 0, 0], dout)
-    return dx, dw, db
-
+# -- the tape implementation the structured forward/backward replaced, kept
+# -- as the bit-exact reference for the block structure: a list of tagged
+# -- records that the backward pass interprets in reverse.  It calls the
+# -- same convolution primitive, which is tested on its own against
+# -- brute_conv and brute_conv_adjoint.
 
 def tape_forward(params, fixed, moving):
     cfg, t = params.config, params.tensors
@@ -105,7 +85,7 @@ def tape_forward(params, fixed, moving):
     for l in range(cfg.levels):
         for conv in (1, 2):
             w, b = t[f"enc{l}_conv{conv}_w"], t[f"enc{l}_conv{conv}_b"]
-            x, xp = tape_conv3_forward(x, w, b)
+            x, xp = _conv_forward(x, w, b)
             records.append(("conv", f"enc{l}_conv{conv}", xp, w))
             mask = x > 0
             x = x * mask
@@ -120,7 +100,7 @@ def tape_forward(params, fixed, moving):
         x = np.concatenate([x, skips[l]], axis=0)
         records.append(("concat", split, l))
         w, b = t[f"dec{l}_conv_w"], t[f"dec{l}_conv_b"]
-        x, xp = tape_conv3_forward(x, w, b)
+        x, xp = _conv_forward(x, w, b)
         records.append(("conv", f"dec{l}_conv", xp, w))
         if cfg.use_batchnorm:
             x, bn_cache = _bn_forward(x, t[f"dec{l}_bn_gamma"], t[f"dec{l}_bn_beta"])
@@ -128,7 +108,7 @@ def tape_forward(params, fixed, moving):
         mask = x > 0
         x = x * mask
         records.append(("relu", mask))
-    out = tape_conv1_forward(x, t["head_w"], t["head_b"])
+    out, _ = _conv_forward(x, t["head_w"], t["head_b"])
     records.append(("head", x, t["head_w"]))
     return np.moveaxis(out, 0, -1), {"records": records, "skip_grads": [None] * cfg.levels}
 
@@ -140,13 +120,13 @@ def tape_backward(cache, grad):
     for rec in reversed(cache["records"]):
         kind = rec[0]
         if kind == "head":
-            dx, grads["head_w"], grads["head_b"] = tape_conv1_backward(rec[1], rec[2], dx)
+            dx, grads["head_w"], grads["head_b"] = _conv_backward(rec[1], rec[2], dx)
         elif kind == "relu":
             dx = dx * rec[1]
         elif kind == "bn":
             dx, grads[rec[1] + "_gamma"], grads[rec[1] + "_beta"] = _bn_backward(rec[2], dx)
         elif kind == "conv":
-            dx, grads[rec[1] + "_w"], grads[rec[1] + "_b"] = tape_conv3_backward(rec[2], rec[3], dx)
+            dx, grads[rec[1] + "_w"], grads[rec[1] + "_b"] = _conv_backward(rec[2], rec[3], dx)
         elif kind == "concat":
             _, split, level = rec
             skip_grads[level] = dx[split:]
@@ -203,21 +183,47 @@ class TestInit:
         assert any(not np.array_equal(a.tensors[k], c.tensors[k]) for k in a.tensors)
 
 
+# The conv primitive and the brute-force loops add the same float64
+# products in different orders.  On these standard-normal inputs the values
+# are O(10) and the rounding differences O(1e-14), so 1e-10 is a wide margin
+# that still catches a wrong tap, channel or flip, each an O(1) error.
+CONV_ATOL = 1e-10
+
+
+def check_conv_in_slabs(monkeypatch, x, w, b, dout):
+    """``_conv_forward`` against ``brute_conv`` and ``_conv_backward``
+    against ``brute_conv_adjoint``, with the x-planes taken one per slab,
+    two per slab and all in one; returns the padded input."""
+    plane = x.shape[2] * x.shape[3]
+    want_out = brute_conv(x, w, b)
+    want = brute_conv_adjoint(x, w, dout)
+    for slab in (plane, 2 * plane, 1 << 13):
+        monkeypatch.setattr(defreg.model, "_SLAB_VOXELS", slab)
+        out, xp = _conv_forward(x, w, b)
+        np.testing.assert_allclose(out, want_out, rtol=0, atol=CONV_ATOL)
+        got = _conv_backward(xp, w, dout)
+        assert [g.shape for g in got] == [x.shape, w.shape, b.shape]
+        for g, ref in zip(got, want):  # dx, dw, db
+            np.testing.assert_allclose(g, ref, rtol=0, atol=CONV_ATOL)
+    return xp
+
+
 class TestLayerPrimitives:
-    def test_conv3_matches_brute_force(self, rng):
+    def test_conv3_matches_brute_force(self, rng, monkeypatch):
         x = rng.standard_normal((3, 4, 5, 4))
         w = rng.standard_normal((2, 3, 3, 3, 3))
         b = rng.standard_normal(2)
-        out, xp = _conv_forward(x, w, b)
-        np.testing.assert_allclose(out, brute_conv(x, w, b), atol=1e-10)
+        dout = rng.standard_normal((2, 4, 5, 4))
+        xp = check_conv_in_slabs(monkeypatch, x, w, b, dout)
         assert xp.shape == (3, 6, 7, 6)
 
-    def test_conv1_matches_brute_force_without_padding(self, rng):
+    def test_conv1_matches_brute_force_without_padding(self, rng, monkeypatch):
         x = rng.standard_normal((3, 4, 5, 4))
         w = rng.standard_normal((2, 3, 1, 1, 1))
         b = rng.standard_normal(2)
-        out, xp = _conv_forward(x, w, b)
-        np.testing.assert_allclose(out, brute_conv(x, w, b), atol=1e-10)
+        # a channels-last view, like the head's gradient from the loss
+        dout = np.moveaxis(rng.standard_normal((4, 5, 4, 2)), -1, 0)
+        xp = check_conv_in_slabs(monkeypatch, x, w, b, dout)
         assert xp is x  # nothing to pad, so the head's input is not copied
 
     def test_maxpool_blockwise_max(self, rng):
