@@ -15,9 +15,10 @@ two 3x3x3 same-padded convolutions each followed by ReLU, then 2x max
 pooling; filter counts double per level starting at F.  The decoder applies,
 per level, nearest-neighbor 2x up-sampling, concatenation with the matching
 encoder features, one 3x3x3 convolution, optional batch normalization and
-ReLU.  A final 1x1x1 convolution maps to 3 channels interpreted as mm
-displacements.  The head starts at exactly zero, so an untrained network
-predicts the identity transform.
+ReLU; a convolution followed by batch norm has no bias, which the norm's
+mean subtraction would cancel.  A final 1x1x1 convolution maps to 3 channels
+interpreted as mm displacements.  The head starts at exactly zero, so an
+untrained network predicts the identity transform.
 
 Convolution, optional batch norm and ReLU form one block.  The forward
 pass keeps, per encoder level, its two blocks' caches and the pool's
@@ -39,7 +40,8 @@ so no padded input-gradient array is scattered into.
 Batch normalization always normalizes with the statistics of the current
 pass.  With one image pair per pass that is instance normalization, so there
 are no running statistics: every tensor is trainable, and a saved checkpoint
-reproduces the field it was saved with.
+reproduces the field it was saved with.  Checkpoints are version 3;
+version 2 is refused.
 """
 
 from __future__ import annotations
@@ -66,9 +68,11 @@ __all__ = [
 ]
 
 _BN_EPS = 1e-5
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 _CHECKPOINT_MAGIC = b"IRNW"
-_CHECKPOINT_VERSION = 2  # 1 also stored batch-norm running statistics
-KERNEL_SIZE = 3  # interior convolutions; checkpoint headers record it
+# 2 also stored the kernel size and the decoder conv biases that batch norm
+# cancels; 1 also stored batch-norm running statistics
+_CHECKPOINT_VERSION = 3
 _SLAB_VOXELS = 1 << 13  # output voxels per tap matmul; bounds its buffers
 
 
@@ -110,10 +114,11 @@ def _layer_plan(cfg: ConvNetConfig):
     for l in reversed(range(cfg.levels)):
         f = cfg.base_filters * (2**l)
         plan.append((f"dec{l}_conv_w", (f, up_ch + enc_ch[l], 3, 3, 3)))
-        plan.append((f"dec{l}_conv_b", (f,)))
-        if cfg.use_batchnorm:
+        if cfg.use_batchnorm:  # its mean subtraction cancels a conv bias
             plan.append((f"dec{l}_bn_gamma", (f,)))
             plan.append((f"dec{l}_bn_beta", (f,)))
+        else:
+            plan.append((f"dec{l}_conv_b", (f,)))
         up_ch = f
     plan.append(("head_w", (3, cfg.base_filters, 1, 1, 1)))
     plan.append(("head_b", (3,)))
@@ -162,17 +167,17 @@ def _taps(xp, k, dims):
             yield (dx, dy, dz), slice(x0 * plane, x1 * plane), cols
 
 
-def _conv_forward(x, w, b):
-    """Same-padded convolution with the k x k x k kernel ``w``; returns
-    (out, padded input).  A 1x1x1 kernel needs no padding, so its input is
-    kept uncopied."""
+def _conv_forward(x, w, b=None):
+    """Same-padded convolution with the k x k x k kernel ``w``, plus the
+    bias ``b`` if given; returns (out, padded input).  A 1x1x1 kernel needs
+    no padding, so its input is kept uncopied."""
     k = w.shape[-1]
     dims = x.shape[1:]
     xp = np.pad(x, ((0, 0),) + ((k // 2, k // 2),) * 3) if k > 1 else x
     # each tap's (C_out, C_in) weights contiguous, so matmul hands them to BLAS
     w_taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))
     out = np.empty((w.shape[0], int(np.prod(dims))))
-    out[...] = b[:, None]
+    out[...] = 0.0 if b is None else b[:, None]
     tmp = None
     for tap, part, cols in _taps(xp, k, dims):
         tmp = np.matmul(w_taps[tap], cols, out=tmp)
@@ -192,7 +197,7 @@ def _conv_backward(xp, w, dout):
         dw[:, :, dx, dy, dz] += dout2d[:, part] @ cols.T
     db = dout.sum(axis=(1, 2, 3))
     flipped = w[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)
-    din, _ = _conv_forward(dout, flipped, np.zeros(w.shape[1]))
+    din, _ = _conv_forward(dout, flipped)
     return din, dw, db
 
 
@@ -250,9 +255,10 @@ def _bn_backward(cache, dout):
 
 
 def _block_forward(x, t, conv, bn=None):
-    """Convolution ``conv``, batch norm ``bn`` if named, then ReLU."""
+    """Convolution ``conv``, batch norm ``bn`` if named, then ReLU; the
+    convolution has a bias only without batch norm."""
     w = t[conv + "_w"]
-    x, xp = _conv_forward(x, w, t[conv + "_b"])
+    x, xp = _conv_forward(x, w, None if bn else t[conv + "_b"])
     bn_cache = None
     if bn is not None:
         x, bn_cache = _bn_forward(x, t[bn + "_gamma"], t[bn + "_beta"])
@@ -266,7 +272,9 @@ def _block_backward(cache, dout, grads, conv, bn=None):
     dx = dout * mask
     if bn_cache is not None:
         dx, grads[bn + "_gamma"], grads[bn + "_beta"] = _bn_backward(bn_cache, dx)
-    dx, grads[conv + "_w"], grads[conv + "_b"] = _conv_backward(xp, w, dx)
+    dx, grads[conv + "_w"], db = _conv_backward(xp, w, dx)
+    if bn_cache is None:
+        grads[conv + "_b"] = db
     return dx
 
 
@@ -340,15 +348,13 @@ def convnet_backward(cache, grad: np.ndarray) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators, the learning rate and the step
+    counter.  The decay rates and epsilon are the module's constants."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    alpha: float
     t: int = 0
-    alpha: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, params: dict[str, np.ndarray], alpha: float) -> "AdamState":
@@ -381,15 +387,15 @@ def adam_step(
         # The products with g are short-lived temporaries: freed within the
         # step, their memory is reused while still mapped, which measured
         # faster than fewer, longer-lived buffers.
-        mk = state.beta1 * m[k]
-        mk += (1.0 - state.beta1) * g
+        mk = _ADAM_BETA1 * m[k]
+        mk += (1.0 - _ADAM_BETA1) * g
         vk = g * g
-        vk *= 1.0 - state.beta2
-        vk += state.beta2 * v[k]
-        den = vk / (1.0 - state.beta2**t)
+        vk *= 1.0 - _ADAM_BETA2
+        vk += _ADAM_BETA2 * v[k]
+        den = vk / (1.0 - _ADAM_BETA2**t)
         np.sqrt(den, out=den)
-        den += state.eps
-        mhat = mk / (1.0 - state.beta1**t)  # laid out like m, not like g
+        den += _ADAM_EPS
+        mhat = mk / (1.0 - _ADAM_BETA1**t)  # laid out like m, not like g
         mhat *= state.alpha
         mhat /= den
         del den
@@ -409,12 +415,7 @@ def save_checkpoint(path, params: ConvNetParameters) -> None:
     chunks = [
         _CHECKPOINT_MAGIC,
         struct.pack(
-            "<5I",
-            _CHECKPOINT_VERSION,
-            cfg.levels,
-            cfg.base_filters,
-            int(cfg.use_batchnorm),
-            KERNEL_SIZE,
+            "<4I", _CHECKPOINT_VERSION, cfg.levels, cfg.base_filters, int(cfg.use_batchnorm)
         ),
         struct.pack("<I", len(plan)),
     ]
@@ -432,20 +433,18 @@ def load_checkpoint(path) -> ConvNetParameters:
     raw = Path(path).read_bytes()
     if raw[:4] != _CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic {raw[:4]!r}")
-    version, levels, base_filters, use_bn, ksize = struct.unpack_from("<5I", raw, 4)
+    version, levels, base_filters, use_bn = struct.unpack_from("<4I", raw, 4)
     if version != _CHECKPOINT_VERSION:
         raise ValueError(
             f"unsupported checkpoint version {version}; this build reads version "
             f"{_CHECKPOINT_VERSION} only"
         )
-    if ksize != KERNEL_SIZE:
-        raise ValueError(f"checkpoint kernel size {ksize}; convolutions are fixed at {KERNEL_SIZE}")
     cfg = ConvNetConfig(levels=levels, base_filters=base_filters, use_batchnorm=bool(use_bn))
     plan = _layer_plan(cfg)
-    (count,) = struct.unpack_from("<I", raw, 24)
+    (count,) = struct.unpack_from("<I", raw, 20)
     if count != len(plan):
         raise ValueError(f"checkpoint lists {count} tensors, config implies {len(plan)}")
-    off = 28
+    off = 24
     tensors: dict[str, np.ndarray] = {}
     for name, shape in plan:
         (ndim,) = struct.unpack_from("<I", raw, off)

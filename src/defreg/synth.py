@@ -31,6 +31,7 @@ from .evaluate import LandmarkSet, save_landmarks
 from .volume import Volume, _check_triple, save_volume, zscore_normalize
 from .warp import (
     DisplacementField,
+    _trilinear,
     folding_fraction,
     jacobian_determinant,
     save_field,
@@ -140,30 +141,19 @@ def _bump_field(cfg: SynthConfig, rng: np.random.Generator) -> DisplacementField
     )
 
 
-def _sample_field_at(field: DisplacementField, cx, cy, cz) -> np.ndarray:
-    from .warp import _trilinear
-
-    out, _ = _trilinear(field.data, cx, cy, cz, want_grad=False)
-    return out
-
-
 def _invert_field(u: DisplacementField) -> tuple[DisplacementField, float]:
     """Fixed-point inversion v(y) = -u(y + v(y)); residual in voxel units."""
-    sp = np.asarray(u.spacing)
-    nx, ny, nz = u.dims
-    gx = np.arange(nx)[:, None, None] * sp[0]
-    gy = np.arange(ny)[None, :, None] * sp[1]
-    gz = np.arange(nz)[None, None, :] * sp[2]
+    sp = u.spacing
+    grid = _world_grid(u.dims, sp)
+
+    def u_at(v):  # u at the points y + v(y), from their voxel coordinates
+        cx, cy, cz = ((g + v[..., a]) / sp[a] for a, g in enumerate(grid))
+        return _trilinear(u.data, cx, cy, cz, want_grad=False)[0]
+
     v = np.zeros_like(u.data)
     for _ in range(_INVERT_ITERATIONS):
-        cx = (gx + v[..., 0]) / sp[0]
-        cy = (gy + v[..., 1]) / sp[1]
-        cz = (gz + v[..., 2]) / sp[2]
-        v = -_sample_field_at(u, cx, cy, cz)
-    cx = (gx + v[..., 0]) / sp[0]
-    cy = (gy + v[..., 1]) / sp[1]
-    cz = (gz + v[..., 2]) / sp[2]
-    resid = v + _sample_field_at(u, cx, cy, cz)
+        v = -u_at(v)
+    resid = v + u_at(v)
     residual = float(np.max(np.sqrt(((resid / sp) ** 2).sum(axis=-1))))
     return DisplacementField(data=v, spacing=u.spacing, origin=u.origin), residual
 

@@ -175,8 +175,10 @@ def test_criterion_04_gradients_match_finite_differences():
                 worst_field = max(worst_field, err)
     assert worst_field < 1e-5
 
-    # network parameters: linear probe loss, FD step refined where the
-    # symmetric bracket crosses a ReLU kink
+    # network parameters: linear probe loss.  A symmetric bracket is used
+    # only if it crosses no kink: every ReLU mask and max-pool argmax of the
+    # forward passes at theta +- step equals the unperturbed one.  The first
+    # such step of four is the one checked, and a weight with none fails.
     net_cfg = ConvNetConfig(levels=1, base_filters=2)
     params = init_convnet_parameters(net_cfg, seed=6)
     params.tensors["head_w"] = rng.uniform(-0.02, 0.02, size=(3, 2, 1, 1, 1))
@@ -185,12 +187,16 @@ def test_criterion_04_gradients_match_finite_differences():
     moving = _random_volume(rng, (8, 8, 8))
     probe = rng.standard_normal((8, 8, 8, 3))
 
-    def loss_for(tensors):
+    def kinks(cache):
+        enc = [a for b1, b2, pool in cache["enc"] for a in (b1[3], b2[3], pool[0])]
+        return enc + [block[3] for _, block in cache["dec"]]
+
+    def loss_and_kinks(tensors):
         p = ConvNetParameters(
             config=net_cfg, tensors={k: v.copy() for k, v in tensors.items()}
         )
-        out, _ = convnet_forward(p, fixed, moving)
-        return float((out.data * probe).sum())
+        out, cache = convnet_forward(p, fixed, moving)
+        return float((out.data * probe).sum()), kinks(cache)
 
     _, cache = convnet_forward(
         ConvNetParameters(
@@ -200,6 +206,7 @@ def test_criterion_04_gradients_match_finite_differences():
         moving,
     )
     grads = convnet_backward(cache, probe)
+    base_kinks = kinks(cache)
     worst_net = 0.0
     for name, g in grads.items():
         theta = params.tensors[name]
@@ -207,15 +214,23 @@ def test_criterion_04_gradients_match_finite_differences():
         for fi in rng.choice(theta.size, size=min(theta.size, 10), replace=False):
             pos = np.unravel_index(int(fi), theta.shape)
             ana = float(g[pos])
-            for step in (1e-3 * scale, 1e-4 * scale, 3e-6 * scale):
+            err = None
+            for step in (1e-3 * scale, 1e-4 * scale, 3e-6 * scale, 1e-7 * scale):
                 up = {k: v.copy() for k, v in params.tensors.items()}
                 up[name][pos] += step
                 dn = {k: v.copy() for k, v in params.tensors.items()}
                 dn[name][pos] -= step
-                num = (loss_for(up) - loss_for(dn)) / (2 * step)
+                (l_up, k_up), (l_dn, k_dn) = loss_and_kinks(up), loss_and_kinks(dn)
+                if any(
+                    not np.array_equal(a, b)
+                    for ks in (k_up, k_dn)
+                    for a, b in zip(base_kinks, ks)
+                ):
+                    continue  # the bracket crosses a kink
+                num = (l_up - l_dn) / (2 * step)
                 err = abs(num - ana) / max(abs(num), abs(ana), 1e-8)
-                if err < 1e-4:
-                    break
+                break
+            assert err is not None, f"every bracket of {name}{pos} crosses a kink"
             worst_net = max(worst_net, err)
     assert worst_net < 1e-4
     print(f"criterion 4: worst field-grad rel err {worst_field:.2e}, "

@@ -375,7 +375,7 @@ class TestConfigFile:
             "reg_weight": 0.1,
             "variance_floor": LossConfig().variance_floor,  # neither: the dataclass default
         }
-        # no kernel_size: it is not a setting (the checkpoint header records it)
+        # no kernel_size: it is not a setting (every interior kernel is 3x3x3)
         assert got["convnet"] == {"levels": 1, "base_filters": 2, "use_batchnorm": False}
         assert got["learning_rate"] == 1.0 and isinstance(got["learning_rate"], float)
         assert got["convergence_tol"] == RegistrationConfig().convergence_tol

@@ -86,7 +86,7 @@ def tape_forward(params, fixed, moving):
         for conv in (1, 2):
             w, b = t[f"enc{l}_conv{conv}_w"], t[f"enc{l}_conv{conv}_b"]
             x, xp = _conv_forward(x, w, b)
-            records.append(("conv", f"enc{l}_conv{conv}", xp, w))
+            records.append(("conv", f"enc{l}_conv{conv}", xp, w, True))
             mask = x > 0
             x = x * mask
             records.append(("relu", mask))
@@ -99,9 +99,9 @@ def tape_forward(params, fixed, moving):
         split = x.shape[0]
         x = np.concatenate([x, skips[l]], axis=0)
         records.append(("concat", split, l))
-        w, b = t[f"dec{l}_conv_w"], t[f"dec{l}_conv_b"]
+        w, b = t[f"dec{l}_conv_w"], t.get(f"dec{l}_conv_b")
         x, xp = _conv_forward(x, w, b)
-        records.append(("conv", f"dec{l}_conv", xp, w))
+        records.append(("conv", f"dec{l}_conv", xp, w, b is not None))
         if cfg.use_batchnorm:
             x, bn_cache = _bn_forward(x, t[f"dec{l}_bn_gamma"], t[f"dec{l}_bn_beta"])
             records.append(("bn", f"dec{l}_bn", bn_cache))
@@ -126,7 +126,9 @@ def tape_backward(cache, grad):
         elif kind == "bn":
             dx, grads[rec[1] + "_gamma"], grads[rec[1] + "_beta"] = _bn_backward(rec[2], dx)
         elif kind == "conv":
-            dx, grads[rec[1] + "_w"], grads[rec[1] + "_b"] = _conv_backward(rec[2], rec[3], dx)
+            dx, grads[rec[1] + "_w"], db = _conv_backward(rec[2], rec[3], dx)
+            if rec[4]:  # the conv has a bias
+                grads[rec[1] + "_b"] = db
         elif kind == "concat":
             _, split, level = rec
             skip_grads[level] = dx[split:]
@@ -341,6 +343,23 @@ class TestConvNetForward:
         f2, _ = convnet_forward(params, fixed2, moving2)
         np.testing.assert_array_equal(f2.data, 2.0 * f1.data)
 
+    @pytest.mark.parametrize("use_batchnorm", [True, False])
+    def test_every_tensor_of_the_plan_moves_the_field(self, rng, use_batchnorm):
+        # a tensor the field cannot depend on, such as a conv bias that
+        # batch norm's mean subtraction cancels, would only be stepped on
+        # rounding noise and checkpointed
+        cfg = ConvNetConfig(levels=2, base_filters=2, use_batchnorm=use_batchnorm)
+        params = init_convnet_parameters(cfg, seed=4)
+        params.tensors["head_w"] = rng.standard_normal((3, 2, 1, 1, 1)) * 0.1
+        fixed = random_volume(rng, (8, 8, 8))
+        moving = random_volume(rng, (8, 8, 8))
+        base, _ = convnet_forward(params, fixed, moving)
+        for name, shape in _layer_plan(cfg):
+            nudged = dict(params.tensors)
+            nudged[name] = nudged[name] + 0.1 * rng.standard_normal(shape)
+            moved, _ = convnet_forward(ConvNetParameters(cfg, nudged), fixed, moving)
+            assert np.abs(moved.data - base.data).max() > 1e-8, name
+
     def test_forward_determinism(self, rng):
         cfg = tiny_config()
         fixed = random_volume(rng, (8, 8, 8))
@@ -482,11 +501,11 @@ def closed_form_adam(params, grads, state):
     t = state.t + 1
     out, m, v = dict(params), dict(state.m), dict(state.v)
     for k, g in grads.items():
-        m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * (g * g)
-        mhat = m[k] / (1.0 - state.beta1**t)
-        vhat = v[k] / (1.0 - state.beta2**t)
-        out[k] = params[k] - state.alpha * mhat / (np.sqrt(vhat) + state.eps)
+        m[k] = 0.9 * state.m[k] + (1.0 - 0.9) * g
+        v[k] = 0.999 * state.v[k] + (1.0 - 0.999) * (g * g)
+        mhat = m[k] / (1.0 - 0.9**t)
+        vhat = v[k] / (1.0 - 0.999**t)
+        out[k] = params[k] - state.alpha * mhat / (np.sqrt(vhat) + 1e-8)
     return out, m, v
 
 
@@ -606,8 +625,10 @@ class TestCheckpoint:
         save_checkpoint(p, init_convnet_parameters(cfg, seed=0))
         raw = p.read_bytes()
         assert raw[:4] == b"IRNW"
-        version, levels, base, bn, k = struct.unpack_from("<5I", raw, 4)
-        assert (version, levels, base, bn, k) == (2, 2, 5, 0, 3)
+        header = struct.unpack_from("<4I", raw, 4)
+        assert header == (3, 2, 5, 0)  # version, levels, base filters, batch norm
+        (count,) = struct.unpack_from("<I", raw, 20)
+        assert count == len(_layer_plan(cfg))
 
     def test_bad_magic_rejected(self, tmp_path):
         params = init_convnet_parameters(tiny_config(), seed=0)
@@ -629,23 +650,32 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(p)
 
-    def test_version_1_rejected_by_name(self, tmp_path):
-        # version 1 also stored batch-norm running statistics
+    def test_version_2_rejected_by_name(self, tmp_path):
+        # version 2 also stored the kernel size and the decoder conv biases
+        # that batch norm cancels
         p = tmp_path / "net.ckpt"
         save_checkpoint(p, init_convnet_parameters(tiny_config(), seed=0))
         raw = bytearray(p.read_bytes())
-        struct.pack_into("<I", raw, 4, 1)
+        struct.pack_into("<I", raw, 4, 2)
         p.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="checkpoint version 1"):
+        with pytest.raises(ValueError, match="checkpoint version 2"):
             load_checkpoint(p)
 
-    def test_other_kernel_size_rejected(self, tmp_path):
+    def test_other_kernel_dims_rejected(self, tmp_path, monkeypatch):
+        # the header holds no kernel size: a 5x5x5 kernel fails the
+        # per-tensor dims check
+        plan = _layer_plan
+
+        def plan_5x5x5(cfg):
+            return [(n, s[:2] + (5, 5, 5) if s[2:] == (3, 3, 3) else s) for n, s in plan(cfg)]
+
         p = tmp_path / "net.ckpt"
-        save_checkpoint(p, init_convnet_parameters(tiny_config(), seed=0))
-        raw = bytearray(p.read_bytes())
-        struct.pack_into("<I", raw, 20, 5)
-        p.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="kernel size 5"):
+        with monkeypatch.context() as m:
+            m.setattr(defreg.model, "_layer_plan", plan_5x5x5)
+            save_checkpoint(p, init_convnet_parameters(tiny_config(), seed=0))
+        with pytest.raises(
+            ValueError, match=r"'enc0_conv1_w' has dims \(2, 2, 5, 5, 5\), expected \(2, 2, 3, 3, 3\)"
+        ):
             load_checkpoint(p)
 
     def test_trailing_bytes_rejected(self, tmp_path):

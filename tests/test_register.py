@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -568,6 +569,27 @@ class TestDivergence:
         assert report.field.dims == (16, 16, 16)
         assert all(np.isfinite(lv.total) for t in report.levels for lv in t.losses)
         _strict_json(report)
+
+
+class TestConstantImage:
+    @pytest.mark.parametrize("which", ["fixed", "moving"])
+    @pytest.mark.parametrize("mode", ["freeform", "convnet"])
+    def test_gives_the_zero_field_and_converges(self, rng, mode, which):
+        # a constant image has zero covariance with any image, so NCC and
+        # its gradient are 0 (the variance floor keeps 0/0 away), and the
+        # field never leaves zero
+        image = random_volume(rng, (16, 16, 16))
+        constant = Volume(data=np.full((16, 16, 16), 3.0))
+        fixed, moving = (constant, image) if which == "fixed" else (image, constant)
+        cfg = RegistrationConfig(
+            mode=mode, iterations_per_level=50, convnet=ConvNetConfig(levels=2, base_filters=2)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = register(fixed, moving, cfg)
+        assert report.stop_reason == "converged"
+        assert not report.field.data.any()
+        assert report.final.total == 0.0
 
 
 class TestReportJson:
