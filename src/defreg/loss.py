@@ -5,7 +5,10 @@ similarity between the fixed image and the warped moving image (negated so
 minimization improves alignment), and a displacement-gradient smoothness
 penalty.  Both expose exact analytic gradients with respect to the
 displacement field, as plain ``(nx, ny, nz, 3)`` arrays on the field's
-grid, verified against finite differences in the tests.
+grid, verified against finite differences in the tests.  With
+``with_grad`` off they return the same value bits from the same code and
+None for the gradient, skipping the NCC gradient's box sums, the chain
+through the sampling derivative and the smoothness gradient.
 
 Window statistics use separable box sums, O(N) per axis instead of
 O(N * window^3); windows are clipped at the borders rather than padded.
@@ -188,37 +191,45 @@ def ncc(fixed: Volume, warped: Volume, cfg: LossConfig) -> float:
     return value
 
 
-def similarity_loss(fixed: Volume, moving: Volume, field: DisplacementField, cfg: LossConfig):
+def similarity_loss(
+    fixed: Volume, moving: Volume, field: DisplacementField, cfg: LossConfig, *, with_grad=True
+):
     """Negated local NCC between fixed and the warped moving image.
 
     Returns (value, gradient w.r.t. the field), the gradient an
     ``(nx, ny, nz, 3)`` array chained through the trilinear sampling
-    derivative at each voxel.
+    derivative at each voxel, or None when ``with_grad`` is off.  The warp
+    takes its sampling derivative either way.
     """
     if fixed.dims != field.dims:
         raise ValueError(f"dims mismatch: fixed {fixed.dims} vs field {field.dims}")
     warped, sample_grad = warp_volume_with_gradient(moving, field)
-    value, dG = _ncc_terms(fixed.data, warped.data, cfg.ncc_window, cfg.variance_floor, True)
+    value, dG = _ncc_terms(
+        fixed.data, warped.data, cfg.ncc_window, cfg.variance_floor, with_grad
+    )
     del warped
+    if not with_grad:
+        return -value, None
     np.negative(dG, out=dG)
     sample_grad *= dG[..., None]
     return -value, sample_grad
 
 
-def smoothness_loss(field: DisplacementField):
+def smoothness_loss(field: DisplacementField, *, with_grad=True):
     """Mean squared Frobenius norm of the displacement gradient.
 
     Forward differences in mm with replicate boundary (the last difference
     along each axis is zero).  Returns (value, analytic gradient as an
-    ``(nx, ny, nz, 3)`` array).  The differences and the shifted copy live in
-    two scratch buffers reused for every axis.
+    ``(nx, ny, nz, 3)`` array, or None when ``with_grad`` is off).  The
+    differences and the shifted copy live in two scratch buffers reused for
+    every axis.
     """
     if min(field.dims) < 2:
         raise ValueError(f"smoothness needs dims >= 2 per axis, got {field.dims}")
     u = field.data
     n_vox = u.size // 3
     value = 0.0
-    grad = np.zeros_like(u)
+    grad = np.zeros_like(u) if with_grad else None
     d = np.empty_like(u)
     scratch = np.empty_like(u)
 
@@ -236,6 +247,8 @@ def smoothness_loss(field: DisplacementField):
         d[ax(axis, n - 1, n)] = 0.0
         np.multiply(d, d, out=scratch)
         value += float(np.sum(scratch))
+        if not with_grad:
+            continue
         # grad += 2 * (shifted - d) / (s * n_vox), shifted[i] = d[i-1], 0 at i = 0
         scratch[ax(axis, 1, n)] = d[ax(axis, 0, n - 1)]
         scratch[ax(axis, 0, 1)] = 0.0
@@ -247,17 +260,21 @@ def smoothness_loss(field: DisplacementField):
     return value, grad
 
 
-def overall_loss(fixed: Volume, moving: Volume, field: DisplacementField, cfg: LossConfig):
+def overall_loss(
+    fixed: Volume, moving: Volume, field: DisplacementField, cfg: LossConfig, *, with_grad=True
+):
     """Similarity plus weighted smoothness; returns (LossValue, gradient).
 
-    The gradient is an ``(nx, ny, nz, 3)`` array on the field's grid.  It is
-    not checked for finiteness: a caller that steps on it checks the loss
-    value first.
+    The gradient is an ``(nx, ny, nz, 3)`` array on the field's grid, or None
+    when ``with_grad`` is off; the value is the same to the bit either way.
+    It is not checked for finiteness: a caller that steps on it checks the
+    loss value first.
     """
-    sim, sim_grad = similarity_loss(fixed, moving, field, cfg)
-    smooth, grad = smoothness_loss(field)
+    sim, sim_grad = similarity_loss(fixed, moving, field, cfg, with_grad=with_grad)
+    smooth, grad = smoothness_loss(field, with_grad=with_grad)
     total = sim + cfg.reg_weight * smooth
-    grad *= cfg.reg_weight
-    grad += sim_grad
+    if with_grad:
+        grad *= cfg.reg_weight
+        grad += sim_grad
     return LossValue(total=total, similarity=sim, smoothness=smooth), grad
 

@@ -8,7 +8,11 @@ run is caught: the loss functions do not check finiteness, and the network
 gives no field when its weights overflow the forward pass.  A non-finite
 field or loss value stops the run as ``diverged`` before Adam steps on its
 gradient.  As after a budget stop, no later level runs and the best
-finite iterate is returned.  The modes differ only in what a level
+finite iterate is returned.  The loss gradient is computed only for an
+iterate Adam may step from: a level's last iterate, and so the single
+iterate of a 0-iteration level, is scored by value alone.  A convergence
+or budget stop, which is known only after the evaluation, still computes
+one gradient that no step uses.  The modes differ only in what a level
 optimizes and what is returned:
 
 * freeform: the parameter is the displacement field itself, over a
@@ -183,18 +187,34 @@ class RegistrationReport:
 def downsample_volume(v: Volume) -> Volume:
     """2x2x2 block mean with doubled spacing; odd trailing voxels average
     over the truncated block, so output dims are ceil(n/2).  Axes of length
-    1 pass through unchanged."""
+    1 pass through unchanged.
+
+    Axis by axis, each pair of slabs is added and halved, and an odd
+    trailing slab is copied (its one-voxel mean); a pair's sum is one
+    addition, so the order of the axes fixes the result to the bit.
+    """
     if all(d == 1 for d in v.dims):
         raise ValueError("volume is already a single voxel; nothing to downsample")
     data = v.data
     for ax in range(3):
         n = data.shape[ax]
-        starts = np.arange(0, n, 2)
-        sums = np.add.reduceat(data, starts, axis=ax)
-        counts = np.diff(np.append(starts, n)).astype(np.float64)
-        shape = [1, 1, 1]
-        shape[ax] = len(starts)
-        data = sums / counts.reshape(shape)
+        m = n // 2  # whole pairs
+
+        def ax_slice(start, stop, step=1):
+            idx = [slice(None)] * 3
+            idx[ax] = slice(start, stop, step)
+            return tuple(idx)
+
+        shape = list(data.shape)
+        shape[ax] = n - m  # ceil(n/2)
+        out = np.empty(shape)
+        pairs = out[ax_slice(0, m)]
+        np.add(data[ax_slice(0, 2 * m, 2)], data[ax_slice(1, 2 * m, 2)], out=pairs)
+        pairs /= 2.0
+        if n % 2:
+            out[ax_slice(m, m + 1)] = data[ax_slice(n - 1, n)]
+        data = out
+    data.flags.writeable = False  # fresh array: the volume need not copy it
     spacing = tuple(2.0 * s for s in v.spacing)
     return Volume(data=data, spacing=spacing, origin=v.origin)
 
@@ -304,13 +324,15 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
         state = AdamState.init(params, alpha=cfg.resolved_learning_rate)
         losses: list[LossValue] = []
         level_best, level_stop = 0, "max_iters"
-        for it in range(cfg.iterations_for(lvl) + 1):  # it 0: the entry iterate
+        n_steps = cfg.iterations_for(lvl)
+        for it in range(n_steps + 1):  # it 0: the entry iterate
             if it:
                 params, state = adam_step(params, backward(cache, grad), state)
                 cache = grad = None  # not kept alive through the next forward
             u, cache = predict(params, f_l, m_l)
             if u is not None:
-                lv, grad = overall_loss(f_l, m_l, u, cfg.loss)
+                # the last iterate is only scored: Adam takes no step on it
+                lv, grad = overall_loss(f_l, m_l, u, cfg.loss, with_grad=it < n_steps)
             # a non-finite field or loss: stop before Adam steps on its gradient
             if u is None or not np.isfinite(lv.total):
                 level_stop = "diverged"

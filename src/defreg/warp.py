@@ -21,7 +21,9 @@ pairs are folded into x-lerps as they are read, and every intermediate is
 updated in place; the operations and their order are those of the plain
 8-corner blend, so the results are the same to the bit.  A trailing channel
 axis (a displacement field's 3 components) shares one set of indices and
-weights.
+weights.  Resampling a field onto another grid is separable: a lerp along
+x, then y, then z, each at its axis's 1-D source coordinates, which is the
+8-corner blend's arithmetic in the same order.
 """
 
 from __future__ import annotations
@@ -278,12 +280,38 @@ def folding_fraction(jmap: JacobianMap) -> float:
     return float(np.mean(jmap.data <= 0.0))
 
 
+def _lerp_axis(data: np.ndarray, c: np.ndarray, axis: int) -> np.ndarray:
+    """Linear interpolation of ``data`` along ``axis`` at the 1-D voxel
+    coordinates ``c``, with ``_trilinear``'s clamping, cells and weights.
+
+    Lerping along x, then y, then z does the arithmetic of ``_trilinear``'s
+    corner fold in the same order, so on a grid of points given per axis the
+    result is the same to the bit, with one gather per axis instead of eight
+    per point.
+    """
+    n = data.shape[axis]
+    i0, f = _cell(c, n)
+    shape = [1] * data.ndim
+    shape[axis] = len(c)
+    f = f.reshape(shape)
+    lo = np.take(data, i0, axis=axis)
+    i0 += n > 1  # the upper corner; the same node on an axis of length 1
+    hi = np.take(data, i0, axis=axis)
+    lo *= 1.0 - f
+    hi *= f
+    lo += hi
+    return lo
+
+
 def resample_field(field: DisplacementField, new_dims, spacing=None) -> DisplacementField:
     """Trilinearly resample the field onto a new grid, all components at once.
 
     Displacement values (mm) carry unchanged.  Unless an explicit spacing is
     given, spacing is rescaled so the physical extent (n-1)*s of each axis
-    is preserved; grid corners map onto grid corners.
+    is preserved; grid corners map onto grid corners.  A length-1 axis has
+    no extent to preserve, so spreading it onto more nodes needs the
+    spacing.  The target nodes form a grid, so the resampling is separable:
+    each axis is interpolated at its own 1-D source coordinates.
     """
     new_dims = tuple(int(d) for d in new_dims)
     if len(new_dims) != 3 or min(new_dims) < 1:
@@ -298,16 +326,17 @@ def resample_field(field: DisplacementField, new_dims, spacing=None) -> Displace
         if n_new == 1:
             coords.append(np.zeros(1))
             out_spacing.append(s_old * n_old)
+        elif n_old == 1 and spacing is None:
+            raise ValueError(
+                f"axis {a} has length 1 and no extent to spread over {n_new} nodes; "
+                "give the target spacing"
+            )
         else:
             coords.append(np.arange(n_new) * (n_old - 1) / (n_new - 1))
             out_spacing.append(s_old * (n_old - 1) / (n_new - 1))
-    out, _ = _trilinear(
-        field.data,
-        coords[0][:, None, None],
-        coords[1][None, :, None],
-        coords[2][None, None, :],
-        want_grad=False,
-    )
+    out = field.data
+    for a, c in enumerate(coords):
+        out = _lerp_axis(out, c, a)
     out.flags.writeable = False  # fresh array: the field need not copy it
     if spacing is None:
         spacing = tuple(out_spacing)

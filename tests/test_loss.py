@@ -1,6 +1,7 @@
 """Objective tests: windowed correlation, smoothness penalty, gradients."""
 
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -414,6 +415,33 @@ class TestOverallLoss:
         num = fd_gradient(fn, field, idx, step=1e-4)
         ana = np.array([grad[pos] for pos in idx])
         assert rel_err(num, ana) < 1e-5
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.tuples(*(st.integers(2, 7),) * 3),
+        spacing=st.tuples(*(st.sampled_from([0.7, 1.0, 1.5, 2.0]),) * 3),
+        reg_weight=st.sampled_from([0.0, 0.05, 1.0, 3.0]),
+        w=st.sampled_from([1, 3, 5]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_value_only_equals_full_path_bitwise(self, dims, spacing, reg_weight, w, seed):
+        rng = np.random.default_rng(seed)
+        fixed = random_volume(rng, dims, spacing)
+        moving = random_volume(rng, dims, spacing)
+        field = offgrid_field(rng, dims, spacing)
+        cfg = LossConfig(ncc_window=w, reg_weight=reg_weight)
+        full, grad = overall_loss(fixed, moving, field, cfg)
+        value_only, none = overall_loss(fixed, moving, field, cfg, with_grad=False)
+        assert grad is not None and none is None
+
+        def bits(*values):
+            return np.array(values, dtype=np.float64).tobytes()
+
+        assert bits(*astuple(value_only)) == bits(*astuple(full))
+        smooth, none = smoothness_loss(field, with_grad=False)
+        assert none is None and bits(smooth) == bits(full.smoothness)
+        sim, none = similarity_loss(fixed, moving, field, cfg, with_grad=False)
+        assert none is None and bits(sim) == bits(full.similarity)
 
 
 class TestLossMemory:

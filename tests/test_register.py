@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import defreg.loss
 import defreg.register
 from defreg.evaluate import landmark_errors, transform_landmarks
 from defreg.loss import LossConfig, ncc, overall_loss, smoothness_loss
@@ -80,6 +81,26 @@ class TestDownsample:
     def test_single_voxel_rejected(self):
         with pytest.raises(ValueError):
             downsample_volume(Volume(data=np.ones((1, 1, 1))))
+
+    @pytest.mark.parametrize(
+        "dims", [(6, 5, 7), (2, 2, 2), (1, 4, 3), (5, 1, 1), (3, 3, 1), (9, 8, 2), (1, 1, 2)]
+    )
+    def test_equals_reduceat_reference_bitwise(self, rng, dims):
+        # the earlier implementation: np.add.reduceat over pair starts,
+        # then a division by each block's voxel count
+        data = rng.standard_normal(dims) * 10.0 ** rng.uniform(-3, 3, size=dims)
+        want = data
+        for ax in range(3):
+            n = want.shape[ax]
+            starts = np.arange(0, n, 2)
+            counts = np.diff(np.append(starts, n)).astype(np.float64)
+            shape = [1, 1, 1]
+            shape[ax] = len(starts)
+            want = np.add.reduceat(want, starts, axis=ax) / counts.reshape(shape)
+        v = Volume(data=data, spacing=(0.7, 1.0, 2.5), origin=(1.0, -2.0, 0.5))
+        out = downsample_volume(v)
+        assert out.data.tobytes() == want.tobytes()
+        assert out.spacing == (1.4, 2.0, 5.0) and out.origin == v.origin
 
 
 class TestConfig:
@@ -444,6 +465,54 @@ class TestRegisterConvNet:
         assert reduction >= 0.5
 
 
+class TestGradientOnlyWhereAdamSteps:
+    @pytest.mark.parametrize("mode", ["freeform", "convnet"])
+    def test_last_iterates_are_scored_by_value_alone(self, rng, monkeypatch, mode):
+        # schedule (3, 2, 0): 4 + 3 + 1 evaluations, of which Adam steps on
+        # 3 + 2; the run is the same to the bit as one that always takes
+        # the gradient
+        fixed = random_volume(rng, (16, 16, 16))
+        moving = random_volume(rng, (16, 16, 16))
+        cfg = quick_cfg(
+            mode=mode,
+            pyramid_levels=3,
+            iterations_per_level=None,
+            iterations_schedule=(3, 2, 0),
+            learning_rate=0.3 if mode == "freeform" else 1e-2,
+            convnet=ConvNetConfig(levels=2, base_filters=4),
+        )
+        real_terms, real_loss = defreg.loss._ncc_terms, defreg.register.overall_loss
+        grads, evals = [], []
+
+        def counting_terms(F, G, w, eps, with_grad):
+            grads.append(with_grad)
+            return real_terms(F, G, w, eps, with_grad)
+
+        def counting_loss(*args, **kwargs):
+            evals.append(kwargs)
+            return real_loss(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(defreg.loss, "_ncc_terms", counting_terms)
+            m.setattr(defreg.register, "overall_loss", counting_loss)
+            report = register(fixed, moving, cfg)
+        # per level: a gradient for each step, none for the last iterate
+        steps = [True] * 3 + [False] + [True] * 2 + [False] + [False]
+        assert [kw["with_grad"] for kw in evals] == steps
+        assert grads.count(True) == 5 and len(grads) == 8
+
+        def always_grad(*args, **kwargs):
+            return real_loss(*args, **{**kwargs, "with_grad": True})
+
+        monkeypatch.setattr(defreg.register, "overall_loss", always_grad)
+        full = register(fixed, moving, cfg)
+        assert report.field.data.tobytes() == full.field.data.tobytes()
+        doc, full_doc = _strict_json(report), _strict_json(full)
+        del doc["wall_seconds"], full_doc["wall_seconds"]
+        assert doc == full_doc
+        assert [t.iterations for t in report.levels] == [3, 2, 0]
+
+
 def _fail_loss_at(monkeypatch, call):
     """Make the level loop's ``call``-th loss evaluation (1-based)
     non-finite; returns a list that records, per Adam step, whether every
@@ -451,11 +520,12 @@ def _fail_loss_at(monkeypatch, call):
     seen, stepped = [], []
     real_loss, real_adam = defreg.register.overall_loss, defreg.register.adam_step
 
-    def loss(*args):
-        lv, grad = real_loss(*args)
+    def loss(*args, **kwargs):
+        lv, grad = real_loss(*args, **kwargs)
         seen.append(lv)
         if len(seen) == call:
-            return replace(lv, total=float("nan")), np.full_like(grad, np.nan)
+            nan_grad = None if grad is None else np.full_like(grad, np.nan)
+            return replace(lv, total=float("nan")), nan_grad
         return lv, grad
 
     def adam(params, grads, state):

@@ -540,6 +540,44 @@ class TestResampleField:
         with pytest.raises(ValueError):
             resample_field(f, (4, 4))
 
+    def test_spreading_a_length_1_axis_needs_a_spacing(self, rng):
+        # corner-to-corner spacing would be 0 on axis 0
+        f = DisplacementField(rng.standard_normal((1, 5, 9, 3)))
+        with pytest.raises(ValueError, match="axis 0 has length 1"):
+            resample_field(f, (3, 9, 17))
+        out = resample_field(f, (3, 9, 17), spacing=(1.0, 0.5, 0.5))
+        assert out.spacing == (1.0, 0.5, 0.5)
+        assert np.array_equal(out.data[0], out.data[2])
+
+    @pytest.mark.parametrize(
+        "old, new, spacing",
+        [
+            ((4, 5, 6), (7, 9, 11), None),  # up, odd target dims
+            ((9, 8, 7), (5, 4, 3), None),  # down
+            ((5, 6, 7), (5, 12, 3), None),  # one axis kept, one up, one down
+            ((3, 1, 4), (6, 1, 8), None),  # length-1 axis kept
+            ((6, 4, 5), (1, 8, 1), None),  # length-1 targets
+            ((1, 5, 9), (3, 9, 17), (2.0, 1.0, 0.5)),  # length-1 source, spacing given
+            ((4, 4, 4), (4, 4, 4), (2.0, 2.0, 2.0)),  # same dims, explicit spacing
+            ((2, 2, 2), (40, 3, 2), (0.5, 1.0, 1.0)),
+        ],
+    )
+    def test_separable_equals_eight_corner_reference_bitwise(self, rng, old, new, spacing):
+        data = rng.standard_normal(old + (3,))
+        data.reshape(-1)[0] = -0.0
+        f = DisplacementField(data, spacing=(1.5, 0.8, 1.2), origin=(3.0, -1.0, 0.0))
+        # the target nodes' source coordinates, corners onto corners
+        axes = [
+            np.zeros(n) if n == 1 else np.arange(n) * (o - 1) / (n - 1)
+            for o, n in zip(old, new)
+        ]
+        grid = np.meshgrid(*axes, indexing="ij")
+        out = resample_field(f, new, spacing=spacing)
+        for c in range(3):
+            want, _ = eight_corner_trilinear(data[..., c], *grid, False)
+            assert out.data[..., c].tobytes() == want.tobytes()
+        assert out.origin == f.origin
+
 
 class TestFieldRoundTrip:
     def test_bit_exact_round_trip(self, rng, tmp_path):
