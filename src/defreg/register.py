@@ -46,7 +46,7 @@ from .model import (
     convnet_forward,
     init_convnet_parameters,
 )
-from .volume import Volume, zscore_normalize
+from .volume import Volume, _zscore
 from .warp import DisplacementField, resample_field
 
 __all__ = [
@@ -224,7 +224,7 @@ def _ensure_normalized(v: Volume) -> Volume:
     std = float(v.data.std())
     if abs(mean) <= 1e-6 and abs(std - 1.0) <= 1e-6:
         return v
-    return zscore_normalize(v)
+    return _zscore(v, mean, std)
 
 
 class _Clock:

@@ -163,12 +163,16 @@ def zscore_normalize(v: Volume) -> Volume:
 
     Constant volumes map to all zeros instead of raising.
     """
-    mean = float(np.mean(v.data))
-    std = float(np.std(v.data))
+    return _zscore(v, float(np.mean(v.data)), float(np.std(v.data)))
+
+
+def _zscore(v: Volume, mean: float, std: float) -> Volume:
+    """``zscore_normalize`` with the volume's mean and std already known."""
     if std < 1e-12 * max(1.0, abs(mean)):
         data = np.zeros(v.dims)
     else:
         data = (v.data - mean) / std
+    data.flags.writeable = False  # fresh array: the volume need not copy it
     return Volume(data=data, spacing=v.spacing, origin=v.origin)
 
 

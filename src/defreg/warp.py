@@ -24,6 +24,15 @@ axis (a displacement field's 3 components) shares one set of indices and
 weights.  Resampling a field onto another grid is separable: a lerp along
 x, then y, then z, each at its axis's 1-D source coordinates, which is the
 8-corner blend's arithmetic in the same order.
+
+Warping samples the field grid in slabs of whole x-planes, at most
+``_WARP_SLAB_VOXELS`` output voxels each (one plane if a plane is larger).
+Sampling is pointwise, so each slab builds only its own coordinates, cells
+and weights, and its last fold writes straight into the preallocated value
+and derivative; the bits are those of one whole-volume call.  A field of at
+most one slab is sampled in one such call into the sampler's own arrays.
+At 160x192x160 a warp with the derivative peaks at 4.5 volumes of the
+output, and 1.4 without it, against 18.4 and 14.0 in one call.
 """
 
 from __future__ import annotations
@@ -86,6 +95,12 @@ class DisplacementField:
 JacobianMap = Volume
 
 
+# Output voxels per warp slab (whole x-planes, at least one).  A slab's
+# coordinates, cell indices and weights are a few times its size, so they
+# stay in cache; a volume of at most one slab is sampled in one call.
+_WARP_SLAB_VOXELS = 1 << 17
+
+
 def _world_to_index(points, spacing, origin) -> np.ndarray:
     """Voxel coordinates of mm points (last axis x, y, z) on a grid with
     the given spacing and origin: (p - origin) / spacing."""
@@ -107,7 +122,7 @@ def _cell(c, n: int):
     return i0, t
 
 
-def _trilinear(data: np.ndarray, cx, cy, cz, want_grad: bool):
+def _trilinear(data: np.ndarray, cx, cy, cz, want_grad: bool, out=None):
     """Trilinear interpolation of ``data`` at voxel coordinates (cx, cy, cz).
 
     ``data`` has shape (nx, ny, nz) or (nx, ny, nz, C); a trailing channel
@@ -116,7 +131,10 @@ def _trilinear(data: np.ndarray, cx, cy, cz, want_grad: bool):
     broadcast together, or scalars; they may lie outside the grid, where
     they are clamped.  When ``want_grad`` is set, also returns
     d(value)/d(coordinate) as a trailing axis of length 3, zero wherever the
-    unclamped coordinate is out of grid.
+    unclamped coordinate is out of grid.  ``out``, if given, is a (value,
+    derivative) pair of arrays of the result's shapes that the last fold
+    writes into, the derivative None without ``want_grad``; they are
+    returned.
 
     Per axis the base cell and fraction are computed once and the three
     base cells are combined into one flat index; the 8 corners are gathered
@@ -189,7 +207,7 @@ def _trilinear(data: np.ndarray, cx, cy, cz, want_grad: bool):
         in_x = ((cx >= 0.0) & (cx <= nx - 1.0))[ch]
         in_y = ((cy >= 0.0) & (cy <= ny - 1.0))[ch]
         in_z = ((cz >= 0.0) & (cz <= nz - 1.0))[ch]
-        grad = np.empty(b0.shape + (3,))
+        grad = np.empty(b0.shape + (3,)) if out is None else out[1]
         gx += gx1
         del gx1
         np.multiply(gx, in_x, out=grad[..., 0])
@@ -204,10 +222,11 @@ def _trilinear(data: np.ndarray, cx, cy, cz, want_grad: bool):
         np.multiply(grad[..., 2], in_z, out=grad[..., 2])
     b0 *= wz
     b1 *= fz
-    b0 += b1
+    value = b0 if out is None else out[0]
+    np.add(b0, b1, out=value)
     if not shape:
-        return b0.reshape(chan), None if grad is None else grad.reshape(chan + (3,))
-    return b0, grad
+        return value.reshape(chan), None if grad is None else grad.reshape(chan + (3,))
+    return value, grad
 
 
 def sample_trilinear(v: Volume, p) -> float:
@@ -230,11 +249,27 @@ def _warp(moving: Volume, field: DisplacementField, want_grad: bool):
     rx, ry, rz = (fs / ms for fs, ms in zip(field.spacing, moving.spacing))
     ox, oy, oz = _world_to_index(field.origin, moving.spacing, moving.origin)
     sx, sy, sz = moving.spacing
-    cx = (np.arange(nx) * rx + ox)[:, None, None] + field.data[..., 0] / sx
-    cy = (np.arange(ny) * ry + oy)[None, :, None] + field.data[..., 1] / sy
-    cz = (np.arange(nz) * rz + oz)[None, None, :] + field.data[..., 2] / sz
-    value, grad = _trilinear(moving.data, cx, cy, cz, want_grad)
-    del cx, cy, cz
+
+    def sample(x0, x1, out=None):
+        """Value and index-space derivative at the field's x-planes x0 to x1."""
+        u = field.data[x0:x1]
+        cx = (np.arange(x0, x1) * rx + ox)[:, None, None] + u[..., 0] / sx
+        cy = (np.arange(ny) * ry + oy)[None, :, None] + u[..., 1] / sy
+        cz = (np.arange(nz) * rz + oz)[None, None, :] + u[..., 2] / sz
+        return _trilinear(moving.data, cx, cy, cz, want_grad, out)
+
+    step = max(_WARP_SLAB_VOXELS // (ny * nz), 1)
+    if step >= nx:
+        # one slab: the sampler's own arrays, no preallocated outputs; at
+        # 48^3 a registration's peak RSS moves by several MB with the order
+        # of large allocations and frees, so this path keeps the fewest
+        value, grad = sample(0, nx)
+    else:
+        value = np.empty((nx, ny, nz))
+        grad = np.empty((nx, ny, nz, 3)) if want_grad else None
+        for x0 in range(0, nx, step):
+            x1 = min(x0 + step, nx)
+            sample(x0, x1, (value[x0:x1], None if grad is None else grad[x0:x1]))
     value.flags.writeable = False  # fresh array: the volume need not copy it
     warped = Volume(data=value, spacing=field.spacing, origin=field.origin)
     if grad is not None:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import defreg.warp
 from defreg.loss import (
     LossConfig,
     LossValue,
@@ -465,3 +466,35 @@ class TestLossMemory:
         finally:
             tracemalloc.stop()
         assert peak < self.PEAK_VOLUMES * fixed.data.nbytes
+
+    def test_value_only_smoothness_keeps_one_difference_buffer(self):
+        rng = np.random.default_rng(0)
+        field = DisplacementField(data=rng.uniform(-2.0, 2.0, (40, 40, 40, 3)))
+        tracemalloc.start()
+        try:
+            smoothness_loss(field, with_grad=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * field.data.nbytes  # the differences, squared in place
+
+    # The same evaluation with the warp over 1-plane slabs, per path: the
+    # NCC's gradient pass (12.4 volumes at 40^3, with the 3-volume sampling
+    # derivative) and its value pass (9.4 volumes, the derivative freed).
+    @pytest.mark.parametrize("with_grad, peak_volumes", [(True, 13.5), (False, 10.5)])
+    def test_multi_slab_evaluation_stays_under_bound(self, monkeypatch, with_grad, peak_volumes):
+        rng = np.random.default_rng(0)
+        dims = (40, 40, 40)
+        monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", 40 * 40)
+        fixed = Volume(data=rng.standard_normal(dims))
+        moving = Volume(data=rng.standard_normal(dims))
+        field = DisplacementField(data=rng.uniform(-2.0, 2.0, dims + (3,)))
+        cfg = LossConfig()
+        overall_loss(fixed, moving, field, cfg, with_grad=with_grad)  # warm-up
+        tracemalloc.start()
+        try:
+            overall_loss(fixed, moving, field, cfg, with_grad=with_grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < peak_volumes * fixed.data.nbytes

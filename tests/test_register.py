@@ -7,9 +7,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import defreg.loss
 import defreg.register
+import defreg.warp
 from defreg.evaluate import landmark_errors, transform_landmarks
 from defreg.loss import LossConfig, ncc, overall_loss, smoothness_loss
 from defreg.model import ConvNetConfig, convnet_backward, convnet_forward, init_convnet_parameters
@@ -101,6 +104,37 @@ class TestDownsample:
         out = downsample_volume(v)
         assert out.data.tobytes() == want.tobytes()
         assert out.spacing == (1.4, 2.0, 5.0) and out.origin == v.origin
+
+
+class TestNormalizeOnEntry:
+    """Inputs are z-scored on entry from statistics computed once, and the
+    normalized array is handed to the volume uncopied."""
+
+    def raw_pair(self, rng, dims=(12, 10, 11)):
+        return (
+            Volume(data=rng.normal(3.0, 2.5, dims), spacing=(1.0, 1.5, 0.8)),
+            Volume(data=rng.normal(-1.0, 0.5, dims), spacing=(1.0, 1.5, 0.8)),
+        )
+
+    @staticmethod
+    def reference(v):
+        data = (v.data - float(np.mean(v.data))) / float(np.std(v.data))
+        return Volume(data=data, spacing=v.spacing, origin=v.origin)
+
+    def test_normalized_bytes_equal_the_closed_form(self, rng):
+        for v in self.raw_pair(rng):
+            out = defreg.register._ensure_normalized(v)
+            assert out.data.tobytes() == self.reference(v).data.tobytes()
+            assert out.data.tobytes() == zscore_normalize(v).data.tobytes()
+            assert not out.data.flags.writeable
+            assert defreg.register._ensure_normalized(out) is out
+
+    def test_registered_field_bytes_equal_a_pre_normalized_run(self, rng):
+        fixed, moving = self.raw_pair(rng)
+        cfg = quick_cfg(iterations_per_level=3)
+        got = register(fixed, moving, cfg).field.data
+        want = register(self.reference(fixed), self.reference(moving), cfg).field.data
+        assert got.tobytes() == want.tobytes()
 
 
 class TestConfig:
@@ -660,6 +694,65 @@ class TestConstantImage:
         assert report.stop_reason == "converged"
         assert not report.field.data.any()
         assert report.final.total == 0.0
+
+
+def sweep_image(kind, dims, seed):
+    if kind == "noise":
+        return np.random.default_rng(seed).standard_normal(dims)
+    if kind == "constant":
+        return np.full(dims, 2.5)
+    if kind == "zero":
+        return np.zeros(dims)
+    i, j, k = np.indices(dims, dtype=np.float64)
+    return i - 2.0 * j + 0.5 * k  # ramp
+
+
+class TestFrontDoorSweep:
+    """Any small input ends as a finite field at the input dims with a named
+    stop reason, or as the named pyramid-depth error; no stray exception
+    and no RuntimeWarning."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mode=st.sampled_from(["freeform", "convnet"]),
+        dims=st.tuples(*[st.integers(1, 8)] * 3),
+        kinds=st.tuples(*[st.sampled_from(["noise", "constant", "zero", "ramp"])] * 2),
+        spacing=st.tuples(*[st.sampled_from([0.5, 1.0, 1.7, 3.0])] * 3),
+        origin=st.tuples(*[st.floats(-40.0, 40.0)] * 3),
+        window=st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15]),
+        levels=st.integers(1, 3),
+        iterations=st.integers(0, 3),
+        tiny_slab=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_draw_ends_by_name(
+        self, mode, dims, kinds, spacing, origin, window, levels, iterations, tiny_slab, seed
+    ):
+        fixed, moving = (
+            Volume(data=sweep_image(kind, dims, seed + n), spacing=spacing, origin=origin)
+            for n, kind in enumerate(kinds)
+        )
+        cfg = RegistrationConfig(
+            mode=mode,
+            pyramid_levels=levels if mode == "freeform" else 1,
+            iterations_per_level=iterations,
+            loss=LossConfig(ncc_window=window),
+            convnet=ConvNetConfig(levels=2, base_filters=2),
+            seed=seed,
+        )
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if tiny_slab:  # the warp splits every volume into 1-plane slabs
+                mp.setattr(defreg.warp, "_WARP_SLAB_VOXELS", 1)
+            try:
+                report = register(fixed, moving, cfg)
+            except ValueError as err:
+                assert mode == "freeform" and f"pyramid_levels={levels}" in str(err)
+                return
+        assert report.field.dims == dims
+        assert np.isfinite(report.field.data).all()
+        assert report.stop_reason in ("max_iters", "converged", "budget", "diverged")
+        assert np.isfinite(report.final.total)
 
 
 class TestReportJson:

@@ -1,8 +1,11 @@
 """Trilinear sampling, warping, Jacobian analysis, and field resampling tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import defreg.warp
 from defreg.volume import Volume
 from defreg.warp import (
     DisplacementField,
@@ -371,6 +374,107 @@ class TestWarpVolume:
         far = constant_field((4, 1, 1), (100.0, 0.0, 0.0))
         _, grad = warp_volume_with_gradient(v, far)
         assert not grad.any()
+
+
+def warp_reference(moving, field, want_grad):
+    """The warp's coordinates over the whole field, sampled by the 8-corner
+    reference: the arithmetic of ``_warp`` without slabs."""
+    coords = []
+    for a in range(3):
+        ratio = field.spacing[a] / moving.spacing[a]
+        shift = (field.origin[a] - moving.origin[a]) / moving.spacing[a]
+        shape = [1, 1, 1]
+        shape[a] = field.dims[a]
+        node = (np.arange(field.dims[a]) * ratio + shift).reshape(shape)
+        coords.append(node + field.data[..., a] / moving.spacing[a])
+    value, grad = eight_corner_trilinear(moving.data, *coords, want_grad)
+    if grad is not None:
+        grad = grad / np.array(moving.spacing)
+    return value, grad, coords
+
+
+class TestWarpSlabs:
+    """The warp samples whole x-plane slabs; pointwise sampling makes any
+    slab size give the whole-volume bits."""
+
+    DIMS = (7, 5, 6)
+    PLANE = 5 * 6
+
+    def pair(self, rng):
+        # spacing ratios != 1, the field's origin off the moving image's,
+        # and displacements that leave the grid
+        moving = Volume(
+            data=rng.standard_normal((9, 7, 8)), spacing=(1.0, 1.5, 0.8), origin=(2.0, -1.0, 3.0)
+        )
+        field = DisplacementField(
+            rng.uniform(-3.0, 3.0, size=self.DIMS + (3,)),
+            spacing=(1.2, 1.0, 0.7),
+            origin=(3.5, 0.25, 4.0),
+        )
+        return moving, field
+
+    # slab voxels: under one plane, one plane, 3 planes (not dividing nx = 7),
+    # exactly nx planes, more than the volume
+    @pytest.mark.parametrize("slab", [1, PLANE, 3 * PLANE, 7 * PLANE, 100 * PLANE])
+    def test_equals_eight_corner_reference_bitwise(self, rng, monkeypatch, slab):
+        monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", slab)
+        moving, field = self.pair(rng)
+        for want_grad in (False, True):
+            want, want_grad_arr, _ = warp_reference(moving, field, want_grad)
+            out, grad = defreg.warp._warp(moving, field, want_grad)
+            assert np.array_equal(out.data, want)
+            if want_grad:
+                assert np.array_equal(grad, want_grad_arr)
+            else:
+                assert grad is None
+        assert np.array_equal(warp_volume(moving, field).data, want)
+
+    @pytest.mark.parametrize(
+        "slab, calls", [(PLANE, 7), (3 * PLANE, 3), (7 * PLANE, 1), (100 * PLANE, 1)]
+    )
+    def test_one_slab_volume_is_sampled_in_one_whole_volume_call(
+        self, rng, monkeypatch, slab, calls
+    ):
+        monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", slab)
+        seen = []
+        real = defreg.warp._trilinear
+
+        def spy(data, cx, cy, cz, want_grad, out=None):
+            seen.append((cx, cy, cz, out))
+            return real(data, cx, cy, cz, want_grad, out)
+
+        monkeypatch.setattr(defreg.warp, "_trilinear", spy)
+        moving, field = self.pair(rng)
+        warp_volume_with_gradient(moving, field)
+        assert len(seen) == calls
+        if calls == 1:
+            (*coords, out), = seen
+            assert out is None  # no preallocated outputs
+            for got, want in zip(coords, warp_reference(moving, field, False)[2]):
+                assert np.array_equal(got, want)
+        else:
+            assert all(out is not None for *_, out in seen)
+
+
+class TestWarpMemory:
+    # Peak traced bytes of one warp over 1-plane slabs, in volumes of the
+    # output: the value and the 3-component derivative, plus one slab's
+    # coordinates, cells and weights (4.5 and 1.4 volumes at 40^3).
+    @pytest.mark.parametrize("want_grad, peak_volumes", [(True, 5), (False, 2)])
+    def test_multi_slab_warp_stays_under_bound(self, monkeypatch, want_grad, peak_volumes):
+        rng = np.random.default_rng(0)
+        dims = (40, 40, 40)
+        monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", 40 * 40)
+        moving = Volume(data=rng.standard_normal(dims))
+        field = DisplacementField(data=rng.uniform(-2.0, 2.0, dims + (3,)))
+        defreg.warp._warp(moving, field, want_grad)  # warm-up
+        tracemalloc.start()
+        try:
+            defreg.warp._warp(moving, field, want_grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < peak_volumes * moving.data.nbytes
 
 
 class TestJacobianDeterminant:
