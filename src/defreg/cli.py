@@ -295,7 +295,10 @@ def _cmd_register(args) -> int:
         outputs,
         time.monotonic() - t0,
     )
-    final = report.final  # the loss of the field just written
+    # the loss of the iterate the written field comes from, scored on its own
+    # pyramid level: coarser than the field after an early budget or
+    # divergence stop, which resamples that iterate to the input grid
+    final = report.final
     print(
         f"total={final.total!r} similarity={final.similarity!r} "
         f"smoothness={final.smoothness!r} iterations={report.iterations_executed} "

@@ -19,13 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .warp import (
-    DisplacementField,
-    JacobianMap,
-    _trilinear,
-    _world_to_index,
-    folding_fraction,
-)
+from .volume import Volume, _frozen
+from .warp import DisplacementField, _trilinear, _world_to_index, folding_fraction
 
 __all__ = [
     "LandmarkSet",
@@ -69,20 +64,11 @@ class LandmarkSet:
             raise ValueError("landmark ids must be unique")
         if not np.isfinite(points).all():
             raise ValueError("landmark coordinates must be finite")
-        if ids is self.ids and ids.flags.writeable:
-            ids = ids.copy()  # never freeze a caller-owned buffer in place
-        if points is self.points and points.flags.writeable:
-            points = points.copy()
-        ids.flags.writeable = False
-        points.flags.writeable = False
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "ids", _frozen(ids, self.ids))
+        object.__setattr__(self, "points", _frozen(points, self.points))
         if self.clamped is not None:
-            cl = np.asarray(self.clamped, dtype=bool)
-            if cl is self.clamped and cl.flags.writeable:
-                cl = cl.copy()
-            cl.flags.writeable = False
-            object.__setattr__(self, "clamped", cl)
+            clamped = _frozen(np.asarray(self.clamped, dtype=bool), self.clamped)
+            object.__setattr__(self, "clamped", clamped)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -145,7 +131,7 @@ def landmark_errors(predicted: LandmarkSet, reference: LandmarkSet) -> np.ndarra
     return np.linalg.norm(diff, axis=1)
 
 
-def case_metrics(errors_after, errors_before, jmap: JacobianMap | None = None) -> CaseMetrics:
+def case_metrics(errors_after, errors_before, jmap: Volume | None = None) -> CaseMetrics:
     after = np.asarray(errors_after, dtype=np.float64)
     before = np.asarray(errors_before, dtype=np.float64)
     if after.ndim != 1 or after.shape != before.shape:

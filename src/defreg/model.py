@@ -431,9 +431,23 @@ def save_checkpoint(path, params: ConvNetParameters) -> None:
 
 def load_checkpoint(path) -> ConvNetParameters:
     raw = Path(path).read_bytes()
+    off = 0
+
+    def take(size: int, what: str) -> int:
+        """Offset of the next ``size`` bytes, which hold ``what``."""
+        nonlocal off
+        if off + size > len(raw):
+            raise ValueError(
+                f"{path}: checkpoint is truncated in {what}: it needs bytes {off} to "
+                f"{off + size}, the file has {len(raw)}"
+            )
+        off += size
+        return off - size
+
+    take(4, "the header")
     if raw[:4] != _CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic {raw[:4]!r}")
-    version, levels, base_filters, use_bn = struct.unpack_from("<4I", raw, 4)
+    version, levels, base_filters, use_bn = struct.unpack_from("<4I", raw, take(16, "the header"))
     if version != _CHECKPOINT_VERSION:
         raise ValueError(
             f"unsupported checkpoint version {version}; this build reads version "
@@ -441,21 +455,18 @@ def load_checkpoint(path) -> ConvNetParameters:
         )
     cfg = ConvNetConfig(levels=levels, base_filters=base_filters, use_batchnorm=bool(use_bn))
     plan = _layer_plan(cfg)
-    (count,) = struct.unpack_from("<I", raw, 20)
+    (count,) = struct.unpack_from("<I", raw, take(4, "the header"))
     if count != len(plan):
         raise ValueError(f"checkpoint lists {count} tensors, config implies {len(plan)}")
-    off = 24
     tensors: dict[str, np.ndarray] = {}
     for name, shape in plan:
-        (ndim,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        dims = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
+        what = f"tensor {name!r}"
+        (ndim,) = struct.unpack_from("<I", raw, take(4, what))
+        dims = struct.unpack_from(f"<{ndim}I", raw, take(4 * ndim, what))
         if dims != shape:
             raise ValueError(f"tensor {name!r} has dims {dims}, expected {shape}")
         n = int(np.prod(dims)) if dims else 1
-        data = np.frombuffer(raw, dtype="<f4", count=n, offset=off)
-        off += 4 * n
+        data = np.frombuffer(raw, dtype="<f4", count=n, offset=take(4 * n, what))
         tensors[name] = data.astype(np.float64).reshape(dims)
     if off != len(raw):
         raise ValueError(f"{len(raw) - off} trailing bytes after last tensor")

@@ -159,15 +159,16 @@ class LevelTrace:
     ``iterations`` counts the Adam steps taken.  The iterate whose field or
     loss is non-finite records no loss, so a level that stops as
     ``diverged`` holds ``iterations`` losses rather than ``iterations + 1``.
+    The fields are in the order of the report's JSON keys.
     """
 
     level: int  # 0 = coarsest
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
-    losses: list[LossValue]
-    best_iteration: int
     iterations: int
+    best_iteration: int
     stop_reason: str
+    losses: list[LossValue]
 
 
 @dataclass
@@ -354,10 +355,10 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
                 level=lvl,
                 dims=f_l.dims,
                 spacing=f_l.spacing,
-                losses=losses,
-                best_iteration=level_best,
                 iterations=it,
+                best_iteration=level_best,
                 stop_reason=level_stop,
+                losses=losses,
             )
         )
         # free this level's arrays before the next level allocates its own
@@ -403,25 +404,7 @@ def report_to_json(
         "iterations_executed": report.iterations_executed,
         "stop_reason": report.stop_reason,
         "final": asdict(report.final),
-        "levels": [
-            {
-                "level": t.level,
-                "dims": list(t.dims),
-                "spacing": list(t.spacing),
-                "iterations": t.iterations,
-                "best_iteration": t.best_iteration,
-                "stop_reason": t.stop_reason,
-                "losses": [
-                    {
-                        "total": lv.total,
-                        "similarity": lv.similarity,
-                        "smoothness": lv.smoothness,
-                    }
-                    for lv in t.losses
-                ],
-            }
-            for t in report.levels
-        ],
+        "levels": [asdict(t) for t in report.levels],
         "field_path": field_path,
         "checkpoint_path": checkpoint_path,
     }

@@ -1,19 +1,25 @@
-"""Dense 3D scalar volumes: preprocessing, raw file I/O and slice export.
+"""Grids of samples: scalar volumes, preprocessing, raw file I/O and slice export.
 
-A volume lives on a regular grid with physical spacing in millimeters.
-In memory ``data`` is a float64 array indexed ``[x, y, z]`` so that axis
-``i`` lines up with ``dims[i]`` and ``spacing[i]``.  On disk voxels are
-stored as little-endian float32, x-fastest, next to a JSON sidecar header.
-Because files hold float32, a volume whose intensities are exactly
-float32-representable (anything that came from a file) round-trips
-bit-exactly through save/load.
+A grid holds float64 samples on a regular 3D lattice with physical spacing
+in millimeters.  In memory ``data`` is indexed ``[x, y, z]`` so that axis
+``i`` lines up with ``dims[i]`` and ``spacing[i]``, with any per-voxel
+channels trailing: none for a ``Volume``, 3 for a ``warp.DisplacementField``.
+Both subclass ``_Grid``, which validates and freezes them with the one
+copy-then-freeze rule (``_frozen``, which ``LandmarkSet`` uses too); they
+differ only in channel shape.  On disk voxels are stored as little-endian
+float32, x-fastest with channels interleaved, next to a JSON sidecar header;
+``_load_grid`` and ``_save_grid`` read and write both kinds.  Because files
+hold float32, a grid whose samples are exactly float32-representable
+(anything that came from a file) round-trips bit-exactly through save/load.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,35 +46,54 @@ def _check_triple(name: str, values, *, positive: bool) -> tuple[float, float, f
     return t
 
 
-@dataclass(frozen=True)
-class Volume:
-    """Immutable scalar image on a 3D grid.
+def _frozen(arr: np.ndarray, given) -> np.ndarray:
+    """``arr``, converted from the caller's ``given``, made read-only.
 
-    data: float64 array of shape (nx, ny, nz), indexed [x, y, z]
+    A caller-owned writable buffer is copied first, never frozen in place;
+    an array that is already read-only is shared.
+    """
+    if arr is given and arr.flags.writeable:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """Immutable float64 samples on a regular 3D grid.
+
+    data: array of shape (nx, ny, nz) + ``channel_shape``, indexed [x, y, z, ...]
     spacing: mm per voxel along (x, y, z)
-    origin: world position of voxel (0, 0, 0) in mm, carried as metadata
+    origin: world position of voxel (0, 0, 0) in mm
     """
 
     data: np.ndarray
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
+    channel_shape: ClassVar[tuple[int, ...]] = ()  # per-voxel sample shape
+
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
-        if arr.ndim != 3 or min(arr.shape) < 1:
-            raise ValueError(f"volume data must be 3D and non-empty, got shape {arr.shape}")
+        arr = np.asarray(self.data, dtype=np.float64, order="C")
+        cs = self.channel_shape
+        if arr.ndim != 3 + len(cs) or arr.shape[3:] != cs or 0 in arr.shape:
+            want = ", ".join(("nx", "ny", "nz") + tuple(map(str, cs)))
+            raise ValueError(
+                f"{type(self).__name__} data must have non-empty shape ({want}), got {arr.shape}"
+            )
         if not np.isfinite(arr).all():
-            raise ValueError("volume data contains non-finite values")
-        if arr is self.data and arr.flags.writeable:
-            arr = arr.copy()  # never freeze a caller-owned buffer in place
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+            raise ValueError(f"{type(self).__name__} data contains non-finite values")
+        object.__setattr__(self, "data", _frozen(arr, self.data))
         object.__setattr__(self, "spacing", _check_triple("spacing", self.spacing, positive=True))
         object.__setattr__(self, "origin", _check_triple("origin", self.origin, positive=False))
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
+        return self.data.shape[:3]
+
+
+class Volume(_Grid):
+    """Immutable scalar image on a 3D grid, data of shape (nx, ny, nz)."""
 
 
 @dataclass(frozen=True)
@@ -95,6 +120,11 @@ class VolumeHeader:
     @classmethod
     def from_json(cls, text: str) -> "VolumeHeader":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"header must be a JSON object, got {type(doc).__name__}")
+        for key in ("dims", "spacing"):
+            if key not in doc:
+                raise ValueError(f"header has no {key!r} key")
         dims = tuple(int(d) for d in doc["dims"])
         if len(dims) != 3 or min(dims) < 1:
             raise ValueError(f"bad dims in header: {doc['dims']}")
@@ -111,24 +141,27 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
-def _read_raw(path, expected_channels: int) -> tuple[VolumeHeader, np.ndarray]:
-    """Read a raw little-endian f32 file plus sidecar; returns x-fastest payload."""
+def _load_grid(path, cls: type[_Grid]) -> _Grid:
+    """Read a raw little-endian f32 file (x-fastest, channels interleaved)
+    and its JSON sidecar into a grid of type ``cls``."""
     path = Path(path)
     header_path = _sidecar_path(path)
     if not path.is_file():
         raise FileNotFoundError(f"missing raw file: {path}")
     if not header_path.is_file():
         raise FileNotFoundError(f"missing sidecar header: {header_path}")
-    header = VolumeHeader.from_json(header_path.read_text())
+    try:
+        header = VolumeHeader.from_json(header_path.read_text())
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{header_path}: {exc}") from None
     if header.dtype != "f32le":
         raise ValueError(f"unsupported dtype tag {header.dtype!r} in {header_path}")
-    if header.channels != expected_channels:
-        raise ValueError(
-            f"{path}: expected {expected_channels} channel(s), header says {header.channels}"
-        )
+    channels = math.prod(cls.channel_shape)
+    if header.channels != channels:
+        raise ValueError(f"{path}: expected {channels} channel(s), header says {header.channels}")
     payload = path.read_bytes()
     nx, ny, nz = header.dims
-    expected = 4 * nx * ny * nz * expected_channels
+    expected = 4 * nx * ny * nz * channels
     if len(payload) != expected:
         raise ValueError(
             f"{path}: payload is {len(payload)} bytes but header dims {header.dims} "
@@ -137,25 +170,30 @@ def _read_raw(path, expected_channels: int) -> tuple[VolumeHeader, np.ndarray]:
     flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     if not np.isfinite(flat).all():
         raise ValueError(f"{path}: payload contains non-finite values (bad export?)")
-    return header, flat
+    # file order is x-fastest: reshape (z, y, x) then put axes back to (x, y, z)
+    data = flat.reshape((nz, ny, nx) + cls.channel_shape)
+    data = data.transpose(2, 1, 0, *range(3, data.ndim))
+    return cls(data=data, spacing=header.spacing, origin=header.origin)
+
+
+def _save_grid(grid: _Grid, path) -> None:
+    """Write raw little-endian float32 payload plus JSON sidecar."""
+    path = Path(path)
+    channels = math.prod(grid.channel_shape)
+    header = VolumeHeader(grid.dims, grid.spacing, grid.origin, channels=channels)
+    payload = grid.data.transpose(2, 1, 0, *range(3, grid.data.ndim)).astype("<f4").tobytes()
+    path.write_bytes(payload)
+    _sidecar_path(path).write_text(header.to_json())
 
 
 def load_volume(path) -> Volume:
     """Load a ``.vol`` raw file and its ``.vol.json`` sidecar."""
-    header, flat = _read_raw(path, expected_channels=1)
-    nx, ny, nz = header.dims
-    # file order is x-fastest: reshape (z, y, x) then put axes back to (x, y, z)
-    data = flat.reshape(nz, ny, nx).transpose(2, 1, 0)
-    return Volume(data=data, spacing=header.spacing, origin=header.origin)
+    return _load_grid(path, Volume)
 
 
 def save_volume(v: Volume, path) -> None:
-    """Write raw little-endian float32 payload plus JSON sidecar."""
-    path = Path(path)
-    header = VolumeHeader(dims=v.dims, spacing=v.spacing, origin=v.origin)
-    payload = v.data.transpose(2, 1, 0).astype("<f4").tobytes()
-    path.write_bytes(payload)
-    _sidecar_path(path).write_text(header.to_json())
+    """Write a ``.vol`` raw file and its ``.vol.json`` sidecar."""
+    _save_grid(v, path)
 
 
 def zscore_normalize(v: Volume) -> Volume:

@@ -2,11 +2,13 @@
 
 A displacement field u lives on the fixed-image grid and maps fixed-space
 points into moving space: the warped image at grid point x is the moving
-image sampled at world(x) + u(x).  Displacements are stored in millimeters,
-so values carry unchanged across grid resolutions.  World coordinates are
-index * spacing + origin on every grid; ``_world_to_index`` is the one map
-back to voxel coordinates, used by point sampling, warping (for the offset
-between the field's and the moving image's origins) and landmark transfer.
+image sampled at world(x) + u(x).  A field is a ``volume._Grid`` with 3
+channels, so it shares the volume's validation, freezing and raw file
+format.  Displacements are stored in millimeters, so values carry unchanged
+across grid resolutions.  World coordinates are index * spacing + origin on
+every grid; ``_world_to_index`` is the one map back to voxel coordinates,
+used by warping (for the offset between the field's and the moving image's
+origins) and landmark transfer.
 
 Sampling clamps out-of-grid coordinates to the border.  The derivative of a
 sample with respect to its coordinate is the slope of one interpolation
@@ -37,16 +39,12 @@ output, and 1.4 without it, against 18.4 and 14.0 in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .volume import Volume, VolumeHeader, _check_triple, _read_raw, _sidecar_path
+from .volume import Volume, _Grid, _load_grid, _save_grid
 
 __all__ = [
     "DisplacementField",
-    "JacobianMap",
-    "sample_trilinear",
     "warp_volume",
     "warp_volume_with_gradient",
     "jacobian_determinant",
@@ -57,42 +55,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DisplacementField:
+class DisplacementField(_Grid):
     """Dense per-voxel displacement vectors in mm.
 
     data: float64 array of shape (nx, ny, nz, 3); last axis is (ux, uy, uz)
     """
 
-    data: np.ndarray
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
-        if arr.ndim != 4 or arr.shape[3] != 3 or min(arr.shape[:3]) < 1:
-            raise ValueError(f"field data must have shape (nx, ny, nz, 3), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("field data contains non-finite values")
-        if arr is self.data and arr.flags.writeable:
-            arr = arr.copy()  # never freeze a caller-owned buffer in place
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "spacing", _check_triple("spacing", self.spacing, positive=True))
-        object.__setattr__(self, "origin", _check_triple("origin", self.origin, positive=False))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape[:3]
+    channel_shape = (3,)
 
     @classmethod
     def zeros(cls, dims, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> "DisplacementField":
         nx, ny, nz = (int(d) for d in dims)
         return cls(data=np.zeros((nx, ny, nz, 3)), spacing=spacing, origin=origin)
-
-
-# A Jacobian-determinant map is just a scalar volume (one value per voxel).
-JacobianMap = Volume
 
 
 # Output voxels per warp slab (whole x-planes, at least one).  A slab's
@@ -127,9 +101,9 @@ def _trilinear(data: np.ndarray, cx, cy, cz, want_grad: bool, out=None):
 
     ``data`` has shape (nx, ny, nz) or (nx, ny, nz, C); a trailing channel
     axis is interpolated with one set of cell indices and weights, and comes
-    back as the last axis of the value.  Coordinates are arrays that
-    broadcast together, or scalars; they may lie outside the grid, where
-    they are clamped.  When ``want_grad`` is set, also returns
+    back as the last axis of the value.  Coordinates are float64 arrays that
+    broadcast together; they may lie outside the grid, where they are
+    clamped.  When ``want_grad`` is set, also returns
     d(value)/d(coordinate) as a trailing axis of length 3, zero wherever the
     unclamped coordinate is out of grid.  ``out``, if given, is a (value,
     derivative) pair of arrays of the result's shapes that the last fold
@@ -144,15 +118,12 @@ def _trilinear(data: np.ndarray, cx, cy, cz, want_grad: bool, out=None):
     """
     nx, ny, nz = data.shape[:3]
     chan = data.shape[3:]
-    cx, cy, cz = (np.asarray(c, dtype=np.float64) for c in (cx, cy, cz))
     shape = np.broadcast_shapes(cx.shape, cy.shape, cz.shape)
-    if not shape:  # scalars: in-place updates need arrays
-        cx, cy, cz = (c.reshape(1) for c in (cx, cy, cz))
     flat = data.reshape((nx * ny * nz,) + chan)
     # broadcasts a per-voxel weight against the channel axis
     ch = (Ellipsis,) + (None,) * len(chan)
 
-    base = np.zeros(shape or (1,), dtype=np.int64)
+    base = np.zeros(shape, dtype=np.int64)
     weights = []
     for c, n, stride in ((cx, nx, ny * nz), (cy, ny, nz), (cz, nz, 1)):
         i0, f = _cell(c, n)
@@ -224,19 +195,7 @@ def _trilinear(data: np.ndarray, cx, cy, cz, want_grad: bool, out=None):
     b1 *= fz
     value = b0 if out is None else out[0]
     np.add(b0, b1, out=value)
-    if not shape:
-        return value.reshape(chan), None if grad is None else grad.reshape(chan + (3,))
     return value, grad
-
-
-def sample_trilinear(v: Volume, p) -> float:
-    """Sample a volume at one mm point; out-of-grid points clamp to the border."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (3,) or not np.isfinite(p).all():
-        raise ValueError(f"point must be a finite 3-vector, got {p!r}")
-    coords = _world_to_index(p, v.spacing, v.origin)
-    value, _ = _trilinear(v.data, coords[0], coords[1], coords[2], want_grad=False)
-    return float(value)
 
 
 def _warp(moving: Volume, field: DisplacementField, want_grad: bool):
@@ -288,7 +247,7 @@ def warp_volume_with_gradient(moving: Volume, field: DisplacementField):
     return _warp(moving, field, want_grad=True)
 
 
-def jacobian_determinant(field: DisplacementField) -> JacobianMap:
+def jacobian_determinant(field: DisplacementField) -> Volume:
     """Per-voxel det(I + grad u), derivatives in mm.
 
     Central differences on interior voxels, one-sided on faces; needs at
@@ -307,10 +266,10 @@ def jacobian_determinant(field: DisplacementField) -> JacobianMap:
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
-    return JacobianMap(data=det, spacing=field.spacing, origin=field.origin)
+    return Volume(data=det, spacing=field.spacing, origin=field.origin)
 
 
-def folding_fraction(jmap: JacobianMap) -> float:
+def folding_fraction(jmap: Volume) -> float:
     """Fraction of voxels with non-positive Jacobian determinant."""
     return float(np.mean(jmap.data <= 0.0))
 
@@ -338,60 +297,31 @@ def _lerp_axis(data: np.ndarray, c: np.ndarray, axis: int) -> np.ndarray:
     return lo
 
 
-def resample_field(field: DisplacementField, new_dims, spacing=None) -> DisplacementField:
-    """Trilinearly resample the field onto a new grid, all components at once.
+def resample_field(field: DisplacementField, new_dims, spacing) -> DisplacementField:
+    """Trilinearly resample the field onto a grid of ``new_dims`` nodes with
+    the given spacing, all components at once.
 
-    Displacement values (mm) carry unchanged.  Unless an explicit spacing is
-    given, spacing is rescaled so the physical extent (n-1)*s of each axis
-    is preserved; grid corners map onto grid corners.  A length-1 axis has
-    no extent to preserve, so spreading it onto more nodes needs the
-    spacing.  The target nodes form a grid, so the resampling is separable:
-    each axis is interpolated at its own 1-D source coordinates.
+    Displacement values (mm) carry unchanged, and grid corners map onto grid
+    corners; a length-1 target axis samples the source's first node.  The
+    target nodes form a grid, so the resampling is separable: each axis is
+    interpolated at its own 1-D source coordinates.
     """
     new_dims = tuple(int(d) for d in new_dims)
     if len(new_dims) != 3 or min(new_dims) < 1:
         raise ValueError(f"new_dims must be 3 positive ints, got {new_dims}")
-    if new_dims == field.dims and spacing is None:
-        return field
-    old = field.dims
-    coords = []
-    out_spacing = []
-    for a in range(3):
-        n_new, n_old, s_old = new_dims[a], old[a], field.spacing[a]
-        if n_new == 1:
-            coords.append(np.zeros(1))
-            out_spacing.append(s_old * n_old)
-        elif n_old == 1 and spacing is None:
-            raise ValueError(
-                f"axis {a} has length 1 and no extent to spread over {n_new} nodes; "
-                "give the target spacing"
-            )
-        else:
-            coords.append(np.arange(n_new) * (n_old - 1) / (n_new - 1))
-            out_spacing.append(s_old * (n_old - 1) / (n_new - 1))
     out = field.data
-    for a, c in enumerate(coords):
+    for a, (n_new, n_old) in enumerate(zip(new_dims, field.dims)):
+        c = np.zeros(1) if n_new == 1 else np.arange(n_new) * (n_old - 1) / (n_new - 1)
         out = _lerp_axis(out, c, a)
     out.flags.writeable = False  # fresh array: the field need not copy it
-    if spacing is None:
-        spacing = tuple(out_spacing)
     return DisplacementField(data=out, spacing=spacing, origin=field.origin)
 
 
 def load_field(path) -> DisplacementField:
     """Load a ``.dfield`` raw file (3 interleaved f32 components per voxel)."""
-    header, flat = _read_raw(path, expected_channels=3)
-    nx, ny, nz = header.dims
-    data = flat.reshape(nz, ny, nx, 3).transpose(2, 1, 0, 3)
-    return DisplacementField(data=data, spacing=header.spacing, origin=header.origin)
+    return _load_grid(path, DisplacementField)
 
 
 def save_field(field: DisplacementField, path) -> None:
-    """Write raw little-endian float32 payload plus JSON sidecar with channels=3."""
-    from pathlib import Path
-
-    path = Path(path)
-    header = VolumeHeader(dims=field.dims, spacing=field.spacing, origin=field.origin, channels=3)
-    payload = field.data.transpose(2, 1, 0, 3).astype("<f4").tobytes()
-    path.write_bytes(payload)
-    _sidecar_path(path).write_text(header.to_json())
+    """Write a ``.dfield`` raw file and its sidecar, which says channels=3."""
+    _save_grid(field, path)

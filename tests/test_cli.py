@@ -728,6 +728,28 @@ class TestSlicesCommand:
         assert proc.returncode == 1
 
 
+class TestMalformedSidecar:
+    @pytest.mark.parametrize("sidecar, key", [
+        ('{"dims": [2, 2, 2]}', "'spacing'"),
+        ('{"spacing": [1, 1, 1], "origin": [0, 0, 0]}', "'dims'"),
+        ("[2, 2, 2]", "JSON object"),
+        ('"dims"', "JSON object"),
+    ], ids=["no-spacing", "no-dims", "list", "string"])
+    def test_is_one_line_user_error(self, tmp_path, sidecar, key):
+        from defreg.volume import Volume, save_volume
+
+        path = tmp_path / "v.vol"
+        save_volume(Volume(data=np.zeros((2, 2, 2))), path)
+        (tmp_path / "v.vol.json").write_text(sidecar)
+        proc = run_cli("slices", "--volume", str(path), "--axis", "z", "--index", "0",
+                       "--out", str(tmp_path / "s.pgm"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("defreg: error: ")
+        assert str(tmp_path / "v.vol.json") in lines[0] and key in lines[0]
+
+
 class TestThreadConfiguration:
     def test_env_fallback_sets_thread_vars(self):
         code = (

@@ -686,6 +686,24 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("cut", [0, 2, 6, 22, 24, 30, 60, -4, -1])
+    def test_truncated_file_rejected_by_part(self, tmp_path, cut):
+        cfg = tiny_config()
+        p = tmp_path / "net.ckpt"
+        save_checkpoint(p, init_convnet_parameters(cfg, seed=0))
+        raw = p.read_bytes()
+        keep = cut % len(raw)
+        p.write_bytes(raw[:keep])
+        # the part that the cut falls in: the 24-byte header, then each
+        # tensor's ndim, dims and f32 values
+        part, end = "the header", 24
+        for name, shape in _layer_plan(cfg):
+            if keep < end:
+                break
+            part, end = f"tensor {name!r}", end + 4 + 4 * len(shape) + 4 * int(np.prod(shape))
+        with pytest.raises(ValueError, match=f"truncated in {part}"):
+            load_checkpoint(p)
+
     def test_wrong_tensor_shape_rejected_on_save(self, tmp_path):
         params = init_convnet_parameters(tiny_config(), seed=0)
         params.tensors["head_b"] = np.zeros(4)

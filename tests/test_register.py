@@ -271,6 +271,22 @@ class TestRegisterFreeform:
         assert report.field.dims == (16, 16, 16)
         assert report.field.spacing == (1.0, 1.5, 2.0)
 
+    def test_final_after_coarse_stop_is_the_coarse_level_loss(self, rng):
+        # ``final`` scores the best iterate on its own pyramid level; after a
+        # stop before the finest level the returned field is that iterate
+        # resampled, and on the input grid it scores something else
+        fixed = random_volume(rng, (16, 16, 16))
+        moving = random_volume(rng, (16, 16, 16))
+        cfg = quick_cfg(pyramid_levels=3, iterations_per_level=1000, max_seconds=1e-9)
+        report = register(fixed, moving, cfg)
+        assert report.stop_reason == "budget" and len(report.levels) == 1
+        coarse = report.levels[0]
+        assert report.final == coarse.losses[coarse.best_iteration]
+        lv, _ = overall_loss(
+            zscore_normalize(fixed), zscore_normalize(moving), report.field, cfg.loss
+        )
+        assert abs(lv.total - report.final.total) > 0.1
+
     def test_budget_stop(self, rng):
         fixed = random_volume(rng, (16, 16, 16))
         moving = random_volume(rng, (16, 16, 16))

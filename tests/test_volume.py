@@ -51,6 +51,38 @@ class TestVolumeType:
             Volume(data=np.zeros((2, 2)), spacing=(1.0, 1.0, 1.0))
 
 
+def frozen_holder(name):
+    """(constructor that returns the array it keeps, a fresh writable input)."""
+    from defreg.evaluate import LandmarkSet
+    from defreg.warp import DisplacementField
+
+    ids, points, clamped = np.arange(2), np.zeros((2, 3)), np.zeros(2, dtype=bool)
+    return {
+        "volume": (lambda a: Volume(a).data, np.zeros((2, 2, 2))),
+        "field": (lambda a: DisplacementField(a).data, np.zeros((2, 2, 2, 3))),
+        "ids": (lambda a: LandmarkSet(ids=a, points=points).ids, ids),
+        "points": (lambda a: LandmarkSet(ids=ids, points=a).points, points),
+        "clamped": (lambda a: LandmarkSet(ids=ids, points=points, clamped=a).clamped, clamped),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["volume", "field", "ids", "points", "clamped"])
+class TestFreezeRule:
+    """Every frozen holder copies a writable buffer its caller passed and
+    shares one that is already read-only."""
+
+    def test_writable_buffer_is_copied_and_left_writable(self, name):
+        held, given = frozen_holder(name)
+        kept = held(given)
+        assert given.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(kept, given)
+
+    def test_read_only_array_is_shared(self, name):
+        held, given = frozen_holder(name)
+        given.flags.writeable = False
+        assert held(given) is given
+
+
 class TestRoundTrip:
     def test_known_bytes_layout(self, tmp_path):
         # values 0..7 in x-fastest linear order
