@@ -17,12 +17,16 @@ difference of two of its entries, formed with slices into one output (no
 running add/subtract window, whose rounding would drift along the axis).
 Summation order is fixed, so results are bit-reproducible.  The window
 statistics and gradients are computed in place, each temporary dropped
-after its last use.  Measured peaks of one ``overall_loss`` evaluation, in
-image volumes above its inputs: 18.4 on both paths while the field is one
-warp slab (48^3), where the whole-volume warp sets the peak; at
-160x192x160, 12.0 with the gradient, in the NCC's gradient pass while the
-3-volume sampling derivative is alive, and 9.0 without it, in the NCC's
-value pass, after the derivative is freed.
+after its last use.  Without the gradient, a volume of more than one warp
+slab streams the NCC over the warp's x-slabs, carrying the cumulative sums
+along x from slab to slab, so the value has the one-block bits; its window
+statistics are a few slabs, and only the correlation map is a whole
+volume.  Measured peaks of one ``overall_loss`` evaluation, in image
+volumes above its inputs: 18.4 on both paths while the field is one warp
+slab (48^3), where the whole-volume warp sets the peak; at 160x192x160,
+12.0 with the gradient, in the NCC's gradient pass while the 3-volume
+sampling derivative is alive, and 4.5 without it, in the warp, while the
+value and its derivative are alive (the NCC's value pass peaks at 1.6).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .volume import Volume
-from .warp import DisplacementField, warp_volume_with_gradient
+from .warp import DisplacementField, _slab_planes, warp_volume_with_gradient
 
 __all__ = [
     "LossConfig",
@@ -86,11 +90,34 @@ def _cumsum_axis0(a: np.ndarray, out: np.ndarray) -> None:
         np.add(out[i - 1], a[i], out=out[i])
 
 
+def _box_pass(src: np.ndarray, out: np.ndarray, csum: np.ndarray, axis: int, r: int) -> None:
+    """Windowed sums of ``src`` along ``axis``, window radius ``r``, into
+    ``out`` (which may be ``src``), with ``csum`` as the cumulative sums.
+
+    C = cumsum, then out[i] = C[min(i+r, n-1)] - C[i-r-1], the second term
+    only where i-r-1 >= 0, written with slices into one output.
+    """
+    if axis:
+        np.cumsum(src, axis=axis, out=csum)
+    else:
+        _cumsum_axis0(src, csum)
+    n = out.shape[axis]
+
+    def ax(start, stop):
+        idx = [slice(None)] * 3
+        idx[axis] = slice(start, stop)
+        return tuple(idx)
+
+    m = max(n - r, 0)  # windows whose upper edge is inside the axis
+    out[ax(0, m)] = csum[ax(r, n)]
+    out[ax(m, n)] = csum[ax(n - 1, n)]
+    if n > r + 1:
+        out[ax(r + 1, n)] -= csum[ax(0, n - r - 1)]
+
+
 def _box_sum(a: np.ndarray, w: int) -> np.ndarray:
     """Separable sliding-window sum with window side ``w``, clipped at borders.
 
-    Per axis: C = cumsum, then out[i] = C[min(i+r, n-1)] - C[i-r-1], the
-    second term only where i-r-1 >= 0, written with slices into one output.
     One buffer holds the cumulative sums, the other the windowed sums.
     """
     if w == 1:
@@ -99,55 +126,53 @@ def _box_sum(a: np.ndarray, w: int) -> np.ndarray:
     csum = np.empty_like(a)
     out = np.empty_like(a)
     for axis in range(3):
-        if axis:
-            np.cumsum(out, axis=axis, out=csum)
-        else:
-            _cumsum_axis0(a, csum)
-        n = out.shape[axis]
-
-        def ax(start, stop):
-            idx = [slice(None)] * 3
-            idx[axis] = slice(start, stop)
-            return tuple(idx)
-
-        m = max(n - r, 0)  # windows whose upper edge is inside the axis
-        out[ax(0, m)] = csum[ax(r, n)]
-        out[ax(m, n)] = csum[ax(n - 1, n)]
-        if n > r + 1:
-            out[ax(r + 1, n)] -= csum[ax(0, n - r - 1)]
+        _box_pass(out if axis else a, out, csum, axis, r)
     return out
 
 
-def _box_counts(dims, w: int) -> np.ndarray:
-    """Number of in-grid voxels in each clipped window."""
+def _box_counts(dims, w: int, planes=slice(None)) -> np.ndarray:
+    """Number of in-grid voxels in each clipped window, at the given x-planes."""
     r = w // 2
     per_axis = []
     for n in dims:
         i = np.arange(n)
         per_axis.append(np.minimum(i + r, n - 1) - np.maximum(i - r, 0) + 1.0)
-    return per_axis[0][:, None, None] * per_axis[1][None, :, None] * per_axis[2][None, None, :]
+    cx = per_axis[0][planes]
+    return cx[:, None, None] * per_axis[1][None, :, None] * per_axis[2][None, None, :]
 
 
-def _ncc_terms(F: np.ndarray, G: np.ndarray, w: int, eps: float, with_grad: bool):
-    """Mean windowed correlation of F and G, optionally with d(value)/dG.
+def _box_sums(F: np.ndarray, G: np.ndarray, w: int):
+    """The window sums of F, G, F*G, F*F and G*G, in that order, one at a time."""
+    yield _box_sum(F, w)
+    yield _box_sum(G, w)
+    yield _box_sum(F * G, w)
+    yield _box_sum(F * F, w)
+    yield _box_sum(G * G, w)
 
-    The arithmetic is that of the closed forms in the comments, in the same
-    order, with each intermediate updated in place and dropped after its
-    last use (a buffer keeps one name at a time, so ``del`` frees it).
+
+def _window_stats(sums, n: np.ndarray, eps: float, with_grad: bool):
+    """Per-window correlation and the statistics its gradient reuses.
+
+    ``sums`` yields the window sums of F, G, F*G, F*F and G*G in that order,
+    each a fresh array, and ``n`` holds the windows' voxel counts; neither
+    is used by the caller afterwards.  Returns (cc, d, varG, muF, muG,
+    floored), floored None without ``with_grad``.  The arithmetic is that of
+    the closed forms in the comments, in the same order, with each
+    intermediate updated in place and dropped after its last use (a buffer
+    keeps one name at a time, so ``del`` frees it).
     """
-    n = _box_counts(F.shape, w)
-    sF = _box_sum(F, w)
-    sG = _box_sum(G, w)
+    sF = next(sums)
+    sG = next(sums)
     muF = sF / n
     muG = sG / n
     del n
-    cc = _box_sum(F * G, w)  # cross = box(F*G) - muF*sG
+    cc = next(sums)  # cross = box(F*G) - muF*sG
     cc -= muF * sG
-    d = _box_sum(F * F, w)  # varF = max(box(F*F) - muF*sF, 0)
+    d = next(sums)  # varF = max(box(F*F) - muF*sF, 0)
     d -= muF * sF
     np.maximum(d, 0.0, out=d)
     del sF
-    varG = _box_sum(G * G, w)  # varG = max(box(G*G) - muG*sG, 0)
+    varG = next(sums)  # varG = max(box(G*G) - muG*sG, 0)
     varG -= muG * sG
     np.maximum(varG, 0.0, out=varG)
     del sG
@@ -156,6 +181,75 @@ def _ncc_terms(F: np.ndarray, G: np.ndarray, w: int, eps: float, with_grad: bool
     floored = d < eps if with_grad else None
     np.maximum(d, eps, out=d)
     cc /= d  # cc = cross / d
+    return cc, d, varG, muF, muG, floored
+
+
+def _ncc_value_in_slabs(F: np.ndarray, G: np.ndarray, w: int, eps: float, step: int) -> float:
+    """``_ncc_terms``' value, computed over x-slabs of ``step`` planes.
+
+    The window sums along y and z and the window statistics are pointwise
+    in x, so each slab runs ``_box_pass`` and ``_window_stats`` on its own
+    planes.  Along x, each quantity's cumulative sum is carried from plane
+    to plane across slabs in a ring of the planes that a slab's windows
+    reach, so every sum is added in the whole-volume order.  Each slab's
+    correlation goes into one whole-volume array, whose mean is the value:
+    the same bits as the one-block pass, in 1 volume and a few slabs.
+    """
+    nx, ny, nz = F.shape
+    r = w // 2
+    ring = min(step + 2 * r + 1, nx)  # planes x0-r-1 .. x1+r-1 of a slab
+    prefix = np.empty((5, ring, ny, nz)) if w > 1 else None
+    csum = np.empty((step, ny, nz)) if w > 1 else None
+    cc = np.empty(F.shape)
+    top = 0  # x-planes whose cumulative sums have been taken
+
+    def slab_sums(x0, x1):
+        """The window sums of F, G, F*G, F*F and G*G at planes x0 to x1."""
+        for q in range(5):
+            s = np.empty((x1 - x0, ny, nz))
+            for i in range(x0, x1):
+                hi = prefix[q, min(i + r, nx - 1) % ring]
+                if i > r:
+                    np.subtract(hi, prefix[q, (i - r - 1) % ring], out=s[i - x0])
+                else:
+                    s[i - x0] = hi
+            _box_pass(s, s, csum[: x1 - x0], 1, r)
+            _box_pass(s, s, csum[: x1 - x0], 2, r)
+            yield s
+
+    for x0 in range(0, nx, step):
+        x1 = min(x0 + step, nx)
+        if w == 1:  # a window of one voxel: its sums are the values
+            sums = _box_sums(F[x0:x1], G[x0:x1], w)
+        else:
+            end = min(x1 + r, nx)  # the slab's windows reach plane end-1
+            for k in range(top, end):
+                f, g = F[k], G[k]
+                for q, a in enumerate((f, g, f * g, f * f, g * g)):
+                    if k:
+                        np.add(prefix[q, (k - 1) % ring], a, out=prefix[q, k % ring])
+                    else:
+                        prefix[q, 0] = a
+            top = end
+            sums = slab_sums(x0, x1)
+        n = _box_counts(F.shape, w, slice(x0, x1))
+        cc[x0:x1] = _window_stats(sums, n, eps, False)[0]
+    return float(np.mean(cc))
+
+
+def _ncc_terms(F: np.ndarray, G: np.ndarray, w: int, eps: float, with_grad: bool):
+    """Mean windowed correlation of F and G, optionally with d(value)/dG.
+
+    Without the gradient, a volume of more than one warp slab is
+    streamed over x-slabs (``_ncc_value_in_slabs``); otherwise the window
+    statistics are whole-volume arrays.
+    """
+    step = _slab_planes(F.shape)
+    if not with_grad and step < F.shape[0]:
+        return _ncc_value_in_slabs(F, G, w, eps, step), None
+    cc, d, varG, muF, muG, floored = _window_stats(
+        _box_sums(F, G, w), _box_counts(F.shape, w), eps, with_grad
+    )
     value = float(np.mean(cc))
     if not with_grad:
         return value, None

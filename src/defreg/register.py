@@ -10,9 +10,10 @@ field or loss value stops the run as ``diverged`` before Adam steps on its
 gradient.  As after a budget stop, no later level runs and the best
 finite iterate is returned.  The loss gradient is computed only for an
 iterate Adam may step from: a level's last iterate, and so the single
-iterate of a 0-iteration level, is scored by value alone.  A convergence
-or budget stop, which is known only after the evaluation, still computes
-one gradient that no step uses.  The modes differ only in what a level
+iterate of a 0-iteration level, is scored by value alone, and a
+0-iteration level builds no Adam state.  A convergence or budget stop,
+which is known only after the evaluation, still computes one gradient
+that no step uses.  The modes differ only in what a level
 optimizes and what is returned:
 
 * freeform: the parameter is the displacement field itself, over a
@@ -322,10 +323,11 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
                 best = (best[0], None, u)
             params = {"field": u.data}
         # convnet: a round continues from the last iterate; all rounds compete
-        state = AdamState.init(params, alpha=cfg.resolved_learning_rate)
+        n_steps = cfg.iterations_for(lvl)
+        # Adam's moments are parameter-sized: none for a level without steps
+        state = AdamState.init(params, alpha=cfg.resolved_learning_rate) if n_steps else None
         losses: list[LossValue] = []
         level_best, level_stop = 0, "max_iters"
-        n_steps = cfg.iterations_for(lvl)
         for it in range(n_steps + 1):  # it 0: the entry iterate
             if it:
                 params, state = adam_step(params, backward(cache, grad), state)

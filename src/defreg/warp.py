@@ -25,10 +25,14 @@ updated in place; the operations and their order are those of the plain
 axis (a displacement field's 3 components) shares one set of indices and
 weights.  Resampling a field onto another grid is separable: a lerp along
 x, then y, then z, each at its axis's 1-D source coordinates, which is the
-8-corner blend's arithmetic in the same order.
+8-corner blend's arithmetic in the same order.  The z lerp runs per
+x-slab of the target grid into a preallocated output, so a field
+resampled onto 160x192x160 peaks at 1.5 output fields, against 2.5 in one
+call.
 
 Warping samples the field grid in slabs of whole x-planes, at most
-``_WARP_SLAB_VOXELS`` output voxels each (one plane if a plane is larger).
+``_WARP_SLAB_VOXELS`` output voxels each (one plane if a plane is larger);
+field resampling and the NCC's value pass use the same slabs.
 Sampling is pointwise, so each slab builds only its own coordinates, cells
 and weights, and its last fold writes straight into the preallocated value
 and derivative; the bits are those of one whole-volume call.  A field of at
@@ -73,6 +77,12 @@ class DisplacementField(_Grid):
 # coordinates, cell indices and weights are a few times its size, so they
 # stay in cache; a volume of at most one slab is sampled in one call.
 _WARP_SLAB_VOXELS = 1 << 17
+
+
+def _slab_planes(dims) -> int:
+    """x-planes per slab of a grid of ``dims`` (at least one); a grid of at
+    most one slab has ``_slab_planes(dims) >= dims[0]``."""
+    return max(_WARP_SLAB_VOXELS // (dims[1] * dims[2]), 1)
 
 
 def _world_to_index(points, spacing, origin) -> np.ndarray:
@@ -217,7 +227,7 @@ def _warp(moving: Volume, field: DisplacementField, want_grad: bool):
         cz = (np.arange(nz) * rz + oz)[None, None, :] + u[..., 2] / sz
         return _trilinear(moving.data, cx, cy, cz, want_grad, out)
 
-    step = max(_WARP_SLAB_VOXELS // (ny * nz), 1)
+    step = _slab_planes(field.dims)
     if step >= nx:
         # one slab: the sampler's own arrays, no preallocated outputs; at
         # 48^3 a registration's peak RSS moves by several MB with the order
@@ -274,23 +284,26 @@ def folding_fraction(jmap: Volume) -> float:
     return float(np.mean(jmap.data <= 0.0))
 
 
-def _lerp_axis(data: np.ndarray, c: np.ndarray, axis: int) -> np.ndarray:
+def _lerp_axis(data: np.ndarray, c: np.ndarray, axis: int, out=None) -> np.ndarray:
     """Linear interpolation of ``data`` along ``axis`` at the 1-D voxel
     coordinates ``c``, with ``_trilinear``'s clamping, cells and weights.
 
     Lerping along x, then y, then z does the arithmetic of ``_trilinear``'s
     corner fold in the same order, so on a grid of points given per axis the
     result is the same to the bit, with one gather per axis instead of eight
-    per point.
+    per point.  ``out``, if given, is a C-contiguous array of the result's
+    shape that receives it, and is returned.
     """
     n = data.shape[axis]
     i0, f = _cell(c, n)
     shape = [1] * data.ndim
     shape[axis] = len(c)
     f = f.reshape(shape)
-    lo = np.take(data, i0, axis=axis)
+    # the indices are in range; "raise", the default mode, would gather
+    # into a buffer and copy that into ``out``
+    lo = np.take(data, i0, axis=axis, out=out, mode="clip")
     i0 += n > 1  # the upper corner; the same node on an axis of length 1
-    hi = np.take(data, i0, axis=axis)
+    hi = np.take(data, i0, axis=axis, mode="clip")
     lo *= 1.0 - f
     hi *= f
     lo += hi
@@ -304,15 +317,28 @@ def resample_field(field: DisplacementField, new_dims, spacing) -> DisplacementF
     Displacement values (mm) carry unchanged, and grid corners map onto grid
     corners; a length-1 target axis samples the source's first node.  The
     target nodes form a grid, so the resampling is separable: each axis is
-    interpolated at its own 1-D source coordinates.
+    interpolated at its own 1-D source coordinates.  The last lerp is
+    pointwise in x, so on a grid of more than one warp slab it runs per
+    x-slab into the preallocated output, and its two corner arrays are slab
+    sized; a grid of at most one slab is lerped in one call.
     """
     new_dims = tuple(int(d) for d in new_dims)
     if len(new_dims) != 3 or min(new_dims) < 1:
         raise ValueError(f"new_dims must be 3 positive ints, got {new_dims}")
-    out = field.data
-    for a, (n_new, n_old) in enumerate(zip(new_dims, field.dims)):
-        c = np.zeros(1) if n_new == 1 else np.arange(n_new) * (n_old - 1) / (n_new - 1)
-        out = _lerp_axis(out, c, a)
+    cx, cy, cz = (
+        np.zeros(1) if n_new == 1 else np.arange(n_new) * (n_old - 1) / (n_new - 1)
+        for n_new, n_old in zip(new_dims, field.dims)
+    )
+    data = _lerp_axis(_lerp_axis(field.data, cx, 0), cy, 1)
+    nx = new_dims[0]
+    step = _slab_planes(new_dims)
+    if step >= nx:
+        out = _lerp_axis(data, cz, 2)
+    else:
+        out = np.empty(new_dims + (3,))
+        for x0 in range(0, nx, step):
+            _lerp_axis(data[x0 : x0 + step], cz, 2, out[x0 : x0 + step])
+    del data
     out.flags.writeable = False  # fresh array: the field need not copy it
     return DisplacementField(data=out, spacing=spacing, origin=field.origin)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import defreg.loss
 import defreg.warp
 from defreg.loss import (
     LossConfig,
@@ -256,6 +257,37 @@ class TestNccTermsExactness:
         assert np.array_equal(got_grad, want_grad)
 
 
+class TestNccValueSlabs:
+    """The value pass over x-slabs gives the one-block value's bits."""
+
+    @pytest.mark.parametrize("dims", [(11, 5, 7), (9, 6, 5), (6, 9, 8), (4, 7, 3)])
+    @pytest.mark.parametrize("w", [1, 3, 9])
+    def test_equals_whole_volume_bitwise(self, rng, monkeypatch, dims, w):
+        # slabs of 1 and 2 planes, and of r and r+1 planes, where the ring of
+        # carried cumulative sums is smallest; (6, 9, 8) and (4, 7, 3) have
+        # windows wider than nx
+        F = rng.standard_normal(dims)
+        G = rng.standard_normal(dims)
+        G[1] = 0.5  # a flat slab floors some windows
+        whole, _ = _ncc_terms(F, G, w, 1e-5, True)  # the gradient path is one block
+        assert _ncc_terms(F, G, w, 1e-5, False) == (whole, None)
+        real = defreg.loss._ncc_value_in_slabs
+        slabbed = []
+
+        def counting(*args):
+            slabbed.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(defreg.loss, "_ncc_value_in_slabs", counting)
+        r = w // 2
+        plane = dims[1] * dims[2]
+        sizes = sorted({1, 2, r, r + 1} - {0})
+        for planes in sizes:
+            monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", planes * plane)
+            assert _ncc_terms(F, G, w, 1e-5, False) == (whole, None), planes
+        assert slabbed == [p for p in sizes if p < dims[0]]
+
+
 class TestSimilarityLoss:
     def test_identical_pair_zero_field_is_stationary(self, rng):
         v = random_volume(rng, (8, 8, 8))
@@ -478,10 +510,11 @@ class TestLossMemory:
             tracemalloc.stop()
         assert peak < 1.2 * field.data.nbytes  # the differences, squared in place
 
-    # The same evaluation with the warp over 1-plane slabs, per path: the
-    # NCC's gradient pass (12.4 volumes at 40^3, with the 3-volume sampling
-    # derivative) and its value pass (9.4 volumes, the derivative freed).
-    @pytest.mark.parametrize("with_grad, peak_volumes", [(True, 13.5), (False, 10.5)])
+    # The same evaluation with the warp and the NCC's value pass over
+    # 1-plane slabs, per path: the NCC's gradient pass (12.4 volumes at
+    # 40^3, with the 3-volume sampling derivative) and the value-only warp
+    # with its derivative (4.5 volumes).
+    @pytest.mark.parametrize("with_grad, peak_volumes", [(True, 13.5), (False, 5)])
     def test_multi_slab_evaluation_stays_under_bound(self, monkeypatch, with_grad, peak_volumes):
         rng = np.random.default_rng(0)
         dims = (40, 40, 40)
@@ -498,3 +531,22 @@ class TestLossMemory:
         finally:
             tracemalloc.stop()
         assert peak < peak_volumes * fixed.data.nbytes
+
+    # The NCC's value pass alone over 1-plane slabs: the correlation of
+    # every window, the carried cumulative sums of 10 planes for each of the
+    # 5 quantities, and one slab's statistics (2.5 volumes at 40^3, 8.4 in
+    # one block).
+    def test_slabbed_ncc_value_pass_stays_under_bound(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        dims = (40, 40, 40)
+        monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", 40 * 40)
+        F = rng.standard_normal(dims)
+        G = rng.standard_normal(dims)
+        _ncc_terms(F, G, 9, 1e-5, False)  # warm-up
+        tracemalloc.start()
+        try:
+            _ncc_terms(F, G, 9, 1e-5, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * F.nbytes

@@ -563,6 +563,36 @@ class TestGradientOnlyWhereAdamSteps:
         assert [t.iterations for t in report.levels] == [3, 2, 0]
 
 
+    @pytest.mark.parametrize("mode", ["freeform", "convnet"])
+    def test_level_without_steps_builds_no_adam_state(self, rng, monkeypatch, mode):
+        # schedule (2, 0, 1): Adam's moments for the first and last levels only
+        fixed = random_volume(rng, (16, 16, 16))
+        moving = random_volume(rng, (16, 16, 16))
+        cfg = quick_cfg(
+            mode=mode,
+            pyramid_levels=3,
+            iterations_per_level=None,
+            iterations_schedule=(2, 0, 1),
+            learning_rate=0.3 if mode == "freeform" else 1e-2,
+            convnet=ConvNetConfig(levels=2, base_filters=4),
+        )
+        built = []
+
+        class CountingAdamState(defreg.register.AdamState):
+            @classmethod
+            def init(cls, params, alpha):
+                built.append({k: p.shape for k, p in params.items()})
+                return super().init(params, alpha)
+
+        monkeypatch.setattr(defreg.register, "AdamState", CountingAdamState)
+        report = register(fixed, moving, cfg)
+        assert [t.iterations for t in report.levels] == [2, 0, 1]
+        if mode == "freeform":
+            assert built == [{"field": (4, 4, 4, 3)}, {"field": (16, 16, 16, 3)}]
+        else:
+            assert len(built) == 2 and built[0] == built[1]
+
+
 def _fail_loss_at(monkeypatch, call):
     """Make the level loop's ``call``-th loss evaluation (1-based)
     non-finite; returns a list that records, per Adam step, whether every

@@ -473,6 +473,26 @@ class TestWarpMemory:
             tracemalloc.stop()
         assert peak < peak_volumes * moving.data.nbytes
 
+    # Resampling a field over x-slabs of the target grid: the x and y lerps,
+    # the output and one slab's corners (1.55 output fields at 20^3 -> 40^3
+    # over 1-plane slabs, 2.55 in one call), the same bits as one call.
+    def test_multi_slab_resample_equals_one_call_under_bound(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        src = DisplacementField(data=rng.standard_normal((20, 21, 19, 3)), spacing=(2.0, 2.0, 2.0))
+        dims = (40, 41, 37)
+        whole = resample_field(src, dims, spacing=(1.0, 1.0, 1.0))
+        for planes in (7, 3, 1):  # the last slab is partial for 7 and 3
+            monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", planes * 41 * 37)
+            out = resample_field(src, dims, spacing=(1.0, 1.0, 1.0))
+            assert out.data.tobytes() == whole.data.tobytes(), planes
+        tracemalloc.start()
+        try:
+            resample_field(src, dims, spacing=(1.0, 1.0, 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * whole.data.nbytes
+
 
 class TestJacobianDeterminant:
     def test_zero_field_exactly_one(self):
