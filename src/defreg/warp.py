@@ -27,8 +27,8 @@ weights.  Resampling a field onto another grid is separable: a lerp along
 x, then y, then z, each at its axis's 1-D source coordinates, which is the
 8-corner blend's arithmetic in the same order.  The z lerp runs per
 x-slab of the target grid into a preallocated output, so a field
-resampled onto 160x192x160 peaks at 1.5 output fields, against 2.5 in one
-call.
+resampled onto 160x192x160 peaks at 1.5 output fields, against 2.5 with a
+whole-grid z lerp.
 
 Warping samples the field grid in slabs of whole x-planes, at most
 ``_WARP_SLAB_VOXELS`` output voxels each (one plane if a plane is larger);
@@ -318,9 +318,8 @@ def resample_field(field: DisplacementField, new_dims, spacing) -> DisplacementF
     corners; a length-1 target axis samples the source's first node.  The
     target nodes form a grid, so the resampling is separable: each axis is
     interpolated at its own 1-D source coordinates.  The last lerp is
-    pointwise in x, so on a grid of more than one warp slab it runs per
-    x-slab into the preallocated output, and its two corner arrays are slab
-    sized; a grid of at most one slab is lerped in one call.
+    pointwise in x, so it runs per warp x-slab into the preallocated output,
+    and its two corner arrays are slab sized.
     """
     new_dims = tuple(int(d) for d in new_dims)
     if len(new_dims) != 3 or min(new_dims) < 1:
@@ -330,14 +329,10 @@ def resample_field(field: DisplacementField, new_dims, spacing) -> DisplacementF
         for n_new, n_old in zip(new_dims, field.dims)
     )
     data = _lerp_axis(_lerp_axis(field.data, cx, 0), cy, 1)
-    nx = new_dims[0]
     step = _slab_planes(new_dims)
-    if step >= nx:
-        out = _lerp_axis(data, cz, 2)
-    else:
-        out = np.empty(new_dims + (3,))
-        for x0 in range(0, nx, step):
-            _lerp_axis(data[x0 : x0 + step], cz, 2, out[x0 : x0 + step])
+    out = np.empty(new_dims + (3,))
+    for x0 in range(0, new_dims[0], step):
+        _lerp_axis(data[x0 : x0 + step], cz, 2, out[x0 : x0 + step])
     del data
     out.flags.writeable = False  # fresh array: the field need not copy it
     return DisplacementField(data=out, spacing=spacing, origin=field.origin)

@@ -475,7 +475,7 @@ class TestWarpMemory:
 
     # Resampling a field over x-slabs of the target grid: the x and y lerps,
     # the output and one slab's corners (1.55 output fields at 20^3 -> 40^3
-    # over 1-plane slabs, 2.55 in one call), the same bits as one call.
+    # over 1-plane slabs, 2.55 over one slab), the same bits as one slab.
     def test_multi_slab_resample_equals_one_call_under_bound(self, monkeypatch):
         rng = np.random.default_rng(0)
         src = DisplacementField(data=rng.standard_normal((20, 21, 19, 3)), spacing=(2.0, 2.0, 2.0))
