@@ -295,9 +295,9 @@ def _cmd_register(args) -> int:
         outputs,
         time.monotonic() - t0,
     )
-    # the loss of the iterate the written field comes from, scored on its own
-    # pyramid level: coarser than the field after an early budget or
-    # divergence stop, which resamples that iterate to the input grid
+    # the written field's loss (in convnet mode, before the padding is
+    # cropped); after an early budget or divergence stop, register() scores
+    # the resampled field once more on the input grid
     final = report.final
     print(
         f"total={final.total!r} similarity={final.similarity!r} "

@@ -21,21 +21,32 @@ interpreted as mm displacements.  The head starts at exactly zero, so an
 untrained network predicts the identity transform.
 
 Convolution, optional batch norm and ReLU form one block.  The forward
-pass keeps, per encoder level, its two blocks' caches and the pool's
-argmax; per decoder level, the channel split of the concatenation and the
-block's cache; and the head's input.  The backward pass walks the same
-structure in reverse and only reads it.
+cache holds each activation once, as the array the pass computed.  A block
+refers to its input channel groups and keeps its ReLU mask and, with batch
+norm, the normalized activations.  A decoder block's groups are the coarser
+output and the encoder skip themselves, joined by no copy, and its level
+keeps the channel split between them.  A pool keeps its argmax as int8.
+The head's input, ReLU of dec0's batch norm, is rebuilt from dec0's cache
+in the backward pass by the forward's own expression; without batch norm
+it is kept.  For the default network that is 331 bytes of activations per
+voxel.  The backward pass walks the same structure in reverse and only
+reads it.
 
-One primitive computes every convolution, 3x3x3 and 1x1x1 alike, on BLAS:
-per kernel tap, the shifted slice of the zero-padded input is copied into a
-reused contiguous (C_in, voxels) buffer and multiplied by that tap's
-(C_out, C_in) weights, the per-tap half of im2col.  The copies and products
-run over slabs of a few output x-planes, so the buffer and the product stay
-a few MB however large the volume.  The weight gradient multiplies the same
-tap buffers by the output gradient, and the input gradient is the
-transposed convolution: the forward primitive applied to the output
-gradient with the kernel flipped on all three axes and C_in, C_out swapped,
-so no padded input-gradient array is scattered into.
+One primitive computes every convolution, 3x3x3 and 1x1x1 alike, on BLAS.
+Its input is a list of unpadded channel groups, each at the output's
+resolution or at half of it, which nearest-neighbour 2x up-sampling
+doubles.  Per slab of a few output x-planes, the zero-padded, up-sampled,
+stacked input planes that the slab reads are copied into a reused window;
+per kernel tap, the window's shifted slice is copied into a reused
+contiguous (C_in, voxels) buffer and multiplied by that tap's (C_out, C_in)
+weights, the per-tap half of im2col.  The window, the buffer and the
+product stay a few MB however large the volume, and no padded,
+concatenated or up-sampled copy of a whole input is made.  The weight
+gradient multiplies the same tap buffers by the output gradient, and the
+input gradient is the transposed convolution: the forward primitive
+applied to the unpadded output gradient with the kernel flipped on all
+three axes and C_in, C_out swapped, so no padded input-gradient array is
+scattered into.
 
 Batch normalization always normalizes with the statistics of the current
 pass.  With one image pair per pass that is instance normalization, so there
@@ -146,59 +157,91 @@ def init_convnet_parameters(cfg: ConvNetConfig, seed: int = 0) -> ConvNetParamet
 # ---------------------------------------------------------------------------
 # layer primitives (channels-first (C, X, Y, Z) float64 arrays)
 
-def _taps(xp, k, dims):
+def _nearest_pieces(lo, hi, up):
+    """Nearest-neighbour up-sampling by ``up`` along one axis: (destination,
+    source) slice pairs, one per residue of ``up``, that fill positions
+    0 .. hi-lo-1 with source elements p // up for p = lo .. hi-1."""
+    pieces = []
+    for r in range(min(up, hi - lo)):
+        src = (lo + r) // up
+        pieces.append((slice(r, hi - lo, up), slice(src, src + len(range(lo + r, hi, up)))))
+    return pieces
+
+
+def _taps(groups, k, dims):
     """Yields (tap, part, cols) for each slab of output x-planes and each
-    kernel tap.  ``cols`` holds the tap's shifted input slice over the slab
-    as a contiguous (C, slab voxels) matrix, copied into one reused buffer;
-    ``part`` selects the slab's columns of the flattened (C, N) output.
-    Slabs split nx evenly into at most _SLAB_VOXELS voxels each."""
-    c = xp.shape[0]
+    kernel tap of a same-padded k x k x k convolution over ``dims``.
+
+    ``groups`` is the input as (array, up) channel groups, stacked in
+    order: ``array`` is unpadded, and up = 2 up-samples it 2x by nearest
+    neighbour.  Per slab, the zero-padded, up-sampled, stacked input planes
+    that the slab's taps read are copied into one reused window; ``cols``
+    holds a tap's shifted slice of the window as a contiguous (C, slab
+    voxels) matrix, copied into one reused buffer, and ``part`` selects the
+    slab's columns of the flattened (C, N) output.  Slabs split nx evenly
+    into at most _SLAB_VOXELS voxels each."""
+    c = sum(a.shape[0] for a, _ in groups)
+    h = k // 2
     nx, ny, nz = dims
     plane = ny * nz
     step = max(
         (d for d in range(1, nx + 1) if nx % d == 0 and d * plane <= _SLAB_VOXELS), default=1
     )
+    win = np.zeros((c, step + 2 * h, ny + 2 * h, nz + 2 * h))  # y and z padding stays zero
     buf = np.empty((c, step, ny, nz))
     cols = buf.reshape(c, -1)
     for x0 in range(0, nx, step):
-        x1 = x0 + step
+        # window plane i holds input plane x0 - h + i, zero outside the volume
+        lo, hi = max(x0 - h, 0), min(x0 + step + h, nx)
+        win[:, : lo - x0 + h] = 0.0
+        win[:, hi - x0 + h :] = 0.0
+        inner = win[:, lo - x0 + h : hi - x0 + h, h : h + ny, h : h + nz]
+        c0 = 0
+        for a, up in groups:
+            c1 = c0 + a.shape[0]
+            for tx, fx in _nearest_pieces(lo, hi, up):
+                for ty, fy in _nearest_pieces(0, ny, up):
+                    for tz, fz in _nearest_pieces(0, nz, up):
+                        np.copyto(inner[c0:c1, tx, ty, tz], a[:, fx, fy, fz])
+            c0 = c1
         for dx, dy, dz in np.ndindex(k, k, k):
-            np.copyto(buf, xp[:, x0 + dx : x1 + dx, dy : dy + ny, dz : dz + nz])
-            yield (dx, dy, dz), slice(x0 * plane, x1 * plane), cols
+            np.copyto(buf, win[:, dx : dx + step, dy : dy + ny, dz : dz + nz])
+            yield (dx, dy, dz), slice(x0 * plane, (x0 + step) * plane), cols
 
 
-def _conv_forward(x, w, b=None):
-    """Same-padded convolution with the k x k x k kernel ``w``, plus the
-    bias ``b`` if given; returns (out, padded input).  A 1x1x1 kernel needs
-    no padding, so its input is kept uncopied."""
+def _conv_forward(groups, w, b=None):
+    """Same-padded convolution of the channel groups ``groups`` (see
+    ``_taps``) with the k x k x k kernel ``w``, plus the bias ``b`` if
+    given."""
     k = w.shape[-1]
-    dims = x.shape[1:]
-    xp = np.pad(x, ((0, 0),) + ((k // 2, k // 2),) * 3) if k > 1 else x
+    a, up = groups[0]
+    dims = tuple(up * n for n in a.shape[1:])
     # each tap's (C_out, C_in) weights contiguous, so matmul hands them to BLAS
     w_taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))
     out = np.empty((w.shape[0], int(np.prod(dims))))
     out[...] = 0.0 if b is None else b[:, None]
     tmp = None
-    for tap, part, cols in _taps(xp, k, dims):
+    for tap, part, cols in _taps(groups, k, dims):
         tmp = np.matmul(w_taps[tap], cols, out=tmp)
         out[:, part] += tmp
-    return out.reshape((-1,) + dims), xp
+    return out.reshape((-1,) + dims)
 
 
-def _conv_backward(xp, w, dout):
+def _conv_backward(groups, w, dout):
     """(input, weight, bias) gradients of ``_conv_forward``.  The input
     gradient is the forward convolution of ``dout`` with the kernel flipped
-    on all three axes and its channel axes swapped."""
+    on all three axes and its channel axes swapped, at the output's
+    resolution: rows of an up-sampled group still need
+    ``_upsample_backward``."""
     k = w.shape[-1]
     dims = dout.shape[1:]
     dout2d = dout.reshape(dout.shape[0], -1)
     dw = np.zeros_like(w)
-    for (dx, dy, dz), part, cols in _taps(xp, k, dims):
+    for (dx, dy, dz), part, cols in _taps(groups, k, dims):
         dw[:, :, dx, dy, dz] += dout2d[:, part] @ cols.T
     db = dout.sum(axis=(1, 2, 3))
     flipped = w[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)
-    din, _ = _conv_forward(dout, flipped)
-    return din, dw, db
+    return _conv_forward([(dout, 1)], flipped), dw, db
 
 
 def _maxpool_forward(x):
@@ -209,7 +252,7 @@ def _maxpool_forward(x):
     win = win.transpose(0, 1, 3, 5, 6, 4, 2).reshape(c, nx // 2, ny // 2, nz // 2, 8)
     arg = win.argmax(axis=-1)
     out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-    return out, (arg, x.shape)
+    return out, (arg.astype(np.int8), x.shape)  # a cell of 8 fits in int8
 
 
 def _maxpool_backward(cache, dout):
@@ -221,13 +264,13 @@ def _maxpool_backward(cache, dout):
     return dwin.transpose(0, 1, 6, 2, 5, 3, 4).reshape(c, nx, ny, nz)
 
 
-def _upsample_forward(x):
-    return np.repeat(np.repeat(np.repeat(x, 2, axis=1), 2, axis=2), 2, axis=3)
-
-
 def _upsample_backward(dout):
     c, nx, ny, nz = dout.shape
     return dout.reshape(c, nx // 2, 2, ny // 2, 2, nz // 2, 2).sum(axis=(2, 4, 6))
+
+
+def _bn_affine(xhat, gamma, beta):
+    return gamma[:, None, None, None] * xhat + beta[:, None, None, None]
 
 
 def _bn_forward(x, gamma, beta):
@@ -235,44 +278,48 @@ def _bn_forward(x, gamma, beta):
     var = x.var(axis=(1, 2, 3))
     inv = 1.0 / np.sqrt(var + _BN_EPS)
     xhat = (x - mu[:, None, None, None]) * inv[:, None, None, None]
-    out = gamma[:, None, None, None] * xhat + beta[:, None, None, None]
-    return out, (xhat, inv, gamma)
+    return _bn_affine(xhat, gamma, beta), (xhat, inv, gamma, beta)
 
 
 def _bn_backward(cache, dout):
-    xhat, inv, gamma = cache
+    """(input, gamma, beta) gradients; the input gradient is written over
+    ``dout``."""
+    xhat, inv, gamma, _ = cache
     dgamma = (dout * xhat).sum(axis=(1, 2, 3))
     dbeta = dout.sum(axis=(1, 2, 3))
     m = xhat[0].size
     s = (gamma * inv)[:, None, None, None]
     mean_dy = dout.mean(axis=(1, 2, 3))[:, None, None, None]
     mean_dy_xhat = (dout * xhat).sum(axis=(1, 2, 3))[:, None, None, None] / m
-    dx = s * (dout - mean_dy - xhat * mean_dy_xhat)
+    dx = np.multiply(s, dout - mean_dy - xhat * mean_dy_xhat, out=dout)
     return dx, dgamma, dbeta
 
 
 # ---------------------------------------------------------------------------
 
 
-def _block_forward(x, t, conv, bn=None):
-    """Convolution ``conv``, batch norm ``bn`` if named, then ReLU; the
-    convolution has a bias only without batch norm."""
+def _block_forward(groups, t, conv, bn=None):
+    """Convolution ``conv`` of the channel groups ``groups``, batch norm
+    ``bn`` if named, then ReLU; the convolution has a bias only without
+    batch norm.  The cache refers to the groups' arrays, uncopied."""
     w = t[conv + "_w"]
-    x, xp = _conv_forward(x, w, None if bn else t[conv + "_b"])
+    x = _conv_forward(groups, w, None if bn else t[conv + "_b"])
     bn_cache = None
     if bn is not None:
         x, bn_cache = _bn_forward(x, t[bn + "_gamma"], t[bn + "_beta"])
     mask = x > 0
-    return x * mask, (xp, w, bn_cache, mask)
+    return x * mask, (groups, w, bn_cache, mask)
 
 
 def _block_backward(cache, dout, grads, conv, bn=None):
-    """The block's input gradient; its parameter gradients go into ``grads``."""
-    xp, w, bn_cache, mask = cache
-    dx = dout * mask
+    """The block's input gradient, stacked over its groups at the output's
+    resolution; its parameter gradients go into ``grads``.  ``dout`` is
+    overwritten, so that the caller's copy is not alive beside it."""
+    groups, w, bn_cache, mask = cache
+    dx = np.multiply(dout, mask, out=dout)
     if bn_cache is not None:
         dx, grads[bn + "_gamma"], grads[bn + "_beta"] = _bn_backward(bn_cache, dx)
-    dx, grads[conv + "_w"], db = _conv_backward(xp, w, dx)
+    dx, grads[conv + "_w"], db = _conv_backward(groups, w, dx)
     if bn_cache is None:
         grads[conv + "_b"] = db
     return dx
@@ -296,24 +343,25 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     x = np.stack([fixed.data, moving.data])
     enc, skips = [], []
     for l in range(cfg.levels):
-        x, block1 = _block_forward(x, t, f"enc{l}_conv1")
-        x, block2 = _block_forward(x, t, f"enc{l}_conv2")
+        x, block1 = _block_forward([(x, 1)], t, f"enc{l}_conv1")
+        x, block2 = _block_forward([(x, 1)], t, f"enc{l}_conv2")
         skips.append(x)
         x, pool = _maxpool_forward(x)
         enc.append((block1, block2, pool))
     dec = []  # finest level first, the order the backward pass meets them
     for l in reversed(range(cfg.levels)):
-        x = _upsample_forward(x)
-        split = x.shape[0]
-        x = np.concatenate([x, skips.pop()], axis=0)
+        # the coarser features, up-sampled, stacked over the skip features
         bn = f"dec{l}_bn" if cfg.use_batchnorm else None
-        x, block = _block_forward(x, t, f"dec{l}_conv", bn)
+        split = x.shape[0]
+        x, block = _block_forward([(x, 2), (skips.pop(), 1)], t, f"dec{l}_conv", bn)
         dec.insert(0, (split, block))
-    out, head_x = _conv_forward(x, t["head_w"], t["head_b"])
+    out = _conv_forward([(x, 1)], t["head_w"], t["head_b"])
     field_data = np.moveaxis(out, 0, -1)
     pred = None
     if np.isfinite(field_data).all():
         pred = DisplacementField(data=field_data, spacing=fixed.spacing, origin=fixed.origin)
+    # with batch norm the head's input is rebuilt from dec0's cache
+    head_x = None if cfg.use_batchnorm else x
     cache = {"dims": fixed.dims, "enc": enc, "dec": dec, "head": (head_x, t["head_w"])}
     return pred, cache
 
@@ -327,17 +375,23 @@ def convnet_backward(cache, grad: np.ndarray) -> dict[str, np.ndarray]:
         )
     grads: dict[str, np.ndarray] = {}
     head_x, head_w = cache["head"]
+    if head_x is None:  # ReLU(batch norm) of dec0, by the forward's expression
+        _, (_, _, (xhat, _, gamma, beta), mask) = cache["dec"][0]
+        head_x = _bn_affine(xhat, gamma, beta) * mask
     dout = np.moveaxis(grad, -1, 0)
-    dx, grads["head_w"], grads["head_b"] = _conv_backward(head_x, head_w, dout)
+    dx, grads["head_w"], grads["head_b"] = _conv_backward([(head_x, 1)], head_w, dout)
+    del head_x  # not alive through the decoder's backward
     skip_grads = []
     for l, (split, block) in enumerate(cache["dec"]):
         dx = _block_backward(block, dx, grads, f"dec{l}_conv", f"dec{l}_bn")
-        skip_grads.append(dx[split:])
+        # copied, so that the whole stacked gradient is freed below
+        skip_grads.append(dx[split:].copy())
         dx = _upsample_backward(dx[:split])
     for l in reversed(range(len(cache["enc"]))):
         block1, block2, pool = cache["enc"][l]
         # the pool's input also fed the skip connection: add both branches
-        dx = _maxpool_backward(pool, dx) + skip_grads.pop()
+        dx = _maxpool_backward(pool, dx)
+        dx += skip_grads.pop()
         dx = _block_backward(block2, dx, grads, f"enc{l}_conv2")
         dx = _block_backward(block1, dx, grads, f"enc{l}_conv1")
     return grads

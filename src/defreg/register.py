@@ -19,7 +19,10 @@ optimizes and what is returned:
 * freeform: the parameter is the displacement field itself, over a
   mean-downsampling pyramid.  The coarsest level starts from zero, each
   finer level starts from the coarser level's best iterate, resampled, and
-  the finest level's best iterate is returned.
+  the finest level's best iterate is returned.  After a budget or
+  divergence stop before the finest level scores an iterate, the coarser
+  best is resampled onto the input grid and scored there once more, by
+  value alone, so that the report's ``final`` is the returned field's loss.
 * convnet: a small encoder/decoder predicts the field from the image pair
   and its weights are optimized.  "Levels" become full-resolution rounds
   (the network's internal strides already form a pyramid, so
@@ -182,7 +185,7 @@ class RegistrationReport:
     dims: tuple[int, int, int]
     padded_dims: tuple[int, int, int]
     config: RegistrationConfig
-    final: LossValue  # the loss of the returned field's iterate
+    final: LossValue  # the returned field's loss; convnet's before cropping any padding
     parameters: object = None  # ConvNetParameters in convnet mode
 
 
@@ -369,14 +372,18 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
             break
 
     final, params, out = best
-    if out.dims != fixed.dims:
-        if freeform:  # a budget or divergence stop before the finest level
+    if freeform and (params is None or out.dims != fixed.dims):
+        # a budget or divergence stop before the finest level scored an
+        # iterate (no params: the carried coarser best): the coarser best is
+        # returned on the input grid, and ``final`` is its loss there
+        if out.dims != fixed.dims:
             out = resample_field(out, fixed.dims, spacing=fixed.spacing)
-        else:  # crop the padding
-            nx, ny, nz = fixed.dims
-            out = DisplacementField(
-                data=out.data[:nx, :ny, :nz, :], spacing=fixed.spacing, origin=fixed.origin
-            )
+        final, _ = overall_loss(fixed, moving, out, cfg.loss, with_grad=False)
+    elif out.dims != fixed.dims:  # convnet: crop the padding
+        nx, ny, nz = fixed.dims
+        out = DisplacementField(
+            data=out.data[:nx, :ny, :nz, :], spacing=fixed.spacing, origin=fixed.origin
+        )
     return RegistrationReport(
         field=out,
         levels=traces,

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -47,3 +50,32 @@ def rel_err(numeric, analytic):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# Runs the CLI in a fresh interpreter that then reports its own high-water
+# mark, VmHWM.  Linux carries ru_maxrss across fork and exec, so there a
+# child of a large parent (the test process) reads at least the parent's
+# RSS; ru_maxrss is the fallback where /proc/self/status is missing.
+_PEAK_RSS_RUNNER = (
+    "import resource, sys\n"
+    "from defreg.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "try:\n"
+    "    with open('/proc/self/status') as f:\n"
+    "        peak_kb = next(int(l.split()[1]) for l in f if l.startswith('VmHWM:'))\n"
+    "except (OSError, StopIteration):\n"
+    "    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "print('PEAK_KB', peak_kb)\n"
+    "sys.exit(rc)\n"
+)
+
+
+def cli_peak_rss_kb(args, timeout):
+    """Runs ``defreg`` with the argument list ``args`` in a fresh interpreter;
+    asserts that it succeeds and returns its peak RSS in kB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_RUNNER, *args],
+        capture_output=True, text=True, timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.strip().splitlines()[-1].split()[-1])

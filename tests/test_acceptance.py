@@ -37,6 +37,8 @@ from defreg.warp import (
 )
 from defreg.evaluate import LandmarkSet, load_landmarks, save_landmarks
 
+from conftest import cli_peak_rss_kb
+
 # published per-case initial-error column the cohort statistics are pinned
 # against (20 cases)
 INITIAL_COLUMN = [
@@ -402,33 +404,14 @@ def test_criterion_10_full_size_smoke(tmp_path):
             tmp_path / f"{name}.vol",
         )
     field_path = tmp_path / "out.dfield"
-    # The runner reports its own high-water mark, VmHWM.  Linux carries
-    # ru_maxrss across fork and exec, so there a child of a large parent
-    # (this test process) reads at least the parent's RSS; ru_maxrss is the
-    # fallback where /proc/self/status is missing.
-    runner = (
-        "import resource, sys\n"
-        "from defreg.cli import main\n"
-        "rc = main(sys.argv[1:])\n"
-        "try:\n"
-        "    with open('/proc/self/status') as f:\n"
-        "        peak_kb = next(int(l.split()[1]) for l in f if l.startswith('VmHWM:'))\n"
-        "except (OSError, StopIteration):\n"
-        "    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print('PEAK_KB', peak_kb)\n"
-        "sys.exit(rc)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", runner,
-         "register",
+    peak_kb = cli_peak_rss_kb(
+        ["register",
          "--fixed", str(tmp_path / "fixed.vol"),
          "--moving", str(tmp_path / "moving.vol"),
          "--out-field", str(field_path),
          "--levels", "3", "--iters-schedule", "10,10,0"],
-        capture_output=True, text=True, timeout=540,
+        timeout=540,
     )
-    assert proc.returncode == 0, proc.stderr
-    peak_kb = int(proc.stdout.strip().splitlines()[-1].split()[-1])
     assert peak_kb < 8 * 1024 * 1024, f"peak RSS {peak_kb / 1024 / 1024:.2f} GB"
     # 160x192x160 float64 volumes are 37.5 MiB: the peak is the two inputs,
     # the field, its warp derivative and the value pass, near 470 MiB

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import defreg.model
+from defreg.loss import LossConfig
 from defreg.model import (
     AdamState,
     ConvNetConfig,
@@ -19,7 +20,6 @@ from defreg.model import (
     _maxpool_backward,
     _maxpool_forward,
     _upsample_backward,
-    _upsample_forward,
     adam_step,
     convnet_backward,
     convnet_forward,
@@ -27,8 +27,10 @@ from defreg.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from defreg.register import RegistrationConfig, register
+from defreg.volume import Volume, save_volume
 
-from conftest import random_volume
+from conftest import cli_peak_rss_kb, random_volume
 
 
 def tiny_config(**overrides):
@@ -72,11 +74,17 @@ def brute_conv_adjoint(x, w, dout):
     return dxp[:, p : p + nx, p : p + ny, p : p + nz], dw, dout.sum(axis=(1, 2, 3))
 
 
+def upsample_reference(x):
+    """Nearest-neighbour 2x up-sampling of a (C, X, Y, Z) array."""
+    return np.repeat(np.repeat(np.repeat(x, 2, axis=1), 2, axis=2), 2, axis=3)
+
+
 # -- the tape implementation the structured forward/backward replaced, kept
 # -- as the bit-exact reference for the block structure: a list of tagged
-# -- records that the backward pass interprets in reverse.  It calls the
-# -- same convolution primitive, which is tested on its own against
-# -- brute_conv and brute_conv_adjoint.
+# -- records that the backward pass interprets in reverse.  It up-samples and
+# -- concatenates explicitly, and calls the same convolution primitive on
+# -- one whole input, which is tested on its own against brute_conv and
+# -- brute_conv_adjoint.
 
 def tape_forward(params, fixed, moving):
     cfg, t = params.config, params.tensors
@@ -85,8 +93,8 @@ def tape_forward(params, fixed, moving):
     for l in range(cfg.levels):
         for conv in (1, 2):
             w, b = t[f"enc{l}_conv{conv}_w"], t[f"enc{l}_conv{conv}_b"]
-            x, xp = _conv_forward(x, w, b)
-            records.append(("conv", f"enc{l}_conv{conv}", xp, w, True))
+            records.append(("conv", f"enc{l}_conv{conv}", [(x, 1)], w, True))
+            x = _conv_forward([(x, 1)], w, b)
             mask = x > 0
             x = x * mask
             records.append(("relu", mask))
@@ -94,22 +102,22 @@ def tape_forward(params, fixed, moving):
         x, pool_cache = _maxpool_forward(x)
         records.append(("pool", pool_cache, l))
     for l in reversed(range(cfg.levels)):
-        x = _upsample_forward(x)
+        x = upsample_reference(x)
         records.append(("upsample",))
         split = x.shape[0]
         x = np.concatenate([x, skips[l]], axis=0)
         records.append(("concat", split, l))
         w, b = t[f"dec{l}_conv_w"], t.get(f"dec{l}_conv_b")
-        x, xp = _conv_forward(x, w, b)
-        records.append(("conv", f"dec{l}_conv", xp, w, b is not None))
+        records.append(("conv", f"dec{l}_conv", [(x, 1)], w, b is not None))
+        x = _conv_forward([(x, 1)], w, b)
         if cfg.use_batchnorm:
             x, bn_cache = _bn_forward(x, t[f"dec{l}_bn_gamma"], t[f"dec{l}_bn_beta"])
             records.append(("bn", f"dec{l}_bn", bn_cache))
         mask = x > 0
         x = x * mask
         records.append(("relu", mask))
-    out, _ = _conv_forward(x, t["head_w"], t["head_b"])
-    records.append(("head", x, t["head_w"]))
+    out = _conv_forward([(x, 1)], t["head_w"], t["head_b"])
+    records.append(("head", [(x, 1)], t["head_w"]))
     return np.moveaxis(out, 0, -1), {"records": records, "skip_grads": [None] * cfg.levels}
 
 
@@ -195,19 +203,18 @@ CONV_ATOL = 1e-10
 def check_conv_in_slabs(monkeypatch, x, w, b, dout):
     """``_conv_forward`` against ``brute_conv`` and ``_conv_backward``
     against ``brute_conv_adjoint``, with the x-planes taken one per slab,
-    two per slab and all in one; returns the padded input."""
+    two per slab and all in one."""
     plane = x.shape[2] * x.shape[3]
     want_out = brute_conv(x, w, b)
     want = brute_conv_adjoint(x, w, dout)
     for slab in (plane, 2 * plane, 1 << 13):
         monkeypatch.setattr(defreg.model, "_SLAB_VOXELS", slab)
-        out, xp = _conv_forward(x, w, b)
+        out = _conv_forward([(x, 1)], w, b)
         np.testing.assert_allclose(out, want_out, rtol=0, atol=CONV_ATOL)
-        got = _conv_backward(xp, w, dout)
+        got = _conv_backward([(x, 1)], w, dout)
         assert [g.shape for g in got] == [x.shape, w.shape, b.shape]
         for g, ref in zip(got, want):  # dx, dw, db
             np.testing.assert_allclose(g, ref, rtol=0, atol=CONV_ATOL)
-    return xp
 
 
 class TestLayerPrimitives:
@@ -216,8 +223,7 @@ class TestLayerPrimitives:
         w = rng.standard_normal((2, 3, 3, 3, 3))
         b = rng.standard_normal(2)
         dout = rng.standard_normal((2, 4, 5, 4))
-        xp = check_conv_in_slabs(monkeypatch, x, w, b, dout)
-        assert xp.shape == (3, 6, 7, 6)
+        check_conv_in_slabs(monkeypatch, x, w, b, dout)
 
     def test_conv1_matches_brute_force_without_padding(self, rng, monkeypatch):
         x = rng.standard_normal((3, 4, 5, 4))
@@ -225,8 +231,28 @@ class TestLayerPrimitives:
         b = rng.standard_normal(2)
         # a channels-last view, like the head's gradient from the loss
         dout = np.moveaxis(rng.standard_normal((4, 5, 4, 2)), -1, 0)
-        xp = check_conv_in_slabs(monkeypatch, x, w, b, dout)
-        assert xp is x  # nothing to pad, so the head's input is not copied
+        check_conv_in_slabs(monkeypatch, x, w, b, dout)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_groups_equal_one_stacked_input_bitwise(self, rng, monkeypatch, k):
+        # an up-sampled group stacked over a full-resolution one reads the
+        # same values as their explicit up-sampling and concatenation, so
+        # the products are the same to the bit; 1- and 3-plane slabs start
+        # at odd x, where a tap's up-sampling residue flips
+        coarse = rng.standard_normal((2, 3, 2, 4))
+        skip = rng.standard_normal((3, 6, 4, 8))
+        stacked = np.concatenate([upsample_reference(coarse), skip])
+        w = rng.standard_normal((4, 5, k, k, k))
+        b = rng.standard_normal(4)
+        dout = rng.standard_normal((4, 6, 4, 8))
+        plane = 4 * 8
+        for slab in (plane, 2 * plane, 3 * plane, 1 << 13):
+            monkeypatch.setattr(defreg.model, "_SLAB_VOXELS", slab)
+            want = _conv_forward([(stacked, 1)], w, b)
+            assert np.array_equal(_conv_forward([(coarse, 2), (skip, 1)], w, b), want)
+            got = _conv_backward([(coarse, 2), (skip, 1)], w, dout)
+            for g, ref in zip(got, _conv_backward([(stacked, 1)], w, dout)):
+                assert np.array_equal(g, ref)
 
     def test_maxpool_blockwise_max(self, rng):
         x = rng.standard_normal((2, 4, 6, 4))
@@ -256,6 +282,7 @@ class TestLayerPrimitives:
     def test_maxpool_backward_one_position_per_window(self, rng):
         x = rng.standard_normal((3, 4, 4, 6))
         _, cache = _maxpool_forward(x)
+        assert cache[0].dtype == np.int8  # a window's 8 cells
         dout = rng.standard_normal((3, 2, 2, 3))
         back = _maxpool_backward(cache, dout)
         windows = back.reshape(3, 2, 2, 2, 2, 3, 2)
@@ -264,16 +291,18 @@ class TestLayerPrimitives:
         assert np.all(np.count_nonzero(per_window, axis=-1) <= 1)
 
     def test_upsample_repeats_nearest(self):
+        # a 1x1x1 identity kernel passes the up-sampled group through
         x = np.arange(8, dtype=np.float64).reshape(1, 2, 2, 2)
-        up = _upsample_forward(x)
+        up = _conv_forward([(x, 2)], np.ones((1, 1, 1, 1, 1)))
         assert up.shape == (1, 4, 4, 4)
+        np.testing.assert_array_equal(up, upsample_reference(x))
         np.testing.assert_array_equal(up[0, :2, :2, :2], np.full((2, 2, 2), x[0, 0, 0, 0]))
         np.testing.assert_array_equal(up[0, 2:, 2:, 2:], np.full((2, 2, 2), x[0, 1, 1, 1]))
 
     def test_upsample_backward_is_adjoint(self, rng):
         x = rng.standard_normal((2, 3, 2, 4))
         y = rng.standard_normal((2, 6, 4, 8))
-        lhs = float((_upsample_forward(x) * y).sum())
+        lhs = float((upsample_reference(x) * y).sum())
         rhs = float((x * _upsample_backward(y)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -494,6 +523,77 @@ class TestConvNetBackward:
                         break
                 worst = max(worst, err)
         assert worst < 1e-4
+
+
+def cache_bytes(obj, seen=None):
+    """Bytes of the distinct base buffers that ``obj``'s arrays view,
+    walking dicts, lists and tuples; each buffer counts once."""
+    seen = {} if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        seen[id(obj)] = obj.nbytes
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            cache_bytes(v, seen)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            cache_bytes(v, seen)
+    return sum(seen.values())
+
+
+def noise_pair(n, seed=31):
+    rng = np.random.default_rng(seed)
+    return [
+        Volume(data=rng.standard_normal((n, n, n), dtype=np.float32).astype(np.float64))
+        for _ in range(2)
+    ]
+
+
+class TestConvNetMemory:
+    """The default network at 48^3 and 96^3.  Each activation is cached
+    once: a block keeps its unpadded input, a decoder block refers to the
+    coarser output and the encoder skip it reads, and the head's input is
+    rebuilt from dec0's batch norm.  Bounds are two thirds of the figures
+    of a cache that stored padded, concatenated and up-sampled copies:
+    621 B/voxel, a 117.9 MiB traced peak."""
+
+    def test_cache_holds_each_activation_once(self):
+        fixed, moving = noise_pair(48)
+        params = init_convnet_parameters(ConvNetConfig(), seed=0)
+        _, cache = convnet_forward(params, fixed, moving)
+        per_voxel = cache_bytes(cache) / 48**3
+        print(f"convnet cache: {per_voxel:.0f} B/voxel at 48^3")
+        assert per_voxel <= 414  # 341 measured
+
+    def test_registration_traced_peak(self):
+        fixed, moving = noise_pair(48)
+        cfg = RegistrationConfig(
+            mode="convnet", iterations_per_level=1, loss=LossConfig(reg_weight=0.05)
+        )
+        tracemalloc.start()
+        try:
+            register(fixed, moving, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"convnet registration: traced peak {peak / 2**20:.1f} MiB at 48^3")
+        assert peak <= 78.6 * 2**20  # 75.6 MiB measured
+
+    def test_96_cubed_cli_peak_rss(self, tmp_path):
+        # in a fresh process, as criterion 10 measures the full-size run
+        for name, vol in zip(("fixed", "moving"), noise_pair(96)):
+            save_volume(vol, tmp_path / f"{name}.vol")
+        peak_kb = cli_peak_rss_kb(
+            ["--threads", "1", "register",
+             "--fixed", str(tmp_path / "fixed.vol"),
+             "--moving", str(tmp_path / "moving.vol"),
+             "--out-field", str(tmp_path / "out.dfield"),
+             "--mode", "convnet", "--iters", "1"],
+            timeout=300,
+        )
+        print(f"convnet registration: peak RSS {peak_kb / 1024:.0f} MB at 96^3")
+        assert peak_kb <= 720 * 1024
 
 
 def closed_form_adam(params, grads, state):

@@ -271,21 +271,21 @@ class TestRegisterFreeform:
         assert report.field.dims == (16, 16, 16)
         assert report.field.spacing == (1.0, 1.5, 2.0)
 
-    def test_final_after_coarse_stop_is_the_coarse_level_loss(self, rng):
-        # ``final`` scores the best iterate on its own pyramid level; after a
-        # stop before the finest level the returned field is that iterate
-        # resampled, and on the input grid it scores something else
+    def test_final_after_coarse_stop_scores_the_returned_field(self, rng):
+        # after a stop before the finest level the returned field is the
+        # coarse best iterate resampled; ``final`` is that field's loss on
+        # the input grid, not the iterate's loss on its own level
         fixed = random_volume(rng, (16, 16, 16))
         moving = random_volume(rng, (16, 16, 16))
         cfg = quick_cfg(pyramid_levels=3, iterations_per_level=1000, max_seconds=1e-9)
         report = register(fixed, moving, cfg)
         assert report.stop_reason == "budget" and len(report.levels) == 1
-        coarse = report.levels[0]
-        assert report.final == coarse.losses[coarse.best_iteration]
         lv, _ = overall_loss(
             zscore_normalize(fixed), zscore_normalize(moving), report.field, cfg.loss
         )
-        assert abs(lv.total - report.final.total) > 0.1
+        assert report.final == lv
+        coarse = report.levels[0]
+        assert abs(lv.total - coarse.losses[coarse.best_iteration].total) > 0.1
 
     def test_budget_stop(self, rng):
         fixed = random_volume(rng, (16, 16, 16))
@@ -629,7 +629,8 @@ class TestDivergence:
         # level 0: entry + 8 steps = calls 1-9; level 1 entry is call 10, so
         # call 13 is level 1's third step
         stepped = _fail_loss_at(monkeypatch, 13)
-        report = register(fixed, moving, quick_cfg(pyramid_levels=3, iterations_per_level=8))
+        cfg = quick_cfg(pyramid_levels=3, iterations_per_level=8)
+        report = register(fixed, moving, cfg)
         assert report.stop_reason == "diverged"
         assert [t.stop_reason for t in report.levels] == ["max_iters", "diverged"]
         last = report.levels[-1]
@@ -637,22 +638,29 @@ class TestDivergence:
         assert len(last.losses) == 3  # the non-finite loss is not recorded
         assert report.iterations_executed == 11 == sum(t.iterations for t in report.levels)
         assert stepped == [True] * 11
-        assert report.final == min(last.losses, key=lambda lv: lv.total)
-        assert last.losses[last.best_iteration] == report.final
-        # returned like a budget stop: resampled onto the input grid
+        assert last.losses[last.best_iteration] == min(last.losses, key=lambda lv: lv.total)
+        # returned like a budget stop: resampled onto the input grid, and
+        # scored there
         assert report.field.dims == (16, 16, 16)
         assert report.field.spacing == spacing
+        assert report.final == overall_loss(
+            zscore_normalize(fixed), zscore_normalize(moving), report.field, cfg.loss
+        )[0]
         assert _strict_json(report)["stop_reason"] == "diverged"
 
     def test_non_finite_entry_loss_returns_the_coarser_best(self, rng, monkeypatch):
         fixed = random_volume(rng, (12, 12, 12))
         moving = random_volume(rng, (12, 12, 12))
         stepped = _fail_loss_at(monkeypatch, 6)  # level 1's entry
-        report = register(fixed, moving, quick_cfg(iterations_per_level=4))
+        cfg = quick_cfg(iterations_per_level=4)
+        report = register(fixed, moving, cfg)
         coarse, fine = report.levels
         assert (fine.stop_reason, fine.iterations, fine.losses) == ("diverged", 0, [])
-        assert report.final == coarse.losses[coarse.best_iteration]
         assert report.field.dims == (12, 12, 12)
+        # the coarse best, resampled onto the input grid, is scored there
+        assert report.final == overall_loss(
+            zscore_normalize(fixed), zscore_normalize(moving), report.field, cfg.loss
+        )[0]
         assert stepped == [True] * 4
         _strict_json(report)
 
