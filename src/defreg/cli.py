@@ -295,9 +295,9 @@ def _cmd_register(args) -> int:
         outputs,
         time.monotonic() - t0,
     )
-    # the written field's loss (in convnet mode, before the padding is
-    # cropped); after an early budget or divergence stop, register() scores
-    # the resampled field once more on the input grid
+    # the written field's loss on the input grid: register() scores a
+    # field once more there after resampling it (an early budget or
+    # divergence stop) or cropping its padding (convnet)
     final = report.final
     print(
         f"total={final.total!r} similarity={final.similarity!r} "

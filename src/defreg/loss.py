@@ -15,23 +15,21 @@ O(N * window^3); windows are clipped at the borders rather than padded.
 Along each axis a cumulative sum is taken once and each window is the
 difference of two of its entries, formed with slices into one output (no
 running add/subtract window, whose rounding would drift along the axis).
-Summation order is fixed, so results are bit-reproducible.  The window
-statistics and gradients are computed in place, each temporary dropped
-after its last use.  Without the gradient, a volume of more than one warp
-slab streams the NCC over the warp's x-slabs, carrying the cumulative sums
-along x from slab to slab, so the value has the one-block bits; its window
-statistics are a few slabs, and only the correlation map is a whole
-volume.  Measured peaks of one ``overall_loss`` evaluation, in image
-volumes above its inputs: 18.4 on both paths while the field is one warp
-slab (48^3), where the whole-volume warp sets the peak; at 160x192x160,
-12.0 with the gradient, in the NCC's gradient pass while the 3-volume
-sampling derivative is alive, and 4.5 without it, in the warp, while the
-value and its derivative are alive (the NCC's value pass peaks at 1.6).
+Summation order is fixed, so results are bit-reproducible.  One pass over
+the warp's x-slabs computes the window statistics on every grid, with or
+without the gradient (see ``_ncc_terms``).  Measured peaks, in image
+volumes above the inputs: the NCC pass 8.2 with the gradient and 7.2
+without at 48^3 (one slab), 6.3 and 1.5 at 160x192x160.  One
+``overall_loss`` evaluation: 18.4 on both paths at 48^3, set by the
+whole-volume warp; at 160x192x160, 12.0 with the gradient, set by the
+smoothness gradient beside the similarity gradient, and 4.5 without it,
+set by the warp's value and derivative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -78,41 +76,48 @@ class LossValue:
     smoothness: float
 
 
-def _cumsum_axis0(a: np.ndarray, out: np.ndarray) -> None:
-    """``np.cumsum(a, axis=0, out=out)``, added slab by slab.
+def _cumsum_axis0(a: np.ndarray, out: np.ndarray, start: int = 0) -> None:
+    """``np.cumsum(a, axis=0, out=out)``, added slab by slab, from plane
+    ``start`` on: earlier planes of ``out`` already hold their sums (``a``
+    may be ``out``).
 
     The same additions in the same order, but streaming through memory:
     numpy accumulates along the outer axis with a stride of one slab, which
     is several times slower on volumes.
     """
-    out[0] = a[0]
-    for i in range(1, len(a)):
+    if not start:
+        out[0] = a[0]
+    for i in range(max(start, 1), len(a)):
         np.add(out[i - 1], a[i], out=out[i])
+
+
+def _window_diff(csum, out, axis: int, r: int, n: int, first: int = 0, base: int = 0) -> None:
+    """Windowed sums from cumulative sums C along ``axis`` of length ``n``.
+
+    ``out`` receives positions first, first+1, ... as far as it reaches,
+    and ``csum`` holds C from position ``base`` on:
+    out[i-first] = C[min(i+r, n-1)] - C[i-r-1], the second term only where
+    i-r-1 >= 0, written with slices into one output.
+    """
+    o = out.swapaxes(0, axis)  # views with the axis first
+    c = csum.swapaxes(0, axis)
+    stop = first + len(o)
+    m = min(max(n - r, first), stop)  # windows before it end inside the axis
+    o[: m - first] = c[first + r - base : m + r - base]
+    o[m - first :] = c[n - 1 - base : n - base]
+    lo = max(r + 1, first)
+    if lo < stop:
+        o[lo - first :] -= c[lo - r - 1 - base : stop - r - 1 - base]
 
 
 def _box_pass(src: np.ndarray, out: np.ndarray, csum: np.ndarray, axis: int, r: int) -> None:
     """Windowed sums of ``src`` along ``axis``, window radius ``r``, into
-    ``out`` (which may be ``src``), with ``csum`` as the cumulative sums.
-
-    C = cumsum, then out[i] = C[min(i+r, n-1)] - C[i-r-1], the second term
-    only where i-r-1 >= 0, written with slices into one output.
-    """
+    ``out`` (which may be ``src``), with ``csum`` as the cumulative sums."""
     if axis:
-        np.cumsum(src, axis=axis, out=csum)
+        src.cumsum(axis=axis, out=csum)
     else:
         _cumsum_axis0(src, csum)
-    n = out.shape[axis]
-
-    def ax(start, stop):
-        idx = [slice(None)] * 3
-        idx[axis] = slice(start, stop)
-        return tuple(idx)
-
-    m = max(n - r, 0)  # windows whose upper edge is inside the axis
-    out[ax(0, m)] = csum[ax(r, n)]
-    out[ax(m, n)] = csum[ax(n - 1, n)]
-    if n > r + 1:
-        out[ax(r + 1, n)] -= csum[ax(0, n - r - 1)]
+    _window_diff(csum, out, axis, r, out.shape[axis])
 
 
 def _box_sum(a: np.ndarray, w: int) -> np.ndarray:
@@ -130,153 +135,139 @@ def _box_sum(a: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def _box_counts(dims, w: int, planes=slice(None)) -> np.ndarray:
-    """Number of in-grid voxels in each clipped window, at the given x-planes."""
+def _box_counts(dims, w: int, planes=slice(None), out=None) -> np.ndarray:
+    """Number of in-grid voxels in each clipped window, at the given x-planes
+    (into ``out`` if it is given)."""
     r = w // 2
     per_axis = []
     for n in dims:
         i = np.arange(n)
         per_axis.append(np.minimum(i + r, n - 1) - np.maximum(i - r, 0) + 1.0)
     cx = per_axis[0][planes]
-    return cx[:, None, None] * per_axis[1][None, :, None] * per_axis[2][None, None, :]
+    return np.multiply(
+        cx[:, None, None] * per_axis[1][None, :, None], per_axis[2][None, None, :], out=out
+    )
 
 
-def _box_sums(F: np.ndarray, G: np.ndarray, w: int):
-    """The window sums of F, G, F*G, F*F and G*G, in that order, one at a time."""
-    yield _box_sum(F, w)
-    yield _box_sum(G, w)
-    yield _box_sum(F * G, w)
-    yield _box_sum(F * F, w)
-    yield _box_sum(G * G, w)
+def _window_stats(window_sums, counts, eps: float, cc, tmp, terms=None) -> None:
+    """Per-window correlation and, with ``terms``, the gradient's pointwise terms.
 
-
-def _window_stats(sums, n: np.ndarray, eps: float, with_grad: bool):
-    """Per-window correlation and the statistics its gradient reuses.
-
-    ``sums`` yields the window sums of F, G, F*G, F*F and G*G in that order,
-    each a fresh array, and ``n`` holds the windows' voxel counts; neither
-    is used by the caller afterwards.  Returns (cc, d, varG, muF, muG,
-    floored), floored None without ``with_grad``.  The arithmetic is that of
-    the closed forms in the comments, in the same order, with each
-    intermediate updated in place and dropped after its last use (a buffer
-    keeps one name at a time, so ``del`` frees it).
+    ``window_sums(q, out=None)`` returns the window sums of the q-th of F,
+    G, F*G, F*F and G*G (into ``out`` if given), and ``counts(out)`` writes
+    the windows' voxel counts.  The correlation goes into ``cc``; ``terms``
+    is None or the arrays that get a = 1/d, muF*a,
+    e = where(floored, 0, cc/varG) and muG*e.  ``tmp``, of the same shape,
+    holds the counts and then each product that is subtracted
+    (``window_sums`` may overwrite it).  The arithmetic is that of the
+    closed forms in the comments, in the same order, each intermediate
+    updated in place in its destination.
     """
-    sF = next(sums)
-    sG = next(sums)
-    muF = sF / n
-    muG = sG / n
+    a, muF, e, muG = terms or (None,) * 4
+    sF = window_sums(0)
+    sG = window_sums(1)
+    n = counts(tmp)
+    muF = np.divide(sF, n, out=muF)
+    muG = np.divide(sG, n, out=muG)
     del n
-    cc = next(sums)  # cross = box(F*G) - muF*sG
-    cc -= muF * sG
-    d = next(sums)  # varF = max(box(F*F) - muF*sF, 0)
-    d -= muF * sF
+    window_sums(2, cc)  # cross = box(F*G) - muF*sG
+    cc -= np.multiply(muF, sG, out=tmp)
+    d = window_sums(3, a)  # varF = max(box(F*F) - muF*sF, 0)
+    d -= np.multiply(muF, sF, out=tmp)
     np.maximum(d, 0.0, out=d)
     del sF
-    varG = next(sums)  # varG = max(box(G*G) - muG*sG, 0)
-    varG -= muG * sG
+    varG = window_sums(4, e)  # varG = max(box(G*G) - muG*sG, 0)
+    varG -= np.multiply(muG, sG, out=tmp)
     np.maximum(varG, 0.0, out=varG)
     del sG
     d *= varG  # d = max(sqrt(varF*varG), eps)
     np.sqrt(d, out=d)
-    floored = d < eps if with_grad else None
+    floored = d < eps if terms else None
     np.maximum(d, eps, out=d)
     cc /= d  # cc = cross / d
-    return cc, d, varG, muF, muG, floored
-
-
-def _ncc_value_in_slabs(F: np.ndarray, G: np.ndarray, w: int, eps: float, step: int) -> float:
-    """``_ncc_terms``' value, computed over x-slabs of ``step`` planes.
-
-    The window sums along y and z and the window statistics are pointwise
-    in x, so each slab runs ``_box_pass`` and ``_window_stats`` on its own
-    planes.  Along x, each quantity's cumulative sum is carried from plane
-    to plane across slabs in a ring of the planes that a slab's windows
-    reach, so every sum is added in the whole-volume order.  Each slab's
-    correlation goes into one whole-volume array, whose mean is the value:
-    the same bits as the one-block pass, in 1 volume and a few slabs.
-    """
-    nx, ny, nz = F.shape
-    r = w // 2
-    ring = min(step + 2 * r + 1, nx)  # planes x0-r-1 .. x1+r-1 of a slab
-    prefix = np.empty((5, ring, ny, nz)) if w > 1 else None
-    csum = np.empty((step, ny, nz)) if w > 1 else None
-    cc = np.empty(F.shape)
-    top = 0  # x-planes whose cumulative sums have been taken
-
-    def slab_sums(x0, x1):
-        """The window sums of F, G, F*G, F*F and G*G at planes x0 to x1."""
-        for q in range(5):
-            s = np.empty((x1 - x0, ny, nz))
-            for i in range(x0, x1):
-                hi = prefix[q, min(i + r, nx - 1) % ring]
-                if i > r:
-                    np.subtract(hi, prefix[q, (i - r - 1) % ring], out=s[i - x0])
-                else:
-                    s[i - x0] = hi
-            _box_pass(s, s, csum[: x1 - x0], 1, r)
-            _box_pass(s, s, csum[: x1 - x0], 2, r)
-            yield s
-
-    for x0 in range(0, nx, step):
-        x1 = min(x0 + step, nx)
-        if w == 1:  # a window of one voxel: its sums are the values
-            sums = _box_sums(F[x0:x1], G[x0:x1], w)
-        else:
-            end = min(x1 + r, nx)  # the slab's windows reach plane end-1
-            for k in range(top, end):
-                f, g = F[k], G[k]
-                for q, a in enumerate((f, g, f * g, f * f, g * g)):
-                    if k:
-                        np.add(prefix[q, (k - 1) % ring], a, out=prefix[q, k % ring])
-                    else:
-                        prefix[q, 0] = a
-            top = end
-            sums = slab_sums(x0, x1)
-        n = _box_counts(F.shape, w, slice(x0, x1))
-        cc[x0:x1] = _window_stats(sums, n, eps, False)[0]
-    return float(np.mean(cc))
+    if not terms:
+        return
+    # d cc(x)/d G_j = (F_j - muF)/d - cc * (G_j - muG)/varG for j in window x
+    # (second term absent where the floor is active: d is locally constant)
+    np.copyto(varG, 1.0, where=~(varG > 0))  # safe divisor
+    np.divide(cc, varG, out=e)
+    np.copyto(e, 0.0, where=floored)
+    np.divide(1.0, d, out=a)
+    muF *= a
+    muG *= e
 
 
 def _ncc_terms(F: np.ndarray, G: np.ndarray, w: int, eps: float, with_grad: bool):
     """Mean windowed correlation of F and G, optionally with d(value)/dG.
 
-    Without the gradient, a volume of more than one warp slab is
-    streamed over x-slabs (``_ncc_value_in_slabs``); otherwise the window
-    statistics are whole-volume arrays.
+    The window sums along y and z and the statistics are pointwise in x,
+    so each of the warp's x-slabs runs them on its own planes.  Along x,
+    each quantity's cumulative sums are taken in one reused buffer, and
+    their last 2r+1 planes, which the next slab's windows reach back to,
+    are carried to it, so every sum is added in the whole-volume order.
+    Each slab writes its correlation, and with the gradient its four
+    pointwise terms, into whole-volume arrays, whose window sums the
+    gradient then takes over the whole volume.
     """
-    step = _slab_planes(F.shape)
-    if not with_grad and step < F.shape[0]:
-        return _ncc_value_in_slabs(F, G, w, eps, step), None
-    cc, d, varG, muF, muG, floored = _window_stats(
-        _box_sums(F, G, w), _box_counts(F.shape, w), eps, with_grad
-    )
+    nx, ny, nz = F.shape
+    r = w // 2
+    step = min(_slab_planes(F.shape), nx)
+    factors = ((F, None), (G, None), (F, G), (F, F), (G, G))
+    reach = min(2 * r + 1, nx)  # planes of x cumulative sums carried to the next slab
+    # x cumulative sums of one quantity at a time, then its y and z ones,
+    # then the statistics' products
+    work = np.empty((min(step + reach, nx), ny, nz))
+    carry = np.empty((5, reach, ny, nz)) if w > 1 and step < nx else None
+    cc = np.empty(F.shape)
+    terms = [np.empty(F.shape) for _ in range(4)] if with_grad else None
+    top = 0  # x-planes whose cumulative sums have been taken
+
+    def window_sums(q, out=None):
+        """The window sums of the q-th quantity at the slab's planes x0 to x1."""
+        f, g = factors[q]
+        if w == 1:  # a window of one voxel: its sums are the values
+            return f[x0:x1] if g is None else np.multiply(f[x0:x1], g[x0:x1], out=out)
+        h = min(reach, top)  # carried planes top-h to top-1
+        end = min(x1 + r, nx)  # the slab's windows reach plane end-1
+        csum = work[: h + end - top]
+        if h:
+            csum[:h] = carry[q, :h]
+        if g is None:  # summed straight from the input, plane for plane with csum
+            src = f[top - h : end]
+        else:  # the products, summed in place
+            np.multiply(f[top:end], g[top:end], out=csum[h:])
+            src = csum
+        _cumsum_axis0(src, csum, h)
+        if x1 < nx:
+            carry[q, : min(reach, end)] = csum[-min(reach, end) :]
+        if out is None:
+            out = np.empty((x1 - x0, ny, nz))
+        _window_diff(csum, out, 0, r, nx, x0, top - h)
+        for axis in (1, 2):
+            _box_pass(out, out, work[: x1 - x0], axis, r)
+        return out
+
+    for x0 in range(0, nx, step):
+        x1 = min(x0 + step, nx)
+        s = slice(x0, x1)
+        _window_stats(
+            window_sums, partial(_box_counts, F.shape, w, s), eps, cc[s], work[: x1 - x0],
+            terms and [t[s] for t in terms],
+        )
+        top = min(x1 + r, nx)
     value = float(np.mean(cc))
     if not with_grad:
         return value, None
-    # d cc(x)/d G_j = (F_j - muF)/d - cc * (G_j - muG)/varG for j in window x
-    # (second term absent where the floor is active: d is locally constant)
-    np.copyto(varG, 1.0, where=~(varG > 0))  # safe divisor
-    e = cc  # e = where(floored, 0, cc/varG), in cc's buffer
-    del cc
-    e /= varG
-    np.copyto(e, 0.0, where=floored)
-    del varG, floored
-    a = np.divide(1.0, d, out=d)  # a = 1/d, in d's buffer
-    del d
-    # grad = (F*box(a) - box(muF*a) - G*box(e) + box(muG*e)) / F.size
-    grad = _box_sum(a, w)
+    del cc, work
+    # grad = (F*box(a) - box(muF*a) - G*box(e) + box(muG*e)) / F.size, each
+    # term popped, so that it is freed once its box sum is taken
+    grad = _box_sum(terms.pop(0), w)
     grad *= F
-    muF *= a
-    del a
-    grad -= _box_sum(muF, w)
-    del muF
-    muG *= e
-    t = _box_sum(e, w)
-    del e
+    grad -= _box_sum(terms.pop(0), w)
+    t = _box_sum(terms.pop(0), w)
     t *= G
     grad -= t
     del t
-    grad += _box_sum(muG, w)
+    grad += _box_sum(terms.pop(0), w)
     grad /= F.size
     return value, grad
 

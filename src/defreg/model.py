@@ -30,7 +30,7 @@ The head's input, ReLU of dec0's batch norm, is rebuilt from dec0's cache
 in the backward pass by the forward's own expression; without batch norm
 it is kept.  For the default network that is 331 bytes of activations per
 voxel.  The backward pass walks the same structure in reverse and only
-reads it.
+reads it, down to enc0_conv1's weights: not to the image pair.
 
 One primitive computes every convolution, 3x3x3 and 1x1x1 alike, on BLAS.
 Its input is a list of unpadded channel groups, each at the output's
@@ -227,12 +227,12 @@ def _conv_forward(groups, w, b=None):
     return out.reshape((-1,) + dims)
 
 
-def _conv_backward(groups, w, dout):
-    """(input, weight, bias) gradients of ``_conv_forward``.  The input
-    gradient is the forward convolution of ``dout`` with the kernel flipped
-    on all three axes and its channel axes swapped, at the output's
-    resolution: rows of an up-sampled group still need
-    ``_upsample_backward``."""
+def _conv_backward(groups, w, dout, input_grad=True):
+    """(input, weight, bias) gradients of ``_conv_forward``; the input
+    gradient is None without ``input_grad``.  It is the forward convolution
+    of ``dout`` with the kernel flipped on all three axes and its channel
+    axes swapped, at the output's resolution: rows of an up-sampled group
+    still need ``_upsample_backward``."""
     k = w.shape[-1]
     dims = dout.shape[1:]
     dout2d = dout.reshape(dout.shape[0], -1)
@@ -240,6 +240,8 @@ def _conv_backward(groups, w, dout):
     for (dx, dy, dz), part, cols in _taps(groups, k, dims):
         dw[:, :, dx, dy, dz] += dout2d[:, part] @ cols.T
     db = dout.sum(axis=(1, 2, 3))
+    if not input_grad:
+        return None, dw, db
     flipped = w[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)
     return _conv_forward([(dout, 1)], flipped), dw, db
 
@@ -311,15 +313,16 @@ def _block_forward(groups, t, conv, bn=None):
     return x * mask, (groups, w, bn_cache, mask)
 
 
-def _block_backward(cache, dout, grads, conv, bn=None):
-    """The block's input gradient, stacked over its groups at the output's
-    resolution; its parameter gradients go into ``grads``.  ``dout`` is
-    overwritten, so that the caller's copy is not alive beside it."""
+def _block_backward(cache, dout, grads, conv, bn=None, input_grad=True):
+    """The block's input gradient (None without ``input_grad``), stacked
+    over its groups at the output's resolution; its parameter gradients go
+    into ``grads``.  ``dout`` is overwritten, so that the caller's copy is
+    not alive beside it."""
     groups, w, bn_cache, mask = cache
     dx = np.multiply(dout, mask, out=dout)
     if bn_cache is not None:
         dx, grads[bn + "_gamma"], grads[bn + "_beta"] = _bn_backward(bn_cache, dx)
-    dx, grads[conv + "_w"], db = _conv_backward(groups, w, dx)
+    dx, grads[conv + "_w"], db = _conv_backward(groups, w, dx, input_grad)
     if bn_cache is None:
         grads[conv + "_b"] = db
     return dx
@@ -393,7 +396,7 @@ def convnet_backward(cache, grad: np.ndarray) -> dict[str, np.ndarray]:
         dx = _maxpool_backward(pool, dx)
         dx += skip_grads.pop()
         dx = _block_backward(block2, dx, grads, f"enc{l}_conv2")
-        dx = _block_backward(block1, dx, grads, f"enc{l}_conv1")
+        dx = _block_backward(block1, dx, grads, f"enc{l}_conv1", input_grad=l > 0)
     return grads
 
 

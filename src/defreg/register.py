@@ -19,16 +19,19 @@ optimizes and what is returned:
 * freeform: the parameter is the displacement field itself, over a
   mean-downsampling pyramid.  The coarsest level starts from zero, each
   finer level starts from the coarser level's best iterate, resampled, and
-  the finest level's best iterate is returned.  After a budget or
-  divergence stop before the finest level scores an iterate, the coarser
-  best is resampled onto the input grid and scored there once more, by
-  value alone, so that the report's ``final`` is the returned field's loss.
+  the finest level's best iterate is returned.
 * convnet: a small encoder/decoder predicts the field from the image pair
   and its weights are optimized.  "Levels" become full-resolution rounds
   (the network's internal strides already form a pyramid, so
   pyramid_levels defaults to 1 here); each round continues from the last
   iterate, and the best iterate over all rounds is returned with its
   weights.
+
+A returned field that is not a scored iterate on the input grid (a coarser
+freeform best after an early stop, a padded convnet field) is resampled or
+cropped onto it and scored there by value alone, so the report's ``final``
+is its loss there (on a convnet input axis of one voxel, where smoothness
+is undefined, ``final`` stays the padded grid's loss).
 
 Inputs are z-score normalized on entry if they are not already.
 """
@@ -185,7 +188,7 @@ class RegistrationReport:
     dims: tuple[int, int, int]
     padded_dims: tuple[int, int, int]
     config: RegistrationConfig
-    final: LossValue  # the returned field's loss; convnet's before cropping any padding
+    final: LossValue  # the returned field's loss on the normalized input grid (see register)
     parameters: object = None  # ConvNetParameters in convnet mode
 
 
@@ -372,18 +375,18 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
             break
 
     final, params, out = best
-    if freeform and (params is None or out.dims != fixed.dims):
-        # a budget or divergence stop before the finest level scored an
-        # iterate (no params: the carried coarser best): the coarser best is
-        # returned on the input grid, and ``final`` is its loss there
-        if out.dims != fixed.dims:
+    # not a scored iterate on the input grid (no params: the carried
+    # coarser best): move it there and score it (see the module docstring)
+    if params is None or out.dims != fixed.dims:
+        if not freeform:
+            nx, ny, nz = fixed.dims
+            out = DisplacementField(
+                data=out.data[:nx, :ny, :nz], spacing=fixed.spacing, origin=fixed.origin
+            )
+        elif out.dims != fixed.dims:
             out = resample_field(out, fixed.dims, spacing=fixed.spacing)
-        final, _ = overall_loss(fixed, moving, out, cfg.loss, with_grad=False)
-    elif out.dims != fixed.dims:  # convnet: crop the padding
-        nx, ny, nz = fixed.dims
-        out = DisplacementField(
-            data=out.data[:nx, :ny, :nz, :], spacing=fixed.spacing, origin=fixed.origin
-        )
+        if min(fixed.dims) > 1:
+            final, _ = overall_loss(fixed, moving, out, cfg.loss, with_grad=False)
     return RegistrationReport(
         field=out,
         levels=traces,

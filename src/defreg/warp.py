@@ -32,11 +32,13 @@ whole-grid z lerp.
 
 Warping samples the field grid in slabs of whole x-planes, at most
 ``_WARP_SLAB_VOXELS`` output voxels each (one plane if a plane is larger);
-field resampling and the NCC's value pass use the same slabs.
+field resampling and the NCC use the same slabs.
 Sampling is pointwise, so each slab builds only its own coordinates, cells
 and weights, and its last fold writes straight into the preallocated value
 and derivative; the bits are those of one whole-volume call.  A field of at
-most one slab is sampled in one such call into the sampler's own arrays.
+most one slab is sampled in one call into the sampler's own arrays: in
+the slab loop, a 48^3 loss evaluation peaked at 22.0 volumes, not 18.4,
+and ran up to 17% slower (18% at 24^3).
 At 160x192x160 a warp with the derivative peaks at 4.5 volumes of the
 output, and 1.4 without it, against 18.4 and 14.0 in one call.
 """
@@ -229,9 +231,8 @@ def _warp(moving: Volume, field: DisplacementField, want_grad: bool):
 
     step = _slab_planes(field.dims)
     if step >= nx:
-        # one slab: the sampler's own arrays, no preallocated outputs; at
-        # 48^3 a registration's peak RSS moves by several MB with the order
-        # of large allocations and frees, so this path keeps the fewest
+        # one slab: the sampler's own arrays, for the peak and the speed
+        # measured in the module docstring
         value, grad = sample(0, nx)
     else:
         value = np.empty((nx, ny, nz))

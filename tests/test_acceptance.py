@@ -420,3 +420,30 @@ def test_criterion_10_full_size_smoke(tmp_path):
     assert report["dims"] == [160, 192, 160]
     assert [lv["iterations"] for lv in report["levels"]] == [10, 10, 0]
     print(f"criterion 10: peak RSS {peak_kb / 1024 / 1024:.2f} GB at 160x192x160")
+
+
+def test_criterion_10_full_size_steps_at_finest_level(tmp_path):
+    # a default run takes Adam steps at the finest level, which
+    # criterion 10's value-only finest level does not: the gradient loss
+    # and Adam's state at full size.  Measured 1,292,500 kB on Linux with
+    # numpy 2.4, set in the Adam step; the bound leaves about 8% for
+    # allocator and numpy differences
+    rng = np.random.default_rng(31)
+    dims = (160, 192, 160)
+    for name in ("fixed", "moving"):
+        save_volume(
+            Volume(data=rng.standard_normal(dims, dtype=np.float32).astype(np.float64)),
+            tmp_path / f"{name}.vol",
+        )
+    peak_kb = cli_peak_rss_kb(
+        ["register",
+         "--fixed", str(tmp_path / "fixed.vol"),
+         "--moving", str(tmp_path / "moving.vol"),
+         "--out-field", str(tmp_path / "out.dfield"),
+         "--levels", "3", "--iters-schedule", "0,0,2"],
+        timeout=540,
+    )
+    report = json.loads((tmp_path / "out.dfield.report.json").read_text())
+    assert [lv["iterations"] for lv in report["levels"]] == [0, 0, 2]
+    assert peak_kb <= 1_400_000, f"peak RSS {peak_kb} kB"
+    print(f"criterion 10, finest-level steps: peak RSS {peak_kb} kB at 160x192x160")

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import defreg.loss
 import defreg.warp
 from defreg.loss import (
     LossConfig,
@@ -258,34 +257,27 @@ class TestNccTermsExactness:
 
 
 class TestNccValueSlabs:
-    """The value pass over x-slabs gives the one-block value's bits."""
+    """The statistics pass over x-slabs of any size gives the closed forms'
+    value and gradient to the bit."""
 
     @pytest.mark.parametrize("dims", [(11, 5, 7), (9, 6, 5), (6, 9, 8), (4, 7, 3)])
     @pytest.mark.parametrize("w", [1, 3, 9])
     def test_equals_whole_volume_bitwise(self, rng, monkeypatch, dims, w):
-        # slabs of 1 and 2 planes, and of r and r+1 planes, where the ring of
-        # carried cumulative sums is smallest; (6, 9, 8) and (4, 7, 3) have
-        # windows wider than nx
+        # slabs of 1 and 2 planes, of r and r+1 planes, where the carried
+        # cumulative sums reach furthest back, and of one slab, exactly nx
+        # planes or more; (6, 9, 8) and (4, 7, 3) have windows wider than nx
         F = rng.standard_normal(dims)
         G = rng.standard_normal(dims)
         G[1] = 0.5  # a flat slab floors some windows
-        whole, _ = _ncc_terms(F, G, w, 1e-5, True)  # the gradient path is one block
-        assert _ncc_terms(F, G, w, 1e-5, False) == (whole, None)
-        real = defreg.loss._ncc_value_in_slabs
-        slabbed = []
-
-        def counting(*args):
-            slabbed.append(args[-1])
-            return real(*args)
-
-        monkeypatch.setattr(defreg.loss, "_ncc_value_in_slabs", counting)
+        want_value, want_grad = closed_form_ncc_terms(F, G, w, 1e-5)
         r = w // 2
         plane = dims[1] * dims[2]
-        sizes = sorted({1, 2, r, r + 1} - {0})
-        for planes in sizes:
+        for planes in sorted({1, 2, r, r + 1, dims[0], dims[0] + 5} - {0}):
             monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", planes * plane)
-            assert _ncc_terms(F, G, w, 1e-5, False) == (whole, None), planes
-        assert slabbed == [p for p in sizes if p < dims[0]]
+            got_value, got_grad = _ncc_terms(F, G, w, 1e-5, True)
+            assert got_value == want_value, planes
+            assert np.array_equal(got_grad, want_grad), planes
+            assert _ncc_terms(F, G, w, 1e-5, False) == (want_value, None), planes
 
 
 class TestSimilarityLoss:
@@ -510,10 +502,11 @@ class TestLossMemory:
             tracemalloc.stop()
         assert peak < 1.2 * field.data.nbytes  # the differences, squared in place
 
-    # The same evaluation with the warp and the NCC's value pass over
-    # 1-plane slabs, per path: the NCC's gradient pass (12.4 volumes at
-    # 40^3, with the 3-volume sampling derivative) and the value-only warp
-    # with its derivative (4.5 volumes).
+    # The same evaluation with the warp and the NCC over 1-plane slabs, per
+    # path: the smoothness gradient beside the similarity gradient (12.4
+    # volumes at 40^3; the NCC's pass beside the warped image and its
+    # 3-volume sampling derivative stays lower) and the value-only warp with
+    # its derivative (4.5 volumes).
     @pytest.mark.parametrize("with_grad, peak_volumes", [(True, 13.5), (False, 5)])
     def test_multi_slab_evaluation_stays_under_bound(self, monkeypatch, with_grad, peak_volumes):
         rng = np.random.default_rng(0)
@@ -533,9 +526,8 @@ class TestLossMemory:
         assert peak < peak_volumes * fixed.data.nbytes
 
     # The NCC's value pass alone over 1-plane slabs: the correlation of
-    # every window, the carried cumulative sums of 10 planes for each of the
-    # 5 quantities, and one slab's statistics (2.5 volumes at 40^3, 8.4 in
-    # one block).
+    # every window, the carried cumulative sums of 9 planes for each of the
+    # 5 quantities, and one slab's statistics (2.6 volumes at 40^3).
     def test_slabbed_ncc_value_pass_stays_under_bound(self, monkeypatch):
         rng = np.random.default_rng(0)
         dims = (40, 40, 40)
@@ -550,3 +542,24 @@ class TestLossMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3 * F.nbytes
+
+    # The NCC pass alone on a grid of one slab (48^3), per path: the
+    # correlation, the gradient's four pointwise terms, the sums of F and G
+    # and one reused buffer (8.2 volumes with the gradient, 7.2 without).
+    # Beside the warped image and its sampling derivative it stays under
+    # the whole-volume warp's 18.4 volumes, which set the evaluation's peak.
+    @pytest.mark.parametrize("with_grad", [True, False])
+    def test_one_slab_ncc_pass_stays_under_bound(self, with_grad):
+        rng = np.random.default_rng(0)
+        dims = (48, 48, 48)
+        assert defreg.warp._slab_planes(dims) >= dims[0]
+        F = rng.standard_normal(dims)
+        G = rng.standard_normal(dims)
+        _ncc_terms(F, G, 9, 1e-5, with_grad)  # warm-up
+        tracemalloc.start()
+        try:
+            _ncc_terms(F, G, 9, 1e-5, with_grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * F.nbytes

@@ -447,6 +447,34 @@ class TestRegisterConvNet:
         report = register(v, v, cfg)
         assert report.padded_dims == (8, 8, 2)
         assert report.field.dims == (8, 8, 1)
+        # the smoothness term needs 2 voxels per axis, so the cropped field
+        # is not scored again: ``final`` is the padded grid's best loss
+        assert report.final == min(
+            (lv for t in report.levels for lv in t.losses), key=lambda lv: lv.total
+        )
+
+    def test_final_is_the_cropped_fields_loss_on_the_input_grid(self, rng):
+        # a 13^3 pair runs padded to 16^3; the padded grid's best loss and
+        # the loss of its crop on the input grid differ, and ``final``, the
+        # value the report and the CLI's total= line carry, is the latter
+        fixed = random_volume(rng, (13, 13, 13))
+        moving = random_volume(rng, (13, 13, 13))
+        cfg = RegistrationConfig(
+            mode="convnet",
+            iterations_per_level=5,
+            learning_rate=1e-2,
+            loss=LossConfig(ncc_window=5, reg_weight=0.1),
+            convnet=ConvNetConfig(levels=2, base_filters=4),
+        )
+        report = register(fixed, moving, cfg)
+        assert report.padded_dims == (16, 16, 16)
+        assert report.field.dims == (13, 13, 13)
+        want, _ = overall_loss(
+            zscore_normalize(fixed), zscore_normalize(moving), report.field, cfg.loss
+        )
+        assert report.final == want
+        assert report.final.total != min(lv.total for t in report.levels for lv in t.losses)
+        assert _strict_json(report)["final"]["total"] == want.total
 
     def test_loop_drops_cache_and_gradient_before_next_forward(self, rng):
         # a run holds one pass's arrays plus its best iterate and Adam's
@@ -679,17 +707,23 @@ class TestDivergence:
         stepped = _fail_loss_at(monkeypatch, 6)  # round 1, first step
         report = register(fixed, moving, cfg)
         assert [t.stop_reason for t in report.levels] == ["max_iters", "diverged"]
-        assert report.final.total == min(lv.total for t in report.levels for lv in t.losses)
         assert stepped == [True] * 4
         assert report.padded_dims == (10, 10, 10)
         assert report.field.dims == (9, 9, 9)
-        # the returned weights regenerate the returned field
+        # the returned weights regenerate the best field of all rounds on
+        # the padded grid, and the returned field is its crop
         f, m = (
             Volume(data=np.pad(zscore_normalize(v).data, [(0, 1)] * 3, mode="edge"))
             for v in (fixed, moving)
         )
         pred, _ = convnet_forward(report.parameters, f, m)
+        best = min(lv.total for t in report.levels for lv in t.losses)
+        assert overall_loss(f, m, pred, cfg.loss)[0].total == best
         assert np.array_equal(pred.data[:9, :9, :9], report.field.data)
+        # ``final`` is the cropped field's loss on the input grid
+        assert report.final == overall_loss(
+            zscore_normalize(fixed), zscore_normalize(moving), report.field, cfg.loss
+        )[0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_convnet_forward_overflow_ends_as_diverged(self):
