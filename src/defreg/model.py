@@ -36,17 +36,20 @@ One primitive computes every convolution, 3x3x3 and 1x1x1 alike, on BLAS.
 Its input is a list of unpadded channel groups, each at the output's
 resolution or at half of it, which nearest-neighbour 2x up-sampling
 doubles.  Per slab of a few output x-planes, the zero-padded, up-sampled,
-stacked input planes that the slab reads are copied into a reused window;
-per kernel tap, the window's shifted slice is copied into a reused
-contiguous (C_in, voxels) buffer and multiplied by that tap's (C_out, C_in)
-weights, the per-tap half of im2col.  The window, the buffer and the
-product stay a few MB however large the volume, and no padded,
-concatenated or up-sampled copy of a whole input is made.  The weight
-gradient multiplies the same tap buffers by the output gradient, and the
-input gradient is the transposed convolution: the forward primitive
-applied to the unpadded output gradient with the kernel flipped on all
-three axes and C_in, C_out swapped, so no padded input-gradient array is
-scattered into.
+stacked input planes that the slab reads are copied into a reused window,
+flat per channel and followed by a short zero tail.  The slab's output is
+taken on the padded grid, so each kernel tap reads the window at one flat
+offset: that (C_in, voxels) view goes to BLAS in place, with no per-tap
+copy, and is multiplied by the tap's (C_out, C_in) weights.  The columns of
+the padded grid outside the volume, 2h of each y-row and z-plane (8.5% at
+48^3), are computed and dropped.  The window, the slab's output and one tap
+product are the primitive's scratch: a few y-z planes, not a volume, and no
+padded, concatenated or up-sampled copy of a whole input is made.  The
+weight gradient multiplies the output gradient, put on the same padded
+grid, by the same views; the input gradient is the transposed convolution:
+the forward primitive applied to the unpadded output gradient with the
+kernel flipped on all three axes and C_in, C_out swapped, so no padded
+input-gradient array is scattered into.
 
 Batch normalization always normalizes with the statistics of the current
 pass.  With one image pair per pass that is instance normalization, so there
@@ -84,7 +87,15 @@ _CHECKPOINT_MAGIC = b"IRNW"
 # 2 also stored the kernel size and the decoder conv biases that batch norm
 # cancels; 1 also stored batch-norm running statistics
 _CHECKPOINT_VERSION = 3
-_SLAB_VOXELS = 1 << 13  # output voxels per tap matmul; bounds its buffers
+# Output voxels per slab of the convolution.  Each of a slab's tap
+# products reads its (C_in, voxels) window view and writes a (C_out, voxels)
+# product; smaller slabs keep both in cache but pay numpy's per-call cost
+# more often.  Registrations of the default network, 1 iteration, medians
+# of 4 interleaved runs at 1 << 10 / 11 / 12 / 13: 48^3 308 / 316 / 323 /
+# 372 ms, 24^3 52 / 46 / 45 / 54 ms, 12^3 19 ms at each; traced peaks 73.6
+# MiB at 48^3 up to 1 << 12 (75.4 at 1 << 13), and 12.5 / 12.7 / 13.6 /
+# 15.3 MiB at 24^3.  1 << 11 is within 3% of the fastest at each size.
+_SLAB_VOXELS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -168,28 +179,41 @@ def _nearest_pieces(lo, hi, up):
     return pieces
 
 
-def _taps(groups, k, dims):
-    """Yields (tap, part, cols) for each slab of output x-planes and each
-    kernel tap of a same-padded k x k x k convolution over ``dims``.
+def _slab_planes(dims):
+    """Output x-planes per slab: the largest divisor of nx whose slab holds
+    at most _SLAB_VOXELS output voxels, or 1."""
+    nx, ny, nz = dims
+    return max((d for d in range(1, nx + 1) if nx % d == 0 and d * ny * nz <= _SLAB_VOXELS),
+               default=1)
+
+
+def _taps(groups, k, dims, step):
+    """Yields (x0, taps) for each slab of ``step`` output x-planes, from
+    x0, of a same-padded k x k x k convolution over ``dims``.
 
     ``groups`` is the input as (array, up) channel groups, stacked in
     order: ``array`` is unpadded, and up = 2 up-samples it 2x by nearest
     neighbour.  Per slab, the zero-padded, up-sampled, stacked input planes
-    that the slab's taps read are copied into one reused window; ``cols``
-    holds a tap's shifted slice of the window as a contiguous (C, slab
-    voxels) matrix, copied into one reused buffer, and ``part`` selects the
-    slab's columns of the flattened (C, N) output.  Slabs split nx evenly
-    into at most _SLAB_VOXELS voxels each."""
+    that the slab reads are copied into one reused window, flat per channel
+    and followed by a zero tail of 2h R + 2h elements.  The slab's output
+    is taken on the padded (step, Q, R) grid, Q = ny + 2h, R = nz + 2h, so
+    that kernel tap (dx, dy, dz) reads the window at the flat offset
+    (dx Q + dy) R + dz.  ``taps`` holds (tap, view) per tap: ``view`` is
+    that (C, step Q R) slice of the window, which BLAS reads in place.
+    Output columns at y >= ny or z >= nz read across a row's end or into
+    the tail; the caller drops them."""
     c = sum(a.shape[0] for a, _ in groups)
     h = k // 2
     nx, ny, nz = dims
-    plane = ny * nz
-    step = max(
-        (d for d in range(1, nx + 1) if nx % d == 0 and d * plane <= _SLAB_VOXELS), default=1
-    )
-    win = np.zeros((c, step + 2 * h, ny + 2 * h, nz + 2 * h))  # y and z padding stays zero
-    buf = np.empty((c, step, ny, nz))
-    cols = buf.reshape(c, -1)
+    q, r = ny + 2 * h, nz + 2 * h
+    size = (step + 2 * h) * q * r
+    flat = np.zeros((c, size + 2 * h * r + 2 * h))  # the y and z padding and the tail stay zero
+    win = flat[:, :size].reshape(c, step + 2 * h, q, r)
+    n = step * q * r
+    taps = []
+    for dx, dy, dz in np.ndindex(k, k, k):
+        off = (dx * q + dy) * r + dz
+        taps.append(((dx, dy, dz), flat[:, off : off + n]))
     for x0 in range(0, nx, step):
         # window plane i holds input plane x0 - h + i, zero outside the volume
         lo, hi = max(x0 - h, 0), min(x0 + step + h, nx)
@@ -204,27 +228,31 @@ def _taps(groups, k, dims):
                     for tz, fz in _nearest_pieces(0, nz, up):
                         np.copyto(inner[c0:c1, tx, ty, tz], a[:, fx, fy, fz])
             c0 = c1
-        for dx, dy, dz in np.ndindex(k, k, k):
-            np.copyto(buf, win[:, dx : dx + step, dy : dy + ny, dz : dz + nz])
-            yield (dx, dy, dz), slice(x0 * plane, (x0 + step) * plane), cols
+        yield x0, taps
 
 
 def _conv_forward(groups, w, b=None):
     """Same-padded convolution of the channel groups ``groups`` (see
     ``_taps``) with the k x k x k kernel ``w``, plus the bias ``b`` if
     given."""
-    k = w.shape[-1]
+    cout, k = w.shape[0], w.shape[-1]
     a, up = groups[0]
     dims = tuple(up * n for n in a.shape[1:])
+    _, ny, nz = dims
+    step = _slab_planes(dims)
     # each tap's (C_out, C_in) weights contiguous, so matmul hands them to BLAS
     w_taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))
-    out = np.empty((w.shape[0], int(np.prod(dims))))
-    out[...] = 0.0 if b is None else b[:, None]
+    out = np.empty((cout,) + dims)
+    grid = np.empty((cout, step, ny + k - 1, nz + k - 1))  # the slab's padded output grid
+    acc = grid.reshape(cout, -1)
     tmp = None
-    for tap, part, cols in _taps(groups, k, dims):
-        tmp = np.matmul(w_taps[tap], cols, out=tmp)
-        out[:, part] += tmp
-    return out.reshape((-1,) + dims)
+    for x0, taps in _taps(groups, k, dims, step):
+        acc[...] = 0.0 if b is None else b[:, None]
+        for tap, view in taps:
+            tmp = np.matmul(w_taps[tap], view, out=tmp)
+            acc += tmp
+        out[:, x0 : x0 + step] = grid[:, :, :ny, :nz]
+    return out
 
 
 def _conv_backward(groups, w, dout, input_grad=True):
@@ -232,18 +260,24 @@ def _conv_backward(groups, w, dout, input_grad=True):
     gradient is None without ``input_grad``.  It is the forward convolution
     of ``dout`` with the kernel flipped on all three axes and its channel
     axes swapped, at the output's resolution: rows of an up-sampled group
-    still need ``_upsample_backward``."""
+    still need ``_upsample_backward``.  It is taken first, so that its
+    scratch and the weight gradient's are never alive together.  The
+    weight gradient reads each slab of ``dout`` on the forward's padded
+    grid, zero in the dropped columns."""
+    dx = None
+    if input_grad:
+        dx = _conv_forward([(dout, 1)], w[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1))
     k = w.shape[-1]
-    dims = dout.shape[1:]
-    dout2d = dout.reshape(dout.shape[0], -1)
+    cout, _, ny, nz = dout.shape
+    step = _slab_planes(dout.shape[1:])
+    dgrid = np.zeros((cout, step, ny + k - 1, nz + k - 1))
+    dflat = dgrid.reshape(cout, -1)
     dw = np.zeros_like(w)
-    for (dx, dy, dz), part, cols in _taps(groups, k, dims):
-        dw[:, :, dx, dy, dz] += dout2d[:, part] @ cols.T
-    db = dout.sum(axis=(1, 2, 3))
-    if not input_grad:
-        return None, dw, db
-    flipped = w[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)
-    return _conv_forward([(dout, 1)], flipped), dw, db
+    for x0, taps in _taps(groups, k, dout.shape[1:], step):
+        dgrid[:, :, :ny, :nz] = dout[:, x0 : x0 + step]
+        for (tx, ty, tz), view in taps:
+            dw[:, :, tx, ty, tz] += dflat @ view.T
+    return dx, dw, dout.sum(axis=(1, 2, 3))
 
 
 def _maxpool_forward(x):
