@@ -2,7 +2,8 @@
 
 Commands: register, eval, synth, slices, version.  Machine-readable metric
 lines go to stdout, diagnostics to stderr.  Every file-writing command
-records a manifest JSON (resolved config, input digests, output paths) so
+records a manifest JSON (resolved config, input digests, output paths, and
+the numeric environment: Python, numpy, BLAS and the thread variables) so
 the run can be reproduced exactly.
 
 Exit codes: 0 success, 1 user or validation error, 2 environment/I-O error.
@@ -19,6 +20,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -51,6 +53,23 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _environment() -> dict:
+    """The numeric environment a run's bits depend on."""
+    import numpy as np
+
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except TypeError:  # numpy < 1.26 only prints its build configuration
+        deps = {}
+    blas = deps.get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in ("DEFREG_THREADS",) + _THREAD_ENV_VARS},
+    }
+
+
 def _write_manifest(path, command, config, inputs, outputs, wall_seconds):
     from . import __version__
 
@@ -61,6 +80,7 @@ def _write_manifest(path, command, config, inputs, outputs, wall_seconds):
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "wall_seconds": wall_seconds,
+        "environment": _environment(),
     }
     Path(path).write_text(json.dumps(manifest, indent=2) + "\n")
 

@@ -310,15 +310,13 @@ def similarity_loss(
 def smoothness_loss(field: DisplacementField, *, with_grad=True):
     """Mean squared Frobenius norm of the displacement gradient.
 
-    Forward differences in mm with replicate boundary (the last difference
-    along each axis is zero).  Returns (value, analytic gradient as an
-    ``(nx, ny, nz, 3)`` array, or None when ``with_grad`` is off).  The
-    differences and the shifted copy live in two scratch buffers reused for
-    every axis; without the gradient the differences are squared in place,
-    in the one buffer.
+    Forward differences in mm with replicate boundary: the last difference
+    along each axis is zero, so an axis of one voxel adds none.  Returns
+    (value, analytic gradient as an ``(nx, ny, nz, 3)`` array, or None when
+    ``with_grad`` is off).  The differences and the shifted copy live in two
+    scratch buffers reused for every axis; without the gradient the
+    differences are squared in place, in the one buffer.
     """
-    if min(field.dims) < 2:
-        raise ValueError(f"smoothness needs dims >= 2 per axis, got {field.dims}")
     u = field.data
     n_vox = u.size // 3
     value = 0.0

@@ -30,8 +30,7 @@ optimizes and what is returned:
 A returned field that is not a scored iterate on the input grid (a coarser
 freeform best after an early stop, a padded convnet field) is resampled or
 cropped onto it and scored there by value alone, so the report's ``final``
-is its loss there (on a convnet input axis of one voxel, where smoothness
-is undefined, ``final`` stays the padded grid's loss).
+is its loss there.
 
 Inputs are z-score normalized on entry if they are not already.
 """
@@ -258,9 +257,10 @@ def _converged(totals: list[float], tol: float) -> bool:
 def _pyramid(fixed: Volume, moving: Volume, n_levels: int) -> list[tuple[Volume, Volume]]:
     """Image pairs of a mean-downsampling pyramid, coarsest first.
 
-    The smoothness term differences neighbouring voxels, so every level
-    needs at least 2 voxels per axis; a pyramid too deep for the dims is
-    refused before any level is built.
+    The smoothness term differences neighbouring voxels and adds nothing
+    along an axis of one voxel, so every level needs at least 2 voxels per
+    axis; a pyramid too deep for the dims is refused before any level is
+    built.
     """
     dims = fixed.dims
     for _ in range(n_levels):
@@ -339,6 +339,8 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
                 params, state = adam_step(params, backward(cache, grad), state)
                 cache = grad = None  # not kept alive through the next forward
             u, cache = predict(params, f_l, m_l)
+            if it == n_steps:  # no backward pass reads the last iterate's cache
+                cache = None
             if u is not None:
                 # the last iterate is only scored: Adam takes no step on it
                 lv, grad = overall_loss(f_l, m_l, u, cfg.loss, with_grad=it < n_steps)
@@ -385,8 +387,7 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
             )
         elif out.dims != fixed.dims:
             out = resample_field(out, fixed.dims, spacing=fixed.spacing)
-        if min(fixed.dims) > 1:
-            final, _ = overall_loss(fixed, moving, out, cfg.loss, with_grad=False)
+        final, _ = overall_loss(fixed, moving, out, cfg.loss, with_grad=False)
     return RegistrationReport(
         field=out,
         levels=traces,

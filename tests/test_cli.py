@@ -3,11 +3,14 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from defreg.cli import _THREAD_ENV_VARS
 
 TABLE2_INITIAL = (
     "13.50,14.00,16.00,15.00,17.00,17.00,1.50,3.50,9.00,4.00,"
@@ -87,6 +90,20 @@ class TestSynthCommand:
         assert m["config"]["dims"] == [16, 16, 16]
         assert isinstance(m["wall_seconds"], float)
         assert any(p.endswith("fixed.vol") for p in m["outputs"])
+
+    def test_manifest_records_the_numeric_environment(self, tmp_path):
+        proc = run_cli(
+            "synth", "--out", str(tmp_path), "--dims", "16", "16", "16", "--seed", "1",
+            "--num-landmarks", "2", env={"DEFREG_THREADS": "3"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        # DEFREG_THREADS pins every BLAS/OpenMP thread variable before numpy loads
+        assert env["threads"] == {"DEFREG_THREADS": "3", **dict.fromkeys(_THREAD_ENV_VARS, "3")}
 
     def test_same_seed_identical_bytes(self, case_dir, tmp_path):
         proc = run_cli(

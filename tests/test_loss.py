@@ -374,9 +374,24 @@ class TestSmoothnessLoss:
         ana = np.array([grad[pos] for pos in idx])
         assert rel_err(num, ana) < 1e-8
 
-    def test_degenerate_dims_rejected(self):
-        with pytest.raises(ValueError):
-            smoothness_loss(DisplacementField.zeros((1, 4, 4)))
+    def test_one_voxel_axis_adds_no_differences(self, rng):
+        # the last difference along an axis is zero, so an axis of one voxel
+        # contributes nothing: the value equals that of the field with the
+        # axis's one plane repeated, and the gradient is still analytic
+        spacing = (1.0, 1.5, 0.5)
+        for dims in ((8, 8, 1), (1, 4, 4)):
+            field = offgrid_field(rng, dims, spacing=spacing)
+            value, grad = smoothness_loss(field)
+            axis = dims.index(1)
+            doubled = DisplacementField(np.repeat(field.data, 2, axis=axis), spacing=spacing)
+            assert value == pytest.approx(smoothness_loss(doubled)[0], rel=1e-12)
+            idx = [
+                tuple(int(rng.integers(0, n)) for n in dims) + (c,)
+                for c in range(3)
+                for _ in range(8)
+            ]
+            num = fd_gradient(lambda f: smoothness_loss(f)[0], field, idx, step=1e-4)
+            assert rel_err(num, np.array([grad[pos] for pos in idx])) < 1e-8
 
 
 class TestSmoothnessExactness:

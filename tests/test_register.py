@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -447,11 +448,10 @@ class TestRegisterConvNet:
         report = register(v, v, cfg)
         assert report.padded_dims == (8, 8, 2)
         assert report.field.dims == (8, 8, 1)
-        # the smoothness term needs 2 voxels per axis, so the cropped field
-        # is not scored again: ``final`` is the padded grid's best loss
-        assert report.final == min(
-            (lv for t in report.levels for lv in t.losses), key=lambda lv: lv.total
-        )
+        # the cropped field is scored again on the input grid, whose
+        # one-voxel axis adds no smoothness differences
+        want, _ = overall_loss(zscore_normalize(v), zscore_normalize(v), report.field, cfg.loss)
+        assert report.final == want
 
     def test_final_is_the_cropped_fields_loss_on_the_input_grid(self, rng):
         # a 13^3 pair runs padded to 16^3; the padded grid's best loss and
@@ -590,6 +590,36 @@ class TestGradientOnlyWhereAdamSteps:
         assert doc == full_doc
         assert [t.iterations for t in report.levels] == [3, 2, 0]
 
+
+    def test_value_only_iterate_holds_no_cache(self, rng, monkeypatch):
+        # schedule (1, 0): the cache of an iterate that takes a step is
+        # alive through its loss, and that of a level's last iterate, which
+        # no backward pass reads, is freed before it
+        fixed = random_volume(rng, (16, 16, 16))
+        moving = random_volume(rng, (16, 16, 16))
+        cfg = quick_cfg(
+            mode="convnet",
+            pyramid_levels=2,
+            iterations_per_level=None,
+            iterations_schedule=(1, 0),
+            convnet=ConvNetConfig(levels=2, base_filters=4),
+        )
+        real_forward, real_loss = defreg.register.convnet_forward, defreg.register.overall_loss
+        masks, alive = [], []
+
+        def forward(*args):
+            field, cache = real_forward(*args)
+            masks.append(weakref.ref(cache["enc"][0][0][3]))  # enc0_conv1's ReLU mask
+            return field, cache
+
+        def loss(*args, **kwargs):
+            alive.append((kwargs["with_grad"], masks[-1]() is not None))
+            return real_loss(*args, **kwargs)
+
+        monkeypatch.setattr(defreg.register, "convnet_forward", forward)
+        monkeypatch.setattr(defreg.register, "overall_loss", loss)
+        register(fixed, moving, cfg)
+        assert alive == [(True, True), (False, False), (False, False)]
 
     @pytest.mark.parametrize("mode", ["freeform", "convnet"])
     def test_level_without_steps_builds_no_adam_state(self, rng, monkeypatch, mode):
