@@ -24,8 +24,8 @@ Convolution, optional batch norm and ReLU form one block.  The forward
 cache holds each activation once, as the array the pass computed.  A block
 refers to its input channel groups and keeps its ReLU mask and, with batch
 norm, the normalized activations.  A decoder block's groups are the coarser
-output and the encoder skip themselves, joined by no copy, and its level
-keeps the channel split between them.  A pool keeps its argmax as int8.
+output and the encoder skip themselves, joined by no copy.  A pool keeps
+its argmax as int8.
 The head's input, ReLU of dec0's batch norm, is rebuilt from dec0's cache
 in the backward pass by the forward's own expression; without batch norm
 it is kept.  For the default network that is 331 bytes of activations per
@@ -342,15 +342,17 @@ def _maxpool_forward(x):
     win = win.transpose(0, 1, 3, 5, 6, 4, 2).reshape(c, nx // 2, ny // 2, nz // 2, 8)
     arg = win.argmax(axis=-1)
     out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-    return out, (arg.astype(np.int8), x.shape)  # a cell of 8 fits in int8
+    return out, arg.astype(np.int8)  # a cell of 8 fits in int8
 
 
-def _maxpool_backward(cache, dout, dx):
-    """Adds ``dout`` at each window's argmax cell into ``dx``, the
-    gradient of the pool's input from its other branch, and returns it."""
-    arg, _ = cache
+def _maxpool_backward(arg, dout, dx):
+    """Adds ``dout`` at each window's argmax cell ``arg`` into ``dx``, the
+    C-contiguous gradient of the pool's input from its other branch, and
+    returns it."""
+    if not dx.flags.c_contiguous:
+        raise ValueError("the pool's input gradient must be C-contiguous")
     c, nx, ny, nz = dx.shape
-    cells = dx.reshape(c, nx // 2, 2, ny // 2, 2, nz // 2, 2, copy=False)
+    cells = dx.reshape(c, nx // 2, 2, ny // 2, 2, nz // 2, 2)  # a view, being contiguous
     ci, wx, wy, wz = np.ogrid[:c, : nx // 2, : ny // 2, : nz // 2]
     # one cell per window, so no cell is added to twice; the forward's
     # cell order has x fastest
@@ -449,9 +451,8 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     for l in reversed(range(cfg.levels)):
         # the coarser features, up-sampled, stacked over the skip features
         bn = f"dec{l}_bn" if cfg.use_batchnorm else None
-        split = x.shape[0]
         x, block = _block_forward([(x, 2), (skips.pop(), 1)], t, f"dec{l}_conv", bn)
-        dec.insert(0, (split, block))
+        dec.insert(0, block)
     out = _conv_forward([(x, 1)], t["head_w"], t["head_b"])
     field_data = np.moveaxis(out, 0, -1)
     pred = None
@@ -473,14 +474,14 @@ def convnet_backward(cache, grad: np.ndarray) -> dict[str, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
     head_x, head_w = cache["head"]
     if head_x is None:  # ReLU(batch norm) of dec0, by the forward's expression
-        _, (_, _, (xhat, _, gamma, beta), mask) = cache["dec"][0]
+        _, _, (xhat, _, gamma, beta), mask = cache["dec"][0]
         head_x = _bn_affine(xhat, gamma, beta)
         head_x *= mask
     dout = np.moveaxis(grad, -1, 0)
     dxs, grads["head_w"], grads["head_b"] = _conv_backward([(head_x, 1)], head_w, dout)
     del head_x  # not alive through the decoder's backward
     skip_grads = []
-    for l, (_, block) in enumerate(cache["dec"]):
+    for l, block in enumerate(cache["dec"]):
         # one gradient per input group, each on its own grid: the coarser
         # output's, and the skip's, which the encoder adds below
         dxs = _block_backward(block, dxs.pop(), grads, f"dec{l}_conv", f"dec{l}_bn")

@@ -257,10 +257,9 @@ def _converged(totals: list[float], tol: float) -> bool:
 def _pyramid(fixed: Volume, moving: Volume, n_levels: int) -> list[tuple[Volume, Volume]]:
     """Image pairs of a mean-downsampling pyramid, coarsest first.
 
-    The smoothness term differences neighbouring voxels and adds nothing
-    along an axis of one voxel, so every level needs at least 2 voxels per
-    axis; a pyramid too deep for the dims is refused before any level is
-    built.
+    Every level, the input's own included, must have at least 2 voxels
+    per axis; a pyramid too deep for the dims is refused before any level
+    is built.
     """
     dims = fixed.dims
     for _ in range(n_levels):

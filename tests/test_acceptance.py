@@ -190,8 +190,8 @@ def test_criterion_04_gradients_match_finite_differences():
     probe = rng.standard_normal((8, 8, 8, 3))
 
     def kinks(cache):
-        enc = [a for b1, b2, pool in cache["enc"] for a in (b1[3], b2[3], pool[0])]
-        return enc + [block[3] for _, block in cache["dec"]]
+        enc = [a for b1, b2, pool in cache["enc"] for a in (b1[3], b2[3], pool)]
+        return enc + [block[3] for block in cache["dec"]]
 
     def loss_and_kinks(tensors):
         p = ConvNetParameters(

@@ -97,11 +97,10 @@ def group_grads(stacked, groups):
     return out
 
 
-def scatter_maxpool_backward(cache, dout):
+def scatter_maxpool_backward(arg, dout):
     """The pool's gradient scattered into a zero window per output voxel,
     then transposed back to the input's layout."""
-    arg, in_shape = cache
-    c, nx, ny, nz = in_shape
+    c, nx, ny, nz = dout.shape[0], *(2 * n for n in dout.shape[1:])
     dwin = np.zeros((c, nx // 2, ny // 2, nz // 2, 8))
     np.put_along_axis(dwin, arg[..., None], dout[..., None], axis=-1)
     dwin = dwin.reshape(c, nx // 2, ny // 2, nz // 2, 2, 2, 2)
@@ -495,10 +494,18 @@ class TestLayerPrimitives:
         assert back is skip
         assert np.array_equal(back, want)
 
+    def test_maxpool_backward_refuses_a_gradient_it_cannot_view(self, rng):
+        # a reshape of a strided array may copy, and the add would be lost
+        x = rng.standard_normal((2, 4, 4, 4))
+        out, cache = _maxpool_forward(x)
+        strided = np.zeros((2, 4, 4, 8))[..., ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _maxpool_backward(cache, np.ones(out.shape), strided)
+
     def test_maxpool_backward_one_position_per_window(self, rng):
         x = rng.standard_normal((3, 4, 4, 6))
         _, cache = _maxpool_forward(x)
-        assert cache[0].dtype == np.int8  # a window's 8 cells
+        assert cache.dtype == np.int8  # a window's 8 cells
         dout = rng.standard_normal((3, 2, 2, 3))
         back = _maxpool_backward(cache, dout, np.zeros(x.shape))
         windows = back.reshape(3, 2, 2, 2, 2, 3, 2)
