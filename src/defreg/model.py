@@ -22,15 +22,23 @@ untrained network predicts the identity transform.
 
 Convolution, optional batch norm and ReLU form one block.  The forward
 cache holds each activation once, as the array the pass computed.  A block
-refers to its input channel groups and keeps its ReLU mask and, with batch
-norm, the normalized activations.  A decoder block's groups are the coarser
-output and the encoder skip themselves, joined by no copy.  A pool keeps
-its argmax as int8.
-The head's input, ReLU of dec0's batch norm, is rebuilt from dec0's cache
-in the backward pass by the forward's own expression; without batch norm
-it is kept.  For the default network that is 331 bytes of activations per
-voxel.  The backward pass walks the same structure in reverse and only
-reads it, down to enc0_conv1's weights: not to the image pair.
+refers to its input channel groups and keeps its weights, its bias, its
+ReLU mask and, with batch norm, the normalized activations.  enc0_conv1
+reads the image pair as two single-channel groups, views of the inputs,
+with no stacked copy.  A decoder block's groups are the coarser output and
+the encoder skip themselves, joined by no copy.  A pool keeps its argmax
+as int8.  Two activations are not kept but rebuilt in the backward pass by
+the forward's own expression, so to the bit: the head's input, ReLU of
+dec0's batch norm, from dec0's cache (without batch norm it is kept), and
+enc0_conv1's output, by its convolution again, masked by its cached ReLU
+mask, just before enc0_conv2's backward.  For the default network that is
+251 bytes of activations per voxel, plus the image pair, which the caller
+holds anyway.  The backward pass walks the same structure in reverse and
+consumes it: each entry is released once its gradients are taken (a
+decoder block's normalized activations and mask before its convolution's
+backward, an encoder level's entries after its blocks'), so a cache serves
+one backward pass and a second one is refused.  It stops at enc0_conv1's
+weights: no gradient of the image pair is taken.
 
 One primitive computes every convolution, 3x3x3 and 1x1x1 alike, on BLAS.
 Its input is a list of unpadded channel groups, each at the output's
@@ -60,8 +68,10 @@ normalizes in the convolution output's buffer (the cached xhat), and its
 backward writes the input gradient over the output gradient with one
 scratch array, for dout * xhat; ReLU masks in place; and max pooling adds
 its gradient straight into the skip gradient at each window's argmax cell.
-With the default network at 48^3 a registration's traced peak, set in
-dec0's backward with the cache alive, is 62.1 MiB.
+With the default network at 48^3 a registration's traced peak is 50.2 MiB,
+set in the head's backward with the whole cache alive.  By phase: the
+first forward 44.0 MiB, the loss 49.4, the backward 50.2, Adam 14.0, the
+second forward 47.6 and the value-only loss, with no cache, 26.4.
 
 Batch normalization always normalizes with the statistics of the current
 pass.  With one image pair per pass that is instance normalization, so there
@@ -398,39 +408,60 @@ def _bn_backward(cache, dout):
 def _block_forward(groups, t, conv, bn=None):
     """Convolution ``conv`` of the channel groups ``groups``, batch norm
     ``bn`` if named, then ReLU; the convolution has a bias only without
-    batch norm.  The cache refers to the groups' arrays, uncopied."""
+    batch norm.  The cache is (groups, weights, bias, batch-norm cache,
+    ReLU mask) and refers to the groups' arrays, uncopied."""
     w = t[conv + "_w"]
-    x = _conv_forward(groups, w, None if bn else t[conv + "_b"])
+    b = None if bn else t[conv + "_b"]
+    x = _conv_forward(groups, w, b)
     bn_cache = None
     if bn is not None:
         x, bn_cache = _bn_forward(x, t[bn + "_gamma"], t[bn + "_beta"])
     mask = x > 0
     x *= mask
-    return x, (groups, w, bn_cache, mask)
+    return x, (groups, w, b, bn_cache, mask)
 
 
-def _block_backward(cache, dout, grads, conv, bn=None, input_grad=True):
+def _block_output(block):
+    """The block's output, rebuilt from its cache by the forward's own
+    expressions, so to the bit: from the normalized activations with batch
+    norm, by the convolution again without."""
+    groups, w, b, bn_cache, mask = block
+    if bn_cache is not None:
+        xhat, _, gamma, beta = bn_cache
+        x = _bn_affine(xhat, gamma, beta)
+    else:
+        x = _conv_forward(groups, w, b)
+    x *= mask
+    return x
+
+
+def _block_backward(block, dout, grads, conv, bn=None, input_grad=True):
     """The block's input gradients, one per group at its own resolution
     (None without ``input_grad``); its parameter gradients go into
     ``grads``.  ``dout`` is overwritten, so that the caller's copy is not
-    alive beside it."""
-    groups, w, bn_cache, mask = cache
+    alive beside it.  Given the only reference to ``block``, it frees the
+    block's mask and batch-norm cache before the convolution's backward,
+    and its input groups on return."""
+    groups, w, b, bn_cache, mask = block
+    del block
     dx = np.multiply(dout, mask, out=dout)
+    del mask
     if bn_cache is not None:
         dx, grads[bn + "_gamma"], grads[bn + "_beta"] = _bn_backward(bn_cache, dx)
+        del bn_cache
     dx, grads[conv + "_w"], db = _conv_backward(groups, w, dx, input_grad)
-    if bn_cache is None:
+    if b is not None:
         grads[conv + "_b"] = db
     return dx
 
 
 def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
-    """Predict a displacement field from the stacked pair.
+    """Predict a displacement field from the image pair.
 
-    Returns (field, cache); the cache feeds convnet_backward, which only
-    reads it.  Reads the parameters and never modifies them.  Weights that
-    overflow the pass give no field: it is None, and the caller decides what
-    a diverged iterate means.
+    Returns (field, cache); the cache serves one convnet_backward, which
+    consumes it.  Reads the parameters and never modifies them.  Weights
+    that overflow the pass give no field: it is None, and the caller
+    decides what a diverged iterate means.
     """
     cfg = params.config
     if fixed.dims != moving.dims:
@@ -439,14 +470,17 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     if any(d % div for d in fixed.dims):
         raise ValueError(f"dims {fixed.dims} not divisible by 2^levels = {div}")
     t = params.tensors
-    x = np.stack([fixed.data, moving.data])
+    groups = [(fixed.data[None], 1), (moving.data[None], 1)]  # the pair, stacked by no copy
     enc, skips = [], []
     for l in range(cfg.levels):
-        x, block1 = _block_forward([(x, 1)], t, f"enc{l}_conv1")
+        x, block1 = _block_forward(groups, t, f"enc{l}_conv1")
         x, block2 = _block_forward([(x, 1)], t, f"enc{l}_conv2")
+        if l == 0:  # enc0_conv1's output is recomputed in the backward pass
+            block2 = (None,) + block2[1:]
         skips.append(x)
         x, pool = _maxpool_forward(x)
         enc.append((block1, block2, pool))
+        groups = [(x, 1)]
     dec = []  # finest level first, the order the backward pass meets them
     for l in reversed(range(cfg.levels)):
         # the coarser features, up-sampled, stacked over the skip features
@@ -466,31 +500,40 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
 
 def convnet_backward(cache, grad: np.ndarray) -> dict[str, np.ndarray]:
     """Backpropagate a loss gradient on the field, an ``(nx, ny, nz, 3)``
-    array, to every parameter tensor."""
+    array, to every parameter tensor.
+
+    Consumes the cache: each entry is released once its gradients are
+    taken, so a cache serves one backward pass, and a second one is refused.
+    """
+    if "head" not in cache:
+        raise ValueError("the convnet cache was consumed by an earlier backward pass; "
+                         "a cache serves one backward pass")
     if grad.shape != cache["dims"] + (3,):
         raise ValueError(
             f"gradient shape {grad.shape} does not match forward dims {cache['dims']} + (3,)"
         )
     grads: dict[str, np.ndarray] = {}
-    head_x, head_w = cache["head"]
-    if head_x is None:  # ReLU(batch norm) of dec0, by the forward's expression
-        _, _, (xhat, _, gamma, beta), mask = cache["dec"][0]
-        head_x = _bn_affine(xhat, gamma, beta)
-        head_x *= mask
+    head_x, head_w = cache.pop("head")
+    enc, dec = cache["enc"], cache["dec"]
+    if head_x is None:  # dec0's output, kept only without batch norm
+        head_x = _block_output(dec[0])
     dout = np.moveaxis(grad, -1, 0)
     dxs, grads["head_w"], grads["head_b"] = _conv_backward([(head_x, 1)], head_w, dout)
     del head_x  # not alive through the decoder's backward
     skip_grads = []
-    for l, block in enumerate(cache["dec"]):
+    for l in range(len(dec)):
         # one gradient per input group, each on its own grid: the coarser
         # output's, and the skip's, which the encoder adds below
-        dxs = _block_backward(block, dxs.pop(), grads, f"dec{l}_conv", f"dec{l}_bn")
+        dxs = _block_backward(dec.pop(0), dxs.pop(), grads, f"dec{l}_conv", f"dec{l}_bn")
         skip_grads.append(dxs.pop())
-    for l in reversed(range(len(cache["enc"]))):
-        block1, block2, pool = cache["enc"][l]
+    for l in reversed(range(len(enc))):
+        block1, block2, pool = enc.pop()
         # the pool's input also fed the skip connection: add both branches
         dx = _maxpool_backward(pool, dxs.pop(), skip_grads.pop())
+        if block2[0] is None:  # enc0_conv2's input, enc0_conv1's output
+            block2 = ([(_block_output(block1), 1)],) + block2[1:]
         dxs = _block_backward(block2, dx, grads, f"enc{l}_conv2")
+        del block2, dx  # not alive through conv1's backward
         dxs = _block_backward(block1, dxs.pop(), grads, f"enc{l}_conv1", input_grad=l > 0)
     return grads
 

@@ -257,16 +257,17 @@ def _converged(totals: list[float], tol: float) -> bool:
 def _pyramid(fixed: Volume, moving: Volume, n_levels: int) -> list[tuple[Volume, Volume]]:
     """Image pairs of a mean-downsampling pyramid, coarsest first.
 
-    Every level, the input's own included, must have at least 2 voxels
-    per axis; a pyramid too deep for the dims is refused before any level
-    is built.
+    An axis of one voxel in the input stays one voxel on every level.
+    Every other axis must have at least 2 voxels on every level, the
+    input's own included; a pyramid too deep for the dims is refused before
+    any level is built.
     """
     dims = fixed.dims
     for _ in range(n_levels):
-        if min(dims) < 2:
+        if any(d < 2 and d0 > 1 for d, d0 in zip(dims, fixed.dims)):
             raise ValueError(
-                f"pyramid_levels={n_levels} needs >= 2 voxels per axis on every level, "
-                f"but dims {fixed.dims} give a level of dims {dims}"
+                f"pyramid_levels={n_levels} needs >= 2 voxels on every level along each axis "
+                f"of more than one voxel, but dims {fixed.dims} give a level of dims {dims}"
             )
         dims = tuple((d + 1) // 2 for d in dims)  # downsample_volume's ceil(n/2)
     pairs = [(fixed, moving)]

@@ -190,8 +190,8 @@ def test_criterion_04_gradients_match_finite_differences():
     probe = rng.standard_normal((8, 8, 8, 3))
 
     def kinks(cache):
-        enc = [a for b1, b2, pool in cache["enc"] for a in (b1[3], b2[3], pool)]
-        return enc + [block[3] for block in cache["dec"]]
+        enc = [a for b1, b2, pool in cache["enc"] for a in (b1[-1], b2[-1], pool)]
+        return enc + [block[-1] for block in cache["dec"]]
 
     def loss_and_kinks(tensors):
         p = ConvNetParameters(
@@ -207,8 +207,8 @@ def test_criterion_04_gradients_match_finite_differences():
         fixed,
         moving,
     )
+    base_kinks = kinks(cache)  # before the backward pass consumes the cache
     grads = convnet_backward(cache, probe)
-    base_kinks = kinks(cache)
     worst_net = 0.0
     for name, g in grads.items():
         theta = params.tensors[name]

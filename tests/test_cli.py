@@ -498,7 +498,7 @@ class TestDivergence:
 
 class TestPyramidDepth:
     @pytest.mark.parametrize("dims,levels,level_dims", [
-        ((8, 8, 1), "1", "(8, 8, 1)"),
+        ((8, 8, 1), "4", "(1, 1, 1)"),
         ((2, 8, 8), "2", "(1, 4, 4)"),
     ])
     def test_pyramid_too_deep_is_one_line_user_error(self, tmp_path, dims, levels, level_dims):

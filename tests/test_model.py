@@ -682,10 +682,10 @@ class TestConvNetBackward:
         dims = (8, 16, 24)  # non-cubic, divisible by 2^3
         fixed = random_volume(rng, dims)
         moving = random_volume(rng, dims)
-        field, cache = convnet_forward(params, fixed, moving)
         want_field, tape = tape_forward(params, fixed, moving)
-        assert np.array_equal(field.data, want_field)
-        for _ in range(2):  # the cache serves any number of backward passes
+        for _ in range(2):  # a cache serves one backward pass: a forward for each
+            field, cache = convnet_forward(params, fixed, moving)
+            assert np.array_equal(field.data, want_field)
             probe = rng.standard_normal(dims + (3,))
             grads = convnet_backward(cache, probe)
             want = tape_backward(tape, probe)
@@ -694,8 +694,9 @@ class TestConvNetBackward:
                 assert np.array_equal(grads[k], want[k]), k
 
     def test_backward_leaves_nothing_alive(self, rng):
-        # the backward pass only reads the cache: once its gradients are
-        # dropped, memory is back where it was before the call
+        # the backward pass allocates nothing that outlives it: once its
+        # gradients are dropped, the memory traced since the call began is
+        # back where it was (the cache it consumes was allocated before)
         params = init_convnet_parameters(ConvNetConfig(levels=2, base_filters=4), seed=3)
         dims = (16, 16, 16)
         _, cache = convnet_forward(params, random_volume(rng, dims), random_volume(rng, dims))
@@ -709,6 +710,37 @@ class TestConvNetBackward:
         finally:
             tracemalloc.stop()
         assert grown < 8 * 16**3  # less than one volume of float64
+
+    def test_backward_releases_the_cache(self, rng):
+        # the cache is the only holder of the parameters and the image pair
+        # it refers to, so consuming it gives back about its whole size
+        dims = (16, 16, 16)
+        grad = rng.standard_normal(dims + (3,))
+        tracemalloc.start()
+        try:
+            params = init_convnet_parameters(ConvNetConfig(levels=2, base_filters=4), seed=3)
+            _, cache = convnet_forward(params, random_volume(rng, dims), random_volume(rng, dims))
+            del params
+            held = cache_bytes(cache)
+            before = tracemalloc.get_traced_memory()[0]
+            grads = convnet_backward(cache, grad)
+            del grads
+            freed = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert freed >= 0.9 * held
+
+    def test_consumed_cache_is_refused(self, rng):
+        params = init_convnet_parameters(tiny_config(), seed=4)
+        _, cache = convnet_forward(
+            params, random_volume(rng, (8, 8, 8)), random_volume(rng, (8, 8, 8))
+        )
+        with pytest.raises(ValueError, match="does not match"):
+            convnet_backward(cache, np.zeros((8, 8, 10, 3)))  # refused before consuming
+        convnet_backward(cache, np.zeros((8, 8, 8, 3)))
+        with pytest.raises(ValueError, match="consumed"):
+            convnet_backward(cache, np.zeros((8, 8, 8, 3)))
+
     def test_zero_grad_gives_zero_grads(self, rng):
         params = init_convnet_parameters(tiny_config(), seed=4)
         fixed = random_volume(rng, (8, 8, 8))
@@ -802,16 +834,15 @@ def noise_pair(n, seed=31):
 class TestConvNetMemory:
     """The default network at 48^3 and 96^3.  Each activation is cached
     once: a block keeps its unpadded input, a decoder block refers to the
-    coarser output and the encoder skip it reads, and the head's input is
-    rebuilt from dec0's batch norm.  The cache bound is two thirds of the
-    621 B/voxel of a cache that stored padded, concatenated and up-sampled
-    copies.  The traced peak's bound, once two thirds of that cache's
-    117.9 MiB, is about 3 MiB above the peak measured since the backward
-    pass makes no whole-activation temporaries: the convolution's input
-    gradient is one array per channel group at its own resolution, the pool
-    adds into the skip gradient, batch norm and ReLU work in place, and the
-    last iterate's loss runs with no cache alive (73.6 MiB before).  The
-    96^3 peak RSS fell with it, 644 -> 539 MB."""
+    coarser output and the encoder skip it reads, the head's input is
+    rebuilt from dec0's batch norm, and enc0_conv1's output is not kept but
+    recomputed in the backward pass, whose input, the image pair, the
+    caller holds anyway (341 -> 277 B/voxel).  The backward pass makes no
+    whole-activation temporaries and releases each cache entry once it has
+    taken its gradients, and the last iterate's loss runs with no cache
+    alive.  Each bound is a few percent above the reading: the traced peak,
+    now at the head's backward, was 62.1 MiB while the backward only read
+    the cache, and the 96^3 peak RSS 539 MB."""
 
     def test_cache_holds_each_activation_once(self):
         fixed, moving = noise_pair(48)
@@ -819,7 +850,7 @@ class TestConvNetMemory:
         _, cache = convnet_forward(params, fixed, moving)
         per_voxel = cache_bytes(cache) / 48**3
         print(f"convnet cache: {per_voxel:.0f} B/voxel at 48^3")
-        assert per_voxel <= 414  # 341 measured
+        assert per_voxel <= 285  # 277 measured
 
     def test_registration_traced_peak(self):
         fixed, moving = noise_pair(48)
@@ -833,7 +864,7 @@ class TestConvNetMemory:
         finally:
             tracemalloc.stop()
         print(f"convnet registration: traced peak {peak / 2**20:.1f} MiB at 48^3")
-        assert peak <= 65 * 2**20  # 62.1 MiB measured
+        assert peak <= 52 * 2**20  # 50.2 MiB measured
 
     def test_96_cubed_cli_peak_rss(self, tmp_path):
         # in a fresh process, as criterion 10 measures the full-size run
@@ -848,7 +879,7 @@ class TestConvNetMemory:
             timeout=300,
         )
         print(f"convnet registration: peak RSS {peak_kb / 1024:.0f} MB at 96^3")
-        assert peak_kb <= 600 * 1024  # 539 MB measured
+        assert peak_kb <= 480 * 1024  # 465 MB measured
 
 
 def closed_form_adam(params, grads, state):

@@ -197,11 +197,12 @@ class TestRegisterFreeform:
 
     @pytest.mark.parametrize(
         "dims,levels,level_dims",
-        [((2, 8, 8), 2, (1, 4, 4)), ((8, 8, 1), 1, (8, 8, 1)), ((12, 5, 12), 4, (2, 1, 2))],
+        [((2, 8, 8), 2, (1, 4, 4)), ((8, 8, 1), 4, (1, 1, 1)), ((12, 5, 12), 4, (2, 1, 2))],
     )
     def test_pyramid_too_deep_for_dims_refused_up_front(self, rng, dims, levels, level_dims):
-        # every level needs 2 voxels per axis for the smoothness term; the
-        # error names the setting and the offending level's dims
+        # every level needs 2 voxels along each axis that has more than one
+        # in the input; the error names the setting and the offending
+        # level's dims
         v = random_volume(rng, dims)
         with pytest.raises(ValueError) as err:
             register(v, v, quick_cfg(pyramid_levels=levels, iterations_per_level=1))
@@ -214,6 +215,19 @@ class TestRegisterFreeform:
         report = register(v, v, quick_cfg(pyramid_levels=levels, iterations_per_level=1))
         assert min(report.levels[0].dims) == 2
         assert report.field.dims == dims
+
+    @pytest.mark.parametrize(
+        "dims,levels,level_dims",
+        [((8, 8, 1), 1, [(8, 8, 1)]), ((8, 8, 1), 2, [(4, 4, 1), (8, 8, 1)]),
+         ((16, 1, 12), 3, [(4, 1, 3), (8, 1, 6), (16, 1, 12)])],
+    )
+    def test_one_voxel_axis_stays_one_voxel_on_every_level(self, rng, dims, levels, level_dims):
+        fixed, moving = random_volume(rng, dims), random_volume(rng, dims)
+        report = register(fixed, moving, quick_cfg(pyramid_levels=levels, iterations_per_level=2))
+        assert [lv.dims for lv in report.levels] == level_dims
+        assert all(np.isfinite(lv.total) for level in report.levels for lv in level.losses)
+        assert np.isfinite(report.final.total)
+        assert report.field.dims == dims and np.isfinite(report.field.data).all()
 
     def test_identical_pair_stays_at_identity(self, rng):
         v = random_volume(rng, (16, 16, 16))
@@ -609,7 +623,7 @@ class TestGradientOnlyWhereAdamSteps:
 
         def forward(*args):
             field, cache = real_forward(*args)
-            masks.append(weakref.ref(cache["enc"][0][0][3]))  # enc0_conv1's ReLU mask
+            masks.append(weakref.ref(cache["enc"][0][0][-1]))  # enc0_conv1's ReLU mask
             return field, cache
 
         def loss(*args, **kwargs):
