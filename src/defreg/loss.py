@@ -16,18 +16,21 @@ Along each axis a cumulative sum is taken once and each window is the
 difference of two of its entries, formed with slices into one output (no
 running add/subtract window, whose rounding would drift along the axis).
 Summation order is fixed, so results are bit-reproducible.  One pass over
-the warp's x-slabs computes the window statistics on every grid, with or
-without the gradient (see ``_ncc_terms``).  Measured peaks, in image
-volumes above the inputs: the NCC pass 8.2 with the gradient and 7.2
-without at 48^3 (one slab), 6.3 and 1.5 at 160x192x160.  One
-``overall_loss`` evaluation: 18.4 on both paths at 48^3, set by the
-whole-volume warp; at 160x192x160, 12.0 with the gradient, set by the
-smoothness gradient beside the similarity gradient, and 4.5 without it,
-set by the warp's value and derivative.
+x-slabs computes the window statistics on every grid, with or
+without the gradient (see ``_ncc_terms``).  Measured peaks with fresh
+arrays, in image volumes above the inputs: the NCC pass 8.4 with the
+gradient and 7.2 without at 48^3 (one slab), 5.4 and 1.5 at 160x192x160.
+One ``overall_loss`` evaluation: 12.4 with the gradient and 8.2 without at
+48^3, 12.0 and 4.1 at 160x192x160; with the gradient the smoothness
+gradient and its two buffers beside the similarity gradient set it.  A
+``Workspace`` holds those 12 volumes once per grid, and an evaluation into
+it allocates only the warp's slab arrays: 2.6 volumes at 48^3, 0.14 at
+160x192x160.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -39,6 +42,7 @@ from .warp import DisplacementField, _slab_planes, warp_volume_with_gradient
 __all__ = [
     "LossConfig",
     "LossValue",
+    "Workspace",
     "ncc",
     "similarity_loss",
     "smoothness_loss",
@@ -120,16 +124,18 @@ def _box_pass(src: np.ndarray, out: np.ndarray, csum: np.ndarray, axis: int, r: 
     _window_diff(csum, out, axis, r, out.shape[axis])
 
 
-def _box_sum(a: np.ndarray, w: int) -> np.ndarray:
+def _box_sum(a: np.ndarray, w: int, out=None, csum=None) -> np.ndarray:
     """Separable sliding-window sum with window side ``w``, clipped at borders.
 
-    One buffer holds the cumulative sums, the other the windowed sums.
+    ``csum`` holds the cumulative sums and ``out``, which may be ``a``, the
+    windowed sums; each is a fresh array if it is not given.
     """
+    out = np.empty_like(a) if out is None else out
     if w == 1:
-        return a.copy()
+        np.copyto(out, a)
+        return out
+    csum = np.empty_like(a) if csum is None else csum
     r = w // 2
-    csum = np.empty_like(a)
-    out = np.empty_like(a)
     for axis in range(3):
         _box_pass(out if axis else a, out, csum, axis, r)
     return out
@@ -149,42 +155,41 @@ def _box_counts(dims, w: int, planes=slice(None), out=None) -> np.ndarray:
     )
 
 
-def _window_stats(window_sums, counts, eps: float, cc, tmp, terms=None) -> None:
-    """Per-window correlation and, with ``terms``, the gradient's pointwise terms.
+def _window_stats(window_sums, counts, eps: float, cc, tmp, bufs, with_grad: bool) -> None:
+    """Per-window correlation and, with the gradient, its pointwise terms.
 
-    ``window_sums(q, out=None)`` returns the window sums of the q-th of F,
-    G, F*G, F*F and G*G (into ``out`` if given), and ``counts(out)`` writes
-    the windows' voxel counts.  The correlation goes into ``cc``; ``terms``
-    is None or the arrays that get a = 1/d, muF*a,
-    e = where(floored, 0, cc/varG) and muG*e.  ``tmp``, of the same shape,
-    holds the counts and then each product that is subtracted
-    (``window_sums`` may overwrite it).  The arithmetic is that of the
-    closed forms in the comments, in the same order, each intermediate
-    updated in place in its destination.
+    ``window_sums(q, out)`` returns the window sums of the q-th of F, G,
+    F*G, F*F and G*G (into ``out``, or a view of F or G for a window of one
+    voxel), and ``counts(out)`` writes the windows' voxel counts.  The
+    correlation goes into ``cc``.  ``bufs`` holds six arrays of its shape:
+    the sums of F and of G, then the arrays that get a = 1/d, muF*a,
+    e = where(floored, 0, cc/varG) and muG*e, the gradient's terms.
+    ``tmp``, of the same shape, holds the counts and then each product that
+    is subtracted (``window_sums`` may overwrite it).  The arithmetic is
+    that of the closed forms in the comments, in the same order, each
+    intermediate updated in place in its destination.
     """
-    a, muF, e, muG = terms or (None,) * 4
-    sF = window_sums(0)
-    sG = window_sums(1)
+    sF, sG, a, muF, e, muG = bufs
+    sF = window_sums(0, sF)
+    sG = window_sums(1, sG)
     n = counts(tmp)
-    muF = np.divide(sF, n, out=muF)
-    muG = np.divide(sG, n, out=muG)
+    np.divide(sF, n, out=muF)
+    np.divide(sG, n, out=muG)
     del n
     window_sums(2, cc)  # cross = box(F*G) - muF*sG
     cc -= np.multiply(muF, sG, out=tmp)
     d = window_sums(3, a)  # varF = max(box(F*F) - muF*sF, 0)
     d -= np.multiply(muF, sF, out=tmp)
     np.maximum(d, 0.0, out=d)
-    del sF
     varG = window_sums(4, e)  # varG = max(box(G*G) - muG*sG, 0)
     varG -= np.multiply(muG, sG, out=tmp)
     np.maximum(varG, 0.0, out=varG)
-    del sG
     d *= varG  # d = max(sqrt(varF*varG), eps)
     np.sqrt(d, out=d)
-    floored = d < eps if terms else None
+    floored = d < eps if with_grad else None
     np.maximum(d, eps, out=d)
     cc /= d  # cc = cross / d
-    if not terms:
+    if not with_grad:
         return
     # d cc(x)/d G_j = (F_j - muF)/d - cc * (G_j - muG)/varG for j in window x
     # (second term absent where the floor is active: d is locally constant)
@@ -196,32 +201,63 @@ def _window_stats(window_sums, counts, eps: float, cc, tmp, terms=None) -> None:
     muG *= e
 
 
-def _ncc_terms(F: np.ndarray, G: np.ndarray, w: int, eps: float, with_grad: bool):
+def _ncc_layout(dims, w: int, with_grad: bool):
+    """Slab planes, carried planes and the shapes of ``_ncc_terms``' scratch
+    arrays on a grid of ``dims``, in the order they are carved from one flat
+    buffer: the correlation, the work buffer, the carried cumulative sums,
+    the slab statistics (five, or the two sums beside the gradient's terms)
+    and the gradient's four whole-volume terms.  An unused array has no
+    voxels."""
+    nx, ny, nz = dims
+    step = min(_slab_planes(dims), nx)
+    reach = min(2 * (w // 2) + 1, nx)  # planes of x cumulative sums carried to the next slab
+    carried = w > 1 and step < nx
+    return step, reach, [
+        tuple(dims),
+        (min(step + reach, nx), ny, nz),
+        (5 if carried else 0, reach, ny, nz),
+        (2 if with_grad else 5, step, ny, nz),
+        (4 if with_grad else 0,) + tuple(dims),
+    ]
+
+
+def _carve(buf, shapes) -> list[np.ndarray]:
+    """C-contiguous arrays of the given shapes, one after another from the
+    start of the flat ``buf``, or from a fresh buffer if it is None."""
+    sizes = [math.prod(s) for s in shapes]
+    if buf is None:
+        buf = np.empty(sum(sizes))
+    arrays, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        arrays.append(buf[start : start + size].reshape(shape))
+        start += size
+    return arrays
+
+
+def _ncc_terms(F: np.ndarray, G: np.ndarray, w: int, eps: float, with_grad: bool, buf=None):
     """Mean windowed correlation of F and G, optionally with d(value)/dG.
 
     The window sums along y and z and the statistics are pointwise in x,
-    so each of the warp's x-slabs runs them on its own planes.  Along x,
-    each quantity's cumulative sums are taken in one reused buffer, and
-    their last 2r+1 planes, which the next slab's windows reach back to,
-    are carried to it, so every sum is added in the whole-volume order.
-    Each slab writes its correlation, and with the gradient its four
-    pointwise terms, into whole-volume arrays, whose window sums the
-    gradient then takes over the whole volume.
+    so each x-slab runs them on its own planes.  Along x, each quantity's
+    cumulative sums are taken in one reused buffer, and their last 2r+1
+    planes, which the next slab's windows reach back to, are carried to it,
+    so every sum is added in the whole-volume order.  Each slab writes its
+    correlation, and with the gradient its four pointwise terms, into
+    whole-volume arrays, whose window sums the gradient then takes in
+    place, over the whole volume.  Every scratch array is carved from the
+    flat ``buf`` (see ``_ncc_layout``; a fresh one if it is None), and the
+    gradient is returned in it.
     """
     nx, ny, nz = F.shape
     r = w // 2
-    step = min(_slab_planes(F.shape), nx)
+    step, reach, shapes = _ncc_layout(F.shape, w, with_grad)
     factors = ((F, None), (G, None), (F, G), (F, F), (G, G))
-    reach = min(2 * r + 1, nx)  # planes of x cumulative sums carried to the next slab
-    # x cumulative sums of one quantity at a time, then its y and z ones,
-    # then the statistics' products
-    work = np.empty((min(step + reach, nx), ny, nz))
-    carry = np.empty((5, reach, ny, nz)) if w > 1 and step < nx else None
-    cc = np.empty(F.shape)
-    terms = [np.empty(F.shape) for _ in range(4)] if with_grad else None
+    # work: x cumulative sums of one quantity at a time, then its y and z
+    # ones, then the statistics' products
+    cc, work, carry, stats, terms = _carve(buf, shapes)
     top = 0  # x-planes whose cumulative sums have been taken
 
-    def window_sums(q, out=None):
+    def window_sums(q, out):
         """The window sums of the q-th quantity at the slab's planes x0 to x1."""
         f, g = factors[q]
         if w == 1:  # a window of one voxel: its sums are the values
@@ -239,8 +275,6 @@ def _ncc_terms(F: np.ndarray, G: np.ndarray, w: int, eps: float, with_grad: bool
         _cumsum_axis0(src, csum, h)
         if x1 < nx:
             carry[q, : min(reach, end)] = csum[-min(reach, end) :]
-        if out is None:
-            out = np.empty((x1 - x0, ny, nz))
         _window_diff(csum, out, 0, r, nx, x0, top - h)
         for axis in (1, 2):
             _box_pass(out, out, work[: x1 - x0], axis, r)
@@ -249,25 +283,29 @@ def _ncc_terms(F: np.ndarray, G: np.ndarray, w: int, eps: float, with_grad: bool
     for x0 in range(0, nx, step):
         x1 = min(x0 + step, nx)
         s = slice(x0, x1)
+        bufs = list(stats[:, : x1 - x0])
+        if with_grad:
+            bufs += [t[s] for t in terms]
+        else:  # e, varG here, takes the buffer of F's sums, dead by then
+            bufs.insert(4, bufs[0])
         _window_stats(
             window_sums, partial(_box_counts, F.shape, w, s), eps, cc[s], work[: x1 - x0],
-            terms and [t[s] for t in terms],
+            bufs, with_grad,
         )
         top = min(x1 + r, nx)
     value = float(np.mean(cc))
     if not with_grad:
         return value, None
-    del cc, work
     # grad = (F*box(a) - box(muF*a) - G*box(e) + box(muG*e)) / F.size, each
-    # term popped, so that it is freed once its box sum is taken
-    grad = _box_sum(terms.pop(0), w)
+    # box sum taken in place, with cc's buffer for its cumulative sums
+    for t in terms:
+        _box_sum(t, w, t, cc)
+    grad, t1, t2, t3 = terms
     grad *= F
-    grad -= _box_sum(terms.pop(0), w)
-    t = _box_sum(terms.pop(0), w)
-    t *= G
-    grad -= t
-    del t
-    grad += _box_sum(terms.pop(0), w)
+    grad -= t1
+    t2 *= G
+    grad -= t2
+    grad += t3
     grad /= F.size
     return value, grad
 
@@ -280,24 +318,66 @@ def ncc(fixed: Volume, warped: Volume, cfg: LossConfig) -> float:
     return value
 
 
+class Workspace:
+    """The whole-volume arrays that the loss evaluations and Adam steps on
+    one grid write, allocated once and reused by every evaluation there.
+
+    ``overall_loss(..., ws=ws)`` writes every whole-volume array into it
+    and returns its gradient there, valid until the next evaluation;
+    ``adam`` is scratch of the field's shape for ``model.adam_step`` on
+    that gradient.  Arrays of phases that never overlap share one pool:
+    the warped value and the NCC's scratch (see ``_ncc_layout``) during
+    the similarity, then the smoothness' gradient, differences and shifted
+    copy, and after the evaluation Adam's scratch in place of the
+    differences.  The sampling derivative, which becomes the similarity
+    gradient, has its own array.  With the moments Adam keeps in place, a
+    48^3 level holds 18 image volumes.
+    """
+
+    def __init__(self, dims, ncc_window: int):
+        dims = tuple(int(d) for d in dims)
+        self.dims, self.ncc_window = dims, ncc_window
+        n = math.prod(dims)
+        ncc = sum(math.prod(s) for s in _ncc_layout(dims, ncc_window, True)[2])
+        pool = np.empty(max(n + ncc, 9 * n))
+        self.sample_grad = np.empty(dims + (3,))
+        self.value = pool[:n].reshape(dims)
+        self.ncc = pool[n : n + ncc]
+        self.smooth = pool[: 9 * n].reshape((3,) + dims + (3,))
+        self.adam = self.smooth[1]
+
+
 def similarity_loss(
-    fixed: Volume, moving: Volume, field: DisplacementField, cfg: LossConfig, *, with_grad=True
+    fixed: Volume,
+    moving: Volume,
+    field: DisplacementField,
+    cfg: LossConfig,
+    *,
+    with_grad=True,
+    ws: Workspace | None = None,
 ):
     """Negated local NCC between fixed and the warped moving image.
 
     Returns (value, gradient w.r.t. the field), the gradient an
     ``(nx, ny, nz, 3)`` array chained through the trilinear sampling
     derivative at each voxel, or None when ``with_grad`` is off.  The warp
-    takes its sampling derivative either way; the value-only path frees it
-    before the NCC runs.
+    takes its sampling derivative either way; the value-only path does not
+    read it.  With a workspace every whole-volume array is one of its own.
     """
     if fixed.dims != field.dims:
         raise ValueError(f"dims mismatch: fixed {fixed.dims} vs field {field.dims}")
-    warped, sample_grad = warp_volume_with_gradient(moving, field)
+    if ws is not None and (ws.dims, ws.ncc_window) != (field.dims, cfg.ncc_window):
+        raise ValueError(
+            f"workspace for dims {ws.dims} and ncc_window {ws.ncc_window}, "
+            f"given dims {field.dims} and ncc_window {cfg.ncc_window}"
+        )
+    warped, sample_grad = warp_volume_with_gradient(
+        moving, field, out=ws and (ws.value, ws.sample_grad)
+    )
     if not with_grad:
-        sample_grad = None  # freed before the value pass, which never reads it
+        sample_grad = None  # a fresh one is freed before the value pass
     value, dG = _ncc_terms(
-        fixed.data, warped.data, cfg.ncc_window, cfg.variance_floor, with_grad
+        fixed.data, warped.data, cfg.ncc_window, cfg.variance_floor, with_grad, ws and ws.ncc
     )
     del warped
     if not with_grad:
@@ -307,7 +387,7 @@ def similarity_loss(
     return -value, sample_grad
 
 
-def smoothness_loss(field: DisplacementField, *, with_grad=True):
+def smoothness_loss(field: DisplacementField, *, with_grad=True, out=None):
     """Mean squared Frobenius norm of the displacement gradient.
 
     Forward differences in mm with replicate boundary: the last difference
@@ -315,14 +395,22 @@ def smoothness_loss(field: DisplacementField, *, with_grad=True):
     (value, analytic gradient as an ``(nx, ny, nz, 3)`` array, or None when
     ``with_grad`` is off).  The differences and the shifted copy live in two
     scratch buffers reused for every axis; without the gradient the
-    differences are squared in place, in the one buffer.
+    differences are squared in place, in the one buffer.  ``out``, if
+    given, is three arrays of the field's shape for the gradient, the
+    differences and the shifted copy; otherwise they are fresh, and only
+    the differences without the gradient.
     """
     u = field.data
     n_vox = u.size // 3
     value = 0.0
-    grad = np.zeros_like(u) if with_grad else None
-    d = np.empty_like(u)
-    scratch = np.empty_like(u) if with_grad else d
+    if out is None:
+        out = [np.empty_like(u) for _ in range(3 if with_grad else 1)]
+    if with_grad:
+        grad, d, scratch = out
+        grad.fill(0.0)
+    else:
+        grad, d = None, out[0]
+        scratch = d
 
     def ax(axis, start, stop):
         idx = [slice(None)] * 4
@@ -352,20 +440,27 @@ def smoothness_loss(field: DisplacementField, *, with_grad=True):
 
 
 def overall_loss(
-    fixed: Volume, moving: Volume, field: DisplacementField, cfg: LossConfig, *, with_grad=True
+    fixed: Volume,
+    moving: Volume,
+    field: DisplacementField,
+    cfg: LossConfig,
+    *,
+    with_grad=True,
+    ws: Workspace | None = None,
 ):
     """Similarity plus weighted smoothness; returns (LossValue, gradient).
 
     The gradient is an ``(nx, ny, nz, 3)`` array on the field's grid, or None
     when ``with_grad`` is off; the value is the same to the bit either way.
     It is not checked for finiteness: a caller that steps on it checks the
-    loss value first.
+    loss value first.  With a workspace for the field's grid, every
+    whole-volume array of the evaluation is one of the workspace's, the
+    gradient too; without one they are fresh.
     """
-    sim, sim_grad = similarity_loss(fixed, moving, field, cfg, with_grad=with_grad)
-    smooth, grad = smoothness_loss(field, with_grad=with_grad)
+    sim, sim_grad = similarity_loss(fixed, moving, field, cfg, with_grad=with_grad, ws=ws)
+    smooth, grad = smoothness_loss(field, with_grad=with_grad, out=ws and ws.smooth)
     total = sim + cfg.reg_weight * smooth
     if with_grad:
         grad *= cfg.reg_weight
         grad += sim_grad
     return LossValue(total=total, similarity=sim, smoothness=smooth), grad
-

@@ -544,7 +544,8 @@ def convnet_backward(cache, grad: np.ndarray) -> dict[str, np.ndarray]:
 @dataclass(frozen=True)
 class AdamState:
     """First/second moment accumulators, the learning rate and the step
-    counter.  The decay rates and epsilon are the module's constants."""
+    counter.  The decay rates and epsilon are the module's constants;
+    ``adam_step`` updates the moments in place."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -564,12 +565,18 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamState,
+    work: dict[str, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update; inputs untouched, new dicts returned."""
-    t = state.t + 1
-    new_params = dict(params)
-    m = dict(state.m)
-    v = dict(state.v)
+    """One bias-corrected Adam update.
+
+    The moments are updated in place, in ``state``'s arrays, and the
+    returned state, one step on, holds the same arrays.  The parameters
+    come back as fresh arrays in a new dict; the caller's parameter arrays
+    are untouched, since an earlier iterate may still hold them.  ``work``,
+    if given, maps each parameter name to an array of its shape that holds
+    the step's temporaries; otherwise they are allocated.  Every gradient
+    is checked before any moment changes.
+    """
     for k, g in grads.items():
         if k not in params:
             raise KeyError(f"gradient for unknown parameter {k!r}")
@@ -577,27 +584,29 @@ def adam_step(
             raise ValueError(
                 f"gradient shape {g.shape} != parameter shape {params[k].shape} for {k!r}"
             )
-        # mk = beta1*m + (1-beta1)*g; vk = beta2*v + (1-beta2)*g*g;
-        # new = p - alpha*mhat / (sqrt(vhat) + eps), in place on fresh arrays.
-        # The products with g are short-lived temporaries: freed within the
-        # step, their memory is reused while still mapped, which measured
-        # faster than fewer, longer-lived buffers.
-        mk = _ADAM_BETA1 * m[k]
-        mk += (1.0 - _ADAM_BETA1) * g
-        vk = g * g
-        vk *= 1.0 - _ADAM_BETA2
-        vk += _ADAM_BETA2 * v[k]
-        den = vk / (1.0 - _ADAM_BETA2**t)
+    t = state.t + 1
+    new_params = dict(params)
+    for k, g in grads.items():
+        m, v = state.m[k], state.v[k]
+        tmp = np.empty_like(m) if work is None else work[k]
+        # m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g*g;
+        # new = p - alpha*mhat / (sqrt(vhat) + eps): the closed form's
+        # products and sums, in its order, each into m, v or tmp.  Only the
+        # new parameters are a fresh array.
+        m *= _ADAM_BETA1
+        m += np.multiply(g, 1.0 - _ADAM_BETA1, out=tmp)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - _ADAM_BETA2
+        v *= _ADAM_BETA2
+        v += tmp
+        den = np.divide(v, 1.0 - _ADAM_BETA2**t, out=tmp)
         np.sqrt(den, out=den)
         den += _ADAM_EPS
-        mhat = mk / (1.0 - _ADAM_BETA1**t)  # laid out like m, not like g
+        mhat = m / (1.0 - _ADAM_BETA1**t)  # laid out like m, not like g
         mhat *= state.alpha
         mhat /= den
-        del den
         new_params[k] = np.subtract(params[k], mhat, out=mhat)
-        m[k] = mk
-        v[k] = vk
-    return new_params, replace(state, m=m, v=v, t=t)
+    return new_params, replace(state, t=t)
 
 
 # ---------------------------------------------------------------------------

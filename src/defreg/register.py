@@ -27,6 +27,16 @@ optimizes and what is returned:
   iterate, and the best iterate over all rounds is returned with its
   weights.
 
+A freeform level with steps evaluates into one ``loss.Workspace``, sized
+from the level's dims: every whole-volume array of the loss, and Adam's
+scratch, 12 image volumes beside the 6 of Adam's moments, which
+``adam_step`` updates in place.  Both are built when the level starts and
+freed when it ends, before the next level allocates, so the one
+whole-volume array that a step allocates is its new parameters.  A level
+without steps builds neither.  Convnet rounds allocate the loss's arrays
+per evaluation: the loss is a small part of their step, and their peak is
+set in the backward pass.
+
 A returned field that is not a scored iterate on the input grid (a coarser
 freeform best after an early stop, a padded convnet field) is resampled or
 cropped onto it and scored there by value alone, so the report's ``final``
@@ -42,7 +52,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .loss import LossConfig, LossValue, overall_loss
+from .loss import LossConfig, LossValue, Workspace, overall_loss
 from .model import (
     AdamState,
     ConvNetConfig,
@@ -263,6 +273,11 @@ def _pyramid(fixed: Volume, moving: Volume, n_levels: int) -> list[tuple[Volume,
     any level is built.
     """
     dims = fixed.dims
+    if n_levels > 1 and max(dims) == 1:
+        raise ValueError(
+            f"pyramid_levels={n_levels} needs an axis of more than one voxel to downsample, "
+            f"but dims {dims} have none"
+        )
     for _ in range(n_levels):
         if any(d < 2 and d0 > 1 for d, d0 in zip(dims, fixed.dims)):
             raise ValueError(
@@ -330,20 +345,24 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
             params = {"field": u.data}
         # convnet: a round continues from the last iterate; all rounds compete
         n_steps = cfg.iterations_for(lvl)
-        # Adam's moments are parameter-sized: none for a level without steps
+        # Adam's moments are parameter-sized: none for a level without steps,
+        # and no workspace either (see the module docstring)
         state = AdamState.init(params, alpha=cfg.resolved_learning_rate) if n_steps else None
+        ws = Workspace(f_l.dims, cfg.loss.ncc_window) if freeform and n_steps else None
         losses: list[LossValue] = []
         level_best, level_stop = 0, "max_iters"
         for it in range(n_steps + 1):  # it 0: the entry iterate
             if it:
-                params, state = adam_step(params, backward(cache, grad), state)
+                params, state = adam_step(
+                    params, backward(cache, grad), state, ws and {"field": ws.adam}
+                )
                 cache = grad = None  # not kept alive through the next forward
             u, cache = predict(params, f_l, m_l)
             if it == n_steps:  # no backward pass reads the last iterate's cache
                 cache = None
             if u is not None:
                 # the last iterate is only scored: Adam takes no step on it
-                lv, grad = overall_loss(f_l, m_l, u, cfg.loss, with_grad=it < n_steps)
+                lv, grad = overall_loss(f_l, m_l, u, cfg.loss, with_grad=it < n_steps, ws=ws)
             # a non-finite field or loss: stop before Adam steps on its gradient
             if u is None or not np.isfinite(lv.total):
                 level_stop = "diverged"
@@ -372,7 +391,7 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
             )
         )
         # free this level's arrays before the next level allocates its own
-        state = u = cache = grad = None
+        state = ws = u = cache = grad = None
         if level_stop in ("budget", "diverged"):
             break
 

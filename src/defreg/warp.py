@@ -31,16 +31,16 @@ resampled onto 160x192x160 peaks at 1.5 output fields, against 2.5 with a
 whole-grid z lerp.
 
 Warping samples the field grid in slabs of whole x-planes, at most
-``_WARP_SLAB_VOXELS`` output voxels each (one plane if a plane is larger);
-field resampling and the NCC use the same slabs.
-Sampling is pointwise, so each slab builds only its own coordinates, cells
-and weights, and its last fold writes straight into the preallocated value
-and derivative; the bits are those of one whole-volume call.  A field of at
-most one slab is sampled in one call into the sampler's own arrays: in
-the slab loop, a 48^3 loss evaluation peaked at 22.0 volumes, not 18.4,
-and ran up to 17% slower (18% at 24^3).
-At 160x192x160 a warp with the derivative peaks at 4.5 volumes of the
-output, and 1.4 without it, against 18.4 and 14.0 in one call.
+``_SAMPLE_SLAB_VOXELS`` output voxels each (one plane if a plane is
+larger); field resampling and the NCC use larger slabs, of
+``_SLAB_VOXELS``.  Sampling is pointwise, so each slab builds only its own
+coordinates, cells and weights, and its last fold writes straight into the
+value and derivative, fresh or given by the caller; the bits are those of
+one whole-volume call.  A warp with the derivative peaks at 6.6 volumes of
+the output at 48^3 and 4.1 at 160x192x160, the output and about 2.3 MB of
+slab arrays, and 3.1 and 1.1 without it.  On one CPU with a 1 MB L2 cache,
+slabs of 7 planes warp 48^3 in 3.0 ms, against 5.7 ms for one whole-volume
+slab.
 """
 
 from __future__ import annotations
@@ -75,16 +75,22 @@ class DisplacementField(_Grid):
         return cls(data=np.zeros((nx, ny, nz, 3)), spacing=spacing, origin=origin)
 
 
-# Output voxels per warp slab (whole x-planes, at least one).  A slab's
-# coordinates, cell indices and weights are a few times its size, so they
-# stay in cache; a volume of at most one slab is sampled in one call.
-_WARP_SLAB_VOXELS = 1 << 17
+# Output voxels per slab of the NCC's window statistics and of field
+# resampling (whole x-planes, at least one).  The NCC carries 2r+1 planes of
+# cumulative sums into each slab, so its slabs stay larger than the warp's.
+_SLAB_VOXELS = 1 << 17
+# Output voxels per slab of the warp's sampler (whole x-planes, at least
+# one).  A slab's coordinates, cell indices and weights are a few times its
+# size, so they stay in cache and are never whole volumes at 48^3.
+_SAMPLE_SLAB_VOXELS = 1 << 14
 
 
-def _slab_planes(dims) -> int:
-    """x-planes per slab of a grid of ``dims`` (at least one); a grid of at
-    most one slab has ``_slab_planes(dims) >= dims[0]``."""
-    return max(_WARP_SLAB_VOXELS // (dims[1] * dims[2]), 1)
+def _slab_planes(dims, voxels=None) -> int:
+    """x-planes per slab of ``voxels`` output voxels (``_SLAB_VOXELS`` if
+    None) on a grid of ``dims``, at least one; a grid of at most one slab
+    has ``_slab_planes(dims) >= dims[0]``."""
+    voxels = _SLAB_VOXELS if voxels is None else voxels
+    return max(voxels // (dims[1] * dims[2]), 1)
 
 
 def _world_to_index(points, spacing, origin) -> np.ndarray:
@@ -210,7 +216,7 @@ def _trilinear(data: np.ndarray, cx, cy, cz, want_grad: bool, out=None):
     return value, grad
 
 
-def _warp(moving: Volume, field: DisplacementField, want_grad: bool):
+def _warp(moving: Volume, field: DisplacementField, want_grad: bool, out=None):
     # Work in the moving grid's index space: node i of the field grid lies
     # at index i * ratio + shift of the moving grid, where shift is the
     # field origin's moving-grid index.  Ratio 1.0, equal origins and zero
@@ -220,31 +226,24 @@ def _warp(moving: Volume, field: DisplacementField, want_grad: bool):
     rx, ry, rz = (fs / ms for fs, ms in zip(field.spacing, moving.spacing))
     ox, oy, oz = _world_to_index(field.origin, moving.spacing, moving.origin)
     sx, sy, sz = moving.spacing
-
-    def sample(x0, x1, out=None):
-        """Value and index-space derivative at the field's x-planes x0 to x1."""
+    scale = np.array([sx, sy, sz])
+    if out is None:
+        out = (np.empty(field.dims), np.empty(field.dims + (3,)) if want_grad else None)
+    value, grad = out
+    step = _slab_planes(field.dims, _SAMPLE_SLAB_VOXELS)
+    for x0 in range(0, nx, step):
+        x1 = min(x0 + step, nx)
         u = field.data[x0:x1]
         cx = (np.arange(x0, x1) * rx + ox)[:, None, None] + u[..., 0] / sx
         cy = (np.arange(ny) * ry + oy)[None, :, None] + u[..., 1] / sy
         cz = (np.arange(nz) * rz + oz)[None, None, :] + u[..., 2] / sz
-        return _trilinear(moving.data, cx, cy, cz, want_grad, out)
-
-    step = _slab_planes(field.dims)
-    if step >= nx:
-        # one slab: the sampler's own arrays, for the peak and the speed
-        # measured in the module docstring
-        value, grad = sample(0, nx)
-    else:
-        value = np.empty((nx, ny, nz))
-        grad = np.empty((nx, ny, nz, 3)) if want_grad else None
-        for x0 in range(0, nx, step):
-            x1 = min(x0 + step, nx)
-            sample(x0, x1, (value[x0:x1], None if grad is None else grad[x0:x1]))
-    value.flags.writeable = False  # fresh array: the volume need not copy it
-    warped = Volume(data=value, spacing=field.spacing, origin=field.origin)
-    if grad is not None:
-        grad /= np.array([sx, sy, sz])  # d(sample)/d(displacement in mm)
-    return warped, grad
+        g = None if grad is None else grad[x0:x1]
+        _trilinear(moving.data, cx, cy, cz, want_grad, (value[x0:x1], g))
+        if g is not None:
+            g /= scale  # d(sample)/d(displacement in mm)
+    data = value.view()
+    data.flags.writeable = False  # a read-only view: the volume need not copy it
+    return Volume(data=data, spacing=field.spacing, origin=field.origin), grad
 
 
 def warp_volume(moving: Volume, field: DisplacementField) -> Volume:
@@ -253,9 +252,14 @@ def warp_volume(moving: Volume, field: DisplacementField) -> Volume:
     return warped
 
 
-def warp_volume_with_gradient(moving: Volume, field: DisplacementField):
-    """Warp and also return d(warped voxel)/d(u component), shape (nx, ny, nz, 3)."""
-    return _warp(moving, field, want_grad=True)
+def warp_volume_with_gradient(moving: Volume, field: DisplacementField, out=None):
+    """Warp and also return d(warped voxel)/d(u component), shape (nx, ny, nz, 3).
+
+    ``out``, if given, is a (value, derivative) pair of arrays of those
+    shapes that receive the results: the volume is a read-only view of the
+    value, and the derivative is returned.
+    """
+    return _warp(moving, field, want_grad=True, out=out)
 
 
 def jacobian_determinant(field: DisplacementField) -> Volume:
@@ -319,7 +323,7 @@ def resample_field(field: DisplacementField, new_dims, spacing) -> DisplacementF
     corners; a length-1 target axis samples the source's first node.  The
     target nodes form a grid, so the resampling is separable: each axis is
     interpolated at its own 1-D source coordinates.  The last lerp is
-    pointwise in x, so it runs per warp x-slab into the preallocated output,
+    pointwise in x, so it runs per x-slab into the preallocated output,
     and its two corner arrays are slab sized.
     """
     new_dims = tuple(int(d) for d in new_dims)

@@ -12,6 +12,7 @@ import defreg.warp
 from defreg.loss import (
     LossConfig,
     LossValue,
+    Workspace,
     _box_counts,
     _box_sum,
     _ncc_terms,
@@ -21,7 +22,7 @@ from defreg.loss import (
     smoothness_loss,
 )
 from defreg.volume import Volume
-from defreg.warp import DisplacementField
+from defreg.warp import DisplacementField, warp_volume_with_gradient
 
 from conftest import fd_gradient, offgrid_field, random_volume, rel_err
 
@@ -273,7 +274,7 @@ class TestNccValueSlabs:
         r = w // 2
         plane = dims[1] * dims[2]
         for planes in sorted({1, 2, r, r + 1, dims[0], dims[0] + 5} - {0}):
-            monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", planes * plane)
+            monkeypatch.setattr(defreg.warp, "_SLAB_VOXELS", planes * plane)
             got_value, got_grad = _ncc_terms(F, G, w, 1e-5, True)
             assert got_value == want_value, planes
             assert np.array_equal(got_grad, want_grad), planes
@@ -486,9 +487,10 @@ class TestOverallLoss:
 
 class TestLossMemory:
     # Peak traced bytes of one overall_loss evaluation, in volumes of the
-    # image size.  The in-place hot path peaks near 18 volumes at 40^3; the
-    # bound leaves a margin for numpy versions.
-    PEAK_VOLUMES = 24
+    # image size.  With fresh arrays it peaks at 12.4 volumes at 40^3, in
+    # the smoothness gradient beside the similarity gradient; the bound
+    # leaves a margin for numpy versions.
+    PEAK_VOLUMES = 16
 
     def test_one_evaluation_stays_under_bound(self):
         rng = np.random.default_rng(0)
@@ -526,7 +528,8 @@ class TestLossMemory:
     def test_multi_slab_evaluation_stays_under_bound(self, monkeypatch, with_grad, peak_volumes):
         rng = np.random.default_rng(0)
         dims = (40, 40, 40)
-        monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", 40 * 40)
+        monkeypatch.setattr(defreg.warp, "_SLAB_VOXELS", 40 * 40)
+        monkeypatch.setattr(defreg.warp, "_SAMPLE_SLAB_VOXELS", 40 * 40)
         fixed = Volume(data=rng.standard_normal(dims))
         moving = Volume(data=rng.standard_normal(dims))
         field = DisplacementField(data=rng.uniform(-2.0, 2.0, dims + (3,)))
@@ -546,7 +549,7 @@ class TestLossMemory:
     def test_slabbed_ncc_value_pass_stays_under_bound(self, monkeypatch):
         rng = np.random.default_rng(0)
         dims = (40, 40, 40)
-        monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", 40 * 40)
+        monkeypatch.setattr(defreg.warp, "_SLAB_VOXELS", 40 * 40)
         F = rng.standard_normal(dims)
         G = rng.standard_normal(dims)
         _ncc_terms(F, G, 9, 1e-5, False)  # warm-up
@@ -560,9 +563,10 @@ class TestLossMemory:
 
     # The NCC pass alone on a grid of one slab (48^3), per path: the
     # correlation, the gradient's four pointwise terms, the sums of F and G
-    # and one reused buffer (8.2 volumes with the gradient, 7.2 without).
+    # and one reused buffer (8.4 volumes with the gradient, 7.2 without).
     # Beside the warped image and its sampling derivative it stays under
-    # the whole-volume warp's 18.4 volumes, which set the evaluation's peak.
+    # the 12.4 volumes of the smoothness phase, which set the evaluation's
+    # peak.
     @pytest.mark.parametrize("with_grad", [True, False])
     def test_one_slab_ncc_pass_stays_under_bound(self, with_grad):
         rng = np.random.default_rng(0)
@@ -578,3 +582,64 @@ class TestLossMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 14 * F.nbytes
+
+
+class TestWorkspace:
+    """With a workspace every whole-volume array of an evaluation is one of
+    its own, reused by the next evaluation; without one each evaluation's
+    arrays are fresh.  The bits are the same either way."""
+
+    CFG = LossConfig(ncc_window=5)
+
+    def inputs(self, dims=(12, 10, 9)):
+        rng = np.random.default_rng(0)
+        fixed = Volume(data=rng.standard_normal(dims))
+        moving = Volume(data=rng.standard_normal(dims))
+        fields = [DisplacementField(data=rng.uniform(-2.0, 2.0, dims + (3,))) for _ in range(2)]
+        return fixed, moving, fields
+
+    def test_without_a_workspace_a_second_call_overwrites_nothing(self):
+        fixed, moving, (u1, u2) = self.inputs()
+        warped, sample_grad = warp_volume_with_gradient(moving, u1)
+        _, grad = overall_loss(fixed, moving, u1, self.CFG)
+        kept = [warped.data.copy(), sample_grad.copy(), grad.copy()]
+        warped2, sample_grad2 = warp_volume_with_gradient(moving, u2)
+        _, grad2 = overall_loss(fixed, moving, u2, self.CFG)
+        for got, want in zip((warped.data, sample_grad, grad), kept):
+            assert np.array_equal(got, want)
+        for a, b in ((warped.data, warped2.data), (sample_grad, sample_grad2), (grad, grad2)):
+            assert not np.shares_memory(a, b)
+
+    # slabs of 1 and 3 planes carry cumulative sums between them; 100
+    # planes is one slab
+    @pytest.mark.parametrize("planes", [1, 3, 100])
+    @pytest.mark.parametrize("with_grad", [True, False])
+    def test_same_bits_in_the_workspace_memory(self, monkeypatch, planes, with_grad):
+        fixed, moving, fields = self.inputs()
+        monkeypatch.setattr(defreg.warp, "_SLAB_VOXELS", planes * 10 * 9)
+        monkeypatch.setattr(defreg.warp, "_SAMPLE_SLAB_VOXELS", planes * 10 * 9)
+        ws = Workspace(fixed.dims, self.CFG.ncc_window)
+        for u in fields:
+            want, want_grad = overall_loss(fixed, moving, u, self.CFG, with_grad=with_grad)
+            got, got_grad = overall_loss(fixed, moving, u, self.CFG, with_grad=with_grad, ws=ws)
+            assert got == want
+            if with_grad:
+                assert np.array_equal(got_grad, want_grad)
+                assert np.shares_memory(got_grad, ws.smooth)
+            else:
+                assert got_grad is None
+
+    def test_workspace_of_another_grid_or_window_refused(self):
+        fixed, moving, (u, _) = self.inputs()
+        for ws in (Workspace((12, 10, 8), 5), Workspace(fixed.dims, 7)):
+            with pytest.raises(ValueError, match="workspace for dims"):
+                overall_loss(fixed, moving, u, self.CFG, ws=ws)
+
+    def test_warp_writes_into_the_given_arrays(self):
+        _, moving, (u, _) = self.inputs()
+        want, want_grad = warp_volume_with_gradient(moving, u)
+        out = (np.empty(u.dims), np.empty(u.dims + (3,)))
+        warped, grad = warp_volume_with_gradient(moving, u, out=out)
+        assert grad is out[1] and np.shares_memory(warped.data, out[0])
+        assert not warped.data.flags.writeable
+        assert np.array_equal(warped.data, want.data) and np.array_equal(grad, want_grad)

@@ -906,7 +906,7 @@ class TestAdam:
                 "b": np.broadcast_to(rng.standard_normal((2, 3)).T[:, :, None, None, None],
                                      (3, 2, 1, 1, 1)),
             }
-            kept = {k: (params[k].copy(), state.m[k].copy(), state.v[k].copy()) for k in params}
+            kept = {k: params[k].copy() for k in params}
             want, want_m, want_v = closed_form_adam(params, grads, state)
             new_params, new_state = adam_step(params, grads, state)
             for k in params:
@@ -914,10 +914,12 @@ class TestAdam:
                 assert np.array_equal(new_state.m[k], want_m[k])
                 assert np.array_equal(new_state.v[k], want_v[k])
                 assert new_params[k].flags.c_contiguous
-                # inputs untouched: the caller may still hold them
-                p0, m0, v0 = kept[k]
-                assert np.array_equal(params[k], p0)
-                assert np.array_equal(state.m[k], m0) and np.array_equal(state.v[k], v0)
+                # moments updated in place, parameters fresh, and the
+                # caller's parameters untouched: an earlier iterate may
+                # still hold them
+                assert new_state.m[k] is state.m[k] and new_state.v[k] is state.v[k]
+                assert not np.shares_memory(new_params[k], params[k])
+                assert np.array_equal(params[k], kept[k])
             params, state = new_params, new_state
 
     def test_first_step_unit_gradient(self):
@@ -930,7 +932,15 @@ class TestAdam:
         # yet still resolves the 1e-12 gap to an uncorrected 1e-4 step
         np.testing.assert_allclose(delta, 1e-4 / (1.0 + 1e-8), rtol=0, atol=1e-13)
         assert new_state.t == 1
-        assert params["w"][0, 0] == 10.0  # input untouched
+        assert params["w"][0, 0] == 10.0  # the caller's parameters untouched
+        assert new_state.m["w"] is state.m["w"]  # the moments updated in place
+
+    def test_rejected_gradient_changes_no_moment(self):
+        params = {"a": np.ones(3), "b": np.ones(2)}
+        state = AdamState.init(params, alpha=1e-2)
+        with pytest.raises(ValueError):
+            adam_step(params, {"a": np.ones(3), "b": np.ones(3)}, state)
+        assert not state.m["a"].any() and not state.v["a"].any()
 
     def test_zero_gradient_leaves_params(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}

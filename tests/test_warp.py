@@ -414,7 +414,7 @@ class TestWarpSlabs:
     # exactly nx planes, more than the volume
     @pytest.mark.parametrize("slab", [1, PLANE, 3 * PLANE, 7 * PLANE, 100 * PLANE])
     def test_equals_eight_corner_reference_bitwise(self, rng, monkeypatch, slab):
-        monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", slab)
+        monkeypatch.setattr(defreg.warp, "_SAMPLE_SLAB_VOXELS", slab)
         moving, field = self.pair(rng)
         for want_grad in (False, True):
             want, want_grad_arr, _ = warp_reference(moving, field, want_grad)
@@ -432,7 +432,7 @@ class TestWarpSlabs:
     def test_one_slab_volume_is_sampled_in_one_whole_volume_call(
         self, rng, monkeypatch, slab, calls
     ):
-        monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", slab)
+        monkeypatch.setattr(defreg.warp, "_SAMPLE_SLAB_VOXELS", slab)
         seen = []
         real = defreg.warp._trilinear
 
@@ -444,13 +444,11 @@ class TestWarpSlabs:
         moving, field = self.pair(rng)
         warp_volume_with_gradient(moving, field)
         assert len(seen) == calls
+        assert all(out is not None for *_, out in seen)  # the preallocated outputs
         if calls == 1:
-            (*coords, out), = seen
-            assert out is None  # no preallocated outputs
+            (*coords, _), = seen
             for got, want in zip(coords, warp_reference(moving, field, False)[2]):
                 assert np.array_equal(got, want)
-        else:
-            assert all(out is not None for *_, out in seen)
 
 
 class TestWarpMemory:
@@ -461,7 +459,7 @@ class TestWarpMemory:
     def test_multi_slab_warp_stays_under_bound(self, monkeypatch, want_grad, peak_volumes):
         rng = np.random.default_rng(0)
         dims = (40, 40, 40)
-        monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", 40 * 40)
+        monkeypatch.setattr(defreg.warp, "_SAMPLE_SLAB_VOXELS", 40 * 40)
         moving = Volume(data=rng.standard_normal(dims))
         field = DisplacementField(data=rng.uniform(-2.0, 2.0, dims + (3,)))
         defreg.warp._warp(moving, field, want_grad)  # warm-up
@@ -482,7 +480,7 @@ class TestWarpMemory:
         dims = (40, 41, 37)
         whole = resample_field(src, dims, spacing=(1.0, 1.0, 1.0))
         for planes in (7, 3, 1):  # the last slab is partial for 7 and 3
-            monkeypatch.setattr(defreg.warp, "_WARP_SLAB_VOXELS", planes * 41 * 37)
+            monkeypatch.setattr(defreg.warp, "_SLAB_VOXELS", planes * 41 * 37)
             out = resample_field(src, dims, spacing=(1.0, 1.0, 1.0))
             assert out.data.tobytes() == whole.data.tobytes(), planes
         tracemalloc.start()
