@@ -22,23 +22,28 @@ untrained network predicts the identity transform.
 
 Convolution, optional batch norm and ReLU form one block.  The forward
 cache holds each activation once, as the array the pass computed.  A block
-refers to its input channel groups and keeps its weights, its bias, its
-ReLU mask and, with batch norm, the normalized activations.  enc0_conv1
-reads the image pair as two single-channel groups, views of the inputs,
-with no stacked copy.  A decoder block's groups are the coarser output and
-the encoder skip themselves, joined by no copy.  A pool keeps its argmax
-as int8.  Two activations are not kept but rebuilt in the backward pass by
-the forward's own expression, so to the bit: the head's input, ReLU of
-dec0's batch norm, from dec0's cache (without batch norm it is kept), and
-enc0_conv1's output, by its convolution again, masked by its cached ReLU
-mask, just before enc0_conv2's backward.  For the default network that is
-251 bytes of activations per voxel, plus the image pair, which the caller
-holds anyway.  The backward pass walks the same structure in reverse and
-consumes it: each entry is released once its gradients are taken (a
-decoder block's normalized activations and mask before its convolution's
-backward, an encoder level's entries after its blocks'), so a cache serves
-one backward pass and a second one is refused.  It stops at enc0_conv1's
-weights: no gradient of the image pair is taken.
+refers to its input channel groups and keeps its weights, its bias and,
+with batch norm, the normalized activations.  No ReLU mask is kept: a
+block's output is x * (x > 0), so the output's > 0 is its mask to the bit,
+and the backward pass takes each mask just before that output is
+overwritten (a skip's in its decoder block's backward, held as a bool
+until its encoder block's).  enc0_conv1 reads the image pair as two
+single-channel groups, views of the inputs, with no stacked copy.  A
+decoder block's groups are the coarser output and the encoder skip
+themselves, joined by no copy.  A pool keeps its argmax as int8.  Two
+activations are not kept but rebuilt in the backward pass by the forward's
+own expression, so to the bit: the head's input, ReLU of dec0's batch
+norm, from dec0's cache (without batch norm it is kept), and enc0_conv1's
+output, by its convolution and ReLU again, just before enc0_conv2's
+backward.  For the default network that is 220 bytes of activations per
+voxel, plus the image pair, which the caller holds anyway.  The backward
+pass walks the same structure in reverse and consumes it: each input
+gradient is written over the activation it is taken for, once the weight
+gradient has read it, and each other entry is released once its gradients
+are taken (a decoder block's normalized activations before its
+convolution's backward), so a cache serves one backward pass and a second
+one is refused.  It stops at enc0_conv1's weights: no gradient of the
+image pair is taken.
 
 One primitive computes every convolution, 3x3x3 and 1x1x1 alike, on BLAS.
 Its input is a list of unpadded channel groups, each at the output's
@@ -58,20 +63,25 @@ grid, by the same views; the input gradient is the transposed convolution:
 the forward primitive applied to the unpadded output gradient with the
 kernel flipped on all three axes and C_in, C_out swapped, so no padded
 input-gradient array is scattered into.  Its slabs go into one array per
-input group, at the group's own resolution: an up-sampled group's rows are
-summed onto the coarse grid two fine x-planes at a time, so a decoder
-block makes neither its stacked fine-grid input gradient nor a copy of the
-skip's part of it.
+input group, at the group's own resolution (in the network's backward
+pass, the group's own array, which the cache no longer needs): an
+up-sampled group's rows are summed onto the coarse grid two fine x-planes
+at a time, so a decoder block makes neither its stacked fine-grid input
+gradient nor a copy of the skip's part of it.
 
 The other passes work in place where their arithmetic allows: batch norm
 normalizes in the convolution output's buffer (the cached xhat), and its
-backward writes the input gradient over the output gradient with one
-scratch array, for dout * xhat; ReLU masks in place; and max pooling adds
-its gradient straight into the skip gradient at each window's argmax cell.
-With the default network at 48^3 a registration's traced peak is 50.2 MiB,
-set in the head's backward with the whole cache alive.  By phase: the
-first forward 44.0 MiB, the loss 49.4, the backward 50.2, Adam 14.0, the
-second forward 47.6 and the value-only loss, with no cache, 26.4.
+backward writes the input gradient over the output gradient; the variance
+and each channel's dout * xhat are reduced one channel at a time in a
+one-channel scratch, equal to the bit to the whole-array reductions.  ReLU
+masks in place, max pooling adds its gradient straight into the skip
+gradient at each window's argmax cell, and the head writes its channels
+into the field's (nx, ny, nz, 3) array, which the field shares uncopied.
+With the default network at 48^3 a registration's traced peak is 41.2
+MiB, set in the second forward, whose whole cache is alive beside the
+first iterate's field.  By phase: the first forward 37.6 MiB, the loss
+41.0, the backward 41.0, Adam 12.2, the second forward 41.2 and the
+value-only loss, with no cache, 17.9.
 
 Batch normalization always normalizes with the statistics of the current
 pass.  With one image pair per pass that is instance normalization, so there
@@ -282,19 +292,22 @@ def _conv_slabs(groups, w, b=None):
         yield x0, grid[:, :, :ny, :nz]
 
 
-def _conv_forward(groups, w, b=None):
+def _conv_forward(groups, w, b=None, out=None):
     """Same-padded convolution of the channel groups ``groups`` (see
     ``_taps``) with the k x k x k kernel ``w``, plus the bias ``b`` if
-    given."""
-    out = np.empty((w.shape[0],) + _out_dims(groups))
+    given, written into ``out``, a (C_out, nx, ny, nz) array or view, or
+    into a fresh array."""
+    if out is None:
+        out = np.empty((w.shape[0],) + _out_dims(groups))
     for x0, slab in _conv_slabs(groups, w, b):
         out[:, x0 : x0 + slab.shape[1]] = slab
     return out
 
 
-def _conv_input_grads(groups, w, dout):
+def _conv_input_grads(groups, w, dout, out=None):
     """The input gradient of ``_conv_forward``, one array per channel group
-    at that group's own resolution.
+    at that group's own resolution: the arrays of the list ``out``, which
+    may be the groups' own, or fresh ones.
 
     It is the forward convolution of ``dout`` with the kernel flipped on
     all three axes and its channel axes swapped, taken slab by slab.  A
@@ -304,7 +317,7 @@ def _conv_input_grads(groups, w, dout):
     adjoint of nearest-neighbour up-sampling), so no fine-grid gradient of
     the group is made."""
     _, _, ny, nz = dout.shape
-    dxs = [np.empty(a.shape) for a, _ in groups]
+    dxs = [np.empty(a.shape) for a, _ in groups] if out is None else out
     stages = [np.empty((a.shape[0], 2, ny, nz)) if up == 2 else None for a, up in groups]
     for x0, slab in _conv_slabs([(dout, 1)], w[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)):
         c0 = 0
@@ -323,14 +336,10 @@ def _conv_input_grads(groups, w, dout):
     return dxs
 
 
-def _conv_backward(groups, w, dout, input_grad=True):
-    """(input, weight, bias) gradients of ``_conv_forward``; the input
-    gradient is ``_conv_input_grads``'s list, or None without
-    ``input_grad``.  It is taken first, so that its scratch and the weight
-    gradient's are never alive together.  The weight gradient reads each
-    slab of ``dout`` on the forward's padded grid, zero in the dropped
-    columns."""
-    dxs = _conv_input_grads(groups, w, dout) if input_grad else None
+def _conv_weight_grad(groups, w, dout):
+    """The weight gradient of ``_conv_forward``: each slab of ``dout``, on
+    the forward's padded grid, zero in the dropped columns, times each
+    tap's view of the input window."""
     k = w.shape[-1]
     cout, _, ny, nz = dout.shape
     step = _slab_planes(dout.shape[1:])
@@ -341,6 +350,18 @@ def _conv_backward(groups, w, dout, input_grad=True):
         dgrid[:, :, :ny, :nz] = dout[:, x0 : x0 + step]
         for (tx, ty, tz), view in taps:
             dw[:, :, tx, ty, tz] += dflat @ view.T
+    return dw
+
+
+def _conv_backward(groups, w, dout, input_grad=True, out=None):
+    """(input, weight, bias) gradients of ``_conv_forward``; the input
+    gradient is ``_conv_input_grads``'s list, written into ``out`` if
+    given, or None without ``input_grad``.  The weight gradient, which
+    reads the groups, is taken first, so ``out`` may be the groups' own
+    arrays, and its scratch and the input gradient's are never alive
+    together."""
+    dw = _conv_weight_grad(groups, w, dout)
+    dxs = _conv_input_grads(groups, w, dout, out) if input_grad else None
     return dxs, dw, dout.sum(axis=(1, 2, 3))
 
 
@@ -371,13 +392,31 @@ def _maxpool_backward(arg, dout, dx):
 
 
 def _bn_affine(xhat, gamma, beta):
-    return gamma[:, None, None, None] * xhat + beta[:, None, None, None]
+    out = np.multiply(gamma[:, None, None, None], xhat)
+    out += beta[:, None, None, None]
+    return out
+
+
+def _relu(x):
+    """ReLU in place, ``x * (x > 0)``: its mask is ``x > 0`` of the output
+    to the bit, since a product with False is never > 0 (NaN, -0.0 and
+    -inf give NaN or -0.0)."""
+    x *= x > 0
+    return x
 
 
 def _bn_forward(x, gamma, beta):
-    """Normalizes ``x`` in place: its buffer becomes the cached xhat."""
+    """Normalizes ``x`` in place: its buffer becomes the cached xhat.  The
+    variance is reduced one channel at a time, as ``np.var`` does it, in
+    a one-channel scratch."""
     mu = x.mean(axis=(1, 2, 3))
-    var = x.var(axis=(1, 2, 3))
+    var = np.empty_like(mu)
+    tmp = np.empty(x.shape[1:])
+    for c in range(len(x)):
+        np.subtract(x[c], mu[c], out=tmp)
+        tmp *= tmp
+        var[c] = tmp.sum() / tmp.size
+    del tmp
     inv = 1.0 / np.sqrt(var + _BN_EPS)
     x -= mu[:, None, None, None]
     x *= inv[:, None, None, None]
@@ -386,19 +425,23 @@ def _bn_forward(x, gamma, beta):
 
 def _bn_backward(cache, dout):
     """(input, gamma, beta) gradients; the input gradient is written over
-    ``dout``."""
+    ``dout``.  Each channel's dout * xhat is taken in one one-channel
+    scratch."""
     xhat, inv, gamma, _ = cache
-    tmp = dout * xhat
-    dgamma = tmp.sum(axis=(1, 2, 3))
+    tmp = np.empty(xhat.shape[1:])
+    dgamma = np.empty_like(inv)
+    for c in range(len(xhat)):
+        dgamma[c] = np.multiply(dout[c], xhat[c], out=tmp).sum()
     dbeta = dout.sum(axis=(1, 2, 3))
     m = xhat[0].size
-    s = (gamma * inv)[:, None, None, None]
-    mean_dy = dout.mean(axis=(1, 2, 3))[:, None, None, None]
-    mean_dy_xhat = dgamma[:, None, None, None] / m
+    s = gamma * inv
+    mean_dy = dout.mean(axis=(1, 2, 3))
+    mean_dy_xhat = dgamma / m
     # s * (dout - mean_dy - xhat * mean_dy_xhat)
-    dout -= mean_dy
-    dout -= np.multiply(xhat, mean_dy_xhat, out=tmp)
-    dout *= s
+    for c in range(len(xhat)):
+        dout[c] -= mean_dy[c]
+        dout[c] -= np.multiply(xhat[c], mean_dy_xhat[c], out=tmp)
+        dout[c] *= s[c]
     return dout, dgamma, dbeta
 
 
@@ -408,51 +451,52 @@ def _bn_backward(cache, dout):
 def _block_forward(groups, t, conv, bn=None):
     """Convolution ``conv`` of the channel groups ``groups``, batch norm
     ``bn`` if named, then ReLU; the convolution has a bias only without
-    batch norm.  The cache is (groups, weights, bias, batch-norm cache,
-    ReLU mask) and refers to the groups' arrays, uncopied."""
+    batch norm.  The cache is (groups, weights, bias, batch-norm cache)
+    and refers to the groups' arrays, uncopied.  The ReLU mask is not
+    kept: it is the output's ``> 0``."""
     w = t[conv + "_w"]
     b = None if bn else t[conv + "_b"]
     x = _conv_forward(groups, w, b)
     bn_cache = None
     if bn is not None:
         x, bn_cache = _bn_forward(x, t[bn + "_gamma"], t[bn + "_beta"])
-    mask = x > 0
-    x *= mask
-    return x, (groups, w, b, bn_cache, mask)
+    return _relu(x), (groups, w, b, bn_cache)
 
 
 def _block_output(block):
     """The block's output, rebuilt from its cache by the forward's own
     expressions, so to the bit: from the normalized activations with batch
     norm, by the convolution again without."""
-    groups, w, b, bn_cache, mask = block
+    groups, w, b, bn_cache = block
     if bn_cache is not None:
         xhat, _, gamma, beta = bn_cache
-        x = _bn_affine(xhat, gamma, beta)
-    else:
-        x = _conv_forward(groups, w, b)
-    x *= mask
-    return x
+        return _relu(_bn_affine(xhat, gamma, beta))
+    return _relu(_conv_forward(groups, w, b))
 
 
-def _block_backward(block, dout, grads, conv, bn=None, input_grad=True):
-    """The block's input gradients, one per group at its own resolution
-    (None without ``input_grad``); its parameter gradients go into
-    ``grads``.  ``dout`` is overwritten, so that the caller's copy is not
-    alive beside it.  Given the only reference to ``block``, it frees the
-    block's mask and batch-norm cache before the convolution's backward,
-    and its input groups on return."""
-    groups, w, b, bn_cache, mask = block
+def _block_backward(block, dout, mask, grads, conv, bn=None, relu=(), input_grad=True):
+    """(input gradients, masks) of the block, whose own ReLU mask is
+    ``mask``; its parameter gradients go into ``grads``.  The input
+    gradients, one per group at its own resolution (None without
+    ``input_grad``), are written over the groups' arrays, which the cache
+    holds for this pass alone; ``masks`` are the ReLU masks of the groups
+    indexed by ``relu``, earlier blocks' outputs, taken just before they
+    are overwritten.  ``dout`` is overwritten too, so that the caller's
+    copy is not alive beside it.  Given the only references to ``block``
+    and ``mask``, it frees the mask and the batch-norm cache before the
+    convolution's backward."""
+    groups, w, b, bn_cache = block
     del block
     dx = np.multiply(dout, mask, out=dout)
     del mask
     if bn_cache is not None:
         dx, grads[bn + "_gamma"], grads[bn + "_beta"] = _bn_backward(bn_cache, dx)
         del bn_cache
-    dx, grads[conv + "_w"], db = _conv_backward(groups, w, dx, input_grad)
+    masks = [groups[i][0] > 0 for i in relu]
+    dxs, grads[conv + "_w"], db = _conv_backward(groups, w, dx, input_grad, [a for a, _ in groups])
     if b is not None:
         grads[conv + "_b"] = db
-    return dx
+    return dxs, masks
 
 
 def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
@@ -487,10 +531,12 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
         bn = f"dec{l}_bn" if cfg.use_batchnorm else None
         x, block = _block_forward([(x, 2), (skips.pop(), 1)], t, f"dec{l}_conv", bn)
         dec.insert(0, block)
-    out = _conv_forward([(x, 1)], t["head_w"], t["head_b"])
-    field_data = np.moveaxis(out, 0, -1)
+    # the head writes its channels straight into the field's layout
+    field_data = np.empty(fixed.dims + (3,))
+    _conv_forward([(x, 1)], t["head_w"], t["head_b"], out=np.moveaxis(field_data, -1, 0))
     pred = None
     if np.isfinite(field_data).all():
+        field_data.flags.writeable = False  # lets the field share it uncopied
         pred = DisplacementField(data=field_data, spacing=fixed.spacing, origin=fixed.origin)
     # with batch norm the head's input is rebuilt from dec0's cache
     head_x = None if cfg.use_batchnorm else x
@@ -503,7 +549,8 @@ def convnet_backward(cache, grad: np.ndarray) -> dict[str, np.ndarray]:
     array, to every parameter tensor.
 
     Consumes the cache: each entry is released once its gradients are
-    taken, so a cache serves one backward pass, and a second one is refused.
+    taken, and each activation's gradient is written over it, so a cache
+    serves one backward pass, and a second one is refused.
     """
     if "head" not in cache:
         raise ValueError("the convnet cache was consumed by an earlier backward pass; "
@@ -517,24 +564,36 @@ def convnet_backward(cache, grad: np.ndarray) -> dict[str, np.ndarray]:
     enc, dec = cache["enc"], cache["dec"]
     if head_x is None:  # dec0's output, kept only without batch norm
         head_x = _block_output(dec[0])
+    masks = [head_x > 0]  # dec0's
     dout = np.moveaxis(grad, -1, 0)
-    dxs, grads["head_w"], grads["head_b"] = _conv_backward([(head_x, 1)], head_w, dout)
-    del head_x  # not alive through the decoder's backward
-    skip_grads = []
+    dxs, grads["head_w"], grads["head_b"] = _conv_backward(
+        [(head_x, 1)], head_w, dout, out=[head_x]
+    )
+    skip_grads, skip_masks = [], []
     for l in range(len(dec)):
         # one gradient per input group, each on its own grid: the coarser
-        # output's, and the skip's, which the encoder adds below
-        dxs = _block_backward(dec.pop(0), dxs.pop(), grads, f"dec{l}_conv", f"dec{l}_bn")
+        # output's, and the skip's, which the encoder adds below.  Both are
+        # ReLU outputs but at the coarsest level, whose coarser input is a
+        # pool's; the skip's mask is held for its encoder block
+        relu = (0, 1) if len(dec) > 1 else (1,)
+        dxs, masks = _block_backward(
+            dec.pop(0), dxs.pop(), masks.pop(), grads, f"dec{l}_conv", f"dec{l}_bn", relu
+        )
         skip_grads.append(dxs.pop())
+        skip_masks.append(masks.pop())
     for l in reversed(range(len(enc))):
         block1, block2, pool = enc.pop()
         # the pool's input also fed the skip connection: add both branches
         dx = _maxpool_backward(pool, dxs.pop(), skip_grads.pop())
         if block2[0] is None:  # enc0_conv2's input, enc0_conv1's output
             block2 = ([(_block_output(block1), 1)],) + block2[1:]
-        dxs = _block_backward(block2, dx, grads, f"enc{l}_conv2")
-        del block2, dx  # not alive through conv1's backward
-        dxs = _block_backward(block1, dxs.pop(), grads, f"enc{l}_conv1", input_grad=l > 0)
+        dxs, masks = _block_backward(
+            block2, dx, skip_masks.pop(), grads, f"enc{l}_conv2", relu=(0,)
+        )
+        del block2, dx, pool  # not alive through conv1's backward
+        dxs, _ = _block_backward(
+            block1, dxs.pop(), masks.pop(), grads, f"enc{l}_conv1", input_grad=l > 0
+        )
     return grads
 
 

@@ -35,7 +35,9 @@ freed when it ends, before the next level allocates, so the one
 whole-volume array that a step allocates is its new parameters.  A level
 without steps builds neither.  Convnet rounds allocate the loss's arrays
 per evaluation: the loss is a small part of their step, and their peak is
-set in the backward pass.
+set with a whole activation cache alive, in the first loss, the backward
+pass and the second forward alike (within 1.5% of one another at 48^3
+and 96^3).
 
 A returned field that is not a scored iterate on the input grid (a coarser
 freeform best after an early stop, a padded convnet field) is resampled or

@@ -19,6 +19,7 @@ from defreg.loss import LossConfig, overall_loss, similarity_loss, smoothness_lo
 from defreg.model import (
     ConvNetConfig,
     ConvNetParameters,
+    _block_output,
     convnet_backward,
     convnet_forward,
     init_convnet_parameters,
@@ -190,8 +191,13 @@ def test_criterion_04_gradients_match_finite_differences():
     probe = rng.standard_normal((8, 8, 8, 3))
 
     def kinks(cache):
-        enc = [a for b1, b2, pool in cache["enc"] for a in (b1[-1], b2[-1], pool)]
-        return enc + [block[-1] for block in cache["dec"]]
+        # the cache keeps no ReLU mask: each is derived from the activation
+        # it gates, as the backward pass derives it.  enc0_conv1's output
+        # is recomputed by its convolution, enc0_conv2's is the skip that
+        # dec0 reads, and dec0's is rebuilt from its batch norm's cache
+        ((block1, _, pool),), (dec0,) = cache["enc"], cache["dec"]
+        skip = dec0[0][1][0]
+        return [_block_output(block1) > 0, skip > 0, pool, _block_output(dec0) > 0]
 
     def loss_and_kinks(tensors):
         p = ConvNetParameters(
