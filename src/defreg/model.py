@@ -77,11 +77,11 @@ one-channel scratch, equal to the bit to the whole-array reductions.  ReLU
 masks in place, max pooling adds its gradient straight into the skip
 gradient at each window's argmax cell, and the head writes its channels
 into the field's (nx, ny, nz, 3) array, which the field shares uncopied.
-With the default network at 48^3 a registration's traced peak is 41.2
-MiB, set in the second forward, whose whole cache is alive beside the
-first iterate's field.  By phase: the first forward 37.6 MiB, the loss
-41.0, the backward 41.0, Adam 12.2, the second forward 41.2 and the
-value-only loss, with no cache, 17.9.
+With the default network at 48^3 a registration's traced peak is 41.0
+MiB, set in the first loss, whose arrays are alive beside a whole cache.
+By phase: the first forward 37.6 MiB, the loss 41.0, the backward 38.5,
+Adam 9.6, the second forward 38.6 and the value-only loss, with no cache,
+15.3; the registration loop holds no earlier iterate's field beside them.
 
 Batch normalization always normalizes with the statistics of the current
 pass.  With one image pair per pass that is instance normalization, so there
@@ -570,12 +570,13 @@ def convnet_backward(cache, grad: np.ndarray) -> dict[str, np.ndarray]:
         [(head_x, 1)], head_w, dout, out=[head_x]
     )
     skip_grads, skip_masks = [], []
-    for l in range(len(dec)):
+    n = len(dec)
+    for l in range(n):
         # one gradient per input group, each on its own grid: the coarser
         # output's, and the skip's, which the encoder adds below.  Both are
         # ReLU outputs but at the coarsest level, whose coarser input is a
         # pool's; the skip's mask is held for its encoder block
-        relu = (0, 1) if len(dec) > 1 else (1,)
+        relu = (0, 1) if l < n - 1 else (1,)
         dxs, masks = _block_backward(
             dec.pop(0), dxs.pop(), masks.pop(), grads, f"dec{l}_conv", f"dec{l}_bn", relu
         )

@@ -35,9 +35,13 @@ freed when it ends, before the next level allocates, so the one
 whole-volume array that a step allocates is its new parameters.  A level
 without steps builds neither.  Convnet rounds allocate the loss's arrays
 per evaluation: the loss is a small part of their step, and their peak is
-set with a whole activation cache alive, in the first loss, the backward
-pass and the second forward alike (within 1.5% of one another at 48^3
-and 96^3).
+set in the first loss, with a whole activation cache alive.  Once a round
+moves past its best iterate, the loop keeps that iterate's weights but
+not its field, so no field is held beside the next pass's arrays: the
+backward pass and the second forward stay below the first loss (38.5 and
+38.6 against 41.0 MiB traced at 48^3, 284.4 and 279.9 against 303.5 at
+96^3).  Such a best's field is predicted once more from its weights at
+the end, one forward pass; a best at the last iterate costs none.
 
 A returned field that is not a scored iterate on the input grid (a coarser
 freeform best after an early stop, a padded convnet field) is resampled or
@@ -354,6 +358,10 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
         losses: list[LossValue] = []
         level_best, level_stop = 0, "max_iters"
         for it in range(n_steps + 1):  # it 0: the entry iterate
+            if not freeform and best is not None:
+                # an earlier best keeps its weights only; its field is not
+                # held beside the next pass's arrays (rebuilt at the end)
+                best, u = best[:2] + (None,), None
             if it:
                 params, state = adam_step(
                     params, backward(cache, grad), state, ws and {"field": ws.adam}
@@ -398,6 +406,8 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
             break
 
     final, params, out = best
+    if out is None:  # a convnet best before the last pass: its field, again
+        out, _ = predict(params, *pairs[-1])
     # not a scored iterate on the input grid (no params: the carried
     # coarser best): move it there and score it (see the module docstring)
     if params is None or out.dims != fixed.dims:

@@ -458,6 +458,40 @@ class TestRegisterConvNet:
         )
         assert lv.total == pytest.approx(best, abs=1e-12)
 
+    def test_an_earlier_best_field_is_rebuilt_from_its_weights(self, rng, monkeypatch):
+        # the loop keeps only the weights of a best iterate it has moved
+        # past; its field is predicted once more at the end, bit for bit the
+        # field its pass gave.  A best at the last iterate costs no pass.
+        fixed = random_volume(rng, (16, 16, 16))
+        moving = random_volume(rng, (16, 16, 16))
+        real_forward = defreg.register.convnet_forward
+        fields = []
+
+        def forward(*args):
+            field, cache = real_forward(*args)
+            fields.append(field.data.copy())
+            return field, cache
+
+        monkeypatch.setattr(defreg.register, "convnet_forward", forward)
+        for rate, rebuilt in ((1.0, True), (1e-3, False)):
+            cfg = RegistrationConfig(
+                mode="convnet",
+                pyramid_levels=3,
+                iterations_per_level=4,
+                learning_rate=rate,
+                loss=LossConfig(ncc_window=5, reg_weight=0.1),
+                convnet=ConvNetConfig(levels=1, base_filters=2),
+                seed=5,
+            )
+            fields.clear()
+            report = register(fixed, moving, cfg)
+            totals = [lv.total for t in report.levels for lv in t.losses]
+            best = int(np.argmin(totals))
+            assert (best < len(totals) - 1) == rebuilt
+            assert len(fields) == len(totals) + rebuilt
+            assert np.array_equal(report.field.data, fields[best])
+            assert np.array_equal(report.field.data, fields[-1])
+
     def test_convnet_pads_axes_a_pyramid_refuses(self, rng):
         v = random_volume(rng, (8, 8, 1))
         cfg = RegistrationConfig(
@@ -498,12 +532,11 @@ class TestRegisterConvNet:
         assert _strict_json(report)["final"]["total"] == want.total
 
     def test_loop_drops_cache_and_gradient_before_next_forward(self, rng, monkeypatch):
-        # a run's peak exceeds one pass's by no more than what the loop
-        # holds by design: the best iterate's field and parameters, the
-        # stepped parameters and Adam's two moments.  Here that is 0.36 MB
-        # and the run reads 0.30 MB above one pass, both peaking in a loss
-        # with a whole cache alive; keeping the last iterate's gradient
-        # alive through the next forward pass raised it to 0.40 MB
+        # a run holds one pass's arrays plus its best iterate's weights and
+        # Adam's state, far less than a second activation cache; keeping the
+        # last iterate's gradient alive through the next forward pass raised
+        # the run's peak over one pass from 0.20 to 0.30 MB here, against a
+        # 0.52 MB cache
         dims = (16, 16, 16)
         fixed = zscore_normalize(random_volume(rng, dims))
         moving = zscore_normalize(random_volume(rng, dims))
@@ -518,10 +551,10 @@ class TestRegisterConvNet:
         try:
             before = tracemalloc.get_traced_memory()[0]
             field, cache = convnet_forward(params, fixed, moving)
+            cache_bytes = tracemalloc.get_traced_memory()[0] - before
             _, grad = overall_loss(fixed, moving, field, cfg.loss)
             convnet_backward(cache, grad)
             one_pass = tracemalloc.get_traced_memory()[1] - before
-            held = field.data.nbytes + 4 * sum(p.nbytes for p in params.tensors.values())
             del field, cache, grad
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
@@ -529,25 +562,29 @@ class TestRegisterConvNet:
             run = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert run - one_pass < held
-        # and directly: each gradient is dead when the next forward begins
+        assert run - one_pass < cache_bytes / 2
+        # and directly: each iterate's cache (probed by enc0's pool argmax,
+        # a cache-only array) and gradient are dead when the next forward
+        # begins
         real_forward, real_loss = defreg.register.convnet_forward, defreg.register.overall_loss
-        grads, alive = [], []
+        probes, alive = [], []
 
         def forward(*args):
-            alive.extend(g() is not None for g in grads)
-            return real_forward(*args)
+            alive.extend(p() is not None for p in probes)
+            field, cache = real_forward(*args)
+            probes.append(weakref.ref(cache["enc"][0][2]))
+            return field, cache
 
         def loss(*args, **kwargs):
             lv, g = real_loss(*args, **kwargs)
             if g is not None:
-                grads.append(weakref.ref(g))
+                probes.append(weakref.ref(g))
             return lv, g
 
         monkeypatch.setattr(defreg.register, "convnet_forward", forward)
         monkeypatch.setattr(defreg.register, "overall_loss", loss)
         register(fixed, moving, cfg)
-        assert len(grads) == 2 and alive == [False, False, False]
+        assert len(probes) == 5 and alive == [False] * (2 + 4)
 
     def test_recovers_a_synthetic_field(self):
         # the model layer's quality gate, as criterion 3 is freeform's: the
