@@ -336,7 +336,7 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
     clock = _Clock(cfg.max_seconds)
     traces: list[LevelTrace] = []
     total_iters = 0
-    best = None  # (loss, params, field) of the iterate to return
+    best = None  # (loss, params, field) of the iterate to return; field None: rebuilt
     for lvl, (f_l, m_l) in enumerate(pairs):
         if freeform:
             # start from the coarser level's best; return the finest level's
