@@ -26,23 +26,32 @@ refers to its input channel groups and keeps its weights, its bias and,
 with batch norm, the normalized activations.  No ReLU mask is kept: a
 block's output is x * (x > 0), so the output's > 0 is its mask to the bit,
 and the backward pass takes each mask just before that output is
-overwritten (a skip's in its decoder block's backward, held as a bool
-until its encoder block's).  enc0_conv1 reads the image pair as two
+overwritten (a skip's in its decoder block's backward, held as a bool until
+its encoder block's).  enc0_conv1 reads the image pair as two
 single-channel groups, views of the inputs, with no stacked copy.  A
 decoder block's groups are the coarser output and the encoder skip
-themselves, joined by no copy.  A pool keeps its argmax as int8.  Two
-activations are not kept but rebuilt in the backward pass by the forward's
-own expression, so to the bit: the head's input, ReLU of dec0's batch
-norm, from dec0's cache (without batch norm it is kept), and enc0_conv1's
-output, by its convolution and ReLU again, just before enc0_conv2's
-backward.  For the default network that is 220 bytes of activations per
-voxel, plus the image pair, which the caller holds anyway.  The backward
-pass walks the same structure in reverse and consumes it: each input
-gradient is written over the activation it is taken for, once the weight
-gradient has read it, and each other entry is released once its gradients
-are taken (a decoder block's normalized activations before its
-convolution's backward), so a cache serves one backward pass and a second
-one is refused.  It stops at enc0_conv1's weights: no gradient of the
+themselves, joined by no copy.  A pool keeps its argmax as int8.  Some
+activations are not kept but computed again in the backward pass, from
+inputs the cache holds anyway, by the forward's own operations, so to the
+bit (recomputation in place of caching: Chen et al., arXiv 1604.06174):
+each encoder level's conv1 output, by its convolution and ReLU, just before
+its conv2's backward, and dec0's output, the head's input, and its
+normalized activations.  dec0 keeps no activation, with or without batch
+norm: its affine and ReLU go in place over its convolution's buffer, and
+its batch norm keeps only each channel's mean and scale, which normalize
+the convolution, computed again, to the bit.  For the default network that
+is 136 bytes of activations per voxel, 162 with the image pair, which the
+caller holds anyway, and the weights.  The backward pass walks the same
+structure in reverse and consumes it: each input gradient is written over
+the activation it is taken for, once the weight gradient has read it, and
+each other entry is released once its gradients are taken (a decoder
+block's normalized activations before its convolution's backward), so a
+cache serves one backward pass and a second one is refused.  dec0 is
+computed twice: its output for the head's backward, and then, once the
+head's input gradient is masked and the loss gradient released, its
+convolution and normalization for its batch norm's backward, so the loss
+gradient, the head's input and dec0's normalized activations are never
+alive together.  The pass stops at enc0_conv1's weights: no gradient of the
 image pair is taken.
 
 One primitive computes every convolution, 3x3x3 and 1x1x1 alike, on BLAS.
@@ -77,11 +86,15 @@ one-channel scratch, equal to the bit to the whole-array reductions.  ReLU
 masks in place, max pooling adds its gradient straight into the skip
 gradient at each window's argmax cell, and the head writes its channels
 into the field's (nx, ny, nz, 3) array, which the field shares uncopied.
-With the default network at 48^3 a registration's traced peak is 41.0
-MiB, set in the first loss, whose arrays are alive beside a whole cache.
-By phase: the first forward 37.6 MiB, the loss 41.0, the backward 38.5,
-Adam 9.6, the second forward 38.6 and the value-only loss, with no cache,
-15.3; the registration loop holds no earlier iterate's field beside them.
+With the default network at 48^3 a registration's traced peak is 34.4
+MiB, set in the backward pass where dec0's normalized activations are
+computed again beside its input gradient and the rest of the cache.  By
+phase (``scripts/convnet_phase_peaks.py``): the first forward 29.2 MiB, the
+loss 32.1, the backward 34.4, Adam 7.1, the second forward 30.2 and the
+value-only loss, with no cache, 15.3; at 96^3 211.4, 232.7, 246.0, 18.9,
+212.4 and 66.2.  The registration loop holds no earlier iterate's field
+beside them, and hands the loss gradient's only reference to the backward
+pass.
 
 Batch normalization always normalizes with the statistics of the current
 pass.  With one image pair per pass that is instance normalization, so there
@@ -391,8 +404,8 @@ def _maxpool_backward(arg, dout, dx):
     return dx
 
 
-def _bn_affine(xhat, gamma, beta):
-    out = np.multiply(gamma[:, None, None, None], xhat)
+def _bn_affine(xhat, gamma, beta, out=None):
+    out = np.multiply(gamma[:, None, None, None], xhat, out=out)
     out += beta[:, None, None, None]
     return out
 
@@ -405,29 +418,43 @@ def _relu(x):
     return x
 
 
-def _bn_forward(x, gamma, beta):
-    """Normalizes ``x`` in place: its buffer becomes the cached xhat.  The
-    variance is reduced one channel at a time, as ``np.var`` does it, in
-    a one-channel scratch."""
-    mu = x.mean(axis=(1, 2, 3))
-    var = np.empty_like(mu)
-    tmp = np.empty(x.shape[1:])
-    for c in range(len(x)):
-        np.subtract(x[c], mu[c], out=tmp)
-        tmp *= tmp
-        var[c] = tmp.sum() / tmp.size
-    del tmp
-    inv = 1.0 / np.sqrt(var + _BN_EPS)
+def _bn_normalize(x, mu=None, inv=None):
+    """Normalizes ``x`` in place by each channel's mean ``mu`` and inv = 1
+    / sqrt(var + eps), its own if not given, and returns (x, mu, inv).  The
+    variance is reduced one channel at a time, as ``np.var`` does it, in a
+    one-channel scratch."""
+    if mu is None:
+        mu = x.mean(axis=(1, 2, 3))
+        var = np.empty_like(mu)
+        tmp = np.empty(x.shape[1:])
+        for c in range(len(x)):
+            np.subtract(x[c], mu[c], out=tmp)
+            tmp *= tmp
+            var[c] = tmp.sum() / tmp.size
+        del tmp
+        inv = 1.0 / np.sqrt(var + _BN_EPS)
     x -= mu[:, None, None, None]
     x *= inv[:, None, None, None]
-    return _bn_affine(x, gamma, beta), (x, inv, gamma, beta)
+    return x, mu, inv
+
+
+def _bn_forward(x, gamma, beta, keep=True):
+    """Batch norm of ``x``, normalized in place: its buffer becomes the
+    cached xhat.  The cache is (xhat, mu, inv, gamma, beta).  Without
+    ``keep`` the affine goes in place over xhat too, by the same
+    operations in the same order, and the cache keeps no xhat: its
+    statistics normalize the same input again to the bit."""
+    xhat, mu, inv = _bn_normalize(x)
+    if keep:
+        return _bn_affine(xhat, gamma, beta), (xhat, mu, inv, gamma, beta)
+    return _bn_affine(xhat, gamma, beta, out=xhat), (None, mu, inv, gamma, beta)
 
 
 def _bn_backward(cache, dout):
     """(input, gamma, beta) gradients; the input gradient is written over
     ``dout``.  Each channel's dout * xhat is taken in one one-channel
     scratch."""
-    xhat, inv, gamma, _ = cache
+    xhat, _, inv, gamma, _ = cache
     tmp = np.empty(xhat.shape[1:])
     dgamma = np.empty_like(inv)
     for c in range(len(xhat)):
@@ -448,46 +475,63 @@ def _bn_backward(cache, dout):
 # ---------------------------------------------------------------------------
 
 
-def _block_forward(groups, t, conv, bn=None):
+def _block_forward(groups, t, conv, bn=None, keep=True):
     """Convolution ``conv`` of the channel groups ``groups``, batch norm
     ``bn`` if named, then ReLU; the convolution has a bias only without
     batch norm.  The cache is (groups, weights, bias, batch-norm cache)
     and refers to the groups' arrays, uncopied.  The ReLU mask is not
-    kept: it is the output's ``> 0``."""
+    kept: it is the output's ``> 0``.  Without ``keep`` the batch-norm
+    cache keeps no normalized activations, only their statistics: the
+    affine and ReLU go in place over the convolution's buffer, which
+    becomes the output."""
     w = t[conv + "_w"]
     b = None if bn else t[conv + "_b"]
     x = _conv_forward(groups, w, b)
     bn_cache = None
     if bn is not None:
-        x, bn_cache = _bn_forward(x, t[bn + "_gamma"], t[bn + "_beta"])
+        x, bn_cache = _bn_forward(x, t[bn + "_gamma"], t[bn + "_beta"], keep)
     return _relu(x), (groups, w, b, bn_cache)
 
 
 def _block_output(block):
-    """The block's output, rebuilt from its cache by the forward's own
-    expressions, so to the bit: from the normalized activations with batch
-    norm, by the convolution again without."""
+    """The block's output, computed again from its cached input groups by
+    its convolution, batch norm with its kept statistics and ReLU, in
+    place in one buffer: the forward's own operations, so equal to it to
+    the bit."""
     groups, w, b, bn_cache = block
+    x = _conv_forward(groups, w, b)
     if bn_cache is not None:
-        xhat, _, gamma, beta = bn_cache
-        return _relu(_bn_affine(xhat, gamma, beta))
-    return _relu(_conv_forward(groups, w, b))
+        _, mu, inv, gamma, beta = bn_cache
+        x = _bn_affine(_bn_normalize(x, mu, inv)[0], gamma, beta, out=x)
+    return _relu(x)
+
+
+def _with_xhat(block):
+    """``block`` with its normalized activations: its own, or, for a
+    block that kept none, computed again by its convolution and
+    normalization with its kept statistics."""
+    groups, w, b, bn_cache = block
+    if bn_cache is None or bn_cache[0] is not None:
+        return block
+    xhat, _, _ = _bn_normalize(_conv_forward(groups, w), *bn_cache[1:3])
+    return groups, w, b, (xhat,) + bn_cache[1:]
 
 
 def _block_backward(block, dout, mask, grads, conv, bn=None, relu=(), input_grad=True):
     """(input gradients, masks) of the block, whose own ReLU mask is
-    ``mask``; its parameter gradients go into ``grads``.  The input
-    gradients, one per group at its own resolution (None without
-    ``input_grad``), are written over the groups' arrays, which the cache
-    holds for this pass alone; ``masks`` are the ReLU masks of the groups
-    indexed by ``relu``, earlier blocks' outputs, taken just before they
-    are overwritten.  ``dout`` is overwritten too, so that the caller's
-    copy is not alive beside it.  Given the only references to ``block``
-    and ``mask``, it frees the mask and the batch-norm cache before the
-    convolution's backward."""
+    ``mask``, or None if ``dout`` is masked already; its parameter
+    gradients go into ``grads``.  The input gradients, one per group at
+    its own resolution (None without ``input_grad``), are written over the
+    groups' arrays, which the cache holds for this pass alone; ``masks``
+    are the ReLU masks of the groups indexed by ``relu``, earlier blocks'
+    outputs, taken just before they are overwritten.  ``dout`` is
+    overwritten too, so that the caller's copy is not alive beside it.
+    Given the only references to ``block`` and ``mask``, it frees the mask
+    and the batch-norm cache before the convolution's backward.  A block
+    that kept no normalized activations is given them by ``_with_xhat``."""
     groups, w, b, bn_cache = block
     del block
-    dx = np.multiply(dout, mask, out=dout)
+    dx = dout if mask is None else np.multiply(dout, mask, out=dout)
     del mask
     if bn_cache is not None:
         dx, grads[bn + "_gamma"], grads[bn + "_beta"] = _bn_backward(bn_cache, dx)
@@ -519,17 +563,17 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     for l in range(cfg.levels):
         x, block1 = _block_forward(groups, t, f"enc{l}_conv1")
         x, block2 = _block_forward([(x, 1)], t, f"enc{l}_conv2")
-        if l == 0:  # enc0_conv1's output is recomputed in the backward pass
-            block2 = (None,) + block2[1:]
         skips.append(x)
         x, pool = _maxpool_forward(x)
-        enc.append((block1, block2, pool))
+        # conv1's output, conv2's input, is computed again in the backward pass
+        enc.append((block1, (None,) + block2[1:], pool))
         groups = [(x, 1)]
     dec = []  # finest level first, the order the backward pass meets them
     for l in reversed(range(cfg.levels)):
-        # the coarser features, up-sampled, stacked over the skip features
+        # the coarser features, up-sampled, stacked over the skip features;
+        # dec0 keeps no activation (its output is the head's input)
         bn = f"dec{l}_bn" if cfg.use_batchnorm else None
-        x, block = _block_forward([(x, 2), (skips.pop(), 1)], t, f"dec{l}_conv", bn)
+        x, block = _block_forward([(x, 2), (skips.pop(), 1)], t, f"dec{l}_conv", bn, keep=l > 0)
         dec.insert(0, block)
     # the head writes its channels straight into the field's layout
     field_data = np.empty(fixed.dims + (3,))
@@ -538,37 +582,49 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     if np.isfinite(field_data).all():
         field_data.flags.writeable = False  # lets the field share it uncopied
         pred = DisplacementField(data=field_data, spacing=fixed.spacing, origin=fixed.origin)
-    # with batch norm the head's input is rebuilt from dec0's cache
-    head_x = None if cfg.use_batchnorm else x
-    cache = {"dims": fixed.dims, "enc": enc, "dec": dec, "head": (head_x, t["head_w"])}
+    cache = {"dims": fixed.dims, "enc": enc, "dec": dec, "head": t["head_w"]}
     return pred, cache
 
 
-def convnet_backward(cache, grad: np.ndarray) -> dict[str, np.ndarray]:
+def convnet_backward(cache, grad: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Backpropagate a loss gradient on the field, an ``(nx, ny, nz, 3)``
     array, to every parameter tensor.
 
     Consumes the cache: each entry is released once its gradients are
     taken, and each activation's gradient is written over it, so a cache
-    serves one backward pass, and a second one is refused.
+    serves one backward pass, and a second one is refused.  Without
+    ``grad`` the gradient is the cache's "grad" entry, which is taken out
+    of it: a caller that keeps no other reference so hands over the only
+    one, and the gradient is freed once the head's gradients are taken.
+
+    The activations that the forward did not keep are computed again:
+    dec0's output for the head's backward, then, once the loss gradient
+    and that output's gradient are masked and released, dec0's normalized
+    activations for its batch norm's backward, and each encoder level's
+    conv1 output for its conv2's backward.
     """
     if "head" not in cache:
         raise ValueError("the convnet cache was consumed by an earlier backward pass; "
                          "a cache serves one backward pass")
+    if grad is None:
+        grad = cache.pop("grad")
     if grad.shape != cache["dims"] + (3,):
         raise ValueError(
             f"gradient shape {grad.shape} does not match forward dims {cache['dims']} + (3,)"
         )
     grads: dict[str, np.ndarray] = {}
-    head_x, head_w = cache.pop("head")
+    head_w = cache.pop("head")
     enc, dec = cache["enc"], cache["dec"]
-    if head_x is None:  # dec0's output, kept only without batch norm
-        head_x = _block_output(dec[0])
-    masks = [head_x > 0]  # dec0's
-    dout = np.moveaxis(grad, -1, 0)
-    dxs, grads["head_w"], grads["head_b"] = _conv_backward(
-        [(head_x, 1)], head_w, dout, out=[head_x]
+    head_x = _block_output(dec[0])
+    mask = head_x > 0  # dec0's
+    (dx,), grads["head_w"], grads["head_b"] = _conv_backward(
+        [(head_x, 1)], head_w, np.moveaxis(grad, -1, 0), out=[head_x]
     )
+    # dec0's mask is applied here, so neither it nor the loss gradient is
+    # alive when _with_xhat computes dec0's normalized activations again
+    del grad, head_x
+    dxs, masks = [np.multiply(dx, mask, out=dx)], [None]
+    del dx, mask
     skip_grads, skip_masks = [], []
     n = len(dec)
     for l in range(n):
@@ -578,7 +634,8 @@ def convnet_backward(cache, grad: np.ndarray) -> dict[str, np.ndarray]:
         # pool's; the skip's mask is held for its encoder block
         relu = (0, 1) if l < n - 1 else (1,)
         dxs, masks = _block_backward(
-            dec.pop(0), dxs.pop(), masks.pop(), grads, f"dec{l}_conv", f"dec{l}_bn", relu
+            _with_xhat(dec.pop(0)), dxs.pop(), masks.pop(), grads, f"dec{l}_conv", f"dec{l}_bn",
+            relu,
         )
         skip_grads.append(dxs.pop())
         skip_masks.append(masks.pop())
@@ -586,8 +643,7 @@ def convnet_backward(cache, grad: np.ndarray) -> dict[str, np.ndarray]:
         block1, block2, pool = enc.pop()
         # the pool's input also fed the skip connection: add both branches
         dx = _maxpool_backward(pool, dxs.pop(), skip_grads.pop())
-        if block2[0] is None:  # enc0_conv2's input, enc0_conv1's output
-            block2 = ([(_block_output(block1), 1)],) + block2[1:]
+        block2 = ([(_block_output(block1), 1)],) + block2[1:]  # conv1's output, again
         dxs, masks = _block_backward(
             block2, dx, skip_masks.pop(), grads, f"enc{l}_conv2", relu=(0,)
         )

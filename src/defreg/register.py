@@ -34,14 +34,18 @@ scratch, 12 image volumes beside the 6 of Adam's moments, which
 freed when it ends, before the next level allocates, so the one
 whole-volume array that a step allocates is its new parameters.  A level
 without steps builds neither.  Convnet rounds allocate the loss's arrays
-per evaluation: the loss is a small part of their step, and their peak is
-set in the first loss, with a whole activation cache alive.  Once a round
+per evaluation: the loss is a small part of their step.  Their peak is set
+in the backward pass, where dec0's normalized activations are computed
+again beside the rest of the cache (34.4 MiB traced at 48^3, against 32.1
+in the first loss and 30.2 in the second forward; 246.0 against 232.7 and
+212.4 at 96^3).  The loss gradient is handed over: the loop stores it in
+its pass's cache, as "grad", and keeps no other reference, so the
+convnet's backward pass frees it once the head's gradients are taken,
+and a freeform step takes it out of the cache for Adam.  Once a round
 moves past its best iterate, the loop keeps that iterate's weights but
-not its field, so no field is held beside the next pass's arrays: the
-backward pass and the second forward stay below the first loss (38.5 and
-38.6 against 41.0 MiB traced at 48^3, 284.4 and 279.9 against 303.5 at
-96^3).  Such a best's field is predicted once more from its weights at
-the end, one forward pass; a best at the last iterate costs none.
+not its field, so no field is held beside the next pass's arrays.  Such a
+best's field is predicted once more from its weights at the end, one
+forward pass; a best at the last iterate costs none.
 
 A returned field that is not a scored iterate on the input grid (a coarser
 freeform best after an early stop, a padded convnet field) is resampled or
@@ -326,12 +330,14 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
         if freeform:
             data = params["field"]
             data.flags.writeable = False  # lets the field share it uncopied
-            return DisplacementField(data=data, spacing=f_l.spacing, origin=f_l.origin), None
+            return DisplacementField(data=data, spacing=f_l.spacing, origin=f_l.origin), {}
         return convnet_forward(ConvNetParameters(cfg.convnet, params), f_l, m_l)
 
-    def backward(cache, grad):
-        """Field gradient, an (nx, ny, nz, 3) array -> parameter gradients."""
-        return {"field": grad} if freeform else convnet_backward(cache, grad)
+    def backward(cache):
+        """The cache, holding the field gradient, an (nx, ny, nz, 3) array,
+        as "grad" -> parameter gradients.  The gradient is taken out of the
+        cache, so the backward pass holds its only reference."""
+        return {"field": cache.pop("grad")} if freeform else convnet_backward(cache)
 
     clock = _Clock(cfg.max_seconds)
     traces: list[LevelTrace] = []
@@ -364,15 +370,18 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
                 best, u = best[:2] + (None,), None
             if it:
                 params, state = adam_step(
-                    params, backward(cache, grad), state, ws and {"field": ws.adam}
+                    params, backward(cache), state, ws and {"field": ws.adam}
                 )
-                cache = grad = None  # not kept alive through the next forward
+                cache = None  # not kept alive through the next forward
             u, cache = predict(params, f_l, m_l)
             if it == n_steps:  # no backward pass reads the last iterate's cache
-                cache = None
+                cache = {}
             if u is not None:
-                # the last iterate is only scored: Adam takes no step on it
-                lv, grad = overall_loss(f_l, m_l, u, cfg.loss, with_grad=it < n_steps, ws=ws)
+                # the last iterate is only scored: Adam takes no step on it.
+                # The gradient's one reference is the cache's (see backward)
+                lv, cache["grad"] = overall_loss(
+                    f_l, m_l, u, cfg.loss, with_grad=it < n_steps, ws=ws
+                )
             # a non-finite field or loss: stop before Adam steps on its gradient
             if u is None or not np.isfinite(lv.total):
                 level_stop = "diverged"
@@ -401,7 +410,7 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
             )
         )
         # free this level's arrays before the next level allocates its own
-        state = ws = u = cache = grad = None
+        state = ws = u = cache = None
         if level_stop in ("budget", "diverged"):
             break
 

@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -884,19 +885,41 @@ def noise_pair(n, seed=31):
 
 class TestConvNetMemory:
     """The default network at 48^3 and 96^3.  Each activation is cached
-    once: a block keeps its unpadded input, a decoder block refers to the
-    coarser output and the encoder skip it reads, the head's input is
-    rebuilt from dec0's batch norm, and enc0_conv1's output is not kept but
-    recomputed in the backward pass, whose input, the image pair, the
-    caller holds anyway.  No ReLU mask is kept: each is its output's > 0
-    (277 -> 246 B/voxel).  The backward pass makes no whole-activation
-    temporaries, writes each input gradient over the activation it
-    consumes and releases each cache entry once it has taken its
-    gradients, the last iterate's loss runs with no cache alive, and the
-    loop holds no earlier iterate's field beside a pass.  Each
-    bound is a few percent above the reading: the traced peak was 50.2 MiB
-    with the masks kept, batch norm's whole-activation temporaries and
-    fresh input gradients, and the 96^3 peak RSS 465 MB."""
+    once: a block keeps its unpadded input, and a decoder block refers to
+    the coarser output and the encoder skip it reads.  dec0 keeps no
+    activation, and no encoder level keeps its conv1 output: the backward
+    pass computes them again from inputs the cache holds anyway.  No ReLU
+    mask is kept: each is its output's > 0 (246 -> 162 B/voxel).  The
+    backward pass makes no whole-activation temporaries, writes each input
+    gradient over the activation it consumes, releases each cache entry
+    once it has taken its gradients, and frees the loss gradient after the
+    head, before dec0's normalized activations are computed again; the
+    last iterate's loss runs with no cache alive, and the loop holds no
+    earlier iterate's field beside a pass.  Each bound is a few percent
+    above the reading: the traced peak was 41.0 MiB with dec0's normalized
+    activations and the encoder conv1 outputs cached and the loss gradient
+    alive through the backward pass, and the 96^3 peak RSS 364.5 MB."""
+
+    @pytest.mark.parametrize("use_batchnorm", [True, False])
+    def test_cache_keeps_no_dec0_or_conv1_activation(self, monkeypatch, use_batchnorm):
+        # each convolution's output buffer, probed by weakref: with the
+        # cache alive, only the encoder skips (conv2's outputs) and the
+        # coarser decoder levels' activations are
+        fixed, moving = noise_pair(16)
+        params = init_convnet_parameters(ConvNetConfig(use_batchnorm=use_batchnorm), seed=0)
+        names = {id(w): k[: -len("_w")] for k, w in params.tensors.items() if k.endswith("_w")}
+        real = defreg.model._conv_forward
+        outputs = {}
+
+        def spy(groups, w, b=None, out=None):
+            x = real(groups, w, b, out)
+            outputs[names[id(w)]] = weakref.ref(x)
+            return x
+
+        monkeypatch.setattr(defreg.model, "_conv_forward", spy)
+        _, cache = convnet_forward(params, fixed, moving)
+        kept = sorted(k for k, ref in outputs.items() if ref() is not None)
+        assert kept == ["dec1_conv", "dec2_conv", "enc0_conv2", "enc1_conv2", "enc2_conv2"]
 
     def test_cache_holds_each_activation_once(self):
         fixed, moving = noise_pair(48)
@@ -904,7 +927,7 @@ class TestConvNetMemory:
         _, cache = convnet_forward(params, fixed, moving)
         per_voxel = cache_bytes(cache) / 48**3
         print(f"convnet cache: {per_voxel:.0f} B/voxel at 48^3")
-        assert per_voxel <= 252  # 245.6 measured
+        assert per_voxel <= 168  # 161.6 measured
 
     def test_registration_traced_peak(self):
         fixed, moving = noise_pair(48)
@@ -918,7 +941,7 @@ class TestConvNetMemory:
         finally:
             tracemalloc.stop()
         print(f"convnet registration: traced peak {peak / 2**20:.1f} MiB at 48^3")
-        assert peak <= 43 * 2**20  # 41.0 MiB measured
+        assert peak <= 36 * 2**20  # 34.4 MiB measured
 
     def test_decoder_backward_allocates_no_activation(self, monkeypatch):
         # each decoder block's backward takes batch norm's sums one channel
@@ -966,7 +989,7 @@ class TestConvNetMemory:
             timeout=300,
         )
         print(f"convnet registration: peak RSS {peak_kb / 1024:.0f} MB at 96^3")
-        assert peak_kb <= 380 * 1024  # 364.5 MB measured
+        assert peak_kb <= 315 * 1024  # 304 MB measured
 
 
 def closed_form_adam(params, grads, state):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import defreg.loss
+import defreg.model
 import defreg.register
 import defreg.warp
 from defreg.evaluate import landmark_errors, transform_landmarks
@@ -585,6 +586,52 @@ class TestRegisterConvNet:
         monkeypatch.setattr(defreg.register, "overall_loss", loss)
         register(fixed, moving, cfg)
         assert len(probes) == 5 and alive == [False] * (2 + 4)
+
+    def test_loss_gradient_is_freed_after_the_head(self, rng, monkeypatch):
+        # the loop hands the loss gradient's only reference to the backward
+        # pass, which frees it once the head's gradients are taken: it is
+        # alive when dec0's output is computed again for the head, and dead
+        # when dec0's normalized activations are and at each batch-norm
+        # backward, dec0's first
+        dims = (16, 16, 16)
+        fixed = zscore_normalize(random_volume(rng, dims))
+        moving = zscore_normalize(random_volume(rng, dims))
+        cfg = RegistrationConfig(
+            mode="convnet",
+            iterations_per_level=1,
+            loss=LossConfig(ncc_window=5),
+            convnet=ConvNetConfig(levels=2, base_filters=4),
+        )
+        real_loss = defreg.register.overall_loss
+        real_normalize, real_bn_backward = defreg.model._bn_normalize, defreg.model._bn_backward
+        probes, normalize, bn_backward = [], [], []
+
+        def alive():
+            return probes[-1]() is not None if probes else None
+
+        def loss(*args, **kwargs):
+            lv, g = real_loss(*args, **kwargs)
+            if g is not None:
+                probes.append(weakref.ref(g))
+            return lv, g
+
+        def spy_normalize(*args):
+            normalize.append(alive())
+            return real_normalize(*args)
+
+        def spy_bn_backward(*args):
+            bn_backward.append(alive())
+            return real_bn_backward(*args)
+
+        monkeypatch.setattr(defreg.register, "overall_loss", loss)
+        monkeypatch.setattr(defreg.model, "_bn_normalize", spy_normalize)
+        monkeypatch.setattr(defreg.model, "_bn_backward", spy_bn_backward)
+        register(fixed, moving, cfg)
+        assert len(probes) == 1
+        assert bn_backward == [False, False]  # dec0, dec1
+        # first forward (dec1, dec0), backward (dec0's output, then its
+        # normalized activations), second forward
+        assert normalize == [None, None, True, False, False, False]
 
     def test_recovers_a_synthetic_field(self):
         # the model layer's quality gate, as criterion 3 is freeform's: the

@@ -11,21 +11,22 @@ REPO = Path(__file__).resolve().parents[1]
 TINY = ["--dims", "16", "--levels", "1", "--iters", "2", "--max-disp", "2"]
 
 SCRIPTS = [
-    ("synth_benchmark.py", [], "seed  init_mae  final_mae", 5),  # seeds 1-5
-    ("synth_benchmark.py", ["--mode", "convnet"], "seed  init_mae  final_mae", 5),
-    ("lambda_sweep.py", [], "lambda   final_mae", 6),  # six default weights
+    ("synth_benchmark.py", TINY, "seed  init_mae  final_mae", 5),  # seeds 1-5
+    ("synth_benchmark.py", TINY + ["--mode", "convnet"], "seed  init_mae  final_mae", 5),
+    ("lambda_sweep.py", TINY, "lambda   final_mae", 6),  # six default weights
+    ("convnet_phase_peaks.py", ["--dims", "16"], "phase  ", 6),  # six phases
 ]
 
 
 @pytest.mark.parametrize(
-    "script,extra,header,rows", SCRIPTS, ids=["synth_benchmark", "synth_benchmark-convnet",
-                                              "lambda_sweep"]
+    "script,args,header,rows", SCRIPTS, ids=["synth_benchmark", "synth_benchmark-convnet",
+                                             "lambda_sweep", "convnet_phase_peaks"]
 )
-def test_script_prints_its_table(script, extra, header, rows):
+def test_script_prints_its_table(script, args, header, rows):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / script), *TINY, *extra],
+        [sys.executable, str(REPO / "scripts" / script), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
