@@ -141,6 +141,14 @@ _CHECKPOINT_VERSION = 3
 # MiB at 48^3 up to 1 << 12 (75.4 at 1 << 13), and 12.5 / 12.7 / 13.6 /
 # 15.3 MiB at 24^3.  1 << 11 is within 3% of the fastest at each size.
 _SLAB_VOXELS = 1 << 11
+# Bytes of a forward slab's input window and its two (C_out, voxels) arrays,
+# the tap product and the sum, at most: a slab of wide layers is cut to fewer
+# x-planes than _SLAB_VOXELS allows, so that they stay in a 1 MiB L2 cache.
+# At 48^3, on one core of a 2-CPU x86-64 host: dec1's 48 -> 16 forward at
+# 24^3 takes 7.4 ms per call at 1 plane against 10.5 at _SLAB_VOXELS's 3,
+# and the input gradient of its 16 output channels 9.0 against 13.3 ms;
+# every other layer's slab is within 10% of its fastest either way.
+_SLAB_BYTES = 5 << 18
 
 
 @dataclass(frozen=True)
@@ -224,12 +232,14 @@ def _nearest_pieces(lo, hi, up):
     return pieces
 
 
-def _slab_planes(dims):
-    """Output x-planes per slab: the largest divisor of nx whose slab holds
-    at most _SLAB_VOXELS output voxels, or 1."""
+def _slab_planes(dims, fits=lambda d: True):
+    """Output x-planes per slab: the largest divisor d of nx whose slab holds
+    at most _SLAB_VOXELS output voxels and ``fits(d)``, or 1."""
     nx, ny, nz = dims
-    return max((d for d in range(1, nx + 1) if nx % d == 0 and d * ny * nz <= _SLAB_VOXELS),
-               default=1)
+    return max(
+        (d for d in range(1, nx + 1) if nx % d == 0 and d * ny * nz <= _SLAB_VOXELS and fits(d)),
+        default=1,
+    )
 
 
 def _taps(groups, k, dims, step):
@@ -287,11 +297,18 @@ def _conv_slabs(groups, w, b=None):
     """Yields (x0, slab) for each slab of the same-padded convolution of
     the channel groups ``groups`` (see ``_taps``) with the k x k x k kernel
     ``w``, plus the bias ``b`` if given: ``slab`` is the (C_out, step, ny,
-    nz) output of planes x0 .. x0 + step - 1, a view of one reused buffer."""
-    cout, k = w.shape[0], w.shape[-1]
+    nz) output of planes x0 .. x0 + step - 1, a view of one reused buffer.
+    The slab's input window and its two grids take at most _SLAB_BYTES
+    where a plane fits: the output's bits do not depend on the slab, since
+    each column is its own dot products over C_in (the weight gradient's
+    slab, whose sums run over the slabs, is _slab_planes alone)."""
+    cout, cin, k = w.shape[0], w.shape[1], w.shape[-1]
     dims = _out_dims(groups)
     _, ny, nz = dims
-    step = _slab_planes(dims)
+    plane = (ny + k - 1) * (nz + k - 1)
+    step = _slab_planes(
+        dims, lambda d: 8 * plane * (cin * (d + k - 1) + 2 * cout * d) <= _SLAB_BYTES
+    )
     # each tap's (C_out, C_in) weights contiguous, so matmul hands them to BLAS
     w_taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))
     grid = np.empty((cout, step, ny + k - 1, nz + k - 1))  # the slab's padded output grid
@@ -475,7 +492,7 @@ def _bn_backward(cache, dout):
 # ---------------------------------------------------------------------------
 
 
-def _block_forward(groups, t, conv, bn=None, keep=True):
+def _block_forward(groups, t, conv, bn=None, keep=True, out=None):
     """Convolution ``conv`` of the channel groups ``groups``, batch norm
     ``bn`` if named, then ReLU; the convolution has a bias only without
     batch norm.  The cache is (groups, weights, bias, batch-norm cache)
@@ -483,10 +500,10 @@ def _block_forward(groups, t, conv, bn=None, keep=True):
     kept: it is the output's ``> 0``.  Without ``keep`` the batch-norm
     cache keeps no normalized activations, only their statistics: the
     affine and ReLU go in place over the convolution's buffer, which
-    becomes the output."""
+    becomes the output.  The convolution is written into ``out`` if given."""
     w = t[conv + "_w"]
     b = None if bn else t[conv + "_b"]
-    x = _conv_forward(groups, w, b)
+    x = _conv_forward(groups, w, b, out)
     bn_cache = None
     if bn is not None:
         x, bn_cache = _bn_forward(x, t[bn + "_gamma"], t[bn + "_beta"], keep)
@@ -561,13 +578,21 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     groups = [(fixed.data[None], 1), (moving.data[None], 1)]  # the pair, stacked by no copy
     enc, skips = [], []
     for l in range(cfg.levels):
+        # conv2's output, a skip the cache keeps, is allocated before
+        # conv1's, which is freed once conv2 has read it: so the heap's hole
+        # is above the kept array, where the next allocations reuse it
+        skip = np.empty(t[f"enc{l}_conv2_w"].shape[:1] + _out_dims(groups))
         x, block1 = _block_forward(groups, t, f"enc{l}_conv1")
-        x, block2 = _block_forward([(x, 1)], t, f"enc{l}_conv2")
+        x, block2 = _block_forward([(x, 1)], t, f"enc{l}_conv2", out=skip)
         skips.append(x)
+        del skip
         x, pool = _maxpool_forward(x)
         # conv1's output, conv2's input, is computed again in the backward pass
         enc.append((block1, (None,) + block2[1:], pool))
         groups = [(x, 1)]
+    # the field is allocated before the decoder, for the same reason:
+    # dec0's output, the head's input, is freed when the pass returns
+    field_data = np.empty(fixed.dims + (3,))
     dec = []  # finest level first, the order the backward pass meets them
     for l in reversed(range(cfg.levels)):
         # the coarser features, up-sampled, stacked over the skip features;
@@ -576,7 +601,6 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
         x, block = _block_forward([(x, 2), (skips.pop(), 1)], t, f"dec{l}_conv", bn, keep=l > 0)
         dec.insert(0, block)
     # the head writes its channels straight into the field's layout
-    field_data = np.empty(fixed.dims + (3,))
     _conv_forward([(x, 1)], t["head_w"], t["head_b"], out=np.moveaxis(field_data, -1, 0))
     pred = None
     if np.isfinite(field_data).all():

@@ -441,6 +441,33 @@ class TestLayerPrimitives:
         assert np.array_equal(db, want_db)
         assert np.abs(dw - want_dw).max() <= 1e-13 * np.abs(want_dw).max()
 
+    def test_wide_forward_slab_is_cut_to_the_byte_bound_bitwise(self, rng, monkeypatch):
+        # dec1's shape at 24^3: 32 up-sampled channels over a 16-channel
+        # skip, 16 out.  Its window and grids at _SLAB_VOXELS's 3 planes
+        # exceed _SLAB_BYTES, so the forward takes 1-plane slabs, and so does
+        # the input gradient (48 channels out); the weight gradient keeps 3.
+        # The forward and the input gradient are equal to the bit either way
+        coarse, skip = rng.standard_normal((32, 12, 12, 12)), rng.standard_normal((16, 24, 24, 24))
+        groups = [(coarse, 2), (skip, 1)]
+        w = rng.standard_normal((16, 48, 3, 3, 3))
+        dout = rng.standard_normal((16, 24, 24, 24))
+        real_taps, steps = defreg.model._taps, []
+
+        def taps(groups, k, dims, step):
+            steps.append(step)
+            return real_taps(groups, k, dims, step)
+
+        monkeypatch.setattr(defreg.model, "_taps", taps)
+        got = []
+        for budget in (defreg.model._SLAB_BYTES, 1 << 30):
+            monkeypatch.setattr(defreg.model, "_SLAB_BYTES", budget)
+            out = _conv_forward(groups, w)
+            dxs, dw, _ = _conv_backward(groups, w, dout)
+            got.append((out, *dxs, dw))
+        assert steps == [1, 3, 1, 3, 3, 3]  # forward, weight gradient, input gradient
+        for a, b in zip(*got, strict=True):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("n", [32, 64])
     def test_scratch_is_slab_sized(self, rng, n):
         # a 24 -> 8 channel 3x3x3 convolution, as dec0's; what the call

@@ -553,10 +553,11 @@ class TestRegisterConvNet:
             before = tracemalloc.get_traced_memory()[0]
             field, cache = convnet_forward(params, fixed, moving)
             cache_bytes = tracemalloc.get_traced_memory()[0] - before
-            _, grad = overall_loss(fixed, moving, field, cfg.loss)
-            convnet_backward(cache, grad)
+            # the gradient handed over as the loop hands it, freed after the head
+            _, cache["grad"] = overall_loss(fixed, moving, field, cfg.loss)
+            convnet_backward(cache)
             one_pass = tracemalloc.get_traced_memory()[1] - before
-            del field, cache, grad
+            del field, cache
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             register(fixed, moving, cfg)
