@@ -436,10 +436,10 @@ def _relu(x):
 
 
 def _bn_normalize(x, mu=None, inv=None):
-    """Normalizes ``x`` in place by each channel's mean ``mu`` and inv = 1
-    / sqrt(var + eps), its own if not given, and returns (x, mu, inv).  The
-    variance is reduced one channel at a time, as ``np.var`` does it, in a
-    one-channel scratch."""
+    """Normalizes ``x``, an array or a list of one array per channel, in
+    place by each channel's mean ``mu`` and inv = 1 / sqrt(var + eps), its
+    own if not given, and returns (x, mu, inv).  The variance is reduced one
+    channel at a time, as ``np.var`` does it, in a one-channel scratch."""
     if mu is None:
         mu = x.mean(axis=(1, 2, 3))
         var = np.empty_like(mu)
@@ -450,8 +450,9 @@ def _bn_normalize(x, mu=None, inv=None):
             var[c] = tmp.sum() / tmp.size
         del tmp
         inv = 1.0 / np.sqrt(var + _BN_EPS)
-    x -= mu[:, None, None, None]
-    x *= inv[:, None, None, None]
+    for c in range(len(x)):
+        x[c] -= mu[c]
+        x[c] *= inv[c]
     return x, mu, inv
 
 
@@ -470,9 +471,10 @@ def _bn_forward(x, gamma, beta, keep=True):
 def _bn_backward(cache, dout):
     """(input, gamma, beta) gradients; the input gradient is written over
     ``dout``.  Each channel's dout * xhat is taken in one one-channel
-    scratch."""
+    scratch.  xhat is read a channel at a time: an array, or a list of one
+    array per channel."""
     xhat, _, inv, gamma, _ = cache
-    tmp = np.empty(xhat.shape[1:])
+    tmp = np.empty(xhat[0].shape)
     dgamma = np.empty_like(inv)
     for c in range(len(xhat)):
         dgamma[c] = np.multiply(dout[c], xhat[c], out=tmp).sum()
@@ -526,11 +528,17 @@ def _block_output(block):
 def _with_xhat(block):
     """``block`` with its normalized activations: its own, or, for a
     block that kept none, computed again by its convolution and
-    normalization with its kept statistics."""
+    normalization with its kept statistics, into one array per channel.
+    A channel fits the holes that freed activations leave in the heap,
+    where a whole activation would extend it."""
     groups, w, b, bn_cache = block
     if bn_cache is None or bn_cache[0] is not None:
         return block
-    xhat, _, _ = _bn_normalize(_conv_forward(groups, w), *bn_cache[1:3])
+    xhat = [np.empty(_out_dims(groups)) for _ in range(len(w))]
+    for x0, slab in _conv_slabs(groups, w):
+        for a, rows in zip(xhat, slab):
+            a[x0 : x0 + slab.shape[1]] = rows
+    _bn_normalize(xhat, *bn_cache[1:3])
     return groups, w, b, (xhat,) + bn_cache[1:]
 
 

@@ -16,6 +16,7 @@ from defreg.model import (
     _bn_affine,
     _bn_backward,
     _bn_forward,
+    _block_forward,
     _conv_backward,
     _conv_forward,
     _layer_plan,
@@ -23,6 +24,7 @@ from defreg.model import (
     _maxpool_forward,
     _nearest_pieces,
     _relu,
+    _with_xhat,
     adam_step,
     convnet_backward,
     convnet_forward,
@@ -595,6 +597,27 @@ class TestLayerPrimitives:
         # per-channel variance and dout * xhat sums still equal the
         # whole-array reductions
         check_bn_against_reference(rng, (2, 48, 48, 48))
+
+    def test_normalized_activations_again_per_channel_bitwise(self, rng):
+        # a block that keeps no normalized activations has them computed
+        # again into one array per channel, by its convolution and its kept
+        # statistics: each equals the forward's to the bit, and the
+        # batch-norm backward reads the list as it reads the array
+        coarse, skip = rng.standard_normal((4, 3, 4, 3)), rng.standard_normal((2, 6, 8, 6))
+        groups = [(coarse, 2), (skip, 1)]
+        t = {"c_w": rng.standard_normal((3, 6, 3, 3, 3)),
+             "n_gamma": rng.standard_normal(3), "n_beta": rng.standard_normal(3)}
+        _, (_, _, _, kept) = _block_forward(groups, t, "c", "n")
+        _, lean = _block_forward(groups, t, "c", "n", keep=False)
+        assert lean[3][0] is None
+        again = _with_xhat(lean)[3]
+        assert isinstance(again[0], list)
+        for a, b in zip(again[0], kept[0], strict=True):
+            assert a.tobytes() == b.tobytes()
+        dout = rng.standard_normal(kept[0].shape)
+        want = _bn_backward(kept, dout.copy())
+        for g, w in zip(_bn_backward(again, dout.copy()), want, strict=True):
+            assert np.array_equal(g, w)
 
     def test_derived_relu_mask_equals_forward_mask_bitwise(self, rng):
         # the backward pass takes a block's ReLU mask as output > 0; the
