@@ -51,32 +51,38 @@ computed twice: its output for the head's backward, and then, once the
 head's input gradient is masked and the loss gradient released, its
 convolution and normalization for its batch norm's backward, so the loss
 gradient, the head's input and dec0's normalized activations are never
-alive together.  The pass stops at enc0_conv1's weights: no gradient of the
-image pair is taken.
+alive together.  Those normalized activations are computed into one array
+per channel: the pass's peak is there, and a channel fits the heap's holes
+that freed activations leave, where a whole activation would extend the
+heap.  The pass stops at enc0_conv1's weights: no gradient of the image
+pair is taken.
 
 One primitive computes every convolution, 3x3x3 and 1x1x1 alike, on BLAS.
 Its input is a list of unpadded channel groups, each at the output's
 resolution or at half of it, which nearest-neighbour 2x up-sampling
-doubles.  Per slab of a few output x-planes, the zero-padded, up-sampled,
-stacked input planes that the slab reads are copied into a reused window,
-flat per channel and followed by a short zero tail.  The slab's output is
-taken on the padded grid, so each kernel tap reads the window at one flat
-offset: that (C_in, voxels) view goes to BLAS in place, with no per-tap
-copy, and is multiplied by the tap's (C_out, C_in) weights.  The columns of
-the padded grid outside the volume, 2h of each y-row and z-plane (8.5% at
-48^3), are computed and dropped.  The window, the slab's output and one tap
-product are the primitive's scratch: a few y-z planes, not a volume, and no
-padded, concatenated or up-sampled copy of a whole input is made.  The
-weight gradient multiplies the output gradient, put on the same padded
-grid, by the same views; the input gradient is the transposed convolution:
-the forward primitive applied to the unpadded output gradient with the
-kernel flipped on all three axes and C_in, C_out swapped, so no padded
-input-gradient array is scattered into.  Its slabs go into one array per
-input group, at the group's own resolution (in the network's backward
-pass, the group's own array, which the cache no longer needs): an
-up-sampled group's rows are summed onto the coarse grid two fine x-planes
-at a time, so a decoder block makes neither its stacked fine-grid input
-gradient nor a copy of the skip's part of it.
+doubles.  Per slab of a few output x-planes (at most _SLAB_VOXELS output
+voxels, and, for a forward or an input gradient, whose bits do not depend
+on the slab, at most _SLAB_BYTES of window and grids, which only wide
+layers reach: dec1's at 24^3 takes 1 plane, not 3), the zero-padded,
+up-sampled, stacked input planes that the slab reads are copied into a
+reused window, flat per channel and followed by a short zero tail.  The
+slab's output is taken on the padded grid, so each kernel tap reads the
+window at one flat offset: that (C_in, voxels) view goes to BLAS in place,
+with no per-tap copy, and is multiplied by the tap's (C_out, C_in) weights.
+The columns of the padded grid outside the volume, 2h of each y-row and
+z-plane (8.5% at 48^3), are computed and dropped.  The window, the slab's
+output and one tap product are the primitive's scratch: a few y-z planes,
+not a volume, and no padded, concatenated or up-sampled copy of a whole
+input is made.  The weight gradient multiplies the output gradient, put on
+the same padded grid, by the same views; the input gradient is the
+transposed convolution: the forward primitive applied to the unpadded
+output gradient with the kernel flipped on all three axes and C_in, C_out
+swapped, so no padded input-gradient array is scattered into.  Its slabs go
+into one array per input group, at the group's own resolution (in the
+network's backward pass, the group's own array, which the cache no longer
+needs): an up-sampled group's rows are summed onto the coarse grid two fine
+x-planes at a time, so a decoder block makes neither its stacked fine-grid
+input gradient nor a copy of the skip's part of it.
 
 The other passes work in place where their arithmetic allows: batch norm
 normalizes in the convolution output's buffer (the cached xhat), and its
@@ -89,12 +95,18 @@ into the field's (nx, ny, nz, 3) array, which the field shares uncopied.
 With the default network at 48^3 a registration's traced peak is 34.4
 MiB, set in the backward pass where dec0's normalized activations are
 computed again beside its input gradient and the rest of the cache.  By
-phase (``scripts/convnet_phase_peaks.py``): the first forward 29.2 MiB, the
-loss 32.1, the backward 34.4, Adam 7.1, the second forward 30.2 and the
-value-only loss, with no cache, 15.3; at 96^3 211.4, 232.7, 246.0, 18.9,
-212.4 and 66.2.  The registration loop holds no earlier iterate's field
+phase (``scripts/convnet_phase_peaks.py``): the first forward 30.6 MiB, the
+loss 32.1, the backward 34.4, Adam 7.1, the second forward 31.6 and the
+value-only loss, with no cache, 15.3; at 96^3 215.7, 232.7, 246.0, 18.9,
+216.7 and 66.2.  The registration loop holds no earlier iterate's field
 beside them, and hands the loss gradient's only reference to the backward
-pass.
+pass.  The forward allocates an array the cache keeps before a transient
+one that is freed beside it (each encoder level's conv2 output before its
+conv1 output, the field before the decoder, whose dec0 output the pass
+frees), so the transient's hole is at the heap's top, not below a kept
+array.  With the per-channel recompute above, the benchmark's process of
+48^3 registrations peaks at 80 MB resident, against 88 MB with whole
+activations in the earlier order.
 
 Batch normalization always normalizes with the statistics of the current
 pass.  With one image pair per pass that is instance normalization, so there
@@ -143,11 +155,13 @@ _CHECKPOINT_VERSION = 3
 _SLAB_VOXELS = 1 << 11
 # Bytes of a forward slab's input window and its two (C_out, voxels) arrays,
 # the tap product and the sum, at most: a slab of wide layers is cut to fewer
-# x-planes than _SLAB_VOXELS allows, so that they stay in a 1 MiB L2 cache.
-# At 48^3, on one core of a 2-CPU x86-64 host: dec1's 48 -> 16 forward at
-# 24^3 takes 7.4 ms per call at 1 plane against 10.5 at _SLAB_VOXELS's 3,
-# and the input gradient of its 16 output channels 9.0 against 13.3 ms;
-# every other layer's slab is within 10% of its fastest either way.
+# x-planes than _SLAB_VOXELS allows, so that they stay near a 1 MiB L2 cache.
+# Per call on one core of a 2-CPU x86-64 host, default network at 48^3:
+# dec1's 48 -> 16 forward at 24^3 takes 7.4 ms at 1 plane against 10.5 at
+# _SLAB_VOXELS's 3, and its input gradient 9.0 against 13.3 ms; at 12^3,
+# where the bound cuts dec2's forward from 12 planes to 4 and enc2_conv2's
+# to 6, they read 3.1 against 2.6 and 1.4 against 1.2 ms.  A registration's
+# two forward passes take 146 ms against 159.
 _SLAB_BYTES = 5 << 18
 
 
@@ -593,7 +607,6 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
         x, block1 = _block_forward(groups, t, f"enc{l}_conv1")
         x, block2 = _block_forward([(x, 1)], t, f"enc{l}_conv2", out=skip)
         skips.append(x)
-        del skip
         x, pool = _maxpool_forward(x)
         # conv1's output, conv2's input, is computed again in the backward pass
         enc.append((block1, (None,) + block2[1:], pool))

@@ -943,8 +943,8 @@ class TestConvNetMemory:
     backward pass makes no whole-activation temporaries, writes each input
     gradient over the activation it consumes, releases each cache entry
     once it has taken its gradients, and frees the loss gradient after the
-    head, before dec0's normalized activations are computed again; the
-    last iterate's loss runs with no cache alive, and the loop holds no
+    head, before dec0's normalized activations are computed again, one
+    array per channel; the last iterate's loss runs with no cache alive, and the loop holds no
     earlier iterate's field beside a pass.  Each bound is a few percent
     above the reading: the traced peak was 41.0 MiB with dec0's normalized
     activations and the encoder conv1 outputs cached and the loss gradient
