@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Synthetic-recovery benchmark: register seeded ground-truth cases and
-report landmark-error reduction, interior field error, folding, and wall
-time per case, plus a cohort summary of the per-case median errors.
+report landmark-error reduction, interior field error, smoothness, folding,
+and wall time per case and smoothness weight, plus a cohort summary of the
+per-case median errors for each weight.
 
-Example:
+Examples:
     python scripts/synth_benchmark.py --seeds 1 2 3 4 5 --dims 48
+    python scripts/synth_benchmark.py --seeds 3 --lambda 0 0.01 0.05 0.2 1 5
 """
 
 import argparse
@@ -31,7 +33,8 @@ def parse_args():
     ap.add_argument("--levels", type=int, default=3)
     ap.add_argument("--iters", type=int, default=200)
     ap.add_argument("--learning-rate", type=float, default=None)
-    ap.add_argument("--lambda", dest="reg_weight", type=float, default=0.05)
+    ap.add_argument("--lambda", dest="reg_weights", type=float, nargs="+", default=[0.05],
+                    help="smoothness weights: one row per seed and weight")
     return ap.parse_args()
 
 
@@ -40,19 +43,12 @@ def main():
     lr = args.learning_rate
     if lr is None:
         lr = 0.2 if args.mode == "freeform" else 1e-4
-    reg_cfg = RegistrationConfig(
-        mode=args.mode,
-        pyramid_levels=args.levels,
-        iterations_per_level=args.iters,
-        learning_rate=lr,
-        loss=LossConfig(reg_weight=args.reg_weight),
-    )
     margin = int(np.ceil(args.max_disp)) + 1
 
     print(f"# mode={args.mode} dims={args.dims}^3 max_disp={args.max_disp}mm "
-          f"lambda={args.reg_weight} lr={lr} iters={args.iters}x{args.levels}")
-    print("seed  init_mae  final_mae  reduction  oracle_mm  folding  wall_s")
-    medians = []
+          f"lr={lr} iters={args.iters}x{args.levels}")
+    print("seed  lambda  init_mae  final_mae  reduction  oracle_mm  smooth  folding  wall_s")
+    medians = {weight: [] for weight in args.reg_weights}
     for seed in args.seeds:
         case = generate_case(SynthConfig(
             dims=(args.dims,) * 3,
@@ -62,24 +58,34 @@ def main():
             max_displacement=args.max_disp,
             noise_sigma=args.noise_sigma,
         ))
-        t0 = time.monotonic()
-        report = register(case.fixed, case.moving, reg_cfg)
-        wall = time.monotonic() - t0
-
         before = landmark_errors(case.fixed_lms, case.moving_lms)
-        after = landmark_errors(
-            transform_landmarks(case.fixed_lms, report.field), case.moving_lms
-        )
-        reduction = 1.0 - float(np.mean(after)) / float(np.mean(before))
-        ferr = oracle_error(report.field, case.true_field, margin=margin)
-        fold = folding_fraction(jacobian_determinant(report.field))
-        medians.append(float(np.median(after)))
-        print(f"{seed:4d}  {np.median(before):8.3f}  {np.median(after):9.3f}  "
-              f"{reduction:9.1%}  {ferr:9.3f}  {fold:7.4f}  {wall:6.1f}")
+        for weight in args.reg_weights:
+            reg_cfg = RegistrationConfig(
+                mode=args.mode,
+                pyramid_levels=args.levels,
+                iterations_per_level=args.iters,
+                learning_rate=lr,
+                loss=LossConfig(reg_weight=weight),
+            )
+            t0 = time.monotonic()
+            report = register(case.fixed, case.moving, reg_cfg)
+            wall = time.monotonic() - t0
 
-    s = cohort_summary(medians)
-    print(f"# cohort median-error: mean={s.mean:.3f} stddev={s.stddev:.3f} "
-          f"median={s.median:.3f} q25={s.q25:.3f} q75={s.q75:.3f}")
+            after = landmark_errors(
+                transform_landmarks(case.fixed_lms, report.field), case.moving_lms
+            )
+            reduction = 1.0 - float(np.mean(after)) / float(np.mean(before))
+            ferr = oracle_error(report.field, case.true_field, margin=margin)
+            fold = folding_fraction(jacobian_determinant(report.field))
+            medians[weight].append(float(np.median(after)))
+            print(f"{seed:4d}  {weight:6.3f}  {np.median(before):8.3f}  {np.median(after):9.3f}  "
+                  f"{reduction:9.1%}  {ferr:9.3f}  {report.final.smoothness:6.4f}  "
+                  f"{fold:7.4f}  {wall:6.1f}")
+
+    for weight, errors in medians.items():
+        s = cohort_summary(errors)
+        print(f"# cohort median-error at lambda={weight}: mean={s.mean:.3f} "
+              f"stddev={s.stddev:.3f} median={s.median:.3f} q25={s.q25:.3f} q75={s.q75:.3f}")
 
 
 if __name__ == "__main__":

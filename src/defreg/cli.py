@@ -163,7 +163,8 @@ _REGISTER = (
     _Setting("--iters-schedule", "iterations_schedule", _ints,
              "comma-separated per-level iterations, coarsest first (overrides --iters)"),
     _Setting("--lambda", "loss.reg_weight", _float, "smoothness weight (default: 1.0)"),
-    _Setting("--ncc-window", "loss.ncc_window", _int, "NCC window side in voxels (default: 9)"),
+    _Setting("--ncc-window", "loss.ncc_window", _int,
+             "NCC window side in voxels, odd, >= 3 (default: 9)"),
     _Setting("--variance-floor", "loss.variance_floor", _float,
              "NCC denominator floor (default: 1e-5)"),
     _Setting("--learning-rate", "learning_rate", _float,

@@ -54,7 +54,8 @@ __all__ = [
 class LossConfig:
     """Knobs of the objective.
 
-    ncc_window: cubic window side in voxels (odd)
+    ncc_window: cubic window side in voxels (odd, >= 3: a one-voxel
+        window's correlation and its gradient are 0)
     reg_weight: weight of the smoothness term in the total loss
     variance_floor: lower bound on each window's std-dev product
     """
@@ -64,8 +65,8 @@ class LossConfig:
     variance_floor: float = 1e-5
 
     def __post_init__(self):
-        if self.ncc_window < 1 or self.ncc_window % 2 == 0:
-            raise ValueError(f"ncc_window must be odd and >= 1, got {self.ncc_window}")
+        if self.ncc_window < 3 or self.ncc_window % 2 == 0:
+            raise ValueError(f"ncc_window must be odd and >= 3, got {self.ncc_window}")
         # written so that NaN fails too: every comparison with NaN is False
         if not 0 <= self.reg_weight < np.inf:
             raise ValueError(f"reg_weight must be finite and >= 0, got {self.reg_weight}")
@@ -131,9 +132,6 @@ def _box_sum(a: np.ndarray, w: int, out=None, csum=None) -> np.ndarray:
     windowed sums; each is a fresh array if it is not given.
     """
     out = np.empty_like(a) if out is None else out
-    if w == 1:
-        np.copyto(out, a)
-        return out
     csum = np.empty_like(a) if csum is None else csum
     r = w // 2
     for axis in range(3):
@@ -159,9 +157,8 @@ def _window_stats(window_sums, counts, eps: float, cc, tmp, bufs, with_grad: boo
     """Per-window correlation and, with the gradient, its pointwise terms.
 
     ``window_sums(q, out)`` returns the window sums of the q-th of F, G,
-    F*G, F*F and G*G (into ``out``, or a view of F or G for a window of one
-    voxel), and ``counts(out)`` writes the windows' voxel counts.  The
-    correlation goes into ``cc``.  ``bufs`` holds six arrays of its shape:
+    F*G, F*F and G*G in ``out``, and ``counts(out)`` writes the windows'
+    voxel counts.  The correlation goes into ``cc``.  ``bufs`` holds six arrays of its shape:
     the sums of F and of G, then the arrays that get a = 1/d, muF*a,
     e = where(floored, 0, cc/varG) and muG*e, the gradient's terms.
     ``tmp``, of the same shape, holds the counts and then each product that
@@ -211,7 +208,7 @@ def _ncc_layout(dims, w: int, with_grad: bool):
     nx, ny, nz = dims
     step = min(_slab_planes(dims), nx)
     reach = min(2 * (w // 2) + 1, nx)  # planes of x cumulative sums carried to the next slab
-    carried = w > 1 and step < nx
+    carried = step < nx
     return step, reach, [
         tuple(dims),
         (min(step + reach, nx), ny, nz),
@@ -260,8 +257,6 @@ def _ncc_terms(F: np.ndarray, G: np.ndarray, w: int, eps: float, with_grad: bool
     def window_sums(q, out):
         """The window sums of the q-th quantity at the slab's planes x0 to x1."""
         f, g = factors[q]
-        if w == 1:  # a window of one voxel: its sums are the values
-            return f[x0:x1] if g is None else np.multiply(f[x0:x1], g[x0:x1], out=out)
         h = min(reach, top)  # carried planes top-h to top-1
         end = min(x1 + r, nx)  # the slab's windows reach plane end-1
         csum = work[: h + end - top]

@@ -21,41 +21,39 @@ interpreted as mm displacements.  The head starts at exactly zero, so an
 untrained network predicts the identity transform.
 
 Convolution, optional batch norm and ReLU form one block.  The forward
-cache holds each activation once, as the array the pass computed.  A block
-refers to its input channel groups and keeps its weights, its bias and,
-with batch norm, the normalized activations.  No ReLU mask is kept: a
+cache holds each activation once, as the array the pass computed, and
+keeps no activation that the backward pass can compute again, to the bit,
+by the forward's own operations from inputs the cache holds anyway
+(recomputation in place of caching: Chen et al., arXiv 1604.06174).  A
+block refers to its input channel groups and keeps its weights, its bias
+and, with batch norm, each channel's mean and scale.  Batch norm and ReLU
+go in place over the convolution's buffer, which becomes the block's
+output, so a block keeps no normalized activations and no ReLU mask: a
 block's output is x * (x > 0), so the output's > 0 is its mask to the bit,
 and the backward pass takes each mask just before that output is
 overwritten (a skip's in its decoder block's backward, held as a bool until
 its encoder block's).  enc0_conv1 reads the image pair as two
 single-channel groups, views of the inputs, with no stacked copy.  A
 decoder block's groups are the coarser output and the encoder skip
-themselves, joined by no copy.  A pool keeps its argmax as int8.  Some
-activations are not kept but computed again in the backward pass, from
-inputs the cache holds anyway, by the forward's own operations, so to the
-bit (recomputation in place of caching: Chen et al., arXiv 1604.06174):
-each encoder level's conv1 output, by its convolution and ReLU, just before
-its conv2's backward, and dec0's output, the head's input, and its
-normalized activations.  dec0 keeps no activation, with or without batch
-norm: its affine and ReLU go in place over its convolution's buffer, and
-its batch norm keeps only each channel's mean and scale, which normalize
-the convolution, computed again, to the bit.  For the default network that
-is 136 bytes of activations per voxel, 162 with the image pair, which the
-caller holds anyway, and the weights.  The backward pass walks the same
-structure in reverse and consumes it: each input gradient is written over
-the activation it is taken for, once the weight gradient has read it, and
-each other entry is released once its gradients are taken (a decoder
-block's normalized activations before its convolution's backward), so a
-cache serves one backward pass and a second one is refused.  dec0 is
-computed twice: its output for the head's backward, and then, once the
-head's input gradient is masked and the loss gradient released, its
-convolution and normalization for its batch norm's backward, so the loss
-gradient, the head's input and dec0's normalized activations are never
-alive together.  Those normalized activations are computed into one array
-per channel: the pass's peak is there, and a channel fits the heap's holes
-that freed activations leave, where a whole activation would extend the
-heap.  The pass stops at enc0_conv1's weights: no gradient of the image
-pair is taken.
+themselves, joined by no copy.  A pool keeps its argmax as int8.  Computed
+again in the backward pass: each encoder level's conv1 output, by its
+convolution and ReLU, just before its conv2's backward; dec0's output, the
+head's input, which nothing else holds; and each decoder block's
+normalized activations, by its convolution and its kept statistics, just
+before its batch norm's backward, one array per channel, since a channel
+fits the heap's holes that freed activations leave, where a whole
+activation would extend the heap.  For the default network that is 116
+bytes of activations per voxel, 142 with the image pair, which the caller
+holds anyway, and the weights.  The backward pass walks the same structure
+in reverse and consumes it: each input gradient is written over the
+activation it is taken for, once the weight gradient has read it, and each
+other entry is released once its gradients are taken (a decoder block's
+normalized activations before its convolution's backward), so a cache
+serves one backward pass and a second one is refused.  The loss gradient
+is released once the head's gradients are taken and dec0's output
+gradient is masked, before any normalized activations are computed again.
+The pass stops at enc0_conv1's weights: no gradient of the image pair is
+taken.
 
 One primitive computes every convolution, 3x3x3 and 1x1x1 alike, on BLAS.
 Its input is a list of unpadded channel groups, each at the output's
@@ -84,29 +82,19 @@ needs): an up-sampled group's rows are summed onto the coarse grid two fine
 x-planes at a time, so a decoder block makes neither its stacked fine-grid
 input gradient nor a copy of the skip's part of it.
 
-The other passes work in place where their arithmetic allows: batch norm
-normalizes in the convolution output's buffer (the cached xhat), and its
+The other passes work in place where their arithmetic allows: batch norm's
 backward writes the input gradient over the output gradient; the variance
 and each channel's dout * xhat are reduced one channel at a time in a
 one-channel scratch, equal to the bit to the whole-array reductions.  ReLU
 masks in place, max pooling adds its gradient straight into the skip
 gradient at each window's argmax cell, and the head writes its channels
 into the field's (nx, ny, nz, 3) array, which the field shares uncopied.
-With the default network at 48^3 a registration's traced peak is 34.4
-MiB, set in the backward pass where dec0's normalized activations are
-computed again beside its input gradient and the rest of the cache.  By
-phase (``scripts/convnet_phase_peaks.py``): the first forward 30.6 MiB, the
-loss 32.1, the backward 34.4, Adam 7.1, the second forward 31.6 and the
-value-only loss, with no cache, 15.3; at 96^3 215.7, 232.7, 246.0, 18.9,
-216.7 and 66.2.  The registration loop holds no earlier iterate's field
-beside them, and hands the loss gradient's only reference to the backward
-pass.  The forward allocates an array the cache keeps before a transient
-one that is freed beside it (each encoder level's conv2 output before its
-conv1 output, the field before the decoder, whose dec0 output the pass
-frees), so the transient's hole is at the heap's top, not below a kept
-array.  With the per-channel recompute above, the benchmark's process of
-48^3 registrations peaks at 80 MB resident, against 88 MB with whole
-activations in the earlier order.
+The forward allocates an array the cache keeps before a transient one that
+is freed beside it (each encoder level's conv2 output before its conv1
+output, the field before the decoder, whose dec0 output the pass frees),
+so the transient's hole is at the heap's top, not below a kept array.
+``scripts/convnet_phase_peaks.py`` prints a registration's traced peak by
+phase.
 
 Batch normalization always normalizes with the statistics of the current
 pass.  With one image pair per pass that is instance normalization, so there
@@ -435,10 +423,11 @@ def _maxpool_backward(arg, dout, dx):
     return dx
 
 
-def _bn_affine(xhat, gamma, beta, out=None):
-    out = np.multiply(gamma[:, None, None, None], xhat, out=out)
-    out += beta[:, None, None, None]
-    return out
+def _bn_affine(x, gamma, beta):
+    """Batch norm's affine, in place over ``x``, the normalized activations."""
+    np.multiply(gamma[:, None, None, None], x, out=x)
+    x += beta[:, None, None, None]
+    return x
 
 
 def _relu(x):
@@ -470,24 +459,13 @@ def _bn_normalize(x, mu=None, inv=None):
     return x, mu, inv
 
 
-def _bn_forward(x, gamma, beta, keep=True):
-    """Batch norm of ``x``, normalized in place: its buffer becomes the
-    cached xhat.  The cache is (xhat, mu, inv, gamma, beta).  Without
-    ``keep`` the affine goes in place over xhat too, by the same
-    operations in the same order, and the cache keeps no xhat: its
-    statistics normalize the same input again to the bit."""
-    xhat, mu, inv = _bn_normalize(x)
-    if keep:
-        return _bn_affine(xhat, gamma, beta), (xhat, mu, inv, gamma, beta)
-    return _bn_affine(xhat, gamma, beta, out=xhat), (None, mu, inv, gamma, beta)
-
-
-def _bn_backward(cache, dout):
-    """(input, gamma, beta) gradients; the input gradient is written over
-    ``dout``.  Each channel's dout * xhat is taken in one one-channel
-    scratch.  xhat is read a channel at a time: an array, or a list of one
-    array per channel."""
-    xhat, _, inv, gamma, _ = cache
+def _bn_backward(xhat, cache, dout):
+    """(input, gamma, beta) gradients of batch norm with the cache (mu,
+    inv, gamma, beta) and the normalized activations ``xhat``, an array or
+    a list of one array per channel, read a channel at a time; the input
+    gradient is written over ``dout``.  Each channel's dout * xhat is taken
+    in one one-channel scratch."""
+    _, inv, gamma, _ = cache
     tmp = np.empty(xhat[0].shape)
     dgamma = np.empty_like(inv)
     for c in range(len(xhat)):
@@ -508,21 +486,24 @@ def _bn_backward(cache, dout):
 # ---------------------------------------------------------------------------
 
 
-def _block_forward(groups, t, conv, bn=None, keep=True, out=None):
+def _block_forward(groups, t, conv, bn=None, out=None):
     """Convolution ``conv`` of the channel groups ``groups``, batch norm
-    ``bn`` if named, then ReLU; the convolution has a bias only without
-    batch norm.  The cache is (groups, weights, bias, batch-norm cache)
-    and refers to the groups' arrays, uncopied.  The ReLU mask is not
-    kept: it is the output's ``> 0``.  Without ``keep`` the batch-norm
-    cache keeps no normalized activations, only their statistics: the
-    affine and ReLU go in place over the convolution's buffer, which
-    becomes the output.  The convolution is written into ``out`` if given."""
+    ``bn`` if named, then ReLU, in place in the convolution's buffer, which
+    is written into ``out`` if given; the convolution has a bias only
+    without batch norm.  The cache is (groups, weights, bias, batch-norm
+    cache) and refers to the groups' arrays, uncopied.  The batch-norm
+    cache is (mu, inv, gamma, beta): each channel's statistics, which
+    normalize the convolution, computed again, to the bit, and no
+    normalized activations.  The ReLU mask is not kept either: it is the
+    output's ``> 0``."""
     w = t[conv + "_w"]
     b = None if bn else t[conv + "_b"]
     x = _conv_forward(groups, w, b, out)
     bn_cache = None
     if bn is not None:
-        x, bn_cache = _bn_forward(x, t[bn + "_gamma"], t[bn + "_beta"], keep)
+        _, mu, inv = _bn_normalize(x)
+        bn_cache = (mu, inv, t[bn + "_gamma"], t[bn + "_beta"])
+        _bn_affine(x, *bn_cache[2:])
     return _relu(x), (groups, w, b, bn_cache)
 
 
@@ -534,26 +515,26 @@ def _block_output(block):
     groups, w, b, bn_cache = block
     x = _conv_forward(groups, w, b)
     if bn_cache is not None:
-        _, mu, inv, gamma, beta = bn_cache
-        x = _bn_affine(_bn_normalize(x, mu, inv)[0], gamma, beta, out=x)
+        _bn_affine(_bn_normalize(x, *bn_cache[:2])[0], *bn_cache[2:])
     return _relu(x)
 
 
 def _with_xhat(block):
-    """``block`` with its normalized activations: its own, or, for a
-    block that kept none, computed again by its convolution and
-    normalization with its kept statistics, into one array per channel.
-    A channel fits the holes that freed activations leave in the heap,
-    where a whole activation would extend it."""
+    """``block`` with its batch-norm cache paired with its normalized
+    activations, (xhat, cache), which its convolution and its kept
+    statistics compute again into one array per channel.  A channel fits
+    the holes that freed activations leave in the heap, where a whole
+    activation would extend it.  A block without batch norm is returned as
+    it is."""
     groups, w, b, bn_cache = block
-    if bn_cache is None or bn_cache[0] is not None:
+    if bn_cache is None:
         return block
     xhat = [np.empty(_out_dims(groups)) for _ in range(len(w))]
     for x0, slab in _conv_slabs(groups, w):
         for a, rows in zip(xhat, slab):
             a[x0 : x0 + slab.shape[1]] = rows
-    _bn_normalize(xhat, *bn_cache[1:3])
-    return groups, w, b, (xhat,) + bn_cache[1:]
+    _bn_normalize(xhat, *bn_cache[:2])
+    return groups, w, b, (xhat, bn_cache)
 
 
 def _block_backward(block, dout, mask, grads, conv, bn=None, relu=(), input_grad=True):
@@ -566,14 +547,14 @@ def _block_backward(block, dout, mask, grads, conv, bn=None, relu=(), input_grad
     outputs, taken just before they are overwritten.  ``dout`` is
     overwritten too, so that the caller's copy is not alive beside it.
     Given the only references to ``block`` and ``mask``, it frees the mask
-    and the batch-norm cache before the convolution's backward.  A block
-    that kept no normalized activations is given them by ``_with_xhat``."""
+    and the normalized activations before the convolution's backward.  A
+    block with batch norm comes from ``_with_xhat``."""
     groups, w, b, bn_cache = block
     del block
     dx = dout if mask is None else np.multiply(dout, mask, out=dout)
     del mask
     if bn_cache is not None:
-        dx, grads[bn + "_gamma"], grads[bn + "_beta"] = _bn_backward(bn_cache, dx)
+        dx, grads[bn + "_gamma"], grads[bn + "_beta"] = _bn_backward(*bn_cache, dx)
         del bn_cache
     masks = [groups[i][0] > 0 for i in relu]
     dxs, grads[conv + "_w"], db = _conv_backward(groups, w, dx, input_grad, [a for a, _ in groups])
@@ -616,10 +597,9 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     field_data = np.empty(fixed.dims + (3,))
     dec = []  # finest level first, the order the backward pass meets them
     for l in reversed(range(cfg.levels)):
-        # the coarser features, up-sampled, stacked over the skip features;
-        # dec0 keeps no activation (its output is the head's input)
+        # the coarser features, up-sampled, stacked over the skip features
         bn = f"dec{l}_bn" if cfg.use_batchnorm else None
-        x, block = _block_forward([(x, 2), (skips.pop(), 1)], t, f"dec{l}_conv", bn, keep=l > 0)
+        x, block = _block_forward([(x, 2), (skips.pop(), 1)], t, f"dec{l}_conv", bn)
         dec.insert(0, block)
     # the head writes its channels straight into the field's layout
     _conv_forward([(x, 1)], t["head_w"], t["head_b"], out=np.moveaxis(field_data, -1, 0))
@@ -631,32 +611,32 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     return pred, cache
 
 
-def convnet_backward(cache, grad: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Backpropagate a loss gradient on the field, an ``(nx, ny, nz, 3)``
-    array, to every parameter tensor.
+def convnet_backward(cache) -> dict[str, np.ndarray]:
+    """Backpropagate the loss gradient on the field, the cache's "grad"
+    entry, an ``(nx, ny, nz, 3)`` array, to every parameter tensor.
 
     Consumes the cache: each entry is released once its gradients are
     taken, and each activation's gradient is written over it, so a cache
-    serves one backward pass, and a second one is refused.  Without
-    ``grad`` the gradient is the cache's "grad" entry, which is taken out
-    of it: a caller that keeps no other reference so hands over the only
-    one, and the gradient is freed once the head's gradients are taken.
+    serves one backward pass, and a second one is refused.  The gradient
+    is taken out of the cache too: a caller that keeps no other reference
+    so hands over the only one, and it is freed once the head's gradients
+    are taken.
 
     The activations that the forward did not keep are computed again:
     dec0's output for the head's backward, then, once the loss gradient
-    and that output's gradient are masked and released, dec0's normalized
-    activations for its batch norm's backward, and each encoder level's
-    conv1 output for its conv2's backward.
+    and that output's gradient are masked and released, each decoder
+    block's normalized activations for its batch norm's backward, and each
+    encoder level's conv1 output for its conv2's backward.
     """
     if "head" not in cache:
         raise ValueError("the convnet cache was consumed by an earlier backward pass; "
                          "a cache serves one backward pass")
-    if grad is None:
-        grad = cache.pop("grad")
-    if grad.shape != cache["dims"] + (3,):
+    if cache["grad"].shape != cache["dims"] + (3,):
         raise ValueError(
-            f"gradient shape {grad.shape} does not match forward dims {cache['dims']} + (3,)"
+            f"gradient shape {cache['grad'].shape} does not match forward dims "
+            f"{cache['dims']} + (3,)"
         )
+    grad = cache.pop("grad")
     grads: dict[str, np.ndarray] = {}
     head_w = cache.pop("head")
     enc, dec = cache["enc"], cache["dec"]

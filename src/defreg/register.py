@@ -34,14 +34,12 @@ scratch, 12 image volumes beside the 6 of Adam's moments, which
 freed when it ends, before the next level allocates, so the one
 whole-volume array that a step allocates is its new parameters.  A level
 without steps builds neither.  Convnet rounds allocate the loss's arrays
-per evaluation: the loss is a small part of their step.  Their peak is set
-in the backward pass, where dec0's normalized activations are computed
-again beside the rest of the cache (34.4 MiB traced at 48^3, against 32.1
-in the first loss and 31.6 in the second forward; 246.0 against 232.7 and
-216.7 at 96^3).  The loss gradient is handed over: the loop stores it in
-its pass's cache, as "grad", and keeps no other reference, so the
-convnet's backward pass frees it once the head's gradients are taken,
-and a freeform step takes it out of the cache for Adam.  Once a round
+per evaluation: the loss is a small part of their step
+(``scripts/convnet_phase_peaks.py`` prints their traced peak by phase).
+The loss gradient is handed over: the loop stores it in its pass's cache,
+as "grad", and keeps no other reference, so the convnet's backward pass
+frees it once the head's gradients are taken, and a freeform step takes it
+out of the cache for Adam.  Once a round
 moves past its best iterate, the loop keeps that iterate's weights but
 not its field, so no field is held beside the next pass's arrays.  Such a
 best's field is predicted once more from its weights at the end, one

@@ -214,7 +214,8 @@ def test_criterion_04_gradients_match_finite_differences():
         moving,
     )
     base_kinks = kinks(cache)  # before the backward pass consumes the cache
-    grads = convnet_backward(cache, probe)
+    cache["grad"] = probe
+    grads = convnet_backward(cache)
     worst_net = 0.0
     for name, g in grads.items():
         theta = params.tensors[name]

@@ -368,6 +368,20 @@ class TestConfigFile:
         assert proc.returncode == 1
         assert "--iters-schedule" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_one_voxel_ncc_window_refused(self, case_dir, tmp_path):
+        # a one-voxel window would optimize smoothness alone
+        proc = run_cli(
+            "register",
+            "--fixed", str(case_dir / "fixed.vol"),
+            "--moving", str(case_dir / "moving.vol"),
+            "--out-field", str(tmp_path / "x.dfield"),
+            "--ncc-window", "1",
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") <= 2
+        assert "ncc_window must be odd and >= 3, got 1" in proc.stderr
+        assert not (tmp_path / "x.dfield").exists()
+
     def test_register_sections_flag_override_and_defaults(self, case_dir, tmp_path):
         from defreg.loss import LossConfig
         from defreg.register import RegistrationConfig

@@ -15,8 +15,7 @@ from defreg.model import (
     ConvNetParameters,
     _bn_affine,
     _bn_backward,
-    _bn_forward,
-    _block_forward,
+    _bn_normalize,
     _conv_backward,
     _conv_forward,
     _layer_plan,
@@ -144,8 +143,10 @@ def tape_forward(params, fixed, moving):
         records.append(("conv", f"dec{l}_conv", [(x, 1)], w, b is not None))
         x = _conv_forward([(x, 1)], w, b)
         if cfg.use_batchnorm:
-            x, bn_cache = _bn_forward(x, t[f"dec{l}_bn_gamma"], t[f"dec{l}_bn_beta"])
-            records.append(("bn", f"dec{l}_bn", bn_cache))
+            gamma, beta = t[f"dec{l}_bn_gamma"], t[f"dec{l}_bn_beta"]
+            xhat, mu, inv = _bn_normalize(x)
+            x = _bn_affine(xhat.copy(), gamma, beta)
+            records.append(("bn", f"dec{l}_bn", xhat, (mu, inv, gamma, beta)))
         mask = x > 0
         x = x * mask
         records.append(("relu", mask))
@@ -165,7 +166,7 @@ def tape_backward(cache, grad):
         elif kind == "relu":
             dx = dx * rec[1]
         elif kind == "bn":
-            dx, grads[rec[1] + "_gamma"], grads[rec[1] + "_beta"] = _bn_backward(rec[2], dx)
+            dx, grads[rec[1] + "_gamma"], grads[rec[1] + "_beta"] = _bn_backward(*rec[2:], dx)
         elif kind == "conv":
             (dx,), grads[rec[1] + "_w"], db = _conv_backward(rec[2], rec[3], dx)
             if rec[4]:  # the conv has a bias
@@ -182,6 +183,13 @@ def tape_backward(cache, grad):
             if skip_grads[level] is not None:
                 dx = dx + skip_grads[level]
     return grads
+
+
+def backward(cache, grad):
+    """``convnet_backward`` of ``grad``, handed over in the cache as the
+    registration loop hands it."""
+    cache["grad"] = grad
+    return convnet_backward(cache)
 
 
 class TestConvNetConfig:
@@ -313,9 +321,9 @@ def check_conv_in_slabs(monkeypatch, x, w, b, dout):
 
 
 def check_bn_against_reference(rng, shape):
-    """The forward normalizes in its input's buffer and the backward writes
-    over dout, by the same operations in the same order as this
-    out-of-place, whole-array reference: equal to the bit."""
+    """The forward normalizes and applies its affine in its input's buffer
+    and the backward writes over dout, by the same operations in the same
+    order as this out-of-place, whole-array reference: equal to the bit."""
     x = rng.standard_normal(shape) * 2.0 + 1.5
     c = shape[0]
     gamma, beta = rng.standard_normal(c), rng.standard_normal(c)
@@ -331,13 +339,15 @@ def check_bn_against_reference(rng, shape):
     want_dx = s * (dout - mean_dy - xhat * mean_dy_xhat)
     want_dgamma = (dout * xhat).sum(axis=(1, 2, 3))
     want_dbeta = dout.sum(axis=(1, 2, 3))
-    out, cache = _bn_forward(x, gamma, beta)
-    assert cache[0] is x and np.array_equal(x, xhat)
-    assert np.array_equal(out, want_out)
-    dx, dgamma, dbeta = _bn_backward(cache, dout)
+    got, mu_got, inv_got = _bn_normalize(x)
+    assert got is x and np.array_equal(x, xhat)
+    assert np.array_equal(mu_got, mu) and np.array_equal(inv_got, inv)
+    dx, dgamma, dbeta = _bn_backward(x, (mu_got, inv_got, gamma, beta), dout)
     assert dx is dout and np.array_equal(dx, want_dx)
     assert np.array_equal(dgamma, want_dgamma)
     assert np.array_equal(dbeta, want_dbeta)
+    out = _bn_affine(x, gamma, beta)
+    assert out is x and np.array_equal(out, want_out)
 
 
 class TestLayerPrimitives:
@@ -599,25 +609,27 @@ class TestLayerPrimitives:
         check_bn_against_reference(rng, (2, 48, 48, 48))
 
     def test_normalized_activations_again_per_channel_bitwise(self, rng):
-        # a block that keeps no normalized activations has them computed
-        # again into one array per channel, by its convolution and its kept
-        # statistics: each equals the forward's to the bit, and the
-        # batch-norm backward reads the list as it reads the array
-        coarse, skip = rng.standard_normal((4, 3, 4, 3)), rng.standard_normal((2, 6, 8, 6))
-        groups = [(coarse, 2), (skip, 1)]
-        t = {"c_w": rng.standard_normal((3, 6, 3, 3, 3)),
-             "n_gamma": rng.standard_normal(3), "n_beta": rng.standard_normal(3)}
-        _, (_, _, _, kept) = _block_forward(groups, t, "c", "n")
-        _, lean = _block_forward(groups, t, "c", "n", keep=False)
-        assert lean[3][0] is None
-        again = _with_xhat(lean)[3]
-        assert isinstance(again[0], list)
-        for a, b in zip(again[0], kept[0], strict=True):
-            assert a.tobytes() == b.tobytes()
-        dout = rng.standard_normal(kept[0].shape)
-        want = _bn_backward(kept, dout.copy())
-        for g, w in zip(_bn_backward(again, dout.copy()), want, strict=True):
-            assert np.array_equal(g, w)
+        # every decoder block keeps only its batch-norm statistics and has
+        # its normalized activations computed again into one array per
+        # channel: each equals a fresh convolution and normalization of the
+        # block's inputs to the bit, and the batch-norm backward reads the
+        # list as it reads the array
+        params = init_convnet_parameters(ConvNetConfig(levels=3, base_filters=2), seed=5)
+        dims = (8, 16, 24)
+        _, cache = convnet_forward(params, random_volume(rng, dims), random_volume(rng, dims))
+        assert len(cache["dec"]) == 3
+        for groups, w, b, bn_cache in cache["dec"]:
+            want, mu, inv = _bn_normalize(_conv_forward(groups, w))
+            assert mu.tobytes() == bn_cache[0].tobytes()
+            assert inv.tobytes() == bn_cache[1].tobytes()
+            again, got_cache = _with_xhat((groups, w, b, bn_cache))[3]
+            assert isinstance(again, list) and got_cache is bn_cache
+            for a, c in zip(again, want, strict=True):
+                assert a.tobytes() == c.tobytes()
+            dout = rng.standard_normal(want.shape)
+            ref = _bn_backward(want, bn_cache, dout.copy())
+            for g, r in zip(_bn_backward(again, bn_cache, dout.copy()), ref, strict=True):
+                assert np.array_equal(g, r)
 
     def test_derived_relu_mask_equals_forward_mask_bitwise(self, rng):
         # the backward pass takes a block's ReLU mask as output > 0; the
@@ -639,11 +651,11 @@ class TestLayerPrimitives:
         x = rng.standard_normal((3, 4, 4, 4)) * 2.0 + 1.5
         gamma = np.array([1.0, 2.0, 0.5])
         beta = np.array([0.0, 1.0, -1.0])
-        out, _ = _bn_forward(x.copy(), gamma, beta)
+        out = _bn_affine(_bn_normalize(x.copy())[0], gamma, beta)
         np.testing.assert_allclose(out.mean(axis=(1, 2, 3)), beta, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=(1, 2, 3)), gamma, rtol=1e-3)
         # batch statistics absorb an affine change of the input (up to eps)
-        shifted, _ = _bn_forward(3.0 * x - 7.0, gamma, beta)
+        shifted = _bn_affine(_bn_normalize(3.0 * x - 7.0)[0], gamma, beta)
         np.testing.assert_allclose(shifted, out, atol=1e-4)
 
 
@@ -767,7 +779,7 @@ class TestConvNetForward:
         fixed = random_volume(rng, (8, 8, 8))
         moving = random_volume(rng, (8, 8, 8))
         _, cache = convnet_forward(params, fixed, moving)
-        convnet_backward(cache, rng.standard_normal((8, 8, 8, 3)))
+        backward(cache, rng.standard_normal((8, 8, 8, 3)))
         assert set(params.tensors) == set(before)
         for k, v in before.items():
             assert np.array_equal(params.tensors[k], v)
@@ -789,7 +801,7 @@ class TestConvNetBackward:
             field, cache = convnet_forward(params, fixed, moving)
             assert np.array_equal(field.data, want_field)
             probe = rng.standard_normal(dims + (3,))
-            grads = convnet_backward(cache, probe)
+            grads = backward(cache, probe)
             want = tape_backward(tape, probe)
             assert list(grads) == list(want)
             for k in want:
@@ -806,7 +818,7 @@ class TestConvNetBackward:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            grads = convnet_backward(cache, grad)
+            grads = backward(cache, grad)
             del grads
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -825,7 +837,7 @@ class TestConvNetBackward:
             del params
             held = cache_bytes(cache)
             before = tracemalloc.get_traced_memory()[0]
-            grads = convnet_backward(cache, grad)
+            grads = backward(cache, grad)
             del grads
             freed = before - tracemalloc.get_traced_memory()[0]
         finally:
@@ -838,17 +850,17 @@ class TestConvNetBackward:
             params, random_volume(rng, (8, 8, 8)), random_volume(rng, (8, 8, 8))
         )
         with pytest.raises(ValueError, match="does not match"):
-            convnet_backward(cache, np.zeros((8, 8, 10, 3)))  # refused before consuming
-        convnet_backward(cache, np.zeros((8, 8, 8, 3)))
+            backward(cache, np.zeros((8, 8, 10, 3)))  # refused before consuming
+        backward(cache, np.zeros((8, 8, 8, 3)))
         with pytest.raises(ValueError, match="consumed"):
-            convnet_backward(cache, np.zeros((8, 8, 8, 3)))
+            backward(cache, np.zeros((8, 8, 8, 3)))
 
     def test_zero_grad_gives_zero_grads(self, rng):
         params = init_convnet_parameters(tiny_config(), seed=4)
         fixed = random_volume(rng, (8, 8, 8))
         moving = random_volume(rng, (8, 8, 8))
         _, cache = convnet_forward(params, fixed, moving)
-        grads = convnet_backward(cache, np.zeros((8, 8, 8, 3)))
+        grads = backward(cache, np.zeros((8, 8, 8, 3)))
         assert set(grads) == set(params.tensors)
         for g in grads.values():
             assert not g.any()
@@ -859,7 +871,7 @@ class TestConvNetBackward:
         moving = random_volume(rng, (8, 8, 8))
         _, cache = convnet_forward(params, fixed, moving)
         with pytest.raises(ValueError):
-            convnet_backward(cache, np.zeros((8, 8, 10, 3)))
+            backward(cache, np.zeros((8, 8, 10, 3)))
 
     def test_all_parameter_gradients_match_finite_differences(self, rng):
         # linear probe loss L = <field, R>: exact analytic gradient via
@@ -883,7 +895,7 @@ class TestConvNetBackward:
             fixed,
             moving,
         )
-        grads = convnet_backward(cache, probe)
+        grads = backward(cache, probe)
 
         worst = 0.0
         for name, g in grads.items():
@@ -937,18 +949,19 @@ class TestConvNetMemory:
     """The default network at 48^3 and 96^3.  Each activation is cached
     once: a block keeps its unpadded input, and a decoder block refers to
     the coarser output and the encoder skip it reads.  dec0 keeps no
-    activation, and no encoder level keeps its conv1 output: the backward
-    pass computes them again from inputs the cache holds anyway.  No ReLU
-    mask is kept: each is its output's > 0 (246 -> 162 B/voxel).  The
-    backward pass makes no whole-activation temporaries, writes each input
-    gradient over the activation it consumes, releases each cache entry
-    once it has taken its gradients, and frees the loss gradient after the
-    head, before dec0's normalized activations are computed again, one
-    array per channel; the last iterate's loss runs with no cache alive, and the loop holds no
-    earlier iterate's field beside a pass.  Each bound is a few percent
-    above the reading: the traced peak was 41.0 MiB with dec0's normalized
-    activations and the encoder conv1 outputs cached and the loss gradient
-    alive through the backward pass, and the 96^3 peak RSS 364.5 MB."""
+    activation, no encoder level keeps its conv1 output, and no decoder
+    block keeps its normalized activations, only each channel's batch-norm
+    statistics: the backward pass computes them again from inputs the
+    cache holds anyway.  No ReLU mask is kept: each is its output's > 0.
+    The backward pass makes no whole-activation temporaries, writes each
+    input gradient over the activation it consumes, releases each cache
+    entry once it has taken its gradients, and frees the loss gradient
+    after the head, before any normalized activations are computed again,
+    one array per channel; the last iterate's loss runs with no cache
+    alive, and the loop holds no earlier iterate's field beside a pass.
+    Each bound is a few percent above the reading: with dec1's and dec2's
+    normalized activations cached the cache was 161.6 B/voxel, the traced
+    peak 34.4 MiB and the 96^3 peak RSS 304 MB."""
 
     @pytest.mark.parametrize("use_batchnorm", [True, False])
     def test_cache_keeps_no_dec0_or_conv1_activation(self, monkeypatch, use_batchnorm):
@@ -971,13 +984,27 @@ class TestConvNetMemory:
         kept = sorted(k for k, ref in outputs.items() if ref() is not None)
         assert kept == ["dec1_conv", "dec2_conv", "enc0_conv2", "enc1_conv2", "enc2_conv2"]
 
+    @pytest.mark.parametrize("use_batchnorm", [True, False])
+    def test_decoder_cache_keeps_no_normalized_activations(self, use_batchnorm):
+        # beside the input groups it refers to and its weights, a decoder
+        # block keeps only per-channel vectors: batch norm's mean, scale,
+        # gamma and beta, or the convolution's bias
+        fixed, moving = noise_pair(16)
+        params = init_convnet_parameters(ConvNetConfig(use_batchnorm=use_batchnorm), seed=0)
+        _, cache = convnet_forward(params, fixed, moving)
+        assert len(cache["dec"]) == 3
+        for groups, w, b, bn_cache in cache["dec"]:
+            assert (bn_cache is None) != use_batchnorm and (b is None) == use_batchnorm
+            for v in [b] if bn_cache is None else bn_cache:
+                assert v.shape == w.shape[:1]
+
     def test_cache_holds_each_activation_once(self):
         fixed, moving = noise_pair(48)
         params = init_convnet_parameters(ConvNetConfig(), seed=0)
         _, cache = convnet_forward(params, fixed, moving)
         per_voxel = cache_bytes(cache) / 48**3
         print(f"convnet cache: {per_voxel:.0f} B/voxel at 48^3")
-        assert per_voxel <= 168  # 161.6 measured
+        assert per_voxel <= 147  # 141.6 measured
 
     def test_registration_traced_peak(self):
         fixed, moving = noise_pair(48)
@@ -991,7 +1018,7 @@ class TestConvNetMemory:
         finally:
             tracemalloc.stop()
         print(f"convnet registration: traced peak {peak / 2**20:.1f} MiB at 48^3")
-        assert peak <= 36 * 2**20  # 34.4 MiB measured
+        assert peak <= 34 * 2**20  # 32.3 MiB measured
 
     def test_decoder_backward_allocates_no_activation(self, monkeypatch):
         # each decoder block's backward takes batch norm's sums one channel
@@ -1017,7 +1044,7 @@ class TestConvNetMemory:
         monkeypatch.setattr(defreg.model, "_block_backward", spy)
         tracemalloc.start()
         try:
-            convnet_backward(cache, grad)
+            backward(cache, grad)
         finally:
             tracemalloc.stop()
         activation = 8 * 48**3 * 8
@@ -1039,7 +1066,7 @@ class TestConvNetMemory:
             timeout=300,
         )
         print(f"convnet registration: peak RSS {peak_kb / 1024:.0f} MB at 96^3")
-        assert peak_kb <= 315 * 1024  # 304 MB measured
+        assert peak_kb <= 297 * 1024  # 287 MB measured
 
 
 def closed_form_adam(params, grads, state):

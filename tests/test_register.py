@@ -17,7 +17,14 @@ import defreg.register
 import defreg.warp
 from defreg.evaluate import landmark_errors, transform_landmarks
 from defreg.loss import LossConfig, Workspace, ncc, overall_loss, smoothness_loss
-from defreg.model import ConvNetConfig, convnet_backward, convnet_forward, init_convnet_parameters
+from defreg.model import (
+    AdamState,
+    ConvNetConfig,
+    adam_step,
+    convnet_backward,
+    convnet_forward,
+    init_convnet_parameters,
+)
 from defreg.register import (
     RegistrationConfig,
     RegistrationReport,
@@ -533,11 +540,11 @@ class TestRegisterConvNet:
         assert _strict_json(report)["final"]["total"] == want.total
 
     def test_loop_drops_cache_and_gradient_before_next_forward(self, rng, monkeypatch):
-        # a run holds one pass's arrays plus its best iterate's weights and
-        # Adam's state, far less than a second activation cache; keeping the
-        # last iterate's gradient alive through the next forward pass raised
-        # the run's peak over one pass from 0.20 to 0.30 MB here, against a
-        # 0.52 MB cache
+        # a run holds one step's arrays, a pass and Adam's update as the loop
+        # takes them, plus its initial weights, far less than a second
+        # activation cache; keeping the last iterate's gradient alive
+        # through the next forward pass raised the run's peak over one pass
+        # without Adam from 0.20 to 0.30 MB here, against a 0.52 MB cache
         dims = (16, 16, 16)
         fixed = zscore_normalize(random_volume(rng, dims))
         moving = zscore_normalize(random_volume(rng, dims))
@@ -551,13 +558,15 @@ class TestRegisterConvNet:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
+            state = AdamState.init(params.tensors, alpha=cfg.resolved_learning_rate)
+            start = tracemalloc.get_traced_memory()[0]
             field, cache = convnet_forward(params, fixed, moving)
-            cache_bytes = tracemalloc.get_traced_memory()[0] - before
+            cache_bytes = tracemalloc.get_traced_memory()[0] - start
             # the gradient handed over as the loop hands it, freed after the head
             _, cache["grad"] = overall_loss(fixed, moving, field, cfg.loss)
-            convnet_backward(cache)
+            stepped = adam_step(params.tensors, convnet_backward(cache), state)
             one_pass = tracemalloc.get_traced_memory()[1] - before
-            del field, cache
+            del field, cache, state, stepped
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             register(fixed, moving, cfg)
@@ -592,8 +601,8 @@ class TestRegisterConvNet:
         # the loop hands the loss gradient's only reference to the backward
         # pass, which frees it once the head's gradients are taken: it is
         # alive when dec0's output is computed again for the head, and dead
-        # when dec0's normalized activations are and at each batch-norm
-        # backward, dec0's first
+        # when each decoder block's normalized activations are and at each
+        # batch-norm backward, dec0's first
         dims = (16, 16, 16)
         fixed = zscore_normalize(random_volume(rng, dims))
         moving = zscore_normalize(random_volume(rng, dims))
@@ -630,9 +639,9 @@ class TestRegisterConvNet:
         register(fixed, moving, cfg)
         assert len(probes) == 1
         assert bn_backward == [False, False]  # dec0, dec1
-        # first forward (dec1, dec0), backward (dec0's output, then its
-        # normalized activations), second forward
-        assert normalize == [None, None, True, False, False, False]
+        # first forward (dec1, dec0), backward (dec0's output, then dec0's
+        # and dec1's normalized activations), second forward
+        assert normalize == [None, None, True, False, False, False, False]
 
     def test_recovers_a_synthetic_field(self):
         # the model layer's quality gate, as criterion 3 is freeform's: the
@@ -1029,7 +1038,7 @@ class TestFrontDoorSweep:
         kinds=st.tuples(*[st.sampled_from(["noise", "constant", "zero", "ramp"])] * 2),
         spacing=st.tuples(*[st.sampled_from([0.5, 1.0, 1.7, 3.0])] * 3),
         origin=st.tuples(*[st.floats(-40.0, 40.0)] * 3),
-        window=st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15]),
+        window=st.sampled_from([3, 5, 7, 9, 11, 13, 15]),
         levels=st.integers(1, 3),
         iterations=st.integers(0, 3),
         tiny_slab=st.booleans(),

@@ -10,17 +10,20 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 TINY = ["--dims", "16", "--levels", "1", "--iters", "2", "--max-disp", "2"]
 
+HEADER = "seed  lambda  init_mae  final_mae"
+
 SCRIPTS = [
-    ("synth_benchmark.py", TINY, "seed  init_mae  final_mae", 5),  # seeds 1-5
-    ("synth_benchmark.py", TINY + ["--mode", "convnet"], "seed  init_mae  final_mae", 5),
-    ("lambda_sweep.py", TINY, "lambda   final_mae", 6),  # six default weights
+    ("synth_benchmark.py", TINY, HEADER, 5),  # seeds 1-5
+    ("synth_benchmark.py", TINY + ["--mode", "convnet"], HEADER, 5),
+    # one row per seed and weight
+    ("synth_benchmark.py", TINY + ["--seeds", "3", "4", "--lambda", "0", "0.05", "1"], HEADER, 6),
     ("convnet_phase_peaks.py", ["--dims", "16"], "phase  ", 6),  # six phases
 ]
 
 
 @pytest.mark.parametrize(
     "script,args,header,rows", SCRIPTS, ids=["synth_benchmark", "synth_benchmark-convnet",
-                                             "lambda_sweep", "convnet_phase_peaks"]
+                                             "synth_benchmark-lambdas", "convnet_phase_peaks"]
 )
 def test_script_prints_its_table(script, args, header, rows):
     env = dict(os.environ)
