@@ -11,6 +11,7 @@ Examples:
 
 import argparse
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,7 +33,8 @@ def parse_args():
     ap.add_argument("--mode", choices=("freeform", "convnet"), default="freeform")
     ap.add_argument("--levels", type=int, default=3)
     ap.add_argument("--iters", type=int, default=200)
-    ap.add_argument("--learning-rate", type=float, default=None)
+    ap.add_argument("--learning-rate", type=float, default=None,
+                    help="default: 0.2 for freeform, the registration default for convnet")
     ap.add_argument("--lambda", dest="reg_weights", type=float, nargs="+", default=[0.05],
                     help="smoothness weights: one row per seed and weight")
     return ap.parse_args()
@@ -41,12 +43,18 @@ def parse_args():
 def main():
     args = parse_args()
     lr = args.learning_rate
-    if lr is None:
-        lr = 0.2 if args.mode == "freeform" else 1e-4
+    if lr is None and args.mode == "freeform":
+        lr = 0.2  # criterion 3's rate
+    base = RegistrationConfig(
+        mode=args.mode,
+        pyramid_levels=args.levels,
+        iterations_per_level=args.iters,
+        learning_rate=lr,
+    )
     margin = int(np.ceil(args.max_disp)) + 1
 
     print(f"# mode={args.mode} dims={args.dims}^3 max_disp={args.max_disp}mm "
-          f"lr={lr} iters={args.iters}x{args.levels}")
+          f"lr={base.resolved_learning_rate} iters={args.iters}x{args.levels}")
     print("seed  lambda  init_mae  final_mae  reduction  oracle_mm  smooth  folding  wall_s")
     medians = {weight: [] for weight in args.reg_weights}
     for seed in args.seeds:
@@ -60,13 +68,7 @@ def main():
         ))
         before = landmark_errors(case.fixed_lms, case.moving_lms)
         for weight in args.reg_weights:
-            reg_cfg = RegistrationConfig(
-                mode=args.mode,
-                pyramid_levels=args.levels,
-                iterations_per_level=args.iters,
-                learning_rate=lr,
-                loss=LossConfig(reg_weight=weight),
-            )
+            reg_cfg = replace(base, loss=LossConfig(reg_weight=weight))
             t0 = time.monotonic()
             report = register(case.fixed, case.moving, reg_cfg)
             wall = time.monotonic() - t0

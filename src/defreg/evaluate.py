@@ -215,15 +215,13 @@ def save_metrics(records, csv_path, json_path=None) -> None:
         "mtre",
         "folding_fraction",
     )
-    lines = [",".join(cols)]
+    rows = [cols]
     for r in records:
         m = r.metrics
         fold = "" if m.folding_fraction is None else repr(float(m.folding_fraction))
-        lines.append(
-            f"{r.case},{float(r.initial_mae_median)!r},{float(m.mae_median)!r},"
-            f"{float(m.robustness)!r},{float(m.mae_mean)!r},{fold}"
-        )
-    Path(csv_path).write_text("\n".join(lines) + "\n")
+        rows.append((r.case, repr(float(r.initial_mae_median)), repr(float(m.mae_median)),
+                     repr(float(m.robustness)), repr(float(m.mae_mean)), fold))
+    _write_csv(csv_path, rows)
     if json_path is not None:
         detail = [
             {
@@ -243,7 +241,12 @@ def save_metrics(records, csv_path, json_path=None) -> None:
 
 def save_long_errors(rows, path) -> None:
     """Long-format (case, method, error) CSV for external plotting."""
-    lines = ["case,method,error"]
-    for case, method, err in rows:
-        lines.append(f"{case},{method},{float(err)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, [("case", "method", "error")]
+               + [(case, method, repr(float(err))) for case, method, err in rows])
+
+
+def _write_csv(path, rows) -> None:
+    """Rows of string cells as CSV, quoted only where a cell holds a comma,
+    a quote or a line break, so that ``csv.reader`` reads back each cell."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -21,39 +21,42 @@ interpreted as mm displacements.  The head starts at exactly zero, so an
 untrained network predicts the identity transform.
 
 Convolution, optional batch norm and ReLU form one block.  The forward
-cache holds each activation once, as the array the pass computed, and
-keeps no activation that the backward pass can compute again, to the bit,
-by the forward's own operations from inputs the cache holds anyway
-(recomputation in place of caching: Chen et al., arXiv 1604.06174).  A
-block refers to its input channel groups and keeps its weights, its bias
-and, with batch norm, each channel's mean and scale.  Batch norm and ReLU
-go in place over the convolution's buffer, which becomes the block's
-output, so a block keeps no normalized activations and no ReLU mask: a
-block's output is x * (x > 0), so the output's > 0 is its mask to the bit,
-and the backward pass takes each mask just before that output is
-overwritten (a skip's in its decoder block's backward, held as a bool until
-its encoder block's).  enc0_conv1 reads the image pair as two
-single-channel groups, views of the inputs, with no stacked copy.  A
-decoder block's groups are the coarser output and the encoder skip
+cache holds each activation once, as the array the pass computed, and keeps
+no activation that the backward pass can compute again, to the bit, by the
+forward's own operations from inputs the cache holds anyway (recomputation
+in place of caching: Chen et al., arXiv 1604.06174).  A block refers to its
+input channel groups and keeps its weights, its bias and, with batch norm,
+each channel's mean and scale.  Batch norm and ReLU go in place over the
+convolution's buffer, which becomes the block's output, so a block keeps no
+normalized activations and no ReLU mask: a block's output is x * (x > 0),
+so the output's > 0 is its mask to the bit.  enc0_conv1 reads the image
+pair as two single-channel groups, views of the inputs, with no stacked
+copy.  A decoder block's groups are the coarser output and the encoder skip
 themselves, joined by no copy.  A pool keeps its argmax as int8.  Computed
 again in the backward pass: each encoder level's conv1 output, by its
 convolution and ReLU, just before its conv2's backward; dec0's output, the
-head's input, which nothing else holds; and each decoder block's
-normalized activations, by its convolution and its kept statistics, just
-before its batch norm's backward, one array per channel, since a channel
-fits the heap's holes that freed activations leave, where a whole
-activation would extend the heap.  For the default network that is 116
-bytes of activations per voxel, 142 with the image pair, which the caller
-holds anyway, and the weights.  The backward pass walks the same structure
-in reverse and consumes it: each input gradient is written over the
-activation it is taken for, once the weight gradient has read it, and each
-other entry is released once its gradients are taken (a decoder block's
+head's input, which nothing else holds; and each decoder block's normalized
+activations, by its convolution and its kept statistics, just before its
+batch norm's backward, one array per channel, since a channel fits the
+heap's holes that freed activations leave, where a whole activation would
+extend the heap.  For the default network that is 116 bytes of activations
+per voxel, 142 with the image pair, which the caller holds anyway, and the
+weights.  The backward pass walks the same structure in reverse and
+consumes it: each input gradient is written over the activation it is taken
+for, once the weight gradient has read it, and is multiplied, element by
+element as it is written, by that activation's > 0, its ReLU mask, which is
+read just before the write destroys it (the backward of an activation from
+its stored output, in place: Rota Bulo et al., In-Place ABN, arXiv
+1712.02616).  So no mask is held from one block to the next.  That is exact
+for every input that takes a gradient: each is a ReLU output or a max pool
+of ReLU outputs, a pool output is > 0 exactly where its argmax cell is, and
+a skip's two gradients, each masked, sum to the masked sum.  Each other
+entry is released once its gradients are taken (a decoder block's
 normalized activations before its convolution's backward), so a cache
-serves one backward pass and a second one is refused.  The loss gradient
-is released once the head's gradients are taken and dec0's output
-gradient is masked, before any normalized activations are computed again.
-The pass stops at enc0_conv1's weights: no gradient of the image pair is
-taken.
+serves one backward pass and a second one is refused.  The head is one more
+block.  The loss gradient is released once the head's gradients are taken,
+before any normalized activations are computed again.  The pass stops at
+enc0_conv1's weights: no gradient of the image pair is taken.
 
 One primitive computes every convolution, 3x3x3 and 1x1x1 alike, on BLAS.
 Its input is a list of unpadded channel groups, each at the output's
@@ -76,19 +79,18 @@ the same padded grid, by the same views; the input gradient is the
 transposed convolution: the forward primitive applied to the unpadded
 output gradient with the kernel flipped on all three axes and C_in, C_out
 swapped, so no padded input-gradient array is scattered into.  Its slabs go
-into one array per input group, at the group's own resolution (in the
-network's backward pass, the group's own array, which the cache no longer
-needs): an up-sampled group's rows are summed onto the coarse grid two fine
-x-planes at a time, so a decoder block makes neither its stacked fine-grid
-input gradient nor a copy of the skip's part of it.
+into each input group's own array, at the group's own resolution, which
+the pass no longer needs: an up-sampled group's rows are summed onto the
+coarse grid two fine x-planes at a time, so a decoder block makes neither
+its stacked fine-grid input gradient nor a copy of the skip's part of it.
 
 The other passes work in place where their arithmetic allows: batch norm's
 backward writes the input gradient over the output gradient; the variance
 and each channel's dout * xhat are reduced one channel at a time in a
-one-channel scratch, equal to the bit to the whole-array reductions.  ReLU
-masks in place, max pooling adds its gradient straight into the skip
-gradient at each window's argmax cell, and the head writes its channels
-into the field's (nx, ny, nz, 3) array, which the field shares uncopied.
+one-channel scratch, equal to the bit to the whole-array reductions.  Max
+pooling adds its gradient straight into the skip gradient at each window's
+argmax cell, and the head writes its channels into the field's (nx, ny,
+nz, 3) array, which the field shares uncopied.
 The forward allocates an array the cache keeps before a transient one that
 is freed beside it (each encoder level's conv2 output before its conv1
 output, the field before the decoder, whose dec0 output the pass frees),
@@ -336,36 +338,41 @@ def _conv_forward(groups, w, b=None, out=None):
     return out
 
 
-def _conv_input_grads(groups, w, dout, out=None):
-    """The input gradient of ``_conv_forward``, one array per channel group
-    at that group's own resolution: the arrays of the list ``out``, which
-    may be the groups' own, or fresh ones.
+def _conv_input_grads(groups, w, dout):
+    """The input gradient of ``_conv_forward`` through the ReLU that made
+    each input, written over the channel groups' own arrays, at each
+    group's own resolution, and returned as their list.
 
     It is the forward convolution of ``dout`` with the kernel flipped on
     all three axes and its channel axes swapped, taken slab by slab.  A
-    full-resolution group's rows are copied out of each slab.  An
+    full-resolution group's rows are written one x-plane at a time.  An
     up-sampled group's rows are staged two fine x-planes at a time, and
     each pair is summed over its 2 x 2 x 2 cells into one coarse plane (the
     adjoint of nearest-neighbour up-sampling), so no fine-grid gradient of
-    the group is made."""
+    the group is made.  Each plane is multiplied by the ReLU mask of the
+    activation it overwrites, that activation's ``> 0`` (see ``_relu``),
+    taken just before into one reused bool plane per group."""
     _, _, ny, nz = dout.shape
-    dxs = [np.empty(a.shape) for a, _ in groups] if out is None else out
     stages = [np.empty((a.shape[0], 2, ny, nz)) if up == 2 else None for a, up in groups]
+    masks = [np.empty(a.shape[:1] + a.shape[2:], bool) for a, _ in groups]
     for x0, slab in _conv_slabs([(dout, 1)], w[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)):
         c0 = 0
-        for dx, stage in zip(dxs, stages):
-            c = dx.shape[0]
+        for (a, up), stage, mask in zip(groups, stages, masks):
+            c = a.shape[0]
             rows = slab[c0 : c0 + c]
             c0 += c
-            if stage is None:
-                dx[:, x0 : x0 + rows.shape[1]] = rows
-                continue
             for x in range(x0, x0 + rows.shape[1]):
-                stage[:, x % 2] = rows[:, x - x0]
-                if x % 2:
+                grad = rows[:, x - x0]
+                if up == 2:
+                    stage[:, x % 2] = grad
+                    if not x % 2:
+                        continue
                     pair = stage.reshape(c, 1, 2, ny // 2, 2, nz // 2, 2)
-                    dx[:, x // 2] = pair.sum(axis=(2, 4, 6))[:, 0]
-    return dxs
+                    grad = pair.sum(axis=(2, 4, 6))[:, 0]
+                plane = a[:, x // up]
+                np.greater(plane, 0, out=mask)
+                np.multiply(grad, mask, out=plane)
+    return [a for a, _ in groups]
 
 
 def _conv_weight_grad(groups, w, dout):
@@ -385,15 +392,14 @@ def _conv_weight_grad(groups, w, dout):
     return dw
 
 
-def _conv_backward(groups, w, dout, input_grad=True, out=None):
+def _conv_backward(groups, w, dout, input_grad=True):
     """(input, weight, bias) gradients of ``_conv_forward``; the input
-    gradient is ``_conv_input_grads``'s list, written into ``out`` if
-    given, or None without ``input_grad``.  The weight gradient, which
-    reads the groups, is taken first, so ``out`` may be the groups' own
-    arrays, and its scratch and the input gradient's are never alive
-    together."""
+    gradient is ``_conv_input_grads``'s list, the groups' own arrays, or
+    None without ``input_grad``.  The weight gradient, which reads the
+    groups, is taken first, before the input gradient overwrites them, and
+    the two scratches are never alive together."""
     dw = _conv_weight_grad(groups, w, dout)
-    dxs = _conv_input_grads(groups, w, dout, out) if input_grad else None
+    dxs = _conv_input_grads(groups, w, dout) if input_grad else None
     return dxs, dw, dout.sum(axis=(1, 2, 3))
 
 
@@ -433,7 +439,8 @@ def _bn_affine(x, gamma, beta):
 def _relu(x):
     """ReLU in place, ``x * (x > 0)``: its mask is ``x > 0`` of the output
     to the bit, since a product with False is never > 0 (NaN, -0.0 and
-    -inf give NaN or -0.0)."""
+    -inf give NaN or -0.0).  The backward pass reads it so, from the output
+    it is about to overwrite (see ``_conv_input_grads``)."""
     x *= x > 0
     return x
 
@@ -537,30 +544,26 @@ def _with_xhat(block):
     return groups, w, b, (xhat, bn_cache)
 
 
-def _block_backward(block, dout, mask, grads, conv, bn=None, relu=(), input_grad=True):
-    """(input gradients, masks) of the block, whose own ReLU mask is
-    ``mask``, or None if ``dout`` is masked already; its parameter
-    gradients go into ``grads``.  The input gradients, one per group at
-    its own resolution (None without ``input_grad``), are written over the
-    groups' arrays, which the cache holds for this pass alone; ``masks``
-    are the ReLU masks of the groups indexed by ``relu``, earlier blocks'
-    outputs, taken just before they are overwritten.  ``dout`` is
-    overwritten too, so that the caller's copy is not alive beside it.
-    Given the only references to ``block`` and ``mask``, it frees the mask
-    and the normalized activations before the convolution's backward.  A
-    block with batch norm comes from ``_with_xhat``."""
+def _block_backward(block, dout, grads, conv, bn=None, input_grad=True):
+    """The block's input gradients, one per group at its own resolution,
+    or None without ``input_grad``; its parameter gradients go into
+    ``grads``.  ``dout`` is the gradient of the block's output, already
+    masked by its ReLU, and is overwritten by batch norm's backward, so
+    that the caller's copy is not alive beside it.  The input gradients
+    are masked by the ReLU of each group (see ``_conv_input_grads``) and
+    written over the groups' arrays, which the cache holds for this pass
+    alone.  Given the only reference to ``block``, it frees the normalized
+    activations before the convolution's backward.  A block with batch
+    norm comes from ``_with_xhat``."""
     groups, w, b, bn_cache = block
     del block
-    dx = dout if mask is None else np.multiply(dout, mask, out=dout)
-    del mask
     if bn_cache is not None:
-        dx, grads[bn + "_gamma"], grads[bn + "_beta"] = _bn_backward(*bn_cache, dx)
+        dout, grads[bn + "_gamma"], grads[bn + "_beta"] = _bn_backward(*bn_cache, dout)
         del bn_cache
-    masks = [groups[i][0] > 0 for i in relu]
-    dxs, grads[conv + "_w"], db = _conv_backward(groups, w, dx, input_grad, [a for a, _ in groups])
+    dxs, grads[conv + "_w"], db = _conv_backward(groups, w, dout, input_grad)
     if b is not None:
         grads[conv + "_b"] = db
-    return dxs, masks
+    return dxs
 
 
 def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
@@ -607,7 +610,9 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     if np.isfinite(field_data).all():
         field_data.flags.writeable = False  # lets the field share it uncopied
         pred = DisplacementField(data=field_data, spacing=fixed.spacing, origin=fixed.origin)
-    cache = {"dims": fixed.dims, "enc": enc, "dec": dec, "head": t["head_w"]}
+    # the head's block: its input, dec0's output, is computed again
+    head = (None, t["head_w"], t["head_b"], None)
+    cache = {"dims": fixed.dims, "enc": enc, "dec": dec, "head": head}
     return pred, cache
 
 
@@ -622,11 +627,14 @@ def convnet_backward(cache) -> dict[str, np.ndarray]:
     so hands over the only one, and it is freed once the head's gradients
     are taken.
 
-    The activations that the forward did not keep are computed again:
-    dec0's output for the head's backward, then, once the loss gradient
-    and that output's gradient are masked and released, each decoder
-    block's normalized activations for its batch norm's backward, and each
-    encoder level's conv1 output for its conv2's backward.
+    The head is one more block, a 1x1x1 convolution of dec0's output.
+    Each block's input gradients come back masked by the ReLU of each
+    input, so no mask is carried from one block to the next.  The
+    activations that the forward did not keep are computed again: dec0's
+    output for the head's backward, then, once the loss gradient is
+    released, each decoder block's normalized activations for its batch
+    norm's backward, and each encoder level's conv1 output for its conv2's
+    backward.
     """
     if "head" not in cache:
         raise ValueError("the convnet cache was consumed by an earlier backward pass; "
@@ -636,46 +644,32 @@ def convnet_backward(cache) -> dict[str, np.ndarray]:
             f"gradient shape {cache['grad'].shape} does not match forward dims "
             f"{cache['dims']} + (3,)"
         )
-    grad = cache.pop("grad")
     grads: dict[str, np.ndarray] = {}
-    head_w = cache.pop("head")
     enc, dec = cache["enc"], cache["dec"]
-    head_x = _block_output(dec[0])
-    mask = head_x > 0  # dec0's
-    (dx,), grads["head_w"], grads["head_b"] = _conv_backward(
-        [(head_x, 1)], head_w, np.moveaxis(grad, -1, 0), out=[head_x]
+    # the head's backward holds the loss gradient's only reference, so it
+    # is freed before _with_xhat computes dec0's normalized activations
+    dxs = _block_backward(
+        ([(_block_output(dec[0]), 1)],) + cache.pop("head")[1:],
+        np.moveaxis(cache.pop("grad"), -1, 0), grads, "head",
     )
-    # dec0's mask is applied here, so neither it nor the loss gradient is
-    # alive when _with_xhat computes dec0's normalized activations again
-    del grad, head_x
-    dxs, masks = [np.multiply(dx, mask, out=dx)], [None]
-    del dx, mask
-    skip_grads, skip_masks = [], []
-    n = len(dec)
-    for l in range(n):
+    skip_grads = []
+    for l in range(len(dec)):
         # one gradient per input group, each on its own grid: the coarser
-        # output's, and the skip's, which the encoder adds below.  Both are
-        # ReLU outputs but at the coarsest level, whose coarser input is a
-        # pool's; the skip's mask is held for its encoder block
-        relu = (0, 1) if l < n - 1 else (1,)
-        dxs, masks = _block_backward(
-            _with_xhat(dec.pop(0)), dxs.pop(), masks.pop(), grads, f"dec{l}_conv", f"dec{l}_bn",
-            relu,
+        # output's, and the skip's, which the encoder adds below
+        dxs = _block_backward(
+            _with_xhat(dec.pop(0)), dxs.pop(), grads, f"dec{l}_conv", f"dec{l}_bn"
         )
         skip_grads.append(dxs.pop())
-        skip_masks.append(masks.pop())
     for l in reversed(range(len(enc))):
         block1, block2, pool = enc.pop()
-        # the pool's input also fed the skip connection: add both branches
+        # the pool's input also fed the skip connection: add both branches,
+        # each masked by the skip's ReLU (a pool output is > 0 where its
+        # argmax cell is)
         dx = _maxpool_backward(pool, dxs.pop(), skip_grads.pop())
         block2 = ([(_block_output(block1), 1)],) + block2[1:]  # conv1's output, again
-        dxs, masks = _block_backward(
-            block2, dx, skip_masks.pop(), grads, f"enc{l}_conv2", relu=(0,)
-        )
+        dxs = _block_backward(block2, dx, grads, f"enc{l}_conv2")
         del block2, dx, pool  # not alive through conv1's backward
-        dxs, _ = _block_backward(
-            block1, dxs.pop(), masks.pop(), grads, f"enc{l}_conv1", input_grad=l > 0
-        )
+        dxs = _block_backward(block1, dxs.pop(), grads, f"enc{l}_conv1", input_grad=l > 0)
     return grads
 
 

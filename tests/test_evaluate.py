@@ -1,5 +1,6 @@
 """Landmark metric tests: transforms, error arithmetic, cohort statistics, CSV I/O."""
 
+import csv
 import json
 
 import numpy as np
@@ -344,6 +345,20 @@ class TestMetricsOutput:
         assert lines[0] == "case,method,error"
         assert lines[1] == "c1,initial,3.0"
         assert lines[2] == "c1,method,1.5"
+
+    @pytest.mark.parametrize("label", ['a,b', 'say "hi"', "x\ny"])
+    def test_label_with_a_delimiter_round_trips(self, tmp_path, label):
+        # a --case label is written as one quoted cell, so each row reads
+        # back with as many fields as its header
+        p = tmp_path / "metrics.csv"
+        save_metrics([self.make_record(label)], p)
+        with open(p, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert len(row) == len(header) == 6 and row[0] == label
+        p = tmp_path / "long.csv"
+        save_long_errors([(label, "method", 1.5)], p)
+        with open(p, newline="") as fh:
+            assert list(csv.reader(fh)) == [["case", "method", "error"], [label, "method", "1.5"]]
 
     def test_numpy_scalars_do_not_leak(self, tmp_path):
         m = case_metrics(np.array([1.0]), np.array([2.0]))

@@ -156,19 +156,27 @@ def tape_forward(params, fixed, moving):
 
 
 def tape_backward(cache, grad):
+    """The tape's gradients.  The primitive writes each input gradient,
+    masked by the input's > 0, over the input, so each pass hands it copies
+    of the recorded inputs; the tape's own ReLU records mask again, which
+    changes no bit."""
+
+    def copies(groups):
+        return [(a.copy(), up) for a, up in groups]
+
     grads = {}
     skip_grads = cache["skip_grads"]
     dx = np.moveaxis(grad, -1, 0)
     for rec in reversed(cache["records"]):
         kind = rec[0]
         if kind == "head":
-            (dx,), grads["head_w"], grads["head_b"] = _conv_backward(rec[1], rec[2], dx)
+            (dx,), grads["head_w"], grads["head_b"] = _conv_backward(copies(rec[1]), rec[2], dx)
         elif kind == "relu":
             dx = dx * rec[1]
         elif kind == "bn":
             dx, grads[rec[1] + "_gamma"], grads[rec[1] + "_beta"] = _bn_backward(*rec[2:], dx)
         elif kind == "conv":
-            (dx,), grads[rec[1] + "_w"], db = _conv_backward(rec[2], rec[3], dx)
+            (dx,), grads[rec[1] + "_w"], db = _conv_backward(copies(rec[2]), rec[3], dx)
             if rec[4]:  # the conv has a bias
                 grads[rec[1] + "_b"] = db
         elif kind == "concat":
@@ -304,16 +312,18 @@ CONV_ATOL = 1e-10
 
 def check_conv_in_slabs(monkeypatch, x, w, b, dout):
     """``_conv_forward`` against ``brute_conv`` and ``_conv_backward``
-    against ``brute_conv_adjoint``, with the x-planes taken one per slab,
-    two per slab and all in one."""
+    against ``brute_conv_adjoint``, its input gradient masked by x > 0, with
+    the x-planes taken one per slab, two per slab and all in one.  The
+    backward writes over its input, so it is given a copy."""
     plane = x.shape[2] * x.shape[3]
     want_out = brute_conv(x, w, b)
-    want = brute_conv_adjoint(x, w, dout)
+    want_dx, want_dw, want_db = brute_conv_adjoint(x, w, dout)
+    want = (want_dx * (x > 0), want_dw, want_db)
     for slab in (plane, 2 * plane, 1 << 13):
         monkeypatch.setattr(defreg.model, "_SLAB_VOXELS", slab)
         out = _conv_forward([(x, 1)], w, b)
         np.testing.assert_allclose(out, want_out, rtol=0, atol=CONV_ATOL)
-        (dx,), dw, db = _conv_backward([(x, 1)], w, dout)
+        (dx,), dw, db = _conv_backward([(x.copy(), 1)], w, dout)
         got = (dx, dw, db)
         assert [g.shape for g in got] == [x.shape, w.shape, b.shape]
         for g, ref in zip(got, want):  # dx, dw, db
@@ -371,7 +381,9 @@ class TestLayerPrimitives:
         # an up-sampled group stacked over a full-resolution one reads the
         # same values as their explicit up-sampling and concatenation, so
         # the products are the same to the bit; 1- and 3-plane slabs start
-        # at odd x, where a tap's up-sampling residue flips
+        # at odd x, where a tap's up-sampling residue flips.  The input
+        # gradients are masked by each input's > 0, which is constant over
+        # an up-sampled cell, and written over copies of the inputs
         coarse = rng.standard_normal((2, 3, 2, 4))
         skip = rng.standard_normal((3, 6, 4, 8))
         stacked = np.concatenate([upsample_reference(coarse), skip])
@@ -384,8 +396,8 @@ class TestLayerPrimitives:
             want = _conv_forward([(stacked, 1)], w, b)
             assert np.array_equal(_conv_forward([(coarse, 2), (skip, 1)], w, b), want)
             groups = [(coarse, 2), (skip, 1)]
-            dxs, dw, db = _conv_backward(groups, w, dout)
-            (want_dx,), want_dw, want_db = _conv_backward([(stacked, 1)], w, dout)
+            dxs, dw, db = _conv_backward([(a.copy(), up) for a, up in groups], w, dout)
+            (want_dx,), want_dw, want_db = _conv_backward([(stacked.copy(), 1)], w, dout)
             want = (*group_grads(want_dx, groups), want_dw, want_db)
             for g, ref in zip((*dxs, dw, db), want, strict=True):
                 assert np.array_equal(g, ref)
@@ -429,7 +441,9 @@ class TestLayerPrimitives:
     )
     def test_equals_copy_reference(self, rng, monkeypatch, dims, up, k, planes):
         # the same taps in the same order, each the same BLAS dot over
-        # C_in, so the forward and the input gradient are equal to the bit;
+        # C_in, so the forward and the input gradient, masked by each
+        # input's > 0 (the backward is given copies, which it writes
+        # over), are equal to the bit;
         # the weight gradient sums over the padded grid's voxels, whose
         # extra columns are zero, so only its last bits may move.  With ny
         # or nz of 1 or 2 the dropped columns read the window's tail.  (A
@@ -446,12 +460,36 @@ class TestLayerPrimitives:
         slab = defreg.model._SLAB_VOXELS if planes is None else planes * dims[1] * dims[2]
         monkeypatch.setattr(defreg.model, "_SLAB_VOXELS", slab)
         assert np.array_equal(_conv_forward(groups, w, b), copy_conv_forward(groups, w, b, slab))
-        dxs, dw, db = _conv_backward(groups, w, dout)
+        dxs, dw, db = _conv_backward([(a.copy(), up) for a, up in groups], w, dout)
         want_dx, want_dw, want_db = copy_conv_backward(groups, w, dout, slab)
-        for dx, want in zip(dxs, group_grads(want_dx, groups), strict=True):
-            assert np.array_equal(dx, want)
+        for dx, want, (a, _) in zip(dxs, group_grads(want_dx, groups), groups, strict=True):
+            assert np.array_equal(dx, want * (a > 0))
         assert np.array_equal(db, want_db)
         assert np.abs(dw - want_dw).max() <= 1e-13 * np.abs(want_dw).max()
+
+    def test_input_gradients_overwrite_the_inputs_masked_by_their_relu(self, rng):
+        # each group's input gradient is written over the group's own
+        # array, up-sampled or not, and multiplied by the ReLU mask of the
+        # activation it overwrites: 0 where the input was <= 0 or NaN, and
+        # the unmasked gradient, to the bit, elsewhere
+        coarse = rng.standard_normal((2, 3, 2, 4))
+        skip = rng.standard_normal((3, 6, 4, 8))
+        coarse[0, 1, 0, :3] = [np.nan, -0.0, np.inf]
+        skip[1, 2, 1, :4] = [np.nan, -0.0, 0.0, -np.inf]
+        groups = [(coarse, 2), (skip, 1)]
+        inputs = [a.copy() for a, _ in groups]
+        w = rng.standard_normal((4, 5, 3, 3, 3))
+        dout = rng.standard_normal((4, 6, 4, 8))
+        with np.errstate(invalid="ignore"):  # the weight gradients read inf and NaN
+            want_dx, _, _ = copy_conv_backward(groups, w, dout, defreg.model._SLAB_VOXELS)
+            dxs, _, _ = _conv_backward(groups, w, dout)
+        for dx, (a, _), x, want in zip(dxs, groups, inputs, group_grads(want_dx, groups),
+                                       strict=True):
+            assert dx is a
+            live = x > 0
+            assert (~live).any() and live.any()
+            assert np.array_equal(dx[live], want[live])
+            assert not dx[~live].any()
 
     def test_wide_forward_slab_is_cut_to_the_byte_bound_bitwise(self, rng, monkeypatch):
         # dec1's shape at 24^3: 32 up-sampled channels over a 16-channel
@@ -459,6 +497,7 @@ class TestLayerPrimitives:
         # exceed _SLAB_BYTES, so the forward takes 1-plane slabs, and so does
         # the input gradient (48 channels out); the weight gradient keeps 3.
         # The forward and the input gradient are equal to the bit either way
+        # (the backward writes over copies of the inputs)
         coarse, skip = rng.standard_normal((32, 12, 12, 12)), rng.standard_normal((16, 24, 24, 24))
         groups = [(coarse, 2), (skip, 1)]
         w = rng.standard_normal((16, 48, 3, 3, 3))
@@ -474,7 +513,7 @@ class TestLayerPrimitives:
         for budget in (defreg.model._SLAB_BYTES, 1 << 30):
             monkeypatch.setattr(defreg.model, "_SLAB_BYTES", budget)
             out = _conv_forward(groups, w)
-            dxs, dw, _ = _conv_backward(groups, w, dout)
+            dxs, dw, _ = _conv_backward([(a.copy(), up) for a, up in groups], w, dout)
             got.append((out, *dxs, dw))
         assert steps == [1, 3, 1, 3, 3, 3]  # forward, weight gradient, input gradient
         for a, b in zip(*got, strict=True):
@@ -486,8 +525,12 @@ class TestLayerPrimitives:
         # allocates beyond its outputs is its slab buffers, within 10%: the
         # input window (C, step+2, Q, R) plus its tail, and two (C, step, Q, R)
         # grids, the output and a tap's product (the weight gradient: one,
-        # the output gradient's slab).  They grow with a y-z plane, not
-        # with the volume.
+        # the output gradient's slab).  The input gradient, written over x,
+        # adds its masked write: one bool y-z plane of x's channels for the
+        # ReLU mask, and the buffers of numpy's buffered iteration, one of
+        # np.getbufsize() float64 elements for each of the product's three
+        # strided or cast operands.  They grow with a y-z plane, not with
+        # the volume.
         x = rng.standard_normal((24, n, n, n))
         w = rng.standard_normal((8, 24, 3, 3, 3))
         dout = rng.standard_normal((8, n, n, n))
@@ -501,12 +544,16 @@ class TestLayerPrimitives:
         want = {
             "forward": window(24) + 2 * 8 * grid,
             # the weight gradient is taken first, then the input gradient
-            "backward": max(window(8) + 2 * 24 * grid, window(24) + 8 * grid),
+            "backward": max(
+                window(8) + 2 * 24 * grid + 24 * n * n + 3 * 8 * np.getbufsize(),
+                window(24) + 8 * grid,
+            ),
         }
 
         def backward():
             (dx,), dw, db = _conv_backward([(x, 1)], w, dout)
-            return dx, dw, db
+            assert dx is x
+            return dw, db
 
         for name, call in (
             ("forward", lambda: _conv_forward([(x, 1)], w)),
@@ -952,7 +999,8 @@ class TestConvNetMemory:
     activation, no encoder level keeps its conv1 output, and no decoder
     block keeps its normalized activations, only each channel's batch-norm
     statistics: the backward pass computes them again from inputs the
-    cache holds anyway.  No ReLU mask is kept: each is its output's > 0.
+    cache holds anyway.  No ReLU mask is kept or carried: each is its
+    output's > 0, read as the input gradient is written over the output.
     The backward pass makes no whole-activation temporaries, writes each
     input gradient over the activation it consumes, releases each cache
     entry once it has taken its gradients, and frees the loss gradient
@@ -1034,10 +1082,10 @@ class TestConvNetMemory:
         real = defreg.model._block_backward
         above = {}
 
-        def spy(block, dout, mask, grads, conv, *args, **kwargs):
+        def spy(block, dout, grads, conv, *args, **kwargs):
             tracemalloc.reset_peak()
             entry = tracemalloc.get_traced_memory()[0]
-            out = real(block, dout, mask, grads, conv, *args, **kwargs)
+            out = real(block, dout, grads, conv, *args, **kwargs)
             above[conv] = tracemalloc.get_traced_memory()[1] - entry
             return out
 
