@@ -36,6 +36,7 @@ from functools import partial
 
 import numpy as np
 
+from . import warp
 from .volume import Volume
 from .warp import DisplacementField, _slab_planes, warp_volume_with_gradient
 
@@ -204,9 +205,11 @@ def _ncc_layout(dims, w: int, with_grad: bool):
     buffer: the correlation, the work buffer, the carried cumulative sums,
     the slab statistics (five, or the two sums beside the gradient's terms)
     and the gradient's four whole-volume terms.  An unused array has no
-    voxels."""
+    voxels.  The slabs are cut by ``warp._slab_planes`` within
+    ``warp._SLAB_VOXELS``, read at each call; a grid of one slab takes nx
+    planes, no more."""
     nx, ny, nz = dims
-    step = min(_slab_planes(dims), nx)
+    step = _slab_planes(nx, ny * nz, warp._SLAB_VOXELS)
     reach = min(2 * (w // 2) + 1, nx)  # planes of x cumulative sums carried to the next slab
     carried = step < nx
     return step, reach, [

@@ -64,12 +64,14 @@ resolution or at half of it, which nearest-neighbour 2x up-sampling
 doubles.  Per slab of a few output x-planes (at most _SLAB_VOXELS output
 voxels, and, for a forward or an input gradient, whose bits do not depend
 on the slab, at most _SLAB_BYTES of window and grids, which only wide
-layers reach: dec1's at 24^3 takes 1 plane, not 3), the zero-padded,
-up-sampled, stacked input planes that the slab reads are copied into a
-reused window, flat per channel and followed by a short zero tail.  The
-slab's output is taken on the padded grid, so each kernel tap reads the
-window at one flat offset: that (C_in, voxels) view goes to BLAS in place,
-with no per-tap copy, and is multiplied by the tap's (C_out, C_in) weights.
+layers reach: dec1's at 24^3 takes 1 plane, not 3; the fewest such slabs,
+cut by ``warp._slab_planes`` as evenly as whole planes allow, so the last
+may be shorter), the zero-padded, up-sampled, stacked input planes that
+the slab reads are copied into a reused window, flat per channel and
+followed by a short zero tail.  The slab's output is taken on the padded
+grid, so each kernel tap reads the window at one flat offset: that (C_in,
+voxels) view goes to BLAS in place, with no per-tap copy, and is
+multiplied by the tap's (C_out, C_in) weights.
 The columns of the padded grid outside the volume, 2h of each y-row and
 z-plane (8.5% at 48^3), are computed and dropped.  The window, the slab's
 output and one tap product are the primitive's scratch: a few y-z planes,
@@ -114,7 +116,7 @@ from pathlib import Path
 import numpy as np
 
 from .volume import Volume
-from .warp import DisplacementField
+from .warp import DisplacementField, _slab_planes
 
 __all__ = [
     "ConvNetConfig",
@@ -134,7 +136,8 @@ _CHECKPOINT_MAGIC = b"IRNW"
 # 2 also stored the kernel size and the decoder conv biases that batch norm
 # cancels; 1 also stored batch-norm running statistics
 _CHECKPOINT_VERSION = 3
-# Output voxels per slab of the convolution.  Each of a slab's tap
+# Output voxels per slab of the convolution, its weight gradient's whole
+# budget (see ``warp._slab_planes`` for the cut).  Each of a slab's tap
 # products reads its (C_in, voxels) window view and writes a (C_out, voxels)
 # product; smaller slabs keep both in cache but pay numpy's per-call cost
 # more often.  Registrations of the default network, 1 iteration, medians
@@ -143,9 +146,10 @@ _CHECKPOINT_VERSION = 3
 # MiB at 48^3 up to 1 << 12 (75.4 at 1 << 13), and 12.5 / 12.7 / 13.6 /
 # 15.3 MiB at 24^3.  1 << 11 is within 3% of the fastest at each size.
 _SLAB_VOXELS = 1 << 11
-# Bytes of a forward slab's input window and its two (C_out, voxels) arrays,
-# the tap product and the sum, at most: a slab of wide layers is cut to fewer
-# x-planes than _SLAB_VOXELS allows, so that they stay near a 1 MiB L2 cache.
+# Bytes of a forward or input-gradient slab's input window and its two
+# (C_out, voxels) arrays, the tap product and the sum, at most where a plane
+# fits: a slab of wide layers is cut to fewer x-planes than _SLAB_VOXELS
+# allows, so that they stay near a 1 MiB L2 cache.
 # Per call on one core of a 2-CPU x86-64 host, default network at 48^3:
 # dec1's 48 -> 16 forward at 24^3 takes 7.4 ms at 1 plane against 10.5 at
 # _SLAB_VOXELS's 3, and its input gradient 9.0 against 13.3 ms; at 12^3,
@@ -236,19 +240,10 @@ def _nearest_pieces(lo, hi, up):
     return pieces
 
 
-def _slab_planes(dims, fits=lambda d: True):
-    """Output x-planes per slab: the largest divisor d of nx whose slab holds
-    at most _SLAB_VOXELS output voxels and ``fits(d)``, or 1."""
-    nx, ny, nz = dims
-    return max(
-        (d for d in range(1, nx + 1) if nx % d == 0 and d * ny * nz <= _SLAB_VOXELS and fits(d)),
-        default=1,
-    )
-
-
 def _taps(groups, k, dims, step):
     """Yields (x0, taps) for each slab of ``step`` output x-planes, from
-    x0, of a same-padded k x k x k convolution over ``dims``.
+    x0, of a same-padded k x k x k convolution over ``dims``; a short last
+    slab's planes past nx read zeros.
 
     ``groups`` is the input as (array, up) channel groups, stacked in
     order: ``array`` is unpadded, and up = 2 up-samples it 2x by nearest
@@ -300,18 +295,22 @@ def _out_dims(groups):
 def _conv_slabs(groups, w, b=None):
     """Yields (x0, slab) for each slab of the same-padded convolution of
     the channel groups ``groups`` (see ``_taps``) with the k x k x k kernel
-    ``w``, plus the bias ``b`` if given: ``slab`` is the (C_out, step, ny,
-    nz) output of planes x0 .. x0 + step - 1, a view of one reused buffer.
-    The slab's input window and its two grids take at most _SLAB_BYTES
-    where a plane fits: the output's bits do not depend on the slab, since
-    each column is its own dot products over C_in (the weight gradient's
-    slab, whose sums run over the slabs, is _slab_planes alone)."""
+    ``w``, plus the bias ``b`` if given: ``slab`` is the (C_out, d, ny, nz)
+    output of planes x0 .. x0 + d - 1, a view of one reused buffer, where d
+    is the step, or less in a shorter last slab (``warp._slab_planes``).
+    The slab holds at most _SLAB_VOXELS output voxels, and its input window
+    and its two grids take at most _SLAB_BYTES where a plane fits: the
+    output's bits do not depend on the slab, since each column is its own
+    dot products over C_in (the weight gradient's cut, whose sums run over
+    the slabs, is the voxel budget alone)."""
     cout, cin, k = w.shape[0], w.shape[1], w.shape[-1]
     dims = _out_dims(groups)
-    _, ny, nz = dims
+    nx, ny, nz = dims
     plane = (ny + k - 1) * (nz + k - 1)
-    step = _slab_planes(
-        dims, lambda d: 8 * plane * (cin * (d + k - 1) + 2 * cout * d) <= _SLAB_BYTES
+    # 8 plane (cin (d + k - 1) + 2 cout d) bytes for d planes, solved for d
+    step = min(
+        _slab_planes(nx, ny * nz, _SLAB_VOXELS),
+        _slab_planes(nx, 8 * plane * (cin + 2 * cout), _SLAB_BYTES - 8 * plane * cin * (k - 1)),
     )
     # each tap's (C_out, C_in) weights contiguous, so matmul hands them to BLAS
     w_taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))
@@ -323,7 +322,7 @@ def _conv_slabs(groups, w, b=None):
         for tap, view in taps:
             tmp = np.matmul(w_taps[tap], view, out=tmp)
             acc += tmp
-        yield x0, grid[:, :, :ny, :nz]
+        yield x0, grid[:, : nx - x0, :ny, :nz]
 
 
 def _conv_forward(groups, w, b=None, out=None):
@@ -380,13 +379,14 @@ def _conv_weight_grad(groups, w, dout):
     the forward's padded grid, zero in the dropped columns, times each
     tap's view of the input window."""
     k = w.shape[-1]
-    cout, _, ny, nz = dout.shape
-    step = _slab_planes(dout.shape[1:])
+    cout, nx, ny, nz = dout.shape
+    step = _slab_planes(nx, ny * nz, _SLAB_VOXELS)
     dgrid = np.zeros((cout, step, ny + k - 1, nz + k - 1))
     dflat = dgrid.reshape(cout, -1)
     dw = np.zeros_like(w)
     for x0, taps in _taps(groups, k, dout.shape[1:], step):
-        dgrid[:, :, :ny, :nz] = dout[:, x0 : x0 + step]
+        dgrid[:, : nx - x0, :ny, :nz] = dout[:, x0 : x0 + step]
+        dgrid[:, nx - x0 :] = 0.0  # a short last slab's planes past nx
         for (tx, ty, tz), view in taps:
             dw[:, :, tx, ty, tz] += dflat @ view.T
     return dw

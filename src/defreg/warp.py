@@ -30,13 +30,16 @@ x-slab of the target grid into a preallocated output, so a field
 resampled onto 160x192x160 peaks at 1.5 output fields, against 2.5 with a
 whole-grid z lerp.
 
-Warping samples the field grid in slabs of whole x-planes, at most
-``_SAMPLE_SLAB_VOXELS`` output voxels each (one plane if a plane is
-larger); field resampling and the NCC use larger slabs, of
-``_SLAB_VOXELS``.  Sampling is pointwise, so each slab builds only its own
-coordinates, cells and weights, and its last fold writes straight into the
-value and derivative, fresh or given by the caller; the bits are those of
-one whole-volume call.  A warp with the derivative peaks at 6.6 volumes of
+Every x-slab loop of the package, here, in the NCC and in the convnet,
+takes its planes per slab from ``_slab_planes``: the fewest slabs within a
+budget (one plane if a plane is larger), each of the fewest planes that
+keep that count, the last one taking the rest.  Warping samples the
+field grid in slabs of at most ``_SAMPLE_SLAB_VOXELS`` output voxels;
+field resampling and the NCC use larger slabs, of ``_SLAB_VOXELS``.
+Sampling is pointwise, so each slab builds only its own coordinates, cells
+and weights, and its last fold writes straight into the value and
+derivative, fresh or given by the caller; the bits are those of one
+whole-volume call.  A warp with the derivative peaks at 6.6 volumes of
 the output at 48^3 and 4.1 at 160x192x160, the output and about 2.3 MB of
 slab arrays, and 3.1 and 1.1 without it.  On one CPU with a 1 MB L2 cache,
 slabs of 7 planes warp 48^3 in 3.0 ms, against 5.7 ms for one whole-volume
@@ -76,21 +79,21 @@ class DisplacementField(_Grid):
 
 
 # Output voxels per slab of the NCC's window statistics and of field
-# resampling (whole x-planes, at least one).  The NCC carries 2r+1 planes of
-# cumulative sums into each slab, so its slabs stay larger than the warp's.
+# resampling.  The NCC carries 2r+1 planes of cumulative sums into each
+# slab, so its slabs stay larger than the warp's.
 _SLAB_VOXELS = 1 << 17
-# Output voxels per slab of the warp's sampler (whole x-planes, at least
-# one).  A slab's coordinates, cell indices and weights are a few times its
-# size, so they stay in cache and are never whole volumes at 48^3.
+# Output voxels per slab of the warp's sampler.  A slab's coordinates, cell
+# indices and weights are a few times its size, so they stay in cache and
+# are never whole volumes at 48^3.
 _SAMPLE_SLAB_VOXELS = 1 << 14
 
 
-def _slab_planes(dims, voxels=None) -> int:
-    """x-planes per slab of ``voxels`` output voxels (``_SLAB_VOXELS`` if
-    None) on a grid of ``dims``, at least one; a grid of at most one slab
-    has ``_slab_planes(dims) >= dims[0]``."""
-    voxels = _SLAB_VOXELS if voxels is None else voxels
-    return max(voxels // (dims[1] * dims[2]), 1)
+def _slab_planes(n, per_plane, budget) -> int:
+    """Planes per slab of ``n`` planes of ``per_plane`` each: the fewest
+    slabs whose planes fit ``budget`` (one plane if none fits), each of the
+    fewest planes that keep that count, the last one taking the rest."""
+    slabs = -(-n // max(budget // per_plane, 1))
+    return -(-n // slabs)
 
 
 def _world_to_index(points, spacing, origin) -> np.ndarray:
@@ -230,7 +233,7 @@ def _warp(moving: Volume, field: DisplacementField, want_grad: bool, out=None):
     if out is None:
         out = (np.empty(field.dims), np.empty(field.dims + (3,)) if want_grad else None)
     value, grad = out
-    step = _slab_planes(field.dims, _SAMPLE_SLAB_VOXELS)
+    step = _slab_planes(nx, ny * nz, _SAMPLE_SLAB_VOXELS)
     for x0 in range(0, nx, step):
         x1 = min(x0 + step, nx)
         u = field.data[x0:x1]
@@ -334,7 +337,7 @@ def resample_field(field: DisplacementField, new_dims, spacing) -> DisplacementF
         for n_new, n_old in zip(new_dims, field.dims)
     )
     data = _lerp_axis(_lerp_axis(field.data, cx, 0), cy, 1)
-    step = _slab_planes(new_dims)
+    step = _slab_planes(new_dims[0], new_dims[1] * new_dims[2], _SLAB_VOXELS)
     out = np.empty(new_dims + (3,))
     for x0 in range(0, new_dims[0], step):
         _lerp_axis(data[x0 : x0 + step], cz, 2, out[x0 : x0 + step])

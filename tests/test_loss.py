@@ -575,7 +575,8 @@ class TestLossMemory:
     def test_one_slab_ncc_pass_stays_under_bound(self, with_grad):
         rng = np.random.default_rng(0)
         dims = (48, 48, 48)
-        assert defreg.warp._slab_planes(dims) >= dims[0]
+        planes = defreg.warp._slab_planes(dims[0], dims[1] * dims[2], defreg.warp._SLAB_VOXELS)
+        assert planes == dims[0]
         F = rng.standard_normal(dims)
         G = rng.standard_normal(dims)
         _ncc_terms(F, G, 9, 1e-5, with_grad)  # warm-up

@@ -246,7 +246,10 @@ class TestInit:
 # -- kept as the reference: per slab and kernel tap, the window's shifted
 # -- slice is copied into a contiguous (C_in, voxels) buffer, the per-tap
 # -- half of im2col, and multiplied into the slab's columns of the output.
-# -- Its slabs follow the same rule, with ``slab_voxels`` for _SLAB_VOXELS.
+# -- Its slabs keep the primitive's earlier rule, the largest divisor of nx
+# -- whose slab holds at most ``slab_voxels``, not ``warp._slab_planes``'
+# -- even cut; the forward's and the input gradient's bits do not depend on
+# -- the slab, and the weight gradient's sums move only in their last bits.
 
 def copy_taps(groups, k, dims, slab_voxels):
     c = sum(a.shape[0] for a, _ in groups)
@@ -366,6 +369,10 @@ class TestLayerPrimitives:
         w = rng.standard_normal((2, 3, 3, 3, 3))
         b = rng.standard_normal(2)
         dout = rng.standard_normal((2, 4, 5, 4))
+        check_conv_in_slabs(monkeypatch, x, w, b, dout)
+        # nx = 5 in 2-plane slabs leaves a 1-plane last slab
+        x = rng.standard_normal((3, 5, 4, 3))
+        dout = rng.standard_normal((2, 5, 4, 3))
         check_conv_in_slabs(monkeypatch, x, w, b, dout)
 
     def test_conv1_matches_brute_force_without_padding(self, rng, monkeypatch):
@@ -519,6 +526,36 @@ class TestLayerPrimitives:
         for a, b in zip(*got, strict=True):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "dims, planes",
+        [
+            # the default network's levels at 48^3 and at 240x240x160
+            ((48, 48, 48), 1),
+            ((24, 24, 24), 3),
+            ((12, 12, 12), 12),
+            ((6, 6, 6), 6),
+            ((240, 240, 160), 1),
+            ((120, 120, 80), 1),
+            ((60, 60, 40), 1),
+            ((30, 30, 20), 3),
+            # an even cut, 5, 5 and 4, where a divisor of 14 would take 2
+            ((14, 18, 18), 5),
+        ],
+    )
+    def test_weight_gradient_cut(self, monkeypatch, dims, planes):
+        # the weight gradient's sums run over the slabs, so its bits depend
+        # on their cut, _SLAB_VOXELS's alone, which these pin
+        steps = []
+
+        def taps(groups, k, dims, step):
+            steps.append(step)
+            return iter(())
+
+        monkeypatch.setattr(defreg.model, "_taps", taps)
+        dout = np.broadcast_to(0.0, (1,) + dims)  # read only for its shape
+        defreg.model._conv_weight_grad([(dout, 1)], np.zeros((1, 1, 3, 3, 3)), dout)
+        assert steps == [planes]
+
     @pytest.mark.parametrize("n", [32, 64])
     def test_scratch_is_slab_sized(self, rng, n):
         # a 24 -> 8 channel 3x3x3 convolution, as dec0's; what the call
@@ -534,7 +571,7 @@ class TestLayerPrimitives:
         x = rng.standard_normal((24, n, n, n))
         w = rng.standard_normal((8, 24, 3, 3, 3))
         dout = rng.standard_normal((8, n, n, n))
-        step = defreg.model._slab_planes((n, n, n))
+        step = defreg.model._slab_planes(n, n * n, defreg.model._SLAB_VOXELS)
         q = n + 2
         grid = 8 * step * q * q
 

@@ -1061,9 +1061,14 @@ class TestFrontDoorSweep:
         )
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            if tiny_slab:  # the warp and the NCC split every volume into 1-plane slabs
+            if tiny_slab:
+                # every x-slab loop takes 1-plane slabs: the warp, the NCC,
+                # field resampling and each convolution, recompute and
+                # weight gradient
                 mp.setattr(defreg.warp, "_SLAB_VOXELS", 1)
                 mp.setattr(defreg.warp, "_SAMPLE_SLAB_VOXELS", 1)
+                mp.setattr(defreg.model, "_SLAB_VOXELS", 1)
+                mp.setattr(defreg.model, "_SLAB_BYTES", 1)
             try:
                 report = register(fixed, moving, cfg)
             except ValueError as err:

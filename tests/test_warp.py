@@ -390,6 +390,38 @@ def warp_reference(moving, field, want_grad):
     return value, grad, coords
 
 
+class TestSlabPlanes:
+    """``_slab_planes``, the x-slab cut of the warp, the NCC, field
+    resampling and the convolutions."""
+
+    @pytest.mark.parametrize(
+        "n, per_plane, budget, planes",
+        [
+            (14, 1, 12, 7),  # 2 slabs of 7, not 12 and 2
+            (80, 96 * 80, 1 << 17, 16),  # 5 slabs of 16, not 17 x 4 and 12
+            (10, 3, 12, 4),  # 4, 4 and a shorter last slab of 2
+            (48, 48 * 48, 1 << 17, 48),  # one slab: n planes, no more
+            (5, 10, 9, 1),  # a budget under one plane
+            (5, 10, 0, 1),
+            (5, 10, -100, 1),  # a negative budget
+        ],
+    )
+    def test_cut(self, n, per_plane, budget, planes):
+        assert defreg.warp._slab_planes(n, per_plane, budget) == planes
+
+    def test_fewest_slabs_cut_evenly(self):
+        for n in range(1, 30):
+            for per_plane in (1, 2, 3, 7):
+                for budget in range(-3, 70):
+                    p = defreg.warp._slab_planes(n, per_plane, budget)
+                    fit = max(budget // per_plane, 1)  # planes that fit, at least one
+                    slabs = -(-n // p)
+                    assert 1 <= p <= min(n, fit)
+                    assert slabs == -(-n // fit)  # the fewest slabs that fit
+                    # no smaller slab gives as few slabs
+                    assert p == 1 or -(-n // (p - 1)) > slabs
+
+
 class TestWarpSlabs:
     """The warp samples whole x-plane slabs; pointwise sampling makes any
     slab size give the whole-volume bits."""
