@@ -17,15 +17,20 @@ difference of two of its entries, formed with slices into one output (no
 running add/subtract window, whose rounding would drift along the axis).
 Summation order is fixed, so results are bit-reproducible.  One pass over
 x-slabs computes the window statistics on every grid, with or
-without the gradient (see ``_ncc_terms``).  Measured peaks with fresh
-arrays, in image volumes above the inputs: the NCC pass 8.4 with the
-gradient and 7.2 without at 48^3 (one slab), 5.4 and 1.5 at 160x192x160.
-One ``overall_loss`` evaluation: 12.4 with the gradient and 8.2 without at
-48^3, 12.0 and 4.1 at 160x192x160; with the gradient the smoothness
-gradient and its two buffers beside the similarity gradient set it.  A
-``Workspace`` holds those 12 volumes once per grid, and an evaluation into
-it allocates only the warp's slab arrays: 2.6 volumes at 48^3, 0.14 at
-160x192x160.
+without the gradient (see ``_ncc_terms``).  The fixed image's window means
+and variances do not depend on the field: a ``Workspace`` takes them once,
+and an evaluation into it takes 3 window sums in place of 5 (7 in place
+of 9 with the gradient).  Measured peaks with fresh arrays, in image
+volumes above the inputs: the NCC pass 7.4 with the gradient and 7.2
+without at 48^3 (one slab), 5.4 and 1.5 at 160x192x160.  One
+``overall_loss`` evaluation: 11.4 with the gradient and 8.2 without at
+48^3, 9.4 and 4.1 at 160x192x160; with the gradient the NCC pass beside
+the warped image and its sampling derivative sets it (the smoothness
+gradient, its differences and its x-slab beside the similarity gradient
+take 10 and 9).  A ``Workspace`` holds 13 volumes at 48^3 and 11.3 at
+160x192x160, the fixed image's two statistics among them, and an
+evaluation into it allocates only the warp's slab arrays: 2.6 volumes at
+48^3, 0.14 at 160x192x160.
 """
 
 from __future__ import annotations
@@ -154,35 +159,55 @@ def _box_counts(dims, w: int, planes=slice(None), out=None) -> np.ndarray:
     )
 
 
-def _window_stats(window_sums, counts, eps: float, cc, tmp, bufs, with_grad: bool) -> None:
+def _fixed_stats(box_F, box_FF, counts, muF, varF, sF, tmp) -> None:
+    """The fixed image's window means and variances at one slab's planes:
+    muF = box(F)/n and varF = max(box(F*F) - muF*box(F), 0), into ``muF``
+    and ``varF``.
+
+    ``box_F(out)`` and ``box_FF(out)`` return the window sums of F and F*F
+    in ``out``, and ``counts(out)`` writes the windows' voxel counts.
+    ``sF`` receives the sums of F and ``tmp`` the counts, then the product
+    that is subtracted (the window sums may overwrite it).
+    """
+    sF = box_F(sF)
+    np.divide(sF, counts(tmp), out=muF)
+    varF = box_FF(varF)
+    varF -= np.multiply(muF, sF, out=tmp)
+    np.maximum(varF, 0.0, out=varF)
+
+
+def _window_stats(sums, counts, muF, varF, eps: float, cc, tmp, bufs, with_grad: bool) -> None:
     """Per-window correlation and, with the gradient, its pointwise terms.
 
-    ``window_sums(q, out)`` returns the window sums of the q-th of F, G,
-    F*G, F*F and G*G in ``out``, and ``counts(out)`` writes the windows'
-    voxel counts.  The correlation goes into ``cc``.  ``bufs`` holds six arrays of its shape:
-    the sums of F and of G, then the arrays that get a = 1/d, muF*a,
-    e = where(floored, 0, cc/varG) and muG*e, the gradient's terms.
-    ``tmp``, of the same shape, holds the counts and then each product that
-    is subtracted (``window_sums`` may overwrite it).  The arithmetic is
-    that of the closed forms in the comments, in the same order, each
-    intermediate updated in place in its destination.
+    ``sums`` are three functions, each ``box(out)`` returning the window
+    sums of G, F*G and G*G in ``out``; ``counts(out)`` writes the windows'
+    voxel counts, and ``muF`` and ``varF`` are the fixed image's window
+    means and variances (``_fixed_stats``).  The correlation goes into
+    ``cc``.  ``bufs`` holds arrays of its shape: the sums of G, then with
+    the gradient the four that get its terms a = 1/d, muF*a,
+    e = where(floored, 0, cc/varG) and muG*e, and without it two that get
+    varG, then d, and muG.  ``tmp``, of the same shape, holds the counts
+    and then each product that is subtracted (the window sums may
+    overwrite it).  The arithmetic is that of the closed forms in the
+    comments, in the same order, each intermediate written in its
+    destination by one operation and then updated in place.  ``muF`` and
+    ``varF`` are only read: with the gradient they may be the arrays of
+    muF*a and a, which are written after their last read.
     """
-    sF, sG, a, muF, e, muG = bufs
-    sF = window_sums(0, sF)
-    sG = window_sums(1, sG)
-    n = counts(tmp)
-    np.divide(sF, n, out=muF)
-    np.divide(sG, n, out=muG)
-    del n
-    window_sums(2, cc)  # cross = box(F*G) - muF*sG
+    box_G, box_FG, box_GG = sums
+    if with_grad:
+        sG, a, muFa, e, muG = bufs
+    else:
+        sG, e, muG = bufs
+        a = e  # d takes the buffer of varG, dead once d is formed
+    sG = box_G(sG)
+    np.divide(sG, counts(tmp), out=muG)
+    box_FG(cc)  # cross = box(F*G) - muF*sG
     cc -= np.multiply(muF, sG, out=tmp)
-    d = window_sums(3, a)  # varF = max(box(F*F) - muF*sF, 0)
-    d -= np.multiply(muF, sF, out=tmp)
-    np.maximum(d, 0.0, out=d)
-    varG = window_sums(4, e)  # varG = max(box(G*G) - muG*sG, 0)
+    varG = box_GG(e)  # varG = max(box(G*G) - muG*sG, 0)
     varG -= np.multiply(muG, sG, out=tmp)
     np.maximum(varG, 0.0, out=varG)
-    d *= varG  # d = max(sqrt(varF*varG), eps)
+    d = np.multiply(varF, varG, out=a)  # d = max(sqrt(varF*varG), eps)
     np.sqrt(d, out=d)
     floored = d < eps if with_grad else None
     np.maximum(d, eps, out=d)
@@ -195,30 +220,38 @@ def _window_stats(window_sums, counts, eps: float, cc, tmp, bufs, with_grad: boo
     np.divide(cc, varG, out=e)
     np.copyto(e, 0.0, where=floored)
     np.divide(1.0, d, out=a)
-    muF *= a
+    np.multiply(muF, a, out=muFa)
     muG *= e
 
 
-def _ncc_layout(dims, w: int, with_grad: bool):
-    """Slab planes, carried planes and the shapes of ``_ncc_terms``' scratch
+def _ncc_layout(dims, w: int, quantities: int, slab_arrays: int, volumes: int):
+    """Slab planes, carried planes and the shapes of a slab pass's scratch
     arrays on a grid of ``dims``, in the order they are carved from one flat
-    buffer: the correlation, the work buffer, the carried cumulative sums,
-    the slab statistics (five, or the two sums beside the gradient's terms)
-    and the gradient's four whole-volume terms.  An unused array has no
-    voxels.  The slabs are cut by ``warp._slab_planes`` within
-    ``warp._SLAB_VOXELS``, read at each call; a grid of one slab takes nx
-    planes, no more."""
+    buffer: the work buffer, the carried cumulative sums of ``quantities``,
+    ``slab_arrays`` arrays of one slab and ``volumes`` whole volumes.  An
+    unused array has no voxels.  The slabs are cut by ``warp._slab_planes``
+    within ``warp._SLAB_VOXELS``, read at each call; a grid of one slab
+    takes nx planes, no more."""
     nx, ny, nz = dims
     step = _slab_planes(nx, ny * nz, warp._SLAB_VOXELS)
     reach = min(2 * (w // 2) + 1, nx)  # planes of x cumulative sums carried to the next slab
     carried = step < nx
     return step, reach, [
-        tuple(dims),
         (min(step + reach, nx), ny, nz),
-        (5 if carried else 0, reach, ny, nz),
-        (2 if with_grad else 5, step, ny, nz),
-        (4 if with_grad else 0,) + tuple(dims),
+        (quantities if carried else 0, reach, ny, nz),
+        (slab_arrays, step, ny, nz),
+        (volumes,) + tuple(dims),
     ]
+
+
+def _ncc_scratch(dims, w: int, with_grad: bool, cached: bool):
+    """``_ncc_layout`` of ``_ncc_terms``: the carried sums of G, F*G and
+    G*G, and of F and F*F unless F's statistics are ``cached``; the sums of
+    G beside the gradient's terms, or G's three statistics and, uncached,
+    F's two; the correlation and the gradient's four whole-volume terms."""
+    quantities = 3 if cached else 5
+    slab_arrays = 1 if with_grad else quantities
+    return _ncc_layout(dims, w, quantities, slab_arrays, 5 if with_grad else 1)
 
 
 def _carve(buf, shapes) -> list[np.ndarray]:
@@ -234,31 +267,24 @@ def _carve(buf, shapes) -> list[np.ndarray]:
     return arrays
 
 
-def _ncc_terms(F: np.ndarray, G: np.ndarray, w: int, eps: float, with_grad: bool, buf=None):
-    """Mean windowed correlation of F and G, optionally with d(value)/dG.
+def _slab_sums(factors, w: int, step: int, reach: int, work, carry):
+    """Each x-slab's planes, with one window-sum function per quantity.
 
-    The window sums along y and z and the statistics are pointwise in x,
-    so each x-slab runs them on its own planes.  Along x, each quantity's
-    cumulative sums are taken in one reused buffer, and their last 2r+1
-    planes, which the next slab's windows reach back to, are carried to it,
-    so every sum is added in the whole-volume order.  Each slab writes its
-    correlation, and with the gradient its four pointwise terms, into
-    whole-volume arrays, whose window sums the gradient then takes in
-    place, over the whole volume.  Every scratch array is carved from the
-    flat ``buf`` (see ``_ncc_layout``; a fresh one if it is None), and the
-    gradient is returned in it.
+    The q-th quantity is the product of the two arrays of ``factors[q]``,
+    or the first alone if the second is None; its function ``box(out)``
+    returns its window sums at the slab's planes in ``out``.  The window
+    sums along y and z are pointwise in x, so each slab takes them on its
+    own planes.  Along x, each quantity's cumulative sums are taken in the
+    reused ``work`` buffer, and their last 2r+1 planes, which the next
+    slab's windows reach back to, are carried to it in ``carry``, so every
+    sum is added in the whole-volume order.  The functions of a slab are
+    valid until the next one is drawn.
     """
-    nx, ny, nz = F.shape
+    nx, ny, nz = factors[0][0].shape
     r = w // 2
-    step, reach, shapes = _ncc_layout(F.shape, w, with_grad)
-    factors = ((F, None), (G, None), (F, G), (F, F), (G, G))
-    # work: x cumulative sums of one quantity at a time, then its y and z
-    # ones, then the statistics' products
-    cc, work, carry, stats, terms = _carve(buf, shapes)
     top = 0  # x-planes whose cumulative sums have been taken
 
     def window_sums(q, out):
-        """The window sums of the q-th quantity at the slab's planes x0 to x1."""
         f, g = factors[q]
         h = min(reach, top)  # carried planes top-h to top-1
         end = min(x1 + r, nx)  # the slab's windows reach plane end-1
@@ -280,17 +306,58 @@ def _ncc_terms(F: np.ndarray, G: np.ndarray, w: int, eps: float, with_grad: bool
 
     for x0 in range(0, nx, step):
         x1 = min(x0 + step, nx)
-        s = slice(x0, x1)
-        bufs = list(stats[:, : x1 - x0])
+        yield slice(x0, x1), [partial(window_sums, q) for q in range(len(factors))]
+        top = min(x1 + r, nx)
+
+
+def _fill_fixed_stats(F: np.ndarray, w: int, out, buf) -> None:
+    """The fixed image's window means and variances over the whole grid,
+    into ``out[0]`` and ``out[1]``, by the slab pass of ``_ncc_terms``, with
+    every scratch array carved from the flat ``buf``."""
+    step, reach, shapes = _ncc_layout(F.shape, w, 2, 1, 0)
+    work, carry, stats, _ = _carve(buf, shapes)
+    muF, varF = out
+    for s, (box_F, box_FF) in _slab_sums(((F, None), (F, F)), w, step, reach, work, carry):
+        n = s.stop - s.start
+        _fixed_stats(
+            box_F, box_FF, partial(_box_counts, F.shape, w, s), muF[s], varF[s], stats[0, :n],
+            work[:n],
+        )
+
+
+def _ncc_terms(
+    F: np.ndarray, G: np.ndarray, w: int, eps: float, with_grad: bool, buf=None, fixed=None
+):
+    """Mean windowed correlation of F and G, optionally with d(value)/dG.
+
+    One slab pass (``_slab_sums``) takes the window statistics; each slab
+    writes its correlation, and with the gradient its four pointwise terms,
+    into whole-volume arrays, whose window sums the gradient then takes in
+    place, over the whole volume.  ``fixed``, if given, holds F's window
+    means and variances on the whole grid (``_fill_fixed_stats``);
+    otherwise each slab computes its own first, by the same formula.  Every
+    scratch array is carved from the flat ``buf`` (see ``_ncc_scratch``; a
+    fresh one if it is None), and the gradient is returned in it.
+    """
+    cached = fixed is not None
+    step, reach, shapes = _ncc_scratch(F.shape, w, with_grad, cached)
+    factors = ((G, None), (F, G), (G, G)) + (() if cached else ((F, None), (F, F)))
+    # work: x cumulative sums of one quantity at a time, then its y and z
+    # ones, then the statistics' products
+    work, carry, stats, (cc, *terms) = _carve(buf, shapes)
+    for s, sums in _slab_sums(factors, w, step, reach, work, carry):
+        tmp = work[: s.stop - s.start]
+        bufs = list(stats[:, : len(tmp)])
+        counts = partial(_box_counts, F.shape, w, s)
         if with_grad:
             bufs += [t[s] for t in terms]
-        else:  # e, varG here, takes the buffer of F's sums, dead by then
-            bufs.insert(4, bufs[0])
-        _window_stats(
-            window_sums, partial(_box_counts, F.shape, w, s), eps, cc[s], work[: x1 - x0],
-            bufs, with_grad,
-        )
-        top = min(x1 + r, nx)
+        if cached:
+            muF, varF = fixed[0][s], fixed[1][s]
+        else:  # into the arrays of muF*a and a, or two slab arrays of their own
+            muF, varF = (bufs[2], bufs[1]) if with_grad else (bufs.pop(), bufs.pop())
+            # F's sums take the buffer of G's, which are taken after them
+            _fixed_stats(*sums[3:], counts, muF, varF, bufs[0], tmp)
+        _window_stats(sums[:3], counts, muF, varF, eps, cc[s], tmp, bufs, with_grad)
     value = float(np.mean(cc))
     if not with_grad:
         return value, None
@@ -316,33 +383,57 @@ def ncc(fixed: Volume, warped: Volume, cfg: LossConfig) -> float:
     return value
 
 
+def _along(axis: int, start, stop) -> tuple:
+    """Index of a field's planes start to stop-1 along ``axis``."""
+    idx = [slice(None)] * 4
+    idx[axis] = slice(start, stop)
+    return tuple(idx)
+
+
+def _smooth_layout(shape):
+    """Shapes of ``smoothness_loss``' scratch on a field of ``shape``: the
+    gradient, the differences and the gradient's x-slab, cut by
+    ``warp._slab_planes`` within ``warp._SLAB_VOXELS`` elements."""
+    step = _slab_planes(shape[0], math.prod(shape[1:]), warp._SLAB_VOXELS)
+    return [shape, shape, (step,) + shape[1:]]
+
+
 class Workspace:
     """The whole-volume arrays that the loss evaluations and Adam steps on
-    one grid write, allocated once and reused by every evaluation there.
+    one fixed image write, allocated once and reused by every evaluation
+    there, and that image's window statistics.
 
-    ``overall_loss(..., ws=ws)`` writes every whole-volume array into it
-    and returns its gradient there, valid until the next evaluation;
-    ``adam`` is scratch of the field's shape for ``model.adam_step`` on
-    that gradient.  Arrays of phases that never overlap share one pool:
-    the warped value and the NCC's scratch (see ``_ncc_layout``) during
-    the similarity, then the smoothness' gradient, differences and shifted
-    copy, and after the evaluation Adam's scratch in place of the
-    differences.  The sampling derivative, which becomes the similarity
-    gradient, has its own array.  With the moments Adam keeps in place, a
-    48^3 level holds 18 image volumes.
+    The statistics, F's window means and variances (``fixed_stats``), are
+    taken once, when the workspace is built; ``similarity_loss`` reads them
+    in place of two of the NCC's five window sums, and refuses a workspace
+    built for another fixed image.  ``overall_loss(..., ws=ws)`` writes
+    every whole-volume array into it and returns its gradient there, valid
+    until the next evaluation; ``adam`` is scratch of the field's shape for
+    ``model.adam_step`` on that gradient.  Arrays of phases that never
+    overlap share one pool: the warped value and the NCC's scratch (see
+    ``_ncc_scratch``; the statistics' own pass takes its scratch there
+    too), then the smoothness' gradient, differences and gradient slab, and
+    after the evaluation Adam's scratch in place of the differences.  The
+    sampling derivative, which becomes the similarity gradient, has its own
+    array.  With the moments Adam keeps in place, a 48^3 level holds 19
+    image volumes: the pool's 8, the derivative's 3, the statistics' 2 and
+    the moments' 6.
     """
 
-    def __init__(self, dims, ncc_window: int):
-        dims = tuple(int(d) for d in dims)
-        self.dims, self.ncc_window = dims, ncc_window
+    def __init__(self, fixed: Volume, ncc_window: int):
+        dims = fixed.dims
+        self.fixed, self.ncc_window = fixed.data, ncc_window
         n = math.prod(dims)
-        ncc = sum(math.prod(s) for s in _ncc_layout(dims, ncc_window, True)[2])
-        pool = np.empty(max(n + ncc, 9 * n))
+        ncc = sum(math.prod(s) for s in _ncc_scratch(dims, ncc_window, True, True)[2])
+        smooth = _smooth_layout(dims + (3,))
+        pool = np.empty(max(n + ncc, sum(math.prod(s) for s in smooth)))
         self.sample_grad = np.empty(dims + (3,))
+        self.fixed_stats = np.empty((2,) + dims)
         self.value = pool[:n].reshape(dims)
         self.ncc = pool[n : n + ncc]
-        self.smooth = pool[: 9 * n].reshape((3,) + dims + (3,))
+        self.smooth = _carve(pool, smooth)
         self.adam = self.smooth[1]
+        _fill_fixed_stats(fixed.data, ncc_window, self.fixed_stats, self.ncc)
 
 
 def similarity_loss(
@@ -360,14 +451,18 @@ def similarity_loss(
     ``(nx, ny, nz, 3)`` array chained through the trilinear sampling
     derivative at each voxel, or None when ``with_grad`` is off.  The warp
     takes its sampling derivative either way; the value-only path does not
-    read it.  With a workspace every whole-volume array is one of its own.
+    read it.  With a workspace every whole-volume array is one of its own,
+    and the fixed image's window statistics are its cached ones.
     """
     if fixed.dims != field.dims:
         raise ValueError(f"dims mismatch: fixed {fixed.dims} vs field {field.dims}")
-    if ws is not None and (ws.dims, ws.ncc_window) != (field.dims, cfg.ncc_window):
+    if ws is not None and ws.fixed is not fixed.data:
         raise ValueError(
-            f"workspace for dims {ws.dims} and ncc_window {ws.ncc_window}, "
-            f"given dims {field.dims} and ncc_window {cfg.ncc_window}"
+            "workspace built for another fixed image: its window statistics are that image's"
+        )
+    if ws is not None and ws.ncc_window != cfg.ncc_window:
+        raise ValueError(
+            f"workspace for ncc_window {ws.ncc_window}, given ncc_window {cfg.ncc_window}"
         )
     warped, sample_grad = warp_volume_with_gradient(
         moving, field, out=ws and (ws.value, ws.sample_grad)
@@ -375,7 +470,8 @@ def similarity_loss(
     if not with_grad:
         sample_grad = None  # a fresh one is freed before the value pass
     value, dG = _ncc_terms(
-        fixed.data, warped.data, cfg.ncc_window, cfg.variance_floor, with_grad, ws and ws.ncc
+        fixed.data, warped.data, cfg.ncc_window, cfg.variance_floor, with_grad,
+        ws and ws.ncc, ws and ws.fixed_stats,
     )
     del warped
     if not with_grad:
@@ -391,48 +487,55 @@ def smoothness_loss(field: DisplacementField, *, with_grad=True, out=None):
     Forward differences in mm with replicate boundary: the last difference
     along each axis is zero, so an axis of one voxel adds none.  Returns
     (value, analytic gradient as an ``(nx, ny, nz, 3)`` array, or None when
-    ``with_grad`` is off).  The differences and the shifted copy live in two
-    scratch buffers reused for every axis; without the gradient the
-    differences are squared in place, in the one buffer.  ``out``, if
-    given, is three arrays of the field's shape for the gradient, the
-    differences and the shifted copy; otherwise they are fresh, and only
-    the differences without the gradient.
+    ``with_grad`` is off).  Per axis the differences are taken in one
+    reused buffer, divided by the spacing unless it is 1; the gradient
+    reads them an x-slab at a time, one subtraction, one division and one
+    sum into the gradient per slab, and then they are squared in place and
+    summed over the whole array.  ``out``, if given, holds the arrays of
+    ``_smooth_layout``: the gradient, the differences and the gradient's
+    slab; otherwise they are fresh, and only the differences without the
+    gradient.  Without the gradient the differences take ``out[0]``.
     """
     u = field.data
     n_vox = u.size // 3
     value = 0.0
     if out is None:
-        out = [np.empty_like(u) for _ in range(3 if with_grad else 1)]
-    if with_grad:
-        grad, d, scratch = out
-        grad.fill(0.0)
-    else:
-        grad, d = None, out[0]
-        scratch = d
-
-    def ax(axis, start, stop):
-        idx = [slice(None)] * 4
-        idx[axis] = slice(start, stop)
-        return tuple(idx)
+        out = [np.empty(s) for s in _smooth_layout(u.shape)[: 3 if with_grad else 1]]
+    grad, d, slab = out if with_grad else (None, out[0], None)
 
     for axis in range(3):
         s = field.spacing[axis]
         n = u.shape[axis]
         # d = forward difference / s, zero on the last slice
-        np.subtract(u[ax(axis, 1, n)], u[ax(axis, 0, n - 1)], out=d[ax(axis, 0, n - 1)])
-        d[ax(axis, 0, n - 1)] /= s
-        d[ax(axis, n - 1, n)] = 0.0
-        np.multiply(d, d, out=scratch)
-        value += float(np.sum(scratch))
-        if not with_grad:
-            continue
-        # grad += 2 * (shifted - d) / (s * n_vox), shifted[i] = d[i-1], 0 at i = 0
-        scratch[ax(axis, 1, n)] = d[ax(axis, 0, n - 1)]
-        scratch[ax(axis, 0, 1)] = 0.0
-        scratch -= d
-        scratch *= 2.0
-        scratch /= s * n_vox
-        grad += scratch
+        inner = _along(axis, 0, n - 1)
+        np.subtract(u[_along(axis, 1, n)], u[inner], out=d[inner])
+        if s != 1.0:
+            d[inner] /= s
+        d[_along(axis, n - 1, n)] = 0.0
+        if with_grad:
+            # grad += (shifted - d) / (s * n_vox / 2), shifted[i] = d[i-1] and
+            # 0 at i = 0: an exact halving, so each term rounds as the closed
+            # form 2 * (shifted - d) / (s * n_vox) does; the first axis adds
+            # to 0.0, as to the closed form's zero gradient
+            c = s * n_vox / 2
+            for x0 in range(0, len(d), len(slab)):
+                x1 = min(x0 + len(slab), len(d))
+                # along x a slab after the first reads the plane before it
+                dv = d[x0 - 1 if x0 and not axis else x0 : x1]
+                t = slab[: x1 - x0]
+                m = dv.shape[axis]
+                first = t.shape[axis] - (m - 1)  # 1 if t holds the axis's first plane
+                np.subtract(
+                    dv[_along(axis, 0, m - 1)], dv[_along(axis, 1, m)],
+                    out=t[_along(axis, first, None)],
+                )
+                if first:
+                    np.subtract(0.0, dv[_along(axis, 0, 1)], out=t[_along(axis, 0, 1)])
+                t /= c
+                g = grad[x0:x1]
+                np.add(g if axis else 0.0, t, out=g)
+        np.multiply(d, d, out=d)
+        value += float(np.sum(d))
     value /= n_vox
     return value, grad
 
@@ -451,7 +554,7 @@ def overall_loss(
     The gradient is an ``(nx, ny, nz, 3)`` array on the field's grid, or None
     when ``with_grad`` is off; the value is the same to the bit either way.
     It is not checked for finiteness: a caller that steps on it checks the
-    loss value first.  With a workspace for the field's grid, every
+    loss value first.  With a workspace for the fixed image, every
     whole-volume array of the evaluation is one of the workspace's, the
     gradient too; without one they are fresh.
     """

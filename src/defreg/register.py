@@ -27,9 +27,10 @@ optimizes and what is returned:
   iterate, and the best iterate over all rounds is returned with its
   weights.
 
-A freeform level with steps evaluates into one ``loss.Workspace``, sized
-from the level's dims: every whole-volume array of the loss, and Adam's
-scratch, 12 image volumes beside the 6 of Adam's moments, which
+A freeform level with steps evaluates into one ``loss.Workspace``, built
+for the level's fixed image: every whole-volume array of the loss, Adam's
+scratch and the fixed image's window statistics, taken once there, 13
+image volumes at 48^3 beside the 6 of Adam's moments, which
 ``adam_step`` updates in place.  Both are built when the level starts and
 freed when it ends, before the next level allocates, so the one
 whole-volume array that a step allocates is its new parameters.  A level
@@ -358,7 +359,7 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
         # Adam's moments are parameter-sized: none for a level without steps,
         # and no workspace either (see the module docstring)
         state = AdamState.init(params, alpha=cfg.resolved_learning_rate) if n_steps else None
-        ws = Workspace(f_l.dims, cfg.loss.ncc_window) if freeform and n_steps else None
+        ws = Workspace(f_l, cfg.loss.ncc_window) if freeform and n_steps else None
         losses: list[LossValue] = []
         level_best, level_stop = 0, "max_iters"
         for it in range(n_steps + 1):  # it 0: the entry iterate

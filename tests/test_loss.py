@@ -400,14 +400,50 @@ class TestSmoothnessLoss:
 
 
 class TestSmoothnessExactness:
-    @pytest.mark.parametrize("dims", [(6, 5, 4), (2, 2, 2), (2, 7, 3)])
-    def test_value_and_gradient_equal_reference(self, rng, dims):
-        spacing = (1.5, 1.0, 0.75)
-        u = rng.standard_normal(dims + (3,))
-        value, grad = smoothness_loss(DisplacementField(u, spacing=spacing))
+    """The value and gradient have the closed forms' bytes: ``==`` and
+    ``np.array_equal`` take -0.0 for +0.0, so the bytes are compared too."""
+
+    @staticmethod
+    def check(u, spacing):
+        field = DisplacementField(u, spacing=spacing)
+        value, grad = smoothness_loss(field)
         want_value, want_grad = closed_form_smoothness(u, spacing)
-        assert value == want_value
-        assert np.array_equal(grad, want_grad)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        value_only, none = smoothness_loss(field, with_grad=False)
+        assert none is None
+        assert np.float64(value_only).tobytes() == np.float64(want_value).tobytes()
+
+    # the last three have a one-voxel axis, which adds no differences
+    @pytest.mark.parametrize(
+        "dims", [(6, 5, 4), (2, 2, 2), (2, 7, 3), (7, 1, 4), (1, 5, 3), (5, 4, 1)]
+    )
+    def test_value_and_gradient_equal_reference(self, rng, dims):
+        self.check(rng.standard_normal(dims + (3,)), (1.5, 1.0, 0.75))
+
+    # an axis of spacing 1.0 is not divided, beside axes that are or alone
+    @pytest.mark.parametrize("spacing", [(1.0, 2.5, 1.0), (0.5, 1.5, 1.0), (1.0, 1.0, 1.0)])
+    def test_unit_spacing_equals_reference(self, rng, spacing):
+        self.check(rng.standard_normal((5, 4, 3, 3)), spacing)
+
+    @pytest.mark.parametrize("spacing", [(1.5, 1.0, 0.75), (2.0, 1.0, 2.0)])
+    def test_signed_zeros_equal_reference(self, rng, spacing):
+        # -0.0 entries make -0.0 differences (-0.0 - +0.0), and the
+        # smallest subnormals halve to -0.0 at spacing 2, so the gradient's
+        # first plane, 0.0 - d, and its sums meet signed zeros
+        values = np.array([-0.0, 0.0, -5e-324, 5e-324, 1.5, -1.5])
+        u = rng.choice(values, size=(6, 5, 4, 3))
+        self.check(u, spacing)
+
+    # gradient slabs of 7 planes cut 1 ×7, (2, 2, 2, 1), (3, 3, 1), (4, 3)
+    # and one slab: short last slabs, along x and across it
+    @pytest.mark.parametrize("planes", [1, 2, 3, 4, 100])
+    def test_gradient_slabs_equal_reference(self, rng, monkeypatch, planes):
+        dims = (7, 5, 3)
+        monkeypatch.setattr(defreg.warp, "_SLAB_VOXELS", planes * 5 * 3 * 3)
+        u = rng.standard_normal(dims + (3,))
+        u[2] = -0.0
+        self.check(u, (1.5, 1.0, 0.75))
 
 
 class TestOverallLoss:
@@ -491,10 +527,12 @@ class TestOverallLoss:
 
 class TestLossMemory:
     # Peak traced bytes of one overall_loss evaluation, in volumes of the
-    # image size.  With fresh arrays it peaks at 12.4 volumes at 40^3, in
-    # the smoothness gradient beside the similarity gradient; the bound
-    # leaves a margin for numpy versions.
-    PEAK_VOLUMES = 16
+    # image size.  With fresh arrays it peaks at 11.4 volumes at 40^3, in
+    # the NCC's pass (7.4) beside the warped image and its 3-volume sampling
+    # derivative; the smoothness gradient, its differences and its slab
+    # beside the similarity gradient take 10.  The bound leaves a margin
+    # for numpy versions.
+    PEAK_VOLUMES = 15
 
     def test_one_evaluation_stays_under_bound(self):
         rng = np.random.default_rng(0)
@@ -523,12 +561,13 @@ class TestLossMemory:
             tracemalloc.stop()
         assert peak < 1.2 * field.data.nbytes  # the differences, squared in place
 
-    # The same evaluation with the warp and the NCC over 1-plane slabs, per
-    # path: the smoothness gradient beside the similarity gradient (12.4
-    # volumes at 40^3; the NCC's pass beside the warped image and its
-    # 3-volume sampling derivative stays lower) and the value-only warp with
-    # its derivative (4.5 volumes).
-    @pytest.mark.parametrize("with_grad, peak_volumes", [(True, 13.5), (False, 5)])
+    # The same evaluation with the warp, the NCC and the smoothness gradient
+    # over 1-plane slabs, per path: the NCC's pass beside the warped image
+    # and its 3-volume sampling derivative (10.8 volumes at 40^3; the
+    # smoothness gradient, its differences and its slab beside the
+    # similarity gradient stay lower) and the value-only warp with its
+    # derivative (4.5 volumes).
+    @pytest.mark.parametrize("with_grad, peak_volumes", [(True, 12), (False, 5)])
     def test_multi_slab_evaluation_stays_under_bound(self, monkeypatch, with_grad, peak_volumes):
         rng = np.random.default_rng(0)
         dims = (40, 40, 40)
@@ -565,12 +604,12 @@ class TestLossMemory:
             tracemalloc.stop()
         assert peak < 3 * F.nbytes
 
-    # The NCC pass alone on a grid of one slab (48^3), per path: the
-    # correlation, the gradient's four pointwise terms, the sums of F and G
-    # and one reused buffer (8.4 volumes with the gradient, 7.2 without).
-    # Beside the warped image and its sampling derivative it stays under
-    # the 12.4 volumes of the smoothness phase, which set the evaluation's
-    # peak.
+    # The NCC pass alone on a grid of one slab (48^3), per path: with the
+    # gradient the correlation, the gradient's four pointwise terms (two of
+    # which first hold F's statistics), the sums of G and one reused buffer
+    # (7.4 volumes); without it the correlation, the five statistics and
+    # the buffer (7.2).  Beside the warped image and its sampling
+    # derivative it sets the evaluation's peak.
     @pytest.mark.parametrize("with_grad", [True, False])
     def test_one_slab_ncc_pass_stays_under_bound(self, with_grad):
         rng = np.random.default_rng(0)
@@ -586,7 +625,7 @@ class TestLossMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 14 * F.nbytes
+        assert peak <= 13 * F.nbytes
 
 
 class TestWorkspace:
@@ -615,30 +654,88 @@ class TestWorkspace:
         for a, b in ((warped.data, warped2.data), (sample_grad, sample_grad2), (grad, grad2)):
             assert not np.shares_memory(a, b)
 
-    # slabs of 1 and 3 planes carry cumulative sums between them; 100
-    # planes is one slab
-    @pytest.mark.parametrize("planes", [1, 3, 100])
+    # slabs of 1 and 3 planes carry cumulative sums between them, 3 and 4
+    # planes of 11 leave a short last slab (3, 3, 3, 2 and 4, 4, 3), and 100
+    # planes is one slab; the fixed image's statistics are taken in the
+    # workspace's slabs, the evaluation's without a workspace in its own
+    @pytest.mark.parametrize("planes", [1, 3, 4, 100])
     @pytest.mark.parametrize("with_grad", [True, False])
     def test_same_bits_in_the_workspace_memory(self, monkeypatch, planes, with_grad):
-        fixed, moving, fields = self.inputs()
-        monkeypatch.setattr(defreg.warp, "_SLAB_VOXELS", planes * 10 * 9)
-        monkeypatch.setattr(defreg.warp, "_SAMPLE_SLAB_VOXELS", planes * 10 * 9)
-        ws = Workspace(fixed.dims, self.CFG.ncc_window)
-        for u in fields:
-            want, want_grad = overall_loss(fixed, moving, u, self.CFG, with_grad=with_grad)
-            got, got_grad = overall_loss(fixed, moving, u, self.CFG, with_grad=with_grad, ws=ws)
-            assert got == want
-            if with_grad:
-                assert np.array_equal(got_grad, want_grad)
-                assert np.shares_memory(got_grad, ws.smooth)
-            else:
-                assert got_grad is None
+        for dims in ((12, 10, 9), (11, 7, 5)):
+            fixed, moving, fields = self.inputs(dims)
+            plane = dims[1] * dims[2]
+            monkeypatch.setattr(defreg.warp, "_SLAB_VOXELS", planes * plane)
+            monkeypatch.setattr(defreg.warp, "_SAMPLE_SLAB_VOXELS", planes * plane)
+            ws = Workspace(fixed, self.CFG.ncc_window)
+            for u in fields:
+                want, want_grad = overall_loss(fixed, moving, u, self.CFG, with_grad=with_grad)
+                got, got_grad = overall_loss(
+                    fixed, moving, u, self.CFG, with_grad=with_grad, ws=ws
+                )
+                assert np.array(astuple(got)).tobytes() == np.array(astuple(want)).tobytes()
+                if with_grad:
+                    assert got_grad.tobytes() == want_grad.tobytes()
+                    assert np.shares_memory(got_grad, ws.smooth[0])
+                else:
+                    assert got_grad is None
+
+    @pytest.mark.parametrize("planes", [1, 3, 4, 100])
+    def test_fixed_statistics_equal_the_closed_forms(self, rng, monkeypatch, planes):
+        F = rng.standard_normal((11, 7, 5))
+        F[3] = 0.25  # a flat slab gives windows of variance 0
+        monkeypatch.setattr(defreg.warp, "_SLAB_VOXELS", planes * 7 * 5)
+        ws = Workspace(Volume(data=F), 5)
+        n = _box_counts(F.shape, 5)
+        muF = concat_take_box_sum(F, 5) / n
+        varF = np.maximum(concat_take_box_sum(F * F, 5) - muF * concat_take_box_sum(F, 5), 0.0)
+        assert ws.fixed_stats[0].tobytes() == muF.tobytes()
+        assert ws.fixed_stats[1].tobytes() == varF.tobytes()
 
     def test_workspace_of_another_grid_or_window_refused(self):
         fixed, moving, (u, _) = self.inputs()
-        for ws in (Workspace((12, 10, 8), 5), Workspace(fixed.dims, 7)):
-            with pytest.raises(ValueError, match="workspace for dims"):
-                overall_loss(fixed, moving, u, self.CFG, ws=ws)
+        other = Volume(data=np.zeros((12, 10, 8)))
+        # another grid, or the same grid with other values (the moving
+        # image), whose cached statistics would be wrong
+        refused = (
+            (Workspace(other, 5), "built for another fixed image"),
+            (Workspace(moving, 5), "built for another fixed image"),
+            (Workspace(fixed, 7), "ncc_window 7"),
+        )
+        for ws, why in refused:
+            for with_grad in (True, False):
+                with pytest.raises(ValueError, match=why):
+                    overall_loss(fixed, moving, u, self.CFG, with_grad=with_grad, ws=ws)
+
+    # A 48^3 workspace (window 9, one NCC slab, gradient slabs of 16 planes)
+    # holds 13 image volumes: the pool's 8 (the warped value and the NCC's
+    # 7: correlation, work buffer, G's sums and the gradient's 4 terms; the
+    # smoothness' 3 + 3 + 1 fit in it), the sampling derivative's 3 and the
+    # fixed image's 2 statistics.  Filling them allocates no whole volume.
+    # An evaluation into it allocates only the warp's slab arrays (2.6).
+    def test_48_cubed_holds_13_volumes_and_an_evaluation_adds_only_slabs(self):
+        rng = np.random.default_rng(0)
+        dims = (48, 48, 48)
+        fixed = Volume(data=rng.standard_normal(dims))
+        moving = Volume(data=rng.standard_normal(dims))
+        u = DisplacementField(data=rng.uniform(-2.0, 2.0, dims + (3,)))
+        volume = fixed.data.nbytes
+        tracemalloc.start()
+        try:
+            ws = Workspace(fixed, 9)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 13 * volume <= held < 13.01 * volume
+        assert peak < 13.5 * volume
+        for with_grad in (True, False):
+            overall_loss(fixed, moving, u, LossConfig(), with_grad=with_grad, ws=ws)  # warm-up
+            tracemalloc.start()
+            try:
+                overall_loss(fixed, moving, u, LossConfig(), with_grad=with_grad, ws=ws)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * volume, with_grad
 
     def test_warp_writes_into_the_given_arrays(self):
         _, moving, (u, _) = self.inputs()

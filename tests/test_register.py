@@ -825,9 +825,9 @@ class TestLevelWorkspace:
         built, alive = [], []
 
         class Recording(Workspace):
-            def __init__(self, dims, ncc_window):
+            def __init__(self, fixed, ncc_window):
                 alive.append([ref() is not None for ref in built])
-                super().__init__(dims, ncc_window)
+                super().__init__(fixed, ncc_window)
                 built.append(weakref.ref(self))
 
         def traced_peak(cfg):
@@ -842,8 +842,9 @@ class TestLevelWorkspace:
         two = traced_peak(quick_cfg(pyramid_levels=2, iterations_per_level=2))
         assert alive == [[], [False]]
         one = traced_peak(quick_cfg(pyramid_levels=1, iterations_per_level=2))
-        # the coarse level's workspace (12 of its volumes, 1.5 of the fine
-        # level's) would raise the peak by that much if it were alive
+        # the coarse level's workspace (13 of its volumes, 1.6 of the fine
+        # level's) would raise the peak by that much if it were alive; the
+        # bound is half of 12 of them
         coarse = 12 * 16**3 * 8
         assert two - one < coarse / 2
         # a level without steps builds none
