@@ -165,12 +165,13 @@ def _fixed_stats(box_F, box_FF, counts, muF, varF, sF, tmp) -> None:
     and ``varF``.
 
     ``box_F(out)`` and ``box_FF(out)`` return the window sums of F and F*F
-    in ``out``, and ``counts(out)`` writes the windows' voxel counts.
-    ``sF`` receives the sums of F and ``tmp`` the counts, then the product
-    that is subtracted (the window sums may overwrite it).
+    in ``out``, and ``counts`` holds the windows' voxel counts (it may be
+    ``muF``, which the means overwrite).  ``sF`` receives the sums of F and
+    ``tmp`` the product that is subtracted (the window sums may overwrite
+    it).
     """
     sF = box_F(sF)
-    np.divide(sF, counts(tmp), out=muF)
+    np.divide(sF, counts, out=muF)
     varF = box_FF(varF)
     varF -= np.multiply(muF, sF, out=tmp)
     np.maximum(varF, 0.0, out=varF)
@@ -180,15 +181,15 @@ def _window_stats(sums, counts, muF, varF, eps: float, cc, tmp, bufs, with_grad:
     """Per-window correlation and, with the gradient, its pointwise terms.
 
     ``sums`` are three functions, each ``box(out)`` returning the window
-    sums of G, F*G and G*G in ``out``; ``counts(out)`` writes the windows'
-    voxel counts, and ``muF`` and ``varF`` are the fixed image's window
-    means and variances (``_fixed_stats``).  The correlation goes into
-    ``cc``.  ``bufs`` holds arrays of its shape: the sums of G, then with
-    the gradient the four that get its terms a = 1/d, muF*a,
-    e = where(floored, 0, cc/varG) and muG*e, and without it two that get
-    varG, then d, and muG.  ``tmp``, of the same shape, holds the counts
-    and then each product that is subtracted (the window sums may
-    overwrite it).  The arithmetic is that of the closed forms in the
+    sums of G, F*G and G*G in ``out``; ``counts`` holds the windows' voxel
+    counts (it may be the buffer of muG, which the means overwrite), and
+    ``muF`` and ``varF`` are the fixed image's window means and variances
+    (``_fixed_stats``).  The correlation goes into ``cc``.  ``bufs`` holds
+    arrays of its shape: the sums of G, then with the gradient the four
+    that get its terms a = 1/d, muF*a, e = where(floored, 0, cc/varG) and
+    muG*e, and without it two that get varG, then d, and muG.  ``tmp``, of
+    the same shape, holds each product that is subtracted (the window sums
+    may overwrite it).  The arithmetic is that of the closed forms in the
     comments, in the same order, each intermediate written in its
     destination by one operation and then updated in place.  ``muF`` and
     ``varF`` are only read: with the gradient they may be the arrays of
@@ -201,7 +202,7 @@ def _window_stats(sums, counts, muF, varF, eps: float, cc, tmp, bufs, with_grad:
         sG, e, muG = bufs
         a = e  # d takes the buffer of varG, dead once d is formed
     sG = box_G(sG)
-    np.divide(sG, counts(tmp), out=muG)
+    np.divide(sG, counts, out=muG)
     box_FG(cc)  # cross = box(F*G) - muF*sG
     cc -= np.multiply(muF, sG, out=tmp)
     varG = box_GG(e)  # varG = max(box(G*G) - muG*sG, 0)
@@ -319,10 +320,8 @@ def _fill_fixed_stats(F: np.ndarray, w: int, out, buf) -> None:
     muF, varF = out
     for s, (box_F, box_FF) in _slab_sums(((F, None), (F, F)), w, step, reach, work, carry):
         n = s.stop - s.start
-        _fixed_stats(
-            box_F, box_FF, partial(_box_counts, F.shape, w, s), muF[s], varF[s], stats[0, :n],
-            work[:n],
-        )
+        counts = _box_counts(F.shape, w, s, out=muF[s])  # divided in place
+        _fixed_stats(box_F, box_FF, counts, muF[s], varF[s], stats[0, :n], work[:n])
 
 
 def _ncc_terms(
@@ -348,14 +347,15 @@ def _ncc_terms(
     for s, sums in _slab_sums(factors, w, step, reach, work, carry):
         tmp = work[: s.stop - s.start]
         bufs = list(stats[:, : len(tmp)])
-        counts = partial(_box_counts, F.shape, w, s)
         if with_grad:
             bufs += [t[s] for t in terms]
         if cached:
             muF, varF = fixed[0][s], fixed[1][s]
         else:  # into the arrays of muF*a and a, or two slab arrays of their own
             muF, varF = (bufs[2], bufs[1]) if with_grad else (bufs.pop(), bufs.pop())
-            # F's sums take the buffer of G's, which are taken after them
+        # once per slab, in the buffer of muG, which then divides them in place
+        counts = _box_counts(F.shape, w, s, out=bufs[-1])
+        if not cached:  # F's sums take the buffer of G's, which are taken after them
             _fixed_stats(*sums[3:], counts, muF, varF, bufs[0], tmp)
         _window_stats(sums[:3], counts, muF, varF, eps, cc[s], tmp, bufs, with_grad)
     value = float(np.mean(cc))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import defreg.loss
 import defreg.warp
 from defreg.loss import (
     LossConfig,
@@ -283,6 +284,35 @@ class TestNccValueSlabs:
             assert got_value == want_value, planes
             assert np.array_equal(got_grad, want_grad), planes
             assert _ncc_terms(F, G, w, 1e-5, False) == (want_value, None), planes
+
+
+class TestNccCounts:
+    """The windows' voxel counts are taken once per slab, on every path."""
+
+    @pytest.mark.parametrize("planes", [1, 4, 100])
+    @pytest.mark.parametrize("with_grad", [True, False])
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_one_box_counts_call_per_slab(self, monkeypatch, planes, with_grad, cached):
+        rng = np.random.default_rng(0)
+        dims = (11, 7, 5)
+        fixed = Volume(data=rng.standard_normal(dims))
+        moving = Volume(data=rng.standard_normal(dims))
+        field = DisplacementField(data=rng.uniform(-2.0, 2.0, dims + (3,)))
+        monkeypatch.setattr(defreg.warp, "_SLAB_VOXELS", planes * 7 * 5)
+        ws = Workspace(fixed, 5) if cached else None
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _box_counts(*args, **kwargs)
+
+        monkeypatch.setattr(defreg.loss, "_box_counts", counting)
+        cfg = LossConfig(ncc_window=5)
+        similarity_loss(fixed, moving, field, cfg, with_grad=with_grad, ws=ws)
+        step = defreg.warp._slab_planes(11, 7 * 5, defreg.warp._SLAB_VOXELS)
+        assert [args[2] for args in calls] == [
+            slice(x0, min(x0 + step, 11)) for x0 in range(0, 11, step)
+        ]
 
 
 class TestSimilarityLoss:

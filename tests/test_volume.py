@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 
 from defreg.volume import (
     Volume,
+    _zscore,
     export_slice,
     load_volume,
     save_volume,
     slice_2d,
     zscore_normalize,
 )
+from defreg.warp import DisplacementField, load_field, save_field
 
 from conftest import random_volume
 
@@ -145,6 +149,117 @@ class TestRoundTrip:
             load_volume(tmp_path / "n.vol")
 
 
+def reference_payload(data):
+    """The earlier writer's bytes: one whole-volume float32 transpose."""
+    return data.transpose(2, 1, 0, *range(3, data.ndim)).astype("<f4").tobytes()
+
+
+def reference_samples(payload, dims, channel_shape):
+    """The earlier reader's samples: a float64 flat copy, then one strided
+    whole-volume copy."""
+    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    data = flat.reshape(tuple(reversed(dims)) + channel_shape)
+    return np.ascontiguousarray(data.transpose(2, 1, 0, *range(3, data.ndim)))
+
+
+GRID_IO = {
+    "volume": (Volume, save_volume, load_volume),
+    "field": (DisplacementField, save_field, load_field),
+}
+
+
+@pytest.mark.parametrize("kind", ["volume", "field"])
+class TestGridFileOrder:
+    """Grids are written a block of z-planes at a time and read a y-plane
+    at a time; the bytes and the values are those of the whole-volume
+    transposes."""
+
+    # odd dims, one-voxel axes, nz below, at and past the 8-plane block and
+    # not a multiple of it
+    @pytest.mark.parametrize(
+        "dims", [(5, 7, 3), (1, 6, 4), (7, 1, 1), (1, 1, 1), (3, 4, 8), (6, 5, 19), (2, 3, 17)]
+    )
+    def test_bytes_and_values_equal_the_reference(self, tmp_path, kind, dims):
+        cls, save, load = GRID_IO[kind]
+        rng = np.random.default_rng(7)
+        data = rng.standard_normal(dims + cls.channel_shape) * 100.0
+        data.flat[0] = -0.0
+        grid = cls(data=data, spacing=(0.7, 1.3, 2.1), origin=(-4.0, 2.5, 0.0))
+        path = tmp_path / "g.raw"
+        save(grid, path)
+        payload = path.read_bytes()
+        assert payload == reference_payload(grid.data)
+        back = load(path)
+        want = reference_samples(payload, dims, cls.channel_shape)
+        assert back.data.tobytes() == want.tobytes()
+        assert back.data.shape == want.shape and back.data.flags.c_contiguous
+        assert not back.data.flags.writeable
+        assert (back.spacing, back.origin) == (grid.spacing, grid.origin)
+
+    def refused(self, tmp_path, kind, message, damage):
+        cls, save, load = GRID_IO[kind]
+        shape = (3, 3, 3) + cls.channel_shape
+        data = np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
+        save(cls(data=data), tmp_path / "g.raw")
+        damage(tmp_path / "g.raw")
+        with pytest.raises((ValueError, OSError), match=message):
+            load(tmp_path / "g.raw")
+
+    def test_truncated_payload_refused(self, tmp_path, kind):
+        def truncate(path):
+            path.write_bytes(path.read_bytes()[:-4])
+
+        self.refused(tmp_path, kind, r"payload is \d+ bytes but header dims \(3, 3, 3\)", truncate)
+
+    def test_nonfinite_payload_refused(self, tmp_path, kind):
+        def poison(path):
+            raw = bytearray(path.read_bytes())
+            raw[-4:] = np.array([np.inf], dtype="<f4").tobytes()
+            path.write_bytes(bytes(raw))
+
+        self.refused(tmp_path, kind, "payload contains non-finite values", poison)
+
+    def test_missing_sidecar_refused(self, tmp_path, kind):
+        def unlink_sidecar(path):
+            path.with_name(path.name + ".json").unlink()
+
+        self.refused(tmp_path, kind, "missing sidecar header", unlink_sidecar)
+
+    def test_channel_mismatch_refused(self, tmp_path, kind):
+        cls, _, load = GRID_IO[kind]
+        other = {"volume": "field", "field": "volume"}[kind]
+        ocls, osave, _ = GRID_IO[other]
+        osave(ocls(data=np.zeros((3, 3, 3) + ocls.channel_shape)), tmp_path / "g.raw")
+        want = math.prod(cls.channel_shape), math.prod(ocls.channel_shape)
+        with pytest.raises(ValueError, match=r"expected %d channel\(s\), header says %d" % want):
+            load(tmp_path / "g.raw")
+
+    # Bounds stated before they were run, in result-sizes (the grid's
+    # float64 bytes), at 64x48x40: the earlier reader peaked at 2.63 (the
+    # payload, its float64 flat copy and the transposed copy) and the
+    # earlier writer at 1.00 (the float32 copy and its bytes).  A load now
+    # holds the payload beside the result (1.5); a save holds one block of
+    # 8 of the 40 z-planes in float32 (0.1).
+    def test_load_and_save_peaks(self, tmp_path, kind):
+        cls, save, load = GRID_IO[kind]
+        rng = np.random.default_rng(0)
+        grid = cls(data=rng.standard_normal((64, 48, 40) + cls.channel_shape))
+        path = tmp_path / "g.raw"
+        save(grid, path)
+        load(path)  # warm-up
+        tracemalloc.start()
+        try:
+            save(grid, path)
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            load(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert load_peak <= 1.7 * grid.data.nbytes
+        assert save_peak <= 0.3 * grid.data.nbytes
+
+
 class TestZscore:
     def test_two_values(self):
         v = Volume(data=np.array([0.0, 2.0]).reshape(2, 1, 1), spacing=(1.0, 1.0, 1.0))
@@ -167,6 +282,29 @@ class TestZscore:
         once = zscore_normalize(v)
         twice = zscore_normalize(once)
         assert np.max(np.abs(twice.data - once.data)) < 1e-6
+
+    def test_equals_the_closed_form_bytes(self, rng):
+        v = random_volume(rng, dims=(9, 7, 5))
+        mean, std = float(np.mean(v.data)), float(np.std(v.data))
+        out = _zscore(v, mean, std)
+        assert out.data.tobytes() == ((v.data - mean) / std).tobytes()
+        assert not out.data.flags.writeable
+
+    # The result and the grid's finiteness mask (1/8 volume): 1.14 volumes
+    # at 24^3, against 2.0 for (v.data - mean) / std.  The grid is below
+    # the 256 KiB from which numpy reuses the difference's temporary itself.
+    def test_allocates_one_volume(self, rng):
+        v = random_volume(rng, dims=(24, 24, 24))
+        mean, std = float(np.mean(v.data)), float(np.std(v.data))
+        _zscore(v, mean, std)  # warm-up
+        tracemalloc.start()
+        try:
+            out = _zscore(v, mean, std)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * v.data.nbytes
+        assert out.data.nbytes == v.data.nbytes
 
     @given(a=st.floats(0.1, 50.0), b=st.floats(-100.0, 100.0))
     @settings(max_examples=25, deadline=None)
