@@ -387,7 +387,8 @@ def _cmd_eval(args) -> int:
     before = landmark_errors(fixed_lms, moving_lms)
     mapped = transform_landmarks(fixed_lms, field)
     after = landmark_errors(mapped, moving_lms)
-    jmap = jacobian_determinant(field)
+    # a field with a one-voxel axis has no Jacobian: its folding is left unset
+    jmap = jacobian_determinant(field) if min(field.dims) >= 2 else None
     metrics = case_metrics(after, before, jmap)
     import numpy as np
 

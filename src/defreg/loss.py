@@ -15,12 +15,13 @@ O(N * window^3); windows are clipped at the borders rather than padded.
 Along each axis a cumulative sum is taken once and each window is the
 difference of two of its entries, formed with slices into one output (no
 running add/subtract window, whose rounding would drift along the axis).
-Summation order is fixed, so results are bit-reproducible.  One pass over
-x-slabs computes the window statistics on every grid, with or
-without the gradient (see ``_ncc_terms``).  The fixed image's window means
-and variances do not depend on the field: a ``Workspace`` takes them once,
-and an evaluation into it takes 3 window sums in place of 5 (7 in place
-of 9 with the gradient).  Measured peaks with fresh arrays, in image
+Summation order is fixed, so results are bit-reproducible.  Every window
+sum goes through one x-slab pass (``_slab_sums``): it takes the window
+statistics on every grid, and with the gradient a second run of it takes
+the gradient's four box sums (see ``_ncc_terms``).  The fixed image's
+window means and variances do not depend on the field: a ``Workspace``
+takes them once, and an evaluation into it takes 3 window sums in place
+of 5 (7 in place of 9 with the gradient).  Measured peaks with fresh arrays, in image
 volumes above the inputs: the NCC pass 7.4 with the gradient and 7.2
 without at 48^3 (one slab), 5.4 and 1.5 at 160x192x160.  One
 ``overall_loss`` evaluation: 11.4 with the gradient and 8.2 without at
@@ -87,7 +88,7 @@ class LossValue:
     smoothness: float
 
 
-def _cumsum_axis0(a: np.ndarray, out: np.ndarray, start: int = 0) -> None:
+def _cumsum_axis0(a: np.ndarray, out: np.ndarray, start: int) -> None:
     """``np.cumsum(a, axis=0, out=out)``, added slab by slab, from plane
     ``start`` on: earlier planes of ``out`` already hold their sums (``a``
     may be ``out``).
@@ -119,30 +120,6 @@ def _window_diff(csum, out, axis: int, r: int, n: int, first: int = 0, base: int
     lo = max(r + 1, first)
     if lo < stop:
         o[lo - first :] -= c[lo - r - 1 - base : stop - r - 1 - base]
-
-
-def _box_pass(src: np.ndarray, out: np.ndarray, csum: np.ndarray, axis: int, r: int) -> None:
-    """Windowed sums of ``src`` along ``axis``, window radius ``r``, into
-    ``out`` (which may be ``src``), with ``csum`` as the cumulative sums."""
-    if axis:
-        src.cumsum(axis=axis, out=csum)
-    else:
-        _cumsum_axis0(src, csum)
-    _window_diff(csum, out, axis, r, out.shape[axis])
-
-
-def _box_sum(a: np.ndarray, w: int, out=None, csum=None) -> np.ndarray:
-    """Separable sliding-window sum with window side ``w``, clipped at borders.
-
-    ``csum`` holds the cumulative sums and ``out``, which may be ``a``, the
-    windowed sums; each is a fresh array if it is not given.
-    """
-    out = np.empty_like(a) if out is None else out
-    csum = np.empty_like(a) if csum is None else csum
-    r = w // 2
-    for axis in range(3):
-        _box_pass(out if axis else a, out, csum, axis, r)
-    return out
 
 
 def _box_counts(dims, w: int, planes=slice(None), out=None) -> np.ndarray:
@@ -247,12 +224,14 @@ def _ncc_layout(dims, w: int, quantities: int, slab_arrays: int, volumes: int):
 
 def _ncc_scratch(dims, w: int, with_grad: bool, cached: bool):
     """``_ncc_layout`` of ``_ncc_terms``: the carried sums of G, F*G and
-    G*G, and of F and F*F unless F's statistics are ``cached``; the sums of
-    G beside the gradient's terms, or G's three statistics and, uncached,
-    F's two; the correlation and the gradient's four whole-volume terms."""
+    G*G, and of F and F*F unless F's statistics are ``cached``, or of the
+    gradient's four terms if they are more; the sums of G beside the
+    gradient's terms, or G's three statistics and, uncached, F's two; the
+    correlation and the gradient's four whole-volume terms."""
     quantities = 3 if cached else 5
-    slab_arrays = 1 if with_grad else quantities
-    return _ncc_layout(dims, w, quantities, slab_arrays, 5 if with_grad else 1)
+    if not with_grad:
+        return _ncc_layout(dims, w, quantities, quantities, 1)
+    return _ncc_layout(dims, w, max(quantities, 4), 1, 5)
 
 
 def _carve(buf, shapes) -> list[np.ndarray]:
@@ -275,10 +254,13 @@ def _slab_sums(factors, w: int, step: int, reach: int, work, carry):
     or the first alone if the second is None; its function ``box(out)``
     returns its window sums at the slab's planes in ``out``.  The window
     sums along y and z are pointwise in x, so each slab takes them on its
-    own planes.  Along x, each quantity's cumulative sums are taken in the
-    reused ``work`` buffer, and their last 2r+1 planes, which the next
+    own planes, with the slab's first planes of ``work`` as their
+    cumulative sums.  Along x, each quantity's cumulative sums are taken in
+    the reused ``work`` buffer, and their last 2r+1 planes, which the next
     slab's windows reach back to, are carried to it in ``carry``, so every
-    sum is added in the whole-volume order.  The functions of a slab are
+    sum is added in the whole-volume order.  A slab reads its factors only
+    from plane ``top`` on, the previous slab's end plus r, so ``out`` may
+    be a factor's own planes at the slab.  The functions of a slab are
     valid until the next one is drawn.
     """
     nx, ny, nz = factors[0][0].shape
@@ -301,8 +283,9 @@ def _slab_sums(factors, w: int, step: int, reach: int, work, carry):
         if x1 < nx:
             carry[q, : min(reach, end)] = csum[-min(reach, end) :]
         _window_diff(csum, out, 0, r, nx, x0, top - h)
-        for axis in (1, 2):
-            _box_pass(out, out, work[: x1 - x0], axis, r)
+        for axis in (1, 2):  # pointwise in x: cumulative sums of the slab's own planes
+            csum = out.cumsum(axis=axis, out=work[: len(out)])
+            _window_diff(csum, out, axis, r, out.shape[axis])
         return out
 
     for x0 in range(0, nx, step):
@@ -331,9 +314,10 @@ def _ncc_terms(
 
     One slab pass (``_slab_sums``) takes the window statistics; each slab
     writes its correlation, and with the gradient its four pointwise terms,
-    into whole-volume arrays, whose window sums the gradient then takes in
-    place, over the whole volume.  ``fixed``, if given, holds F's window
-    means and variances on the whole grid (``_fill_fixed_stats``);
+    into whole-volume arrays.  With the gradient a second slab pass then
+    writes each term's window sums over the term, slab by slab, and forms
+    the gradient in the first term's array.  ``fixed``, if given, holds F's
+    window means and variances on the whole grid (``_fill_fixed_stats``);
     otherwise each slab computes its own first, by the same formula.  Every
     scratch array is carved from the flat ``buf`` (see ``_ncc_scratch``; a
     fresh one if it is None), and the gradient is returned in it.
@@ -361,18 +345,18 @@ def _ncc_terms(
     value = float(np.mean(cc))
     if not with_grad:
         return value, None
-    # grad = (F*box(a) - box(muF*a) - G*box(e) + box(muG*e)) / F.size, each
-    # box sum taken in place, with cc's buffer for its cumulative sums
-    for t in terms:
-        _box_sum(t, w, t, cc)
-    grad, t1, t2, t3 = terms
-    grad *= F
-    grad -= t1
-    t2 *= G
-    grad -= t2
-    grad += t3
-    grad /= F.size
-    return value, grad
+    # grad = (F*box(a) - box(muF*a) - G*box(e) + box(muG*e)) / F.size, a
+    # second slab pass: each term's window sums written over its own planes,
+    # which the later slabs' sums, reading from plane x1 + r on, never read
+    for s, sums in _slab_sums([(t, None) for t in terms], w, step, reach, work, carry):
+        grad, t1, t2, t3 = (box(t[s]) for box, t in zip(sums, terms))
+        grad *= F[s]
+        grad -= t1
+        t2 *= G[s]
+        grad -= t2
+        grad += t3
+        grad /= F.size
+    return value, terms[0]
 
 
 def ncc(fixed: Volume, warped: Volume, cfg: LossConfig) -> float:

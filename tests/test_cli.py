@@ -665,6 +665,50 @@ class TestEvalCommand:
         kv = dict(part.split("=", 1) for part in proc.stdout.strip().split())
         assert kv["clamped"] == "1"
 
+    def test_field_with_a_one_voxel_axis_leaves_folding_unset(self, tmp_path):
+        # register writes such a field; it has no Jacobian, so eval writes
+        # the landmark metrics and no folding fraction, and slices refuses
+        from defreg.volume import Volume, save_volume
+
+        rng = np.random.default_rng(0)
+        for name in ("fixed", "moving"):
+            save_volume(Volume(data=rng.standard_normal((8, 8, 1))), tmp_path / f"{name}.vol")
+        field = tmp_path / "flat.dfield"
+        proc = run_cli(
+            "register",
+            "--fixed", str(tmp_path / "fixed.vol"),
+            "--moving", str(tmp_path / "moving.vol"),
+            "--out-field", str(field), "--levels", "1", "--iters", "2",
+        )
+        assert proc.returncode == 0, proc.stderr
+        fixed = tmp_path / "fixed.csv"
+        moving = tmp_path / "moving.csv"
+        fixed.write_text("id,x,y,z\n1,2.0,3.0,0.0\n2,5.0,4.0,0.0\n")
+        moving.write_text("id,x,y,z\n1,2.5,3.0,0.0\n2,5.0,4.5,0.0\n")
+        prefix = str(tmp_path / "eval_")
+        proc = run_cli(
+            "eval", "--field", str(field),
+            "--fixed-landmarks", str(fixed), "--moving-landmarks", str(moving),
+            "--out-prefix", prefix,
+        )
+        assert proc.returncode == 0, proc.stderr
+        kv = dict(part.split("=", 1) for part in proc.stdout.strip().split())
+        assert kv["folding_fraction"] == "None"
+        assert kv["clamped"] == "0"
+        assert float(kv["initial_mae_median"]) == 0.5
+        metrics = json.loads((tmp_path / "eval_metrics.json").read_text())[0]
+        assert metrics["folding_fraction"] is None
+        assert len(metrics["errors"]) == 2
+        header, row = (tmp_path / "eval_metrics.csv").read_text().strip().splitlines()
+        assert header.split(",")[-1] == "folding_fraction"
+        assert row.split(",")[-1] == ""
+        proc = run_cli(
+            "slices", "--field", str(field), "--jacobian",
+            "--axis", "z", "--index", "0", "--out", str(tmp_path / "j.pgm"),
+        )
+        assert proc.returncode == 1
+        assert "jacobian needs dims >= 2 per axis" in proc.stderr
+
     def test_summarize_reproduces_published_row(self, tmp_path):
         col = tmp_path / "initial.csv"
         col.write_text("value\n" + "\n".join(TABLE2_INITIAL) + "\n")

@@ -15,8 +15,8 @@ from defreg.loss import (
     LossValue,
     Workspace,
     _box_counts,
-    _box_sum,
     _ncc_terms,
+    _slab_sums,
     ncc,
     overall_loss,
     similarity_loss,
@@ -57,6 +57,27 @@ def concat_take_box_sum(a, w):
         lo = np.maximum(np.arange(n) - r, 0)
         out = np.take(pref, hi, axis=axis) - np.take(pref, lo, axis=axis)
     return out
+
+
+def slab_box_sum(a, w, planes, out=None):
+    """Window sums of ``a`` by the NCC's slab pass (``_slab_sums``, one
+    quantity), its x-slabs cut every ``planes`` planes, into ``out`` (which
+    may be ``a``, as in the gradient's pass) or a fresh array."""
+    nx, ny, nz = a.shape
+    reach = min(2 * (w // 2) + 1, nx)
+    work = np.empty((min(planes + reach, nx), ny, nz))
+    carry = np.empty((1, reach, ny, nz))
+    out = np.empty_like(a) if out is None else out
+    for s, (box,) in _slab_sums(((a, None),), w, planes, reach, work, carry):
+        box(out[s])
+    return out
+
+
+def slab_cuts(nx, w):
+    """Slabs of 1 and 2 planes, of r and r+1 planes, where the carried
+    cumulative sums reach furthest back, and one slab of all nx planes."""
+    r = w // 2
+    return sorted({1, 2, r, r + 1, nx} - {0})
 
 
 def closed_form_ncc_terms(F, G, w, eps):
@@ -151,10 +172,15 @@ class TestLossConfig:
 
 
 class TestBoxFilter:
+    """The slab pass's window sums, at every slab cut, against the brute
+    force and the earlier prefix-sum filter."""
+
     def test_matches_brute_force(self, rng):
         a = rng.standard_normal((5, 4, 6))
         for w in (1, 3, 5, 9):
-            np.testing.assert_allclose(_box_sum(a, w), brute_box_sum(a, w), atol=1e-10)
+            want = brute_box_sum(a, w)
+            for planes in slab_cuts(5, w):
+                np.testing.assert_allclose(slab_box_sum(a, w, planes), want, atol=1e-10)
 
     def test_counts_match_brute_force(self):
         dims = (5, 4, 6)
@@ -172,25 +198,33 @@ class TestBoxFilter:
     )
     def test_box_sum_property(self, nx, ny, nz, w, seed):
         a = np.random.default_rng(seed).standard_normal((nx, ny, nz))
-        np.testing.assert_allclose(_box_sum(a, w), brute_box_sum(a, w), atol=1e-9)
+        want = brute_box_sum(a, w)
+        for planes in slab_cuts(nx, w):
+            np.testing.assert_allclose(slab_box_sum(a, w, planes), want, atol=1e-9)
 
     @pytest.mark.parametrize(
         "dims", [(5, 4, 6), (1, 7, 3), (2, 1, 9), (6, 2, 1), (1, 1, 1), (2, 2, 2), (13, 11, 12)]
     )
     @pytest.mark.parametrize("w", [1, 3, 5, 9, 15, 31])
     def test_equals_prefix_take_reference_bitwise(self, rng, dims, w):
-        # windows wider than an axis included (w = 15, 31)
+        # windows wider than an axis included (w = 15, 31); written into a
+        # fresh array and, as the gradient's pass does, over the input
         a = rng.standard_normal(dims)
         a.reshape(-1)[0] = -0.0
-        got = _box_sum(a, w)
-        assert np.array_equal(got, concat_take_box_sum(a, w))
-        assert got.flags.c_contiguous
+        want = concat_take_box_sum(a, w)
+        for planes in slab_cuts(dims[0], w):
+            got = slab_box_sum(a, w, planes)
+            assert np.array_equal(got, want), planes
+            assert got.flags.c_contiguous
+            b = a.copy()
+            assert np.array_equal(slab_box_sum(b, w, planes, out=b), want), planes
 
     def test_input_untouched(self, rng):
         a = rng.standard_normal((6, 5, 4))
         keep = a.copy()
-        _box_sum(a, 3)
-        assert np.array_equal(a, keep)
+        for planes in slab_cuts(6, 3):
+            slab_box_sum(a, 3, planes)
+            assert np.array_equal(a, keep), planes
 
 
 class TestNcc:
@@ -766,6 +800,24 @@ class TestWorkspace:
             finally:
                 tracemalloc.stop()
             assert peak < 3 * volume, with_grad
+
+    # On an 80x96x80 grid (the full-size run's level 1) the NCC takes 5
+    # slabs of 16 planes, and the workspace holds 11.96 volumes: the pool's
+    # 6.96 (the warped value, the correlation and the gradient's 4 terms,
+    # a work buffer of 25 planes, G's sums of 16 and the carried cumulative
+    # sums of the gradient's 4 terms, 9 planes each), the sampling
+    # derivative's 3 and the fixed image's 2 statistics.
+    def test_multi_slab_grid_holds_at_most_12_volumes(self):
+        dims = (80, 96, 80)
+        assert defreg.warp._slab_planes(dims[0], dims[1] * dims[2], defreg.warp._SLAB_VOXELS) < 80
+        fixed = Volume(data=np.random.default_rng(0).standard_normal(dims))
+        tracemalloc.start()
+        try:
+            ws = Workspace(fixed, 9)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 12.0 * fixed.data.nbytes
 
     def test_warp_writes_into_the_given_arrays(self):
         _, moving, (u, _) = self.inputs()
