@@ -18,11 +18,12 @@ running add/subtract window, whose rounding would drift along the axis).
 Summation order is fixed, so results are bit-reproducible.  Every window
 sum goes through one x-slab pass (``_slab_sums``): it takes the window
 statistics on every grid, and with the gradient a second run of it takes
-the gradient's four box sums (see ``_ncc_terms``).  The fixed image's
-window means and variances do not depend on the field: a ``Workspace``
-takes them once, and an evaluation into it takes 3 window sums in place
-of 5 (7 in place of 9 with the gradient).  Measured peaks with fresh arrays, in image
-volumes above the inputs: the NCC pass 7.4 with the gradient and 7.2
+the gradient's four box sums (see ``_ncc_terms``).  One routine,
+``_mean_var``, takes the window means and variances of both images.  The
+fixed image's do not depend on the field: a ``Workspace`` takes them once,
+and an evaluation into it takes 3 window sums in place of 5 (7 in place of
+9 with the gradient).  Measured peaks with fresh arrays, in image volumes
+above the inputs: the NCC pass 7.4 with the gradient and 7.2
 without at 48^3 (one slab), 5.4 and 1.5 at 160x192x160.  One
 ``overall_loss`` evaluation: 11.4 with the gradient and 8.2 without at
 48^3, 9.4 and 4.1 at 160x192x160; with the gradient the NCC pass beside
@@ -136,22 +137,23 @@ def _box_counts(dims, w: int, planes=slice(None), out=None) -> np.ndarray:
     )
 
 
-def _fixed_stats(box_F, box_FF, counts, muF, varF, sF, tmp) -> None:
-    """The fixed image's window means and variances at one slab's planes:
-    muF = box(F)/n and varF = max(box(F*F) - muF*box(F), 0), into ``muF``
-    and ``varF``.
+def _mean_var(box_X, box_XX, counts, mu, var, sX, tmp) -> None:
+    """An image's window means and variances at one slab's planes:
+    mu = box(X)/n and var = max(box(X*X) - mu*box(X), 0), into ``mu`` and
+    ``var``; the NCC takes them for the fixed image F and the warped image
+    G alike.
 
-    ``box_F(out)`` and ``box_FF(out)`` return the window sums of F and F*F
+    ``box_X(out)`` and ``box_XX(out)`` return the window sums of X and X*X
     in ``out``, and ``counts`` holds the windows' voxel counts (it may be
-    ``muF``, which the means overwrite).  ``sF`` receives the sums of F and
-    ``tmp`` the product that is subtracted (the window sums may overwrite
-    it).
+    ``mu``, which the means overwrite).  ``sX`` receives the sums of X,
+    which stay there for the caller, and ``tmp`` the product that is
+    subtracted (the window sums may overwrite it).
     """
-    sF = box_F(sF)
-    np.divide(sF, counts, out=muF)
-    varF = box_FF(varF)
-    varF -= np.multiply(muF, sF, out=tmp)
-    np.maximum(varF, 0.0, out=varF)
+    sX = box_X(sX)
+    np.divide(sX, counts, out=mu)
+    var = box_XX(var)
+    var -= np.multiply(mu, sX, out=tmp)
+    np.maximum(var, 0.0, out=var)
 
 
 def _window_stats(sums, counts, muF, varF, eps: float, cc, tmp, bufs, with_grad: bool) -> None:
@@ -160,8 +162,9 @@ def _window_stats(sums, counts, muF, varF, eps: float, cc, tmp, bufs, with_grad:
     ``sums`` are three functions, each ``box(out)`` returning the window
     sums of G, F*G and G*G in ``out``; ``counts`` holds the windows' voxel
     counts (it may be the buffer of muG, which the means overwrite), and
-    ``muF`` and ``varF`` are the fixed image's window means and variances
-    (``_fixed_stats``).  The correlation goes into ``cc``.  ``bufs`` holds
+    ``muF`` and ``varF`` are the fixed image's window means and variances.
+    G's come from the same routine as F's, ``_mean_var``, and then the
+    cross term is taken.  The correlation goes into ``cc``.  ``bufs`` holds
     arrays of its shape: the sums of G, then with the gradient the four
     that get its terms a = 1/d, muF*a, e = where(floored, 0, cc/varG) and
     muG*e, and without it two that get varG, then d, and muG.  ``tmp``, of
@@ -178,13 +181,10 @@ def _window_stats(sums, counts, muF, varF, eps: float, cc, tmp, bufs, with_grad:
     else:
         sG, e, muG = bufs
         a = e  # d takes the buffer of varG, dead once d is formed
-    sG = box_G(sG)
-    np.divide(sG, counts, out=muG)
+    varG = e
+    _mean_var(box_G, box_GG, counts, muG, varG, sG, tmp)  # sG stays for the cross term
     box_FG(cc)  # cross = box(F*G) - muF*sG
     cc -= np.multiply(muF, sG, out=tmp)
-    varG = box_GG(e)  # varG = max(box(G*G) - muG*sG, 0)
-    varG -= np.multiply(muG, sG, out=tmp)
-    np.maximum(varG, 0.0, out=varG)
     d = np.multiply(varF, varG, out=a)  # d = max(sqrt(varF*varG), eps)
     np.sqrt(d, out=d)
     floored = d < eps if with_grad else None
@@ -294,7 +294,7 @@ def _slab_sums(factors, w: int, step: int, reach: int, work, carry):
         top = min(x1 + r, nx)
 
 
-def _fill_fixed_stats(F: np.ndarray, w: int, out, buf) -> None:
+def _fill_fixed_mean_var(F: np.ndarray, w: int, out, buf) -> None:
     """The fixed image's window means and variances over the whole grid,
     into ``out[0]`` and ``out[1]``, by the slab pass of ``_ncc_terms``, with
     every scratch array carved from the flat ``buf``."""
@@ -304,7 +304,7 @@ def _fill_fixed_stats(F: np.ndarray, w: int, out, buf) -> None:
     for s, (box_F, box_FF) in _slab_sums(((F, None), (F, F)), w, step, reach, work, carry):
         n = s.stop - s.start
         counts = _box_counts(F.shape, w, s, out=muF[s])  # divided in place
-        _fixed_stats(box_F, box_FF, counts, muF[s], varF[s], stats[0, :n], work[:n])
+        _mean_var(box_F, box_FF, counts, muF[s], varF[s], stats[0, :n], work[:n])
 
 
 def _ncc_terms(
@@ -317,7 +317,7 @@ def _ncc_terms(
     into whole-volume arrays.  With the gradient a second slab pass then
     writes each term's window sums over the term, slab by slab, and forms
     the gradient in the first term's array.  ``fixed``, if given, holds F's
-    window means and variances on the whole grid (``_fill_fixed_stats``);
+    window means and variances on the whole grid (``_fill_fixed_mean_var``);
     otherwise each slab computes its own first, by the same formula.  Every
     scratch array is carved from the flat ``buf`` (see ``_ncc_scratch``; a
     fresh one if it is None), and the gradient is returned in it.
@@ -340,7 +340,7 @@ def _ncc_terms(
         # once per slab, in the buffer of muG, which then divides them in place
         counts = _box_counts(F.shape, w, s, out=bufs[-1])
         if not cached:  # F's sums take the buffer of G's, which are taken after them
-            _fixed_stats(*sums[3:], counts, muF, varF, bufs[0], tmp)
+            _mean_var(*sums[3:], counts, muF, varF, bufs[0], tmp)
         _window_stats(sums[:3], counts, muF, varF, eps, cc[s], tmp, bufs, with_grad)
     value = float(np.mean(cc))
     if not with_grad:
@@ -417,7 +417,7 @@ class Workspace:
         self.ncc = pool[n : n + ncc]
         self.smooth = _carve(pool, smooth)
         self.adam = self.smooth[1]
-        _fill_fixed_stats(fixed.data, ncc_window, self.fixed_stats, self.ncc)
+        _fill_fixed_mean_var(fixed.data, ncc_window, self.fixed_stats, self.ncc)
 
 
 def similarity_loss(

@@ -20,43 +20,46 @@ mean subtraction would cancel.  A final 1x1x1 convolution maps to 3 channels
 interpreted as mm displacements.  The head starts at exactly zero, so an
 untrained network predicts the identity transform.
 
-Convolution, optional batch norm and ReLU form one block.  The forward
-cache holds each activation once, as the array the pass computed, and keeps
-no activation that the backward pass can compute again, to the bit, by the
-forward's own operations from inputs the cache holds anyway (recomputation
-in place of caching: Chen et al., arXiv 1604.06174).  A block refers to its
-input channel groups and keeps its weights, its bias and, with batch norm,
-each channel's mean and scale.  Batch norm and ReLU go in place over the
+Convolution, optional batch norm and ReLU form one block, computed by one
+routine, ``_block_forward``, from the block's input groups, weights, bias
+and batch-norm cache.  The forward cache holds each activation once, as the
+array the pass computed, and keeps no activation that the backward pass can
+compute again, to the bit, by the forward's own routine from inputs the
+cache holds anyway (recomputation in place of caching: Chen et al., arXiv
+1604.06174).  A block refers to its input channel groups and keeps its
+weights, its bias and, with batch norm, each channel's mean and scale: that
+routine's arguments.  Batch norm and ReLU go in place over the
 convolution's buffer, which becomes the block's output, so a block keeps no
 normalized activations and no ReLU mask: a block's output is x * (x > 0),
-so the output's > 0 is its mask to the bit.  enc0_conv1 reads the image
-pair as two single-channel groups, views of the inputs, with no stacked
-copy.  A decoder block's groups are the coarser output and the encoder skip
+so the output's > 0 is its mask to the bit.  enc0_conv1 reads the image pair
+as two single-channel groups, views of the inputs, with no stacked copy.  A
+decoder block's groups are the coarser output and the encoder skip
 themselves, joined by no copy.  A pool keeps its argmax as int8.  Computed
-again in the backward pass: each encoder level's conv1 output, by its
-convolution and ReLU, just before its conv2's backward; dec0's output, the
-head's input, which nothing else holds; and each decoder block's normalized
-activations, by its convolution and its kept statistics, just before its
-batch norm's backward, one array per channel, since a channel fits the
-heap's holes that freed activations leave, where a whole activation would
-extend the heap.  For the default network that is 116 bytes of activations
-per voxel, 142 with the image pair, which the caller holds anyway, and the
-weights.  The backward pass walks the same structure in reverse and
-consumes it: each input gradient is written over the activation it is taken
-for, once the weight gradient has read it, and is multiplied, element by
-element as it is written, by that activation's > 0, its ReLU mask, which is
-read just before the write destroys it (the backward of an activation from
-its stored output, in place: Rota Bulo et al., In-Place ABN, arXiv
-1712.02616).  So no mask is held from one block to the next.  That is exact
-for every input that takes a gradient: each is a ReLU output or a max pool
-of ReLU outputs, a pool output is > 0 exactly where its argmax cell is, and
-a skip's two gradients, each masked, sum to the masked sum.  Each other
-entry is released once its gradients are taken (a decoder block's
-normalized activations before its convolution's backward), so a cache
-serves one backward pass and a second one is refused.  The head is one more
-block.  The loss gradient is released once the head's gradients are taken,
-before any normalized activations are computed again.  The pass stops at
-enc0_conv1's weights: no gradient of the image pair is taken.
+again in the backward pass: each encoder level's conv1 output, just before
+its conv2's backward, and dec0's output, the head's input, which nothing
+else holds, each by the forward's own routine from its block; and each
+decoder block's normalized activations, by its convolution and its kept
+statistics, just before its batch norm's backward, one array per channel,
+since a channel fits the heap's holes that freed activations leave, where a
+whole activation would extend the heap.  For the default network that is
+116 bytes of activations per voxel, 142 with the image pair, which the
+caller holds anyway, and the weights.  The backward pass walks the same
+structure in reverse and consumes it: each input gradient is written over
+the activation it is taken for, once the weight gradient has read it, and
+is multiplied, element by element as it is written, by that
+activation's > 0, its ReLU mask, which is read just before the write
+destroys it (the backward of an activation from its stored output, in
+place: Rota Bulo et al., In-Place ABN, arXiv 1712.02616).  So no mask is
+held from one block to the next.  That is exact for every input that takes
+a gradient: each is a ReLU output or a max pool of ReLU outputs, a pool
+output is > 0 exactly where its argmax cell is, and a skip's two gradients,
+each masked, sum to the masked sum.  Each other entry is released once its
+gradients are taken (a decoder block's normalized activations before its
+convolution's backward), so a cache serves one backward pass and a second
+one is refused.  The head is one more block.  The loss gradient is released
+once the head's gradients are taken, before any normalized activations are
+computed again.  The pass stops at enc0_conv1's weights: no gradient of the
+image pair is taken.
 
 One primitive computes every convolution, 3x3x3 and 1x1x1 alike, on BLAS.
 Its input is a list of unpadded channel groups, each at the output's
@@ -66,12 +69,12 @@ voxels, and, for a forward or an input gradient, whose bits do not depend
 on the slab, at most _SLAB_BYTES of window and grids, which only wide
 layers reach: dec1's at 24^3 takes 1 plane, not 3; the fewest such slabs,
 cut by ``warp._slab_planes`` as evenly as whole planes allow, so the last
-may be shorter), the zero-padded, up-sampled, stacked input planes that
-the slab reads are copied into a reused window, flat per channel and
-followed by a short zero tail.  The slab's output is taken on the padded
-grid, so each kernel tap reads the window at one flat offset: that (C_in,
-voxels) view goes to BLAS in place, with no per-tap copy, and is
-multiplied by the tap's (C_out, C_in) weights.
+may be shorter, and computes only its own planes), the zero-padded,
+up-sampled, stacked input planes that the slab reads are copied into a
+reused window, flat per channel and followed by a short zero tail.  The
+slab's output is taken on the padded grid, so each kernel tap reads the
+window at one flat offset: that (C_in, voxels) view goes to BLAS in place,
+with no per-tap copy, and is multiplied by the tap's (C_out, C_in) weights.
 The columns of the padded grid outside the volume, 2h of each y-row and
 z-plane (8.5% at 48^3), are computed and dropped.  The window, the slab's
 output and one tap product are the primitive's scratch: a few y-z planes,
@@ -242,8 +245,8 @@ def _nearest_pieces(lo, hi, up):
 
 def _taps(groups, k, dims, step):
     """Yields (x0, taps) for each slab of ``step`` output x-planes, from
-    x0, of a same-padded k x k x k convolution over ``dims``; a short last
-    slab's planes past nx read zeros.
+    x0, of a same-padded k x k x k convolution over ``dims``, the last one
+    taking the rest (``warp._slab_planes``).
 
     ``groups`` is the input as (array, up) channel groups, stacked in
     order: ``array`` is unpadded, and up = 2 up-samples it 2x by nearest
@@ -253,7 +256,8 @@ def _taps(groups, k, dims, step):
     is taken on the padded (step, Q, R) grid, Q = ny + 2h, R = nz + 2h, so
     that kernel tap (dx, dy, dz) reads the window at the flat offset
     (dx Q + dy) R + dz.  ``taps`` holds (tap, view) per tap: ``view`` is
-    that (C, step Q R) slice of the window, which BLAS reads in place.
+    that (C, d Q R) slice of the window, which BLAS reads in place, for the
+    slab's d planes: a short last slab's views are cut to its own planes.
     Output columns at y >= ny or z >= nz read across a row's end or into
     the tail; the caller drops them."""
     c = sum(a.shape[0] for a, _ in groups)
@@ -263,12 +267,15 @@ def _taps(groups, k, dims, step):
     size = (step + 2 * h) * q * r
     flat = np.zeros((c, size + 2 * h * r + 2 * h))  # the y and z padding and the tail stay zero
     win = flat[:, :size].reshape(c, step + 2 * h, q, r)
-    n = step * q * r
-    taps = []
-    for dx, dy, dz in np.ndindex(k, k, k):
-        off = (dx * q + dy) * r + dz
-        taps.append(((dx, dy, dz), flat[:, off : off + n]))
+
+    def views(d):  # (tap, view) per tap for a slab of d planes
+        offsets = ((tap, (tap[0] * q + tap[1]) * r + tap[2]) for tap in np.ndindex(k, k, k))
+        return [(tap, flat[:, off : off + d * q * r]) for tap, off in offsets]
+
+    taps = views(step)
     for x0 in range(0, nx, step):
+        if nx - x0 < step:  # a short last slab
+            taps = views(nx - x0)
         # window plane i holds input plane x0 - h + i, zero outside the volume
         lo, hi = max(x0 - h, 0), min(x0 + step + h, nx)
         win[:, : lo - x0 + h] = 0.0
@@ -297,7 +304,8 @@ def _conv_slabs(groups, w, b=None):
     the channel groups ``groups`` (see ``_taps``) with the k x k x k kernel
     ``w``, plus the bias ``b`` if given: ``slab`` is the (C_out, d, ny, nz)
     output of planes x0 .. x0 + d - 1, a view of one reused buffer, where d
-    is the step, or less in a shorter last slab (``warp._slab_planes``).
+    is the step, or less in a shorter last slab (``warp._slab_planes``),
+    whose padded grid and tap product hold only its own d planes' columns.
     The slab holds at most _SLAB_VOXELS output voxels, and its input window
     and its two grids take at most _SLAB_BYTES where a plane fits: the
     output's bits do not depend on the slab, since each column is its own
@@ -314,15 +322,17 @@ def _conv_slabs(groups, w, b=None):
     )
     # each tap's (C_out, C_in) weights contiguous, so matmul hands them to BLAS
     w_taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))
-    grid = np.empty((cout, step, ny + k - 1, nz + k - 1))  # the slab's padded output grid
-    acc = grid.reshape(cout, -1)
-    tmp = None
+    # the slab's padded output grid and one tap's product, each the start
+    # of a flat buffer as a contiguous (C_out, columns) array
+    grid, tmp = np.empty(cout * step * plane), np.empty(cout * step * plane)
     for x0, taps in _taps(groups, k, dims, step):
+        n = taps[0][1].shape[1]  # the slab's own columns
+        acc, prod = grid[: cout * n].reshape(cout, n), tmp[: cout * n].reshape(cout, n)
         acc[...] = 0.0 if b is None else b[:, None]
         for tap, view in taps:
-            tmp = np.matmul(w_taps[tap], view, out=tmp)
-            acc += tmp
-        yield x0, grid[:, : nx - x0, :ny, :nz]
+            np.matmul(w_taps[tap], view, out=prod)
+            acc += prod
+        yield x0, acc.reshape(cout, -1, ny + k - 1, nz + k - 1)[:, :, :ny, :nz]
 
 
 def _conv_forward(groups, w, b=None, out=None):
@@ -377,16 +387,15 @@ def _conv_input_grads(groups, w, dout):
 def _conv_weight_grad(groups, w, dout):
     """The weight gradient of ``_conv_forward``: each slab of ``dout``, on
     the forward's padded grid, zero in the dropped columns, times each
-    tap's view of the input window."""
+    tap's view of the input window, over the slab's own columns."""
     k = w.shape[-1]
     cout, nx, ny, nz = dout.shape
     step = _slab_planes(nx, ny * nz, _SLAB_VOXELS)
     dgrid = np.zeros((cout, step, ny + k - 1, nz + k - 1))
-    dflat = dgrid.reshape(cout, -1)
     dw = np.zeros_like(w)
     for x0, taps in _taps(groups, k, dout.shape[1:], step):
         dgrid[:, : nx - x0, :ny, :nz] = dout[:, x0 : x0 + step]
-        dgrid[:, nx - x0 :] = 0.0  # a short last slab's planes past nx
+        dflat = dgrid.reshape(cout, -1)[:, : taps[0][1].shape[1]]
         for (tx, ty, tz), view in taps:
             dw[:, :, tx, ty, tz] += dflat @ view.T
     return dw
@@ -427,13 +436,6 @@ def _maxpool_backward(arg, dout, dx):
     # cell order has x fastest
     cells[ci, wx, arg & 1, wy, (arg >> 1) & 1, wz, arg >> 2] += dout
     return dx
-
-
-def _bn_affine(x, gamma, beta):
-    """Batch norm's affine, in place over ``x``, the normalized activations."""
-    np.multiply(gamma[:, None, None, None], x, out=x)
-    x += beta[:, None, None, None]
-    return x
 
 
 def _relu(x):
@@ -493,46 +495,36 @@ def _bn_backward(xhat, cache, dout):
 # ---------------------------------------------------------------------------
 
 
-def _block_forward(groups, t, conv, bn=None, out=None):
-    """Convolution ``conv`` of the channel groups ``groups``, batch norm
-    ``bn`` if named, then ReLU, in place in the convolution's buffer, which
-    is written into ``out`` if given; the convolution has a bias only
-    without batch norm.  The cache is (groups, weights, bias, batch-norm
-    cache) and refers to the groups' arrays, uncopied.  The batch-norm
-    cache is (mu, inv, gamma, beta): each channel's statistics, which
-    normalize the convolution, computed again, to the bit, and no
-    normalized activations.  The ReLU mask is not kept either: it is the
-    output's ``> 0``."""
-    w = t[conv + "_w"]
-    b = None if bn else t[conv + "_b"]
+def _block_forward(groups, w, b, bn_cache=None, out=None):
+    """Convolution of the channel groups ``groups`` with the weights ``w``
+    and the bias ``b`` (None with batch norm), batch norm by ``bn_cache``
+    if given, then ReLU, in place in the convolution's buffer, which is
+    written into ``out`` if given.  The batch-norm cache is (mu, inv,
+    gamma, beta); mu and inv, each channel's mean and 1 / sqrt(var + eps),
+    are None when the pass takes its own.  Returns the output and the block
+    (groups, w, b, batch-norm cache) with the statistics filled in, which
+    refers to the groups' arrays, uncopied, and keeps no normalized
+    activations and no ReLU mask (the output's ``> 0``).  The backward pass
+    computes a block's output again by this routine from the block, so the
+    two are equal to the bit."""
     x = _conv_forward(groups, w, b, out)
-    bn_cache = None
-    if bn is not None:
-        _, mu, inv = _bn_normalize(x)
-        bn_cache = (mu, inv, t[bn + "_gamma"], t[bn + "_beta"])
-        _bn_affine(x, *bn_cache[2:])
-    return _relu(x), (groups, w, b, bn_cache)
-
-
-def _block_output(block):
-    """The block's output, computed again from its cached input groups by
-    its convolution, batch norm with its kept statistics and ReLU, in
-    place in one buffer: the forward's own operations, so equal to it to
-    the bit."""
-    groups, w, b, bn_cache = block
-    x = _conv_forward(groups, w, b)
     if bn_cache is not None:
-        _bn_affine(_bn_normalize(x, *bn_cache[:2])[0], *bn_cache[2:])
-    return _relu(x)
+        mu, inv, gamma, beta = bn_cache
+        _, mu, inv = _bn_normalize(x, mu, inv)
+        np.multiply(gamma[:, None, None, None], x, out=x)  # the affine
+        x += beta[:, None, None, None]
+        bn_cache = (mu, inv, gamma, beta)
+    return _relu(x), (groups, w, b, bn_cache)
 
 
 def _with_xhat(block):
     """``block`` with its batch-norm cache paired with its normalized
-    activations, (xhat, cache), which its convolution and its kept
-    statistics compute again into one array per channel.  A channel fits
-    the holes that freed activations leave in the heap, where a whole
-    activation would extend it.  A block without batch norm is returned as
-    it is."""
+    activations, (xhat, cache), computed again into one array per channel
+    by the primitives ``_block_forward`` runs up to its affine: the
+    convolution's slabs, then ``_bn_normalize`` with the kept statistics,
+    so equal to the forward's to the bit.  A channel fits the holes that
+    freed activations leave in the heap, where a whole activation would
+    extend it.  A block without batch norm is returned as it is."""
     groups, w, b, bn_cache = block
     if bn_cache is None:
         return block
@@ -588,8 +580,10 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
         # conv1's, which is freed once conv2 has read it: so the heap's hole
         # is above the kept array, where the next allocations reuse it
         skip = np.empty(t[f"enc{l}_conv2_w"].shape[:1] + _out_dims(groups))
-        x, block1 = _block_forward(groups, t, f"enc{l}_conv1")
-        x, block2 = _block_forward([(x, 1)], t, f"enc{l}_conv2", out=skip)
+        x, block1 = _block_forward(groups, t[f"enc{l}_conv1_w"], t[f"enc{l}_conv1_b"])
+        x, block2 = _block_forward(
+            [(x, 1)], t[f"enc{l}_conv2_w"], t[f"enc{l}_conv2_b"], out=skip
+        )
         skips.append(x)
         x, pool = _maxpool_forward(x)
         # conv1's output, conv2's input, is computed again in the backward pass
@@ -601,8 +595,12 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     dec = []  # finest level first, the order the backward pass meets them
     for l in reversed(range(cfg.levels)):
         # the coarser features, up-sampled, stacked over the skip features
-        bn = f"dec{l}_bn" if cfg.use_batchnorm else None
-        x, block = _block_forward([(x, 2), (skips.pop(), 1)], t, f"dec{l}_conv", bn)
+        # with batch norm, no bias, and statistics that the pass takes
+        if cfg.use_batchnorm:
+            b, bn = None, (None, None, t[f"dec{l}_bn_gamma"], t[f"dec{l}_bn_beta"])
+        else:
+            b, bn = t[f"dec{l}_conv_b"], None
+        x, block = _block_forward([(x, 2), (skips.pop(), 1)], t[f"dec{l}_conv_w"], b, bn)
         dec.insert(0, block)
     # the head writes its channels straight into the field's layout
     _conv_forward([(x, 1)], t["head_w"], t["head_b"], out=np.moveaxis(field_data, -1, 0))
@@ -649,7 +647,7 @@ def convnet_backward(cache) -> dict[str, np.ndarray]:
     # the head's backward holds the loss gradient's only reference, so it
     # is freed before _with_xhat computes dec0's normalized activations
     dxs = _block_backward(
-        ([(_block_output(dec[0]), 1)],) + cache.pop("head")[1:],
+        ([(_block_forward(*dec[0])[0], 1)],) + cache.pop("head")[1:],
         np.moveaxis(cache.pop("grad"), -1, 0), grads, "head",
     )
     skip_grads = []
@@ -666,7 +664,7 @@ def convnet_backward(cache) -> dict[str, np.ndarray]:
         # each masked by the skip's ReLU (a pool output is > 0 where its
         # argmax cell is)
         dx = _maxpool_backward(pool, dxs.pop(), skip_grads.pop())
-        block2 = ([(_block_output(block1), 1)],) + block2[1:]  # conv1's output, again
+        block2 = ([(_block_forward(*block1)[0], 1)],) + block2[1:]  # conv1's output, again
         dxs = _block_backward(block2, dx, grads, f"enc{l}_conv2")
         del block2, dx, pool  # not alive through conv1's backward
         dxs = _block_backward(block1, dxs.pop(), grads, f"enc{l}_conv1", input_grad=l > 0)

@@ -19,7 +19,7 @@ from defreg.loss import LossConfig, overall_loss, similarity_loss, smoothness_lo
 from defreg.model import (
     ConvNetConfig,
     ConvNetParameters,
-    _block_output,
+    _block_forward,
     convnet_backward,
     convnet_forward,
     init_convnet_parameters,
@@ -197,7 +197,7 @@ def test_criterion_04_gradients_match_finite_differences():
         # dec0 reads, and dec0's is rebuilt from its batch norm's cache
         ((block1, _, pool),), (dec0,) = cache["enc"], cache["dec"]
         skip = dec0[0][1][0]
-        return [_block_output(block1) > 0, skip > 0, pool, _block_output(dec0) > 0]
+        return [_block_forward(*block1)[0] > 0, skip > 0, pool, _block_forward(*dec0)[0] > 0]
 
     def loss_and_kinks(tensors):
         p = ConvNetParameters(

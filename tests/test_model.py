@@ -13,7 +13,7 @@ from defreg.model import (
     AdamState,
     ConvNetConfig,
     ConvNetParameters,
-    _bn_affine,
+    _block_forward,
     _bn_backward,
     _bn_normalize,
     _conv_backward,
@@ -41,6 +41,12 @@ def tiny_config(**overrides):
     kw = dict(levels=1, base_filters=2, use_batchnorm=True)
     kw.update(overrides)
     return ConvNetConfig(**kw)
+
+
+def bn_affine(x, gamma, beta):
+    """Batch norm's affine of the normalized activations ``x``, out of
+    place: the closed form of the one ``_block_forward`` applies in place."""
+    return gamma[:, None, None, None] * x + beta[:, None, None, None]
 
 
 def brute_conv(x, w, b):
@@ -145,7 +151,7 @@ def tape_forward(params, fixed, moving):
         if cfg.use_batchnorm:
             gamma, beta = t[f"dec{l}_bn_gamma"], t[f"dec{l}_bn_beta"]
             xhat, mu, inv = _bn_normalize(x)
-            x = _bn_affine(xhat.copy(), gamma, beta)
+            x = bn_affine(xhat, gamma, beta)
             records.append(("bn", f"dec{l}_bn", xhat, (mu, inv, gamma, beta)))
         mask = x > 0
         x = x * mask
@@ -336,8 +342,11 @@ def check_conv_in_slabs(monkeypatch, x, w, b, dout):
 def check_bn_against_reference(rng, shape):
     """The forward normalizes and applies its affine in its input's buffer
     and the backward writes over dout, by the same operations in the same
-    order as this out-of-place, whole-array reference: equal to the bit."""
+    order as this out-of-place, whole-array reference: equal to the bit.
+    The affine and ReLU are checked as a block applies them, after an
+    identity 1x1x1 convolution, which reproduces its input to the bit."""
     x = rng.standard_normal(shape) * 2.0 + 1.5
+    x_in = x.copy()
     c = shape[0]
     gamma, beta = rng.standard_normal(c), rng.standard_normal(c)
     dout = rng.standard_normal(x.shape)
@@ -359,8 +368,11 @@ def check_bn_against_reference(rng, shape):
     assert dx is dout and np.array_equal(dx, want_dx)
     assert np.array_equal(dgamma, want_dgamma)
     assert np.array_equal(dbeta, want_dbeta)
-    out = _bn_affine(x, gamma, beta)
-    assert out is x and np.array_equal(out, want_out)
+    eye = np.eye(c).reshape(c, c, 1, 1, 1)
+    out, (_, _, _, bn_cache) = _block_forward([(x_in, 1)], eye, None, (None, None, gamma, beta))
+    assert out.tobytes() == (want_out * (want_out > 0)).tobytes()
+    for got, want in zip(bn_cache, (mu, inv, gamma, beta), strict=True):
+        assert np.array_equal(got, want)
 
 
 class TestLayerPrimitives:
@@ -556,6 +568,25 @@ class TestLayerPrimitives:
         defreg.model._conv_weight_grad([(dout, 1)], np.zeros((1, 1, 3, 3, 3)), dout)
         assert steps == [planes]
 
+    def test_short_last_slab_computes_only_its_own_planes(self, rng, monkeypatch):
+        # at 14x18x18 the forward and the weight gradient cut 5, 5 and 4
+        # planes: each tap's view spans the slab's own planes of the padded
+        # (Q, R) = (20, 20) grid, so the last slab's is 4 planes wide, not 5
+        real_taps, widths = defreg.model._taps, []
+
+        def taps(groups, k, dims, step):
+            for x0, views in real_taps(groups, k, dims, step):
+                widths.append({view.shape[1] for _, view in views})
+                yield x0, views
+
+        monkeypatch.setattr(defreg.model, "_taps", taps)
+        x = rng.standard_normal((2, 14, 18, 18))
+        w = rng.standard_normal((3, 2, 3, 3, 3))
+        _conv_forward([(x, 1)], w)
+        defreg.model._conv_weight_grad([(x, 1)], w, rng.standard_normal((3, 14, 18, 18)))
+        qr = 20 * 20
+        assert widths == [{5 * qr}, {5 * qr}, {4 * qr}] * 2  # forward, weight gradient
+
     @pytest.mark.parametrize("n", [32, 64])
     def test_scratch_is_slab_sized(self, rng, n):
         # a 24 -> 8 channel 3x3x3 convolution, as dec0's; what the call
@@ -725,7 +756,7 @@ class TestLayerPrimitives:
         x = rng.choice(special, size=(3, 4, 6, 4))
         gamma, beta = np.array([1.0, -0.5, 2.0]), np.array([0.0, -0.0, tiny])
         with np.errstate(invalid="ignore"):  # inf * 0 is NaN, as in the forward
-            for pre in (x, _bn_affine(x, gamma, beta)):
+            for pre in (x, bn_affine(x, gamma, beta)):
                 mask = pre > 0
                 out = _relu(pre.copy())
                 assert out.tobytes() == (pre * mask).tobytes()
@@ -735,11 +766,11 @@ class TestLayerPrimitives:
         x = rng.standard_normal((3, 4, 4, 4)) * 2.0 + 1.5
         gamma = np.array([1.0, 2.0, 0.5])
         beta = np.array([0.0, 1.0, -1.0])
-        out = _bn_affine(_bn_normalize(x.copy())[0], gamma, beta)
+        out = bn_affine(_bn_normalize(x.copy())[0], gamma, beta)
         np.testing.assert_allclose(out.mean(axis=(1, 2, 3)), beta, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=(1, 2, 3)), gamma, rtol=1e-3)
         # batch statistics absorb an affine change of the input (up to eps)
-        shifted = _bn_affine(_bn_normalize(3.0 * x - 7.0)[0], gamma, beta)
+        shifted = bn_affine(_bn_normalize(3.0 * x - 7.0)[0], gamma, beta)
         np.testing.assert_allclose(shifted, out, atol=1e-4)
 
 

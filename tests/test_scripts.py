@@ -26,13 +26,16 @@ SCRIPTS = [
     ("synth_benchmark.py", TINY + ["--seeds", "3", "4", "--lambda", "0", "0.05", "1"], HEADER, 6,
      FREEFORM_LR),
     ("convnet_phase_peaks.py", ["--dims", "16"], "phase  ", 6, "traced peak "),  # six phases
+    # one row per module of src/defreg, and the total
+    ("code_lines.py", [], "module  ", len(list((REPO / "src" / "defreg").glob("*.py"))) + 1,
+     "code lines "),
 ]
 
 
 @pytest.mark.parametrize(
     "script,args,header,rows,title", SCRIPTS,
     ids=["synth_benchmark", "synth_benchmark-convnet", "synth_benchmark-lambdas",
-         "convnet_phase_peaks"],
+         "convnet_phase_peaks", "code_lines"],
 )
 def test_script_prints_its_table(script, args, header, rows, title):
     env = dict(os.environ)
