@@ -15,7 +15,17 @@ O(N * window^3); windows are clipped at the borders rather than padded.
 Along each axis a cumulative sum is taken once and each window is the
 difference of two of its entries, formed with slices into one output (no
 running add/subtract window, whose rounding would drift along the axis).
-Summation order is fixed, so results are bit-reproducible.  Every window
+Summation order is fixed, so results are bit-reproducible.  Every pass has
+a contiguous inner loop: along x the cumulative sums are plane adds
+(``_cumsum_axis0``); along y and z a block of a slab's planes is copied
+into the first half of the slab pass's work buffer with y outermost,
+summed there by the same plane adds, and its window differences are
+written into the second half, from which they are copied back into the
+first half with z outermost, summed and differenced the same way, and
+copied back into the slab.  The adds are those of ``cumsum`` in its order,
+so the bits are too.  On a 2-CPU x86-64 host a window sum's y and z passes
+take 0.64 ms at 48^3 against 1.05 with ``cumsum``, though 0.07 against
+0.03 at 12^3, where the calls cost more than the data.  Every window
 sum goes through one x-slab pass (``_slab_sums``): it takes the window
 statistics on every grid, and with the gradient a second run of it takes
 the gradient's four box sums (see ``_ncc_terms``).  One routine,
@@ -96,12 +106,14 @@ def _cumsum_axis0(a: np.ndarray, out: np.ndarray, start: int) -> None:
 
     The same additions in the same order, but streaming through memory:
     numpy accumulates along the outer axis with a stride of one slab, which
-    is several times slower on volumes.
+    is several times slower on volumes.  Iterating over the arrays draws
+    the planes in about half the time of indexing each one.
     """
     if not start:
         out[0] = a[0]
-    for i in range(max(start, 1), len(a)):
-        np.add(out[i - 1], a[i], out=out[i])
+    i = max(start, 1)
+    for prev, plane, dst in zip(out[i - 1 :], a[i:], out[i:]):
+        np.add(prev, plane, out=dst)
 
 
 def _window_diff(csum, out, axis: int, r: int, n: int, first: int = 0, base: int = 0) -> None:
@@ -209,13 +221,16 @@ def _ncc_layout(dims, w: int, quantities: int, slab_arrays: int, volumes: int):
     ``slab_arrays`` arrays of one slab and ``volumes`` whole volumes.  An
     unused array has no voxels.  The slabs are cut by ``warp._slab_planes``
     within ``warp._SLAB_VOXELS``, read at each call; a grid of one slab
-    takes nx planes, no more."""
+    takes nx planes, no more.  The work buffer holds a slab's planes and
+    the r planes after it, at least two planes, so that each half holds a
+    transposed block of at least one x-plane: only a grid of one x-plane
+    takes a plane more than it has."""
     nx, ny, nz = dims
     step = _slab_planes(nx, ny * nz, warp._SLAB_VOXELS)
     reach = min(2 * (w // 2) + 1, nx)  # planes of x cumulative sums carried to the next slab
     carried = step < nx
     return step, reach, [
-        (min(step + reach, nx), ny, nz),
+        (max(min(step + reach, nx), 2), ny, nz),
         (quantities if carried else 0, reach, ny, nz),
         (slab_arrays, step, ny, nz),
         (volumes,) + tuple(dims),
@@ -254,9 +269,13 @@ def _slab_sums(factors, w: int, step: int, reach: int, work, carry):
     or the first alone if the second is None; its function ``box(out)``
     returns its window sums at the slab's planes in ``out``.  The window
     sums along y and z are pointwise in x, so each slab takes them on its
-    own planes, with the slab's first planes of ``work`` as their
-    cumulative sums.  Along x, each quantity's cumulative sums are taken in
-    the reused ``work`` buffer, and their last 2r+1 planes, which the next
+    own planes, a block of planes at a time: the block goes into the first
+    half of ``work`` with y outermost, its cumulative sums are taken there
+    by plane adds and its window differences are written into the second
+    half; those go back into the first half with z outermost, and the same
+    steps give the block's window sums, which are copied into ``out``.
+    Along x, each quantity's cumulative sums are taken in the reused
+    ``work`` buffer, and their last 2r+1 planes, which the next
     slab's windows reach back to, are carried to it in ``carry``, so every
     sum is added in the whole-volume order.  A slab reads its factors only
     from plane ``top`` on, the previous slab's end plus r, so ``out`` may
@@ -283,9 +302,24 @@ def _slab_sums(factors, w: int, step: int, reach: int, work, carry):
         if x1 < nx:
             carry[q, : min(reach, end)] = csum[-min(reach, end) :]
         _window_diff(csum, out, 0, r, nx, x0, top - h)
-        for axis in (1, 2):  # pointwise in x: cumulative sums of the slab's own planes
-            csum = out.cumsum(axis=axis, out=work[: len(out)])
-            _window_diff(csum, out, axis, r, out.shape[axis])
+        # pointwise in x: per block of the slab's planes, the y and then the
+        # z sums, each taken with its axis outermost in the first half of
+        # ``work`` and differenced into the second half, which the next
+        # axis reads
+        flat = work.reshape(-1)
+        half = len(work) // 2
+        b = _slab_planes(len(out), 1, half)
+        for i in range(0, len(out), b):
+            block = out[i : i + b]
+            src = block.transpose(1, 0, 2)  # (y, x, z)
+            for back in ((2, 1, 0), (1, 2, 0)):  # to (z, x, y), then to (x, y, z)
+                csum = flat[: src.size].reshape(src.shape)
+                np.copyto(csum, src)
+                _cumsum_axis0(csum, csum, 0)
+                diff = flat[half * ny * nz :][: src.size].reshape(src.shape)
+                _window_diff(csum, diff, 0, r, len(src))
+                src = diff.transpose(back)
+            np.copyto(block, src)
         return out
 
     for x0 in range(0, nx, step):
@@ -436,7 +470,9 @@ def similarity_loss(
     derivative at each voxel, or None when ``with_grad`` is off.  The warp
     takes its sampling derivative either way; the value-only path does not
     read it.  With a workspace every whole-volume array is one of its own,
-    and the fixed image's window statistics are its cached ones.
+    and the fixed image's window statistics are its cached ones.  The
+    chain rule multiplies the sampling derivative by -dG a component at a
+    time, each a long loop, not a broadcast over the length-3 axis.
     """
     if fixed.dims != field.dims:
         raise ValueError(f"dims mismatch: fixed {fixed.dims} vs field {field.dims}")
@@ -461,7 +497,8 @@ def similarity_loss(
     if not with_grad:
         return -value, None
     np.negative(dG, out=dG)
-    sample_grad *= dG[..., None]
+    for c in range(3):
+        sample_grad[..., c] *= dG
     return -value, sample_grad
 
 

@@ -184,7 +184,9 @@ class LevelTrace:
     ``iterations`` counts the Adam steps taken.  The iterate whose field or
     loss is non-finite records no loss, so a level that stops as
     ``diverged`` holds ``iterations`` losses rather than ``iterations + 1``.
-    The fields are in the order of the report's JSON keys.
+    ``wall_seconds`` runs from the level's start, before its field is
+    carried from the coarser level, to the end of its last iterate.  The
+    fields are in the order of the report's JSON keys.
     """
 
     level: int  # 0 = coarsest
@@ -193,6 +195,7 @@ class LevelTrace:
     iterations: int
     best_iteration: int
     stop_reason: str
+    wall_seconds: float
     losses: list[LossValue]
 
 
@@ -343,6 +346,7 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
     total_iters = 0
     best = None  # (loss, params, field) of the iterate to return; field None: rebuilt
     for lvl, (f_l, m_l) in enumerate(pairs):
+        level_t0 = time.monotonic()
         if freeform:
             # start from the coarser level's best; return the finest level's
             if best is None:
@@ -405,6 +409,7 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
                 iterations=it,
                 best_iteration=level_best,
                 stop_reason=level_stop,
+                wall_seconds=time.monotonic() - level_t0,
                 losses=losses,
             )
         )

@@ -220,6 +220,15 @@ def _trilinear(data: np.ndarray, cx, cy, cz, want_grad: bool, out=None):
 
 
 def _warp(moving: Volume, field: DisplacementField, want_grad: bool, out=None):
+    """The warped value and, with ``want_grad``, its derivative with
+    respect to the displacement in mm, per x-slab of the field grid, into
+    ``out`` (a value and derivative pair) or fresh arrays.
+
+    The displacement and the derivative are divided by the moving image's
+    spacing a component at a time, and not at all for a unit spacing
+    (x / 1.0 is x): the bits of a division by the (..., 3) broadcast,
+    without its inner loop over the length-3 axis.
+    """
     # Work in the moving grid's index space: node i of the field grid lies
     # at index i * ratio + shift of the moving grid, where shift is the
     # field origin's moving-grid index.  Ratio 1.0, equal origins and zero
@@ -228,8 +237,7 @@ def _warp(moving: Volume, field: DisplacementField, want_grad: bool, out=None):
     nx, ny, nz = field.dims
     rx, ry, rz = (fs / ms for fs, ms in zip(field.spacing, moving.spacing))
     ox, oy, oz = _world_to_index(field.origin, moving.spacing, moving.origin)
-    sx, sy, sz = moving.spacing
-    scale = np.array([sx, sy, sz])
+    spacing = moving.spacing
     if out is None:
         out = (np.empty(field.dims), np.empty(field.dims + (3,)) if want_grad else None)
     value, grad = out
@@ -237,13 +245,23 @@ def _warp(moving: Volume, field: DisplacementField, want_grad: bool, out=None):
     for x0 in range(0, nx, step):
         x1 = min(x0 + step, nx)
         u = field.data[x0:x1]
-        cx = (np.arange(x0, x1) * rx + ox)[:, None, None] + u[..., 0] / sx
-        cy = (np.arange(ny) * ry + oy)[None, :, None] + u[..., 1] / sy
-        cz = (np.arange(nz) * rz + oz)[None, None, :] + u[..., 2] / sz
+        nodes = (
+            (np.arange(x0, x1) * rx + ox)[:, None, None],
+            (np.arange(ny) * ry + oy)[None, :, None],
+            (np.arange(nz) * rz + oz)[None, None, :],
+        )
+        # each component over the spacing; x / 1.0 is x, so a unit spacing
+        # divides nothing
+        cx, cy, cz = (
+            n + (u[..., c] if s == 1.0 else u[..., c] / s)
+            for c, (n, s) in enumerate(zip(nodes, spacing))
+        )
         g = None if grad is None else grad[x0:x1]
         _trilinear(moving.data, cx, cy, cz, want_grad, (value[x0:x1], g))
-        if g is not None:
-            g /= scale  # d(sample)/d(displacement in mm)
+        if g is not None:  # d(sample)/d(displacement in mm), a component at a time
+            for c, s in enumerate(spacing):
+                if s != 1.0:
+                    g[..., c] /= s
     data = value.view()
     data.flags.writeable = False  # a read-only view: the volume need not copy it
     return Volume(data=data, spacing=field.spacing, origin=field.origin), grad

@@ -65,7 +65,7 @@ def slab_box_sum(a, w, planes, out=None):
     may be ``a``, as in the gradient's pass) or a fresh array."""
     nx, ny, nz = a.shape
     reach = min(2 * (w // 2) + 1, nx)
-    work = np.empty((min(planes + reach, nx), ny, nz))
+    work = np.empty((max(min(planes + reach, nx), 2), ny, nz))  # as ``_ncc_layout`` sizes it
     carry = np.empty((1, reach, ny, nz))
     out = np.empty_like(a) if out is None else out
     for s, (box,) in _slab_sums(((a, None),), w, planes, reach, work, carry):

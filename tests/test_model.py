@@ -1198,7 +1198,55 @@ def closed_form_adam(params, grads, state):
     return out, m, v
 
 
+def whole_array_adam(params, grads, state):
+    """The earlier ``adam_step``, each operation over a whole array, kept as
+    the bit-exact reference: (new parameters, m, v), on copies of the
+    moments."""
+    t = state.t + 1
+    out, ms, vs = {}, {}, {}
+    for k, g in grads.items():
+        m, v = state.m[k].copy(), state.v[k].copy()
+        tmp = np.empty_like(m)
+        m *= 0.9
+        m += np.multiply(g, 1.0 - 0.9, out=tmp)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - 0.999
+        v *= 0.999
+        v += tmp
+        den = np.divide(v, 1.0 - 0.999**t, out=tmp)
+        np.sqrt(den, out=den)
+        den += 1e-8
+        mhat = m / (1.0 - 0.9**t)
+        mhat *= state.alpha
+        mhat /= den
+        out[k] = np.subtract(params[k], mhat, out=mhat)
+        ms[k], vs[k] = m, v
+    return out, ms, vs
+
+
 class TestAdam:
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            {"field": (48, 48, 48, 3)},  # 2 planes per chunk
+            {"field": (80, 96, 80, 3)},  # one plane per chunk
+            {k: p.shape for k, p in init_convnet_parameters(ConvNetConfig()).tensors.items()},
+        ],
+        ids=["field-48", "field-80x96x80", "convnet-default"],
+    )
+    def test_chunked_steps_equal_whole_array_reference_bitwise(self, rng, shapes):
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        state = AdamState.init(params, alpha=0.2)
+        work = {k: np.empty(s) for k, s in shapes.items()}
+        for _ in range(3):
+            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+            want, want_m, want_v = whole_array_adam(params, grads, state)
+            params, state = adam_step(params, grads, state, work)
+            for k in shapes:
+                assert np.array_equal(params[k], want[k]), k
+                assert np.array_equal(state.m[k], want_m[k]), k
+                assert np.array_equal(state.v[k], want_v[k]), k
+
     def test_three_steps_equal_reference_bitwise(self, rng):
         params = {"w": rng.standard_normal((4, 5)), "b": rng.standard_normal((3, 2, 1, 1, 1))}
         state = AdamState.init(params, alpha=0.3)

@@ -719,7 +719,10 @@ class TestGradientOnlyWhereAdamSteps:
         full = register(fixed, moving, cfg)
         assert report.field.data.tobytes() == full.field.data.tobytes()
         doc, full_doc = _strict_json(report), _strict_json(full)
-        del doc["wall_seconds"], full_doc["wall_seconds"]
+        for d in (doc, full_doc):
+            del d["wall_seconds"]
+            for level in d["levels"]:
+                del level["wall_seconds"]
         assert doc == full_doc
         assert [t.iterations for t in report.levels] == [3, 2, 0]
 
@@ -1097,6 +1100,16 @@ class TestReportJson:
         level0 = back["levels"][0]
         assert set(level0) == {
             "level", "dims", "spacing", "iterations", "best_iteration",
-            "stop_reason", "losses",
+            "stop_reason", "wall_seconds", "losses",
         }
         assert back["field_path"] == "out.dfield"
+
+    def test_level_times_lie_within_the_run(self, rng):
+        fixed = random_volume(rng, (12, 12, 12))
+        moving = random_volume(rng, (12, 12, 12))
+        report = register(fixed, moving, quick_cfg(iterations_per_level=3))
+        times = [t.wall_seconds for t in report.levels]
+        assert len(times) == 2 and all(t >= 0.0 for t in times)
+        assert sum(times) <= report.wall_seconds
+        back = json.loads(json.dumps(report_to_json(report)))
+        assert [level["wall_seconds"] for level in back["levels"]] == times

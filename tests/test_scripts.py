@@ -26,6 +26,9 @@ SCRIPTS = [
     ("synth_benchmark.py", TINY + ["--seeds", "3", "4", "--lambda", "0", "0.05", "1"], HEADER, 6,
      FREEFORM_LR),
     ("convnet_phase_peaks.py", ["--dims", "16"], "phase  ", 6, "traced peak "),  # six phases
+    # five kernels and the whole step
+    ("freeform_step_times.py", ["--dims", "16", "--repeats", "3"], "kernel  ", 6,
+     "freeform step at "),
     # one row per module of src/defreg, and the total
     ("code_lines.py", [], "module  ", len(list((REPO / "src" / "defreg").glob("*.py"))) + 1,
      "code lines "),
@@ -35,7 +38,7 @@ SCRIPTS = [
 @pytest.mark.parametrize(
     "script,args,header,rows,title", SCRIPTS,
     ids=["synth_benchmark", "synth_benchmark-convnet", "synth_benchmark-lambdas",
-         "convnet_phase_peaks", "code_lines"],
+         "convnet_phase_peaks", "freeform_step_times", "code_lines"],
 )
 def test_script_prints_its_table(script, args, header, rows, title):
     env = dict(os.environ)

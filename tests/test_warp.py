@@ -458,6 +458,24 @@ class TestWarpSlabs:
                 assert grad is None
         assert np.array_equal(warp_volume(moving, field).data, want)
 
+    @pytest.mark.parametrize("spacing", [(0.8, 1.0, 2.5), (1.0, 1.0, 1.0)])
+    def test_equals_broadcast_division_reference_bitwise(self, rng, spacing):
+        # the warp divides by the spacing a component at a time and skips a
+        # unit spacing; the reference divides by the (..., 3) broadcast.
+        # 20 x-planes of 30x28 cut into 2 slabs at the default budget
+        moving = Volume(
+            data=rng.standard_normal((22, 30, 26)), spacing=spacing, origin=(1.0, -2.0, 0.5)
+        )
+        field = DisplacementField(
+            rng.uniform(-3.0, 3.0, size=(20, 30, 28, 3)), spacing=spacing, origin=(1.5, -1.0, 0.0)
+        )
+        want, want_grad, _ = warp_reference(moving, field, True)
+        out = (np.empty(field.dims), np.empty(field.dims + (3,)))
+        warped, grad = warp_volume_with_gradient(moving, field, out=out)
+        assert grad is out[1]
+        assert np.array_equal(warped.data, want)
+        assert np.array_equal(grad, want_grad)
+
     @pytest.mark.parametrize(
         "slab, calls", [(PLANE, 7), (3 * PLANE, 3), (7 * PLANE, 1), (100 * PLANE, 1)]
     )
