@@ -2,9 +2,9 @@
 
 Commands: register, eval, synth, slices, version.  Machine-readable metric
 lines go to stdout, diagnostics to stderr.  Every file-writing command
-records a manifest JSON (resolved config, input digests, output paths, and
-the numeric environment: Python, numpy, BLAS and the thread variables) so
-the run can be reproduced exactly.
+records a manifest JSON (resolved config, input digests, output paths, the
+process's peak RSS, and the numeric environment: Python, numpy, BLAS and
+the thread variables) so the run can be reproduced exactly.
 
 Exit codes: 0 success, 1 user or validation error, 2 environment/I-O error.
 
@@ -70,6 +70,21 @@ def _environment() -> dict:
     }
 
 
+_STATUS = "/proc/self/status"
+
+
+def _peak_rss_kb() -> int | None:
+    """The process's own resident high-water mark, VmHWM, in kB; None where
+    ``/proc/self/status`` is missing.  Not ``ru_maxrss``: Linux carries
+    that across fork and exec, so a child of a large parent reads at least
+    the parent's size."""
+    try:
+        with open(_STATUS) as f:
+            return next((int(line.split()[1]) for line in f if line.startswith("VmHWM:")), None)
+    except OSError:
+        return None
+
+
 def _write_manifest(path, command, config, inputs, outputs, wall_seconds):
     from . import __version__
 
@@ -80,6 +95,7 @@ def _write_manifest(path, command, config, inputs, outputs, wall_seconds):
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "wall_seconds": wall_seconds,
+        "peak_rss_kb": _peak_rss_kb(),
         "environment": _environment(),
     }
     Path(path).write_text(json.dumps(manifest, indent=2) + "\n")
@@ -264,7 +280,7 @@ def _cmd_register(args) -> int:
 
     from .loss import LossConfig
     from .model import ConvNetConfig, save_checkpoint
-    from .register import RegistrationConfig, register, report_to_json
+    from .register import RegistrationConfig, _ensure_normalized, register, report_to_json
     from .volume import load_volume, save_volume
     from .warp import save_field, warp_volume
 
@@ -278,8 +294,10 @@ def _cmd_register(args) -> int:
     if args.out_checkpoint and cfg.mode != "convnet":
         raise ValueError("--out-checkpoint requires --mode convnet")
 
-    fixed = load_volume(args.fixed)
-    moving = load_volume(args.moving)
+    # each input is held once: normalized by register()'s own rule as it
+    # is loaded, so its raw array is freed before the run
+    fixed = _ensure_normalized(load_volume(args.fixed))
+    moving = _ensure_normalized(load_volume(args.moving))
     print(
         f"registering {args.fixed} -> {args.moving}: mode={cfg.mode} "
         f"levels={cfg.resolved_levels} dims={fixed.dims}",
@@ -289,12 +307,15 @@ def _cmd_register(args) -> int:
     # would only point into the library's internals
     with np.errstate(over="ignore", invalid="ignore"):
         report = register(fixed, moving, cfg)
+    fixed = moving = None  # no output reads the normalized pair
 
     out_field = Path(args.out_field)
     save_field(report.field, out_field)
     outputs = [out_field, Path(str(out_field) + ".json")]
     if args.out_warped:
-        save_volume(warp_volume(moving, report.field), args.out_warped)
+        # the moving image's own intensities, read again: the raw array
+        # is freed before save_volume runs
+        save_volume(warp_volume(load_volume(args.moving), report.field), args.out_warped)
         outputs += [Path(args.out_warped), Path(args.out_warped + ".json")]
     checkpoint_path = None
     if args.out_checkpoint:

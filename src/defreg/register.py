@@ -27,8 +27,11 @@ optimizes and what is returned:
   iterate, and the best iterate over all rounds is returned with its
   weights.
 
-A freeform level with steps evaluates into one ``loss.Workspace``, built
-for the level's fixed image: every whole-volume array of the loss, Adam's
+A level holds its own image pair and the finest pair, which the end of
+the run scores on: the pyramid is built before the first level, and each
+coarser pair is dropped when its level ends.  A freeform level with
+steps evaluates into one ``loss.Workspace``, built for the level's
+fixed image: every whole-volume array of the loss, Adam's
 scratch and the fixed image's window statistics, taken once there, 13
 image volumes at 48^3 beside the 6 of Adam's moments, which
 ``adam_step`` updates in place.  Both are built when the level starts and
@@ -51,7 +54,10 @@ freeform best after an early stop, a padded convnet field) is resampled or
 cropped onto it and scored there by value alone, so the report's ``final``
 is its loss there.
 
-Inputs are z-score normalized on entry if they are not already.
+Inputs are z-score normalized on entry if they are not already
+(``_ensure_normalized``).  ``defreg register`` normalizes each input by
+that rule as it loads it, so the raw image is freed before the run, and
+register() finds the pair normalized and keeps it as it is.
 """
 
 from __future__ import annotations
@@ -345,8 +351,10 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
     traces: list[LevelTrace] = []
     total_iters = 0
     best = None  # (loss, params, field) of the iterate to return; field None: rebuilt
-    for lvl, (f_l, m_l) in enumerate(pairs):
+    finest = pairs[-1]  # kept for the end; a coarser pair goes when its level ends
+    for lvl in range(len(pairs)):
         level_t0 = time.monotonic()
+        (f_l, m_l), pairs[lvl] = pairs[lvl], None
         if freeform:
             # start from the coarser level's best; return the finest level's
             if best is None:
@@ -414,13 +422,13 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
             )
         )
         # free this level's arrays before the next level allocates its own
-        state = ws = u = cache = None
+        state = ws = u = cache = f_l = m_l = None
         if level_stop in ("budget", "diverged"):
             break
 
     final, params, out = best
     if out is None:  # a convnet best before the last pass: its field, again
-        out, _ = predict(params, *pairs[-1])
+        out, _ = predict(params, *finest)
     # not a scored iterate on the input grid (no params: the carried
     # coarser best): move it there and score it (see the module docstring)
     if params is None or out.dims != fixed.dims:
@@ -439,7 +447,7 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
         iterations_executed=total_iters,
         stop_reason=level_stop,
         dims=fixed.dims,
-        padded_dims=pairs[-1][0].dims,
+        padded_dims=finest[0].dims,
         config=cfg,
         final=final,
         parameters=None if freeform else ConvNetParameters(cfg.convnet, params),

@@ -1,5 +1,7 @@
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,30 +54,16 @@ def rng():
     return np.random.default_rng(1234)
 
 
-# Runs the CLI in a fresh interpreter that then reports its own high-water
-# mark, VmHWM.  Linux carries ru_maxrss across fork and exec, so there a
-# child of a large parent (the test process) reads at least the parent's
-# RSS; ru_maxrss is the fallback where /proc/self/status is missing.
-_PEAK_RSS_RUNNER = (
-    "import resource, sys\n"
-    "from defreg.cli import main\n"
-    "rc = main(sys.argv[1:])\n"
-    "try:\n"
-    "    with open('/proc/self/status') as f:\n"
-    "        peak_kb = next(int(l.split()[1]) for l in f if l.startswith('VmHWM:'))\n"
-    "except (OSError, StopIteration):\n"
-    "    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-    "print('PEAK_KB', peak_kb)\n"
-    "sys.exit(rc)\n"
-)
-
-
 def cli_peak_rss_kb(args, timeout):
-    """Runs ``defreg`` with the argument list ``args`` in a fresh interpreter;
-    asserts that it succeeds and returns its peak RSS in kB."""
+    """Runs ``defreg`` with the ``register`` argument list ``args`` in a
+    fresh interpreter; asserts that it succeeds and returns the peak RSS in
+    kB that its manifest records, the process's own VmHWM."""
     proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_RUNNER, *args],
+        [sys.executable, "-m", "defreg", *args],
         capture_output=True, text=True, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout.strip().splitlines()[-1].split()[-1])
+    manifest = Path(args[args.index("--out-field") + 1] + ".manifest.json")
+    peak_kb = json.loads(manifest.read_text())["peak_rss_kb"]
+    assert peak_kb is not None, "no /proc/self/status, so no VmHWM to read"
+    return peak_kb

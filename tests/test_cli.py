@@ -160,6 +160,18 @@ class TestRegisterCommand:
         want = hashlib.sha256((case_dir / "fixed.vol").read_bytes()).hexdigest()
         assert m["inputs"][path] == want
 
+    def test_manifest_records_the_process_peak_rss(self, registered, tmp_path, monkeypatch):
+        import defreg.cli
+
+        out, _, _ = registered
+        peak = json.loads((out / "out.dfield.manifest.json").read_text())["peak_rss_kb"]
+        if os.path.exists("/proc/self/status"):
+            assert type(peak) is int and peak > 0
+        else:
+            assert peak is None
+        monkeypatch.setattr(defreg.cli, "_STATUS", str(tmp_path / "missing"))
+        assert defreg.cli._peak_rss_kb() is None
+
     def test_zero_iterations_writes_zero_field(self, case_dir, tmp_path):
         field = tmp_path / "zero.dfield"
         proc = run_cli(
@@ -335,6 +347,104 @@ BAD_CONFIGS = [
     ("synth", {"num_blob": 3}, "num_blob"),
     ("synth", {"cavity": "no"}, "cavity"),
 ]
+
+
+class TestRegisterInputs:
+    """The command holds each input once, normalized as register() does it,
+    and writes what register() and warp_volume() give on the raw inputs."""
+
+    @staticmethod
+    def save_pair(tmp_path, zscored):
+        from defreg.volume import Volume, save_volume, zscore_normalize
+
+        rng = np.random.default_rng(8)
+        pair = []
+        for name, scale, offset in (("fixed", 40.0, 300.0), ("moving", 25.0, -80.0)):
+            data = rng.standard_normal((12, 10, 9)) * scale + offset
+            v = Volume(data=data.astype("<f4").astype(np.float64), spacing=(1.0, 1.2, 0.9))
+            if zscored:
+                v = Volume(data=zscore_normalize(v).data.astype("<f4").astype(np.float64),
+                           spacing=v.spacing)
+            save_volume(v, tmp_path / f"{name}.vol")
+            pair.append(v)
+        return pair
+
+    MODES = {
+        "freeform": ["--levels", "2", "--iters", "3"],
+        "convnet": ["--mode", "convnet", "--levels", "2", "--iters", "2",
+                    "--learning-rate", "0.01", "--net-levels", "2", "--base-filters", "2"],
+    }
+
+    @staticmethod
+    def argv(tmp_path, flags):
+        return ["register",
+                "--fixed", str(tmp_path / "fixed.vol"),
+                "--moving", str(tmp_path / "moving.vol"),
+                "--out-field", str(tmp_path / "out.dfield"),
+                "--out-warped", str(tmp_path / "warped.vol"),
+                "--ncc-window", "5", "--lambda", "0.1", *flags]
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_no_raw_input_is_alive_during_the_run(self, tmp_path, monkeypatch, mode):
+        import weakref
+
+        import defreg.register
+        import defreg.volume
+        from defreg.cli import main
+
+        self.save_pair(tmp_path, zscored=False)
+        load, loss = defreg.volume.load_volume, defreg.register.overall_loss
+        loaded, alive = [], []
+
+        def load_spy(path):
+            v = load(path)
+            loaded.append((weakref.ref(v), weakref.ref(v.data)))
+            return v
+
+        def loss_spy(*args, **kwargs):
+            alive.append([r() is not None for refs in loaded for r in refs])
+            return loss(*args, **kwargs)
+
+        monkeypatch.setattr(defreg.volume, "load_volume", load_spy)
+        monkeypatch.setattr(defreg.register, "overall_loss", loss_spy)
+        assert main(self.argv(tmp_path, self.MODES[mode])) == 0
+        # both inputs, then the moving image again for --out-warped
+        assert len(loaded) == 3
+        assert alive and all(flags == [False] * 4 for flags in alive)
+
+    @pytest.mark.parametrize("zscored", [False, True], ids=["scaled", "zscored"])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_outputs_equal_register_on_the_raw_inputs(self, tmp_path, mode, zscored):
+        from defreg.cli import main
+        from defreg.loss import LossConfig
+        from defreg.model import ConvNetConfig
+        from defreg.register import RegistrationConfig, _ensure_normalized, register, report_to_json
+        from defreg.volume import save_volume
+        from defreg.warp import save_field, warp_volume
+
+        fixed, moving = self.save_pair(tmp_path, zscored)
+        assert (_ensure_normalized(fixed) is fixed) == zscored
+        assert main(self.argv(tmp_path, self.MODES[mode])) == 0
+        settings = {
+            "freeform": dict(pyramid_levels=2, iterations_per_level=3),
+            "convnet": dict(mode="convnet", pyramid_levels=2, iterations_per_level=2,
+                            learning_rate=0.01, convnet=ConvNetConfig(levels=2, base_filters=2)),
+        }[mode]
+        cfg = RegistrationConfig(loss=LossConfig(ncc_window=5, reg_weight=0.1), **settings)
+        manifest = json.loads((tmp_path / "out.dfield.manifest.json").read_text())
+        assert manifest["config"] == cfg.to_dict()
+
+        report = register(fixed, moving, cfg)
+        save_field(report.field, tmp_path / "api.dfield")
+        save_volume(warp_volume(moving, report.field), tmp_path / "api.vol")
+        assert (tmp_path / "out.dfield").read_bytes() == (tmp_path / "api.dfield").read_bytes()
+        assert (tmp_path / "warped.vol").read_bytes() == (tmp_path / "api.vol").read_bytes()
+        cli_report = json.loads((tmp_path / "out.dfield.report.json").read_text())
+        api_report = json.loads(json.dumps(report_to_json(report)))
+        assert cli_report["final"] == api_report["final"]
+        assert [lv["losses"] for lv in cli_report["levels"]] == [
+            lv["losses"] for lv in api_report["levels"]
+        ]
 
 
 class TestConfigFile:

@@ -651,6 +651,39 @@ class TestFoldingFraction:
         assert counts[0] == 0 and counts[1] == n**3
 
 
+def gather_resample_reference(field, new_dims, spacing):
+    """The earlier resample, kept as the bit-exact reference: each axis,
+    z included, lerped by a take along that axis, so the z lerp gathers
+    and weights over the length-3 component axis."""
+
+    def lerp_axis(data, c, axis, out=None):
+        n = data.shape[axis]
+        i0, f = defreg.warp._cell(c, n)
+        shape = [1] * data.ndim
+        shape[axis] = len(c)
+        f = f.reshape(shape)
+        lo = np.take(data, i0, axis=axis, out=out, mode="clip")
+        i0 += n > 1
+        hi = np.take(data, i0, axis=axis, mode="clip")
+        lo *= 1.0 - f
+        hi *= f
+        lo += hi
+        return lo
+
+    cx, cy, cz = (
+        np.zeros(1) if n_new == 1 else np.arange(n_new) * (n_old - 1) / (n_new - 1)
+        for n_new, n_old in zip(new_dims, field.dims)
+    )
+    data = lerp_axis(lerp_axis(field.data, cx, 0), cy, 1)
+    step = defreg.warp._slab_planes(
+        new_dims[0], new_dims[1] * new_dims[2], defreg.warp._SLAB_VOXELS
+    )
+    out = np.empty(tuple(new_dims) + (3,))
+    for x0 in range(0, new_dims[0], step):
+        lerp_axis(data[x0 : x0 + step], cz, 2, out[x0 : x0 + step])
+    return DisplacementField(data=out, spacing=spacing, origin=field.origin)
+
+
 class TestResampleField:
     def test_identity_dims_identical(self, rng):
         f = offgrid_field(rng, (4, 4, 4))
@@ -732,6 +765,28 @@ class TestResampleField:
             assert out.data[..., c].tobytes() == want.tobytes()
         assert out.spacing == spacing
         assert out.origin == f.origin
+
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ((4, 5, 6), (7, 9, 11)),
+            ((9, 8, 7), (5, 4, 3)),
+            ((5, 6, 1), (6, 4, 9)),  # one-voxel source z
+            ((1, 1, 6), (3, 4, 1)),  # one-voxel source x and y, target z
+            ((6, 4, 5), (1, 8, 1)),  # one-voxel targets
+            ((3, 1, 4), (6, 1, 8)),  # a one-voxel axis kept
+            ((40, 48, 40), (80, 96, 80)),  # a benchmark level step, several slabs
+        ],
+    )
+    def test_folded_z_lerp_equals_gather_reference_bitwise(self, rng, old, new):
+        data = rng.standard_normal(old + (3,))
+        data.reshape(-1)[:3] = -0.0  # a zero's sign survives too
+        f = DisplacementField(data, spacing=(1.5, 0.8, 1.2), origin=(3.0, -1.0, 0.0))
+        out = resample_field(f, new, spacing=(1.0, 2.0, 0.5))
+        want = gather_resample_reference(f, new, (1.0, 2.0, 0.5))
+        assert out.data.tobytes() == want.data.tobytes()
+        assert (out.spacing, out.origin) == (want.spacing, want.origin)
 
 
 class TestFieldRoundTrip:
