@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Synthetic-recovery benchmark: register seeded ground-truth cases and
 report landmark-error reduction, interior field error, smoothness, folding,
-and wall time per case and smoothness weight, plus a cohort summary of the
-per-case median errors for each weight.
+minimum Jacobian determinant and wall time per case and smoothness weight,
+plus a cohort summary of the per-case median errors for each weight.
 
 Examples:
     python scripts/synth_benchmark.py --seeds 1 2 3 4 5 --dims 48
     python scripts/synth_benchmark.py --seeds 3 --lambda 0 0.01 0.05 0.2 1 5
+    python scripts/synth_benchmark.py --mode convnet --learning-rate 1e-2 --iters 60,30,20
 """
 
 import argparse
@@ -22,6 +23,10 @@ from defreg.synth import SynthConfig, generate_case, oracle_error
 from defreg.warp import folding_fraction, jacobian_determinant
 
 
+def counts(text):
+    return [int(n) for n in text.split(",")]
+
+
 def parse_args():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
@@ -32,12 +37,19 @@ def parse_args():
     ap.add_argument("--noise-sigma", type=float, default=0.0)
     ap.add_argument("--mode", choices=("freeform", "convnet"), default="freeform")
     ap.add_argument("--levels", type=int, default=3)
-    ap.add_argument("--iters", type=int, default=200)
+    ap.add_argument("--iters", type=counts, default=[200],
+                    help="iterations per level: one count for every level, or a comma "
+                         "list with one count per level, coarsest first (60,30,20)")
     ap.add_argument("--learning-rate", type=float, default=None,
                     help="default: 0.2 for freeform, the registration default for convnet")
     ap.add_argument("--lambda", dest="reg_weights", type=float, nargs="+", default=[0.05],
                     help="smoothness weights: one row per seed and weight")
-    return ap.parse_args()
+    args = ap.parse_args()
+    if len(args.iters) == 1:
+        args.iters *= args.levels
+    elif len(args.iters) != args.levels:
+        ap.error(f"--iters has {len(args.iters)} counts for {args.levels} levels")
+    return args
 
 
 def main():
@@ -48,14 +60,15 @@ def main():
     base = RegistrationConfig(
         mode=args.mode,
         pyramid_levels=args.levels,
-        iterations_per_level=args.iters,
+        iterations_schedule=args.iters,
         learning_rate=lr,
     )
     margin = int(np.ceil(args.max_disp)) + 1
 
     print(f"# mode={args.mode} dims={args.dims}^3 max_disp={args.max_disp}mm "
-          f"lr={base.resolved_learning_rate} iters={args.iters}x{args.levels}")
-    print("seed  lambda  init_mae  final_mae  reduction  oracle_mm  smooth  folding  wall_s")
+          f"lr={base.resolved_learning_rate} iters={','.join(map(str, args.iters))}")
+    print("seed  lambda  init_mae  final_mae  reduction  oracle_mm  smooth  folding  "
+          "min_detj  wall_s")
     medians = {weight: [] for weight in args.reg_weights}
     for seed in args.seeds:
         case = generate_case(SynthConfig(
@@ -78,11 +91,11 @@ def main():
             )
             reduction = 1.0 - float(np.mean(after)) / float(np.mean(before))
             ferr = oracle_error(report.field, case.true_field, margin=margin)
-            fold = folding_fraction(jacobian_determinant(report.field))
+            det = jacobian_determinant(report.field)
             medians[weight].append(float(np.median(after)))
             print(f"{seed:4d}  {weight:6.3f}  {np.median(before):8.3f}  {np.median(after):9.3f}  "
                   f"{reduction:9.1%}  {ferr:9.3f}  {report.final.smoothness:6.4f}  "
-                  f"{fold:7.4f}  {wall:6.1f}")
+                  f"{folding_fraction(det):7.4f}  {det.data.min():8.4f}  {wall:6.1f}")
 
     for weight, errors in medians.items():
         s = cohort_summary(errors)

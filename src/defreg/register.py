@@ -13,19 +13,26 @@ iterate Adam may step from: a level's last iterate, and so the single
 iterate of a 0-iteration level, is scored by value alone, and a
 0-iteration level builds no Adam state.  A convergence or budget stop,
 which is known only after the evaluation, still computes one gradient
-that no step uses.  The modes differ only in what a level
-optimizes and what is returned:
+that no step uses.
 
-* freeform: the parameter is the displacement field itself, over a
-  mean-downsampling pyramid.  The coarsest level starts from zero, each
-  finer level starts from the coarser level's best iterate, resampled, and
-  the finest level's best iterate is returned.
-* convnet: a small encoder/decoder predicts the field from the image pair
-  and its weights are optimized.  "Levels" become full-resolution rounds
-  (the network's internal strides already form a pyramid, so
-  pyramid_levels defaults to 1 here); each round continues from the last
-  iterate, and the best iterate over all rounds is returned with its
-  weights.
+Both parameterizations run the same mean-downsampling pyramid
+(``_pyramid``), coarsest level first, and differ only in what a level
+optimizes: the displacement field itself (freeform), or the weights of a
+small encoder/decoder that predicts the field from the image pair
+(convnet).  A convnet level pads its pair to a multiple of
+``2**convnet.levels``; the network is fully convolutional and predicts
+displacements in mm, so one set of weights serves every level.  One rule
+each carries, chooses and returns an iterate:
+
+* carry: the coarsest level starts from the zero field or the initial
+  weights; each finer level starts from the coarser level's best iterate,
+  its field resampled (freeform) or its weights (convnet).  The carried
+  iterate stands as the best, unscored on the new grid, until the level's
+  entry iterate is scored.  Adam starts fresh on every level.
+* best: a level's entry iterate, then any iterate with a lower total.
+* return: the finest level's best iterate.  After a stop before the
+  finest level, or on its entry, the best is carried onto the finest pair
+  as a level start carries it.
 
 A level holds its own image pair and the finest pair, which the end of
 the run scores on: the pyramid is built before the first level, and each
@@ -37,22 +44,23 @@ image volumes at 48^3 beside the 6 of Adam's moments, which
 ``adam_step`` updates in place.  Both are built when the level starts and
 freed when it ends, before the next level allocates, so the one
 whole-volume array that a step allocates is its new parameters.  A level
-without steps builds neither.  Convnet rounds allocate the loss's arrays
-per evaluation: the loss is a small part of their step
-(``scripts/convnet_phase_peaks.py`` prints their traced peak by phase).
+without steps builds neither.  A convnet level allocates the loss's arrays
+per evaluation: the loss is a small part of its step
+(``scripts/convnet_phase_peaks.py`` prints the traced peak by phase).
 The loss gradient is handed over: the loop stores it in its pass's cache,
 as "grad", and keeps no other reference, so the convnet's backward pass
 frees it once the head's gradients are taken, and a freeform step takes it
-out of the cache for Adam.  Once a round
+out of the cache for Adam.  Once a convnet level
 moves past its best iterate, the loop keeps that iterate's weights but
 not its field, so no field is held beside the next pass's arrays.  Such a
 best's field is predicted once more from its weights at the end, one
 forward pass; a best at the last iterate costs none.
 
-A returned field that is not a scored iterate on the input grid (a coarser
-freeform best after an early stop, a padded convnet field) is resampled or
-cropped onto it and scored there by value alone, so the report's ``final``
-is its loss there.
+A returned field that is not a scored iterate on the input grid (a best
+carried onto the finest pair after an early stop, a padded convnet field)
+is cropped to the input dims and scored there by value alone, so the
+report's ``final`` is its loss there, and the returned weights predict
+the returned field on the finest padded pair.
 
 Inputs are z-score normalized on entry if they are not already
 (``_ensure_normalized``).  ``defreg register`` normalizes each input by
@@ -100,7 +108,9 @@ class RegistrationConfig:
     Defaults by mode: pyramid_levels 3 (freeform) / 1 (convnet);
     iterations_per_level 200 / 100; learning_rate 1.0 / 1e-4.  The freeform
     rate is in mm of field motion per iteration (Adam steps are normalized);
-    the convnet rate applies to network weights.
+    the convnet rate applies to network weights.  pyramid_levels means the
+    same in both modes: the levels of the image pyramid, and
+    iterations_schedule gives one count per level, coarsest first.
     """
 
     mode: str = "freeform"
@@ -324,12 +334,12 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
     fixed = _ensure_normalized(fixed)
     moving = _ensure_normalized(moving)
     freeform = cfg.mode == "freeform"
+    pairs = _pyramid(fixed, moving, cfg.resolved_levels)
     if freeform:
-        pairs = _pyramid(fixed, moving, cfg.resolved_levels)
+        params = {"field": np.zeros(pairs[0][0].dims + (3,))}  # the zero field
     else:
         div = 2**cfg.convnet.levels
-        pair = (_pad_to_multiple(fixed, div), _pad_to_multiple(moving, div))
-        pairs = [pair] * cfg.resolved_levels
+        pairs = [(_pad_to_multiple(f, div), _pad_to_multiple(m, div)) for f, m in pairs]
         params = init_convnet_parameters(cfg.convnet, seed=cfg.seed).tensors
 
     def predict(params, f_l, m_l):
@@ -347,26 +357,32 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
         cache, so the backward pass holds its only reference."""
         return {"field": cache.pop("grad")} if freeform else convnet_backward(cache)
 
+    def carry(best, f_l, m_l):
+        """The best iterate's field on the grid of the pair (f_l, m_l):
+        freeform resamples its field, convnet predicts it from its weights."""
+        _, params, u = best
+        if not freeform:
+            return predict(params, f_l, m_l)[0]
+        return u if u.dims == f_l.dims else resample_field(u, f_l.dims, spacing=f_l.spacing)
+
     clock = _Clock(cfg.max_seconds)
     traces: list[LevelTrace] = []
     total_iters = 0
-    best = None  # (loss, params, field) of the iterate to return; field None: rebuilt
+    # (loss, params, field) of the iterate to return.  Loss None: carried
+    # from a coarser level, not yet scored on this one; field None: a
+    # convnet field that is predicted again from its weights when needed
+    best = None
     finest = pairs[-1]  # kept for the end; a coarser pair goes when its level ends
     for lvl in range(len(pairs)):
         level_t0 = time.monotonic()
         (f_l, m_l), pairs[lvl] = pairs[lvl], None
-        if freeform:
-            # start from the coarser level's best; return the finest level's
-            if best is None:
-                u = DisplacementField.zeros(f_l.dims, f_l.spacing, f_l.origin)
-            else:
-                u = resample_field(best[2], f_l.dims, spacing=f_l.spacing)
-                # the carried field stands for the coarser best until this
-                # level's entry loss is known to be finite; its own arrays
-                # are freed before this level's first pass
-                best = (best[0], None, u)
-            params = {"field": u.data}
-        # convnet: a round continues from the last iterate; all rounds compete
+        if best is not None:
+            # start from the coarser level's best: its weights, or its field
+            # resampled, whose coarse arrays are freed before this level's
+            # first pass.  It stands as the best until the entry is scored
+            u = carry(best, f_l, m_l) if freeform else None
+            params = {"field": u.data} if freeform else best[1]
+            best = (None, params, u)
         n_steps = cfg.iterations_for(lvl)
         # Adam's moments are parameter-sized: none for a level without steps,
         # and no workspace either (see the module docstring)
@@ -398,7 +414,7 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
                 level_stop = "diverged"
                 break
             losses.append(lv)
-            if best is None or lv.total < best[0].total or (freeform and not it):
+            if not it or lv.total < best[0].total:
                 best = (lv, params, u)
             if lv.total < losses[level_best].total:
                 level_best = it
@@ -427,18 +443,18 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
             break
 
     final, params, out = best
-    if out is None:  # a convnet best before the last pass: its field, again
-        out, _ = predict(params, *finest)
-    # not a scored iterate on the input grid (no params: the carried
-    # coarser best): move it there and score it (see the module docstring)
-    if params is None or out.dims != fixed.dims:
-        if not freeform:
-            nx, ny, nz = fixed.dims
-            out = DisplacementField(
-                data=out.data[:nx, :ny, :nz], spacing=fixed.spacing, origin=fixed.origin
-            )
-        elif out.dims != fixed.dims:
-            out = resample_field(out, fixed.dims, spacing=fixed.spacing)
+    # a best not scored on the finest grid (a stop before the finest level
+    # or on its entry) is carried there, as a level start carries it; a
+    # padded field is cropped.  Either is scored on the input grid by value
+    # alone (see the module docstring)
+    on_finest = final is not None and lvl == len(pairs) - 1
+    if out is None or not on_finest:
+        out = carry(best, *finest)
+    if out.dims != fixed.dims or not on_finest:
+        nx, ny, nz = fixed.dims
+        out = DisplacementField(
+            data=out.data[:nx, :ny, :nz], spacing=fixed.spacing, origin=fixed.origin
+        )
         final, _ = overall_loss(fixed, moving, out, cfg.loss, with_grad=False)
     return RegistrationReport(
         field=out,

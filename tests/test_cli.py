@@ -275,8 +275,8 @@ class TestRegisterCommand:
         )
 
     def test_final_line_reports_the_returned_field(self, tmp_path):
-        # convnet returns the best iterate of all rounds; here that is not in
-        # the last round, whose own best the line used to print
+        # convnet returns the finest level's best iterate, which here is not
+        # its last one
         from defreg.loss import LossConfig, overall_loss
         from defreg.volume import Volume, load_volume, save_volume, zscore_normalize
         from defreg.warp import load_field
@@ -298,11 +298,11 @@ class TestRegisterCommand:
         kv = dict(part.split("=", 1) for part in proc.stdout.split())
         report = json.loads((tmp_path / "cn.dfield.report.json").read_text())
         last = report["levels"][-1]
+        assert [level["dims"] for level in report["levels"]] == [[4] * 3, [8] * 3, [16] * 3]
         assert float(kv["total"]) == report["final"]["total"]
-        assert report["final"]["total"] < last["losses"][last["best_iteration"]]["total"]
-        assert report["final"]["total"] == min(
-            lv["total"] for level in report["levels"] for lv in level["losses"]
-        )
+        assert last["best_iteration"] < last["iterations"]
+        assert report["final"]["total"] < last["losses"][-1]["total"]
+        assert report["final"]["total"] == min(lv["total"] for lv in last["losses"])
         # the written field (float32) scores the reported loss
         fixed, moving = (zscore_normalize(load_volume(tmp_path / f"{n}.vol"))
                          for n in ("fixed", "moving"))
@@ -631,19 +631,21 @@ class TestPyramidDepth:
         rng = np.random.default_rng(0)
         for name in ("fixed", "moving"):
             save_volume(Volume(data=rng.standard_normal(dims)), tmp_path / f"{name}.vol")
-        proc = run_cli(
-            "register",
-            "--fixed", str(tmp_path / "fixed.vol"),
-            "--moving", str(tmp_path / "moving.vol"),
-            "--out-field", str(tmp_path / "x.dfield"), "--levels", levels, "--iters", "1",
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        # the "registering ..." progress line, then one error line
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("defreg:")]
-        assert errors == proc.stderr.splitlines()[-1:]
-        assert errors[0].startswith("defreg: error: pyramid_levels=")
-        assert level_dims in errors[0]
+        for mode in ("freeform", "convnet"):
+            proc = run_cli(
+                "register",
+                "--fixed", str(tmp_path / "fixed.vol"),
+                "--moving", str(tmp_path / "moving.vol"),
+                "--out-field", str(tmp_path / "x.dfield"), "--levels", levels, "--iters", "1",
+                "--mode", mode,
+            )
+            assert proc.returncode == 1
+            assert "Traceback" not in proc.stderr
+            # the "registering ..." progress line, then one error line
+            errors = [line for line in proc.stderr.splitlines() if line.startswith("defreg:")]
+            assert errors == proc.stderr.splitlines()[-1:]
+            assert errors[0].startswith("defreg: error: pyramid_levels=")
+            assert level_dims in errors[0]
 
 
 class TestManifestReplay:

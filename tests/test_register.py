@@ -20,14 +20,18 @@ from defreg.loss import LossConfig, Workspace, ncc, overall_loss, smoothness_los
 from defreg.model import (
     AdamState,
     ConvNetConfig,
+    ConvNetParameters,
     adam_step,
     convnet_backward,
     convnet_forward,
     init_convnet_parameters,
+    load_checkpoint,
+    save_checkpoint,
 )
 from defreg.register import (
     RegistrationConfig,
     RegistrationReport,
+    _pad_to_multiple,
     downsample_volume,
     register,
     report_to_json,
@@ -209,13 +213,15 @@ class TestRegisterFreeform:
     )
     def test_pyramid_too_deep_for_dims_refused_up_front(self, rng, dims, levels, level_dims):
         # every level needs 2 voxels along each axis that has more than one
-        # in the input; the error names the setting and the offending
-        # level's dims
+        # in the input, in either mode; the error names the setting and the
+        # offending level's dims
         v = random_volume(rng, dims)
-        with pytest.raises(ValueError) as err:
-            register(v, v, quick_cfg(pyramid_levels=levels, iterations_per_level=1))
-        assert f"pyramid_levels={levels}" in str(err.value)
-        assert str(level_dims) in str(err.value)
+        for mode in ("freeform", "convnet"):
+            cfg = quick_cfg(mode=mode, pyramid_levels=levels, iterations_per_level=1)
+            with pytest.raises(ValueError) as err:
+                register(v, v, cfg)
+            assert f"pyramid_levels={levels}" in str(err.value)
+            assert str(level_dims) in str(err.value)
 
     def test_single_voxel_pyramid_refused_by_name(self, rng):
         # no axis to downsample: the pyramid-depth error, not the
@@ -438,9 +444,13 @@ class TestRegisterConvNet:
         pred, _ = convnet_forward(report.parameters, fn, mn)
         np.testing.assert_allclose(pred.data, report.field.data, atol=1e-12)
 
-    def test_rounds_continue_from_last_iterate_and_return_best_of_all(self, rng):
-        fixed = random_volume(rng, (16, 16, 16))
-        moving = random_volume(rng, (16, 16, 16))
+    def test_levels_carry_best_weights_and_return_finest_best(self, rng, monkeypatch):
+        # a 14^3 pair runs on _pyramid's levels, each padded to a multiple of
+        # 2: 7^3 becomes 8^3.  Each level starts from the coarser level's best
+        # weights; with this setting every level ends above its best, so
+        # carrying or returning the last iterate would not pass
+        fixed = random_volume(rng, (14, 14, 14))
+        moving = random_volume(rng, (14, 14, 14))
         cfg = RegistrationConfig(
             mode="convnet",
             pyramid_levels=3,
@@ -448,23 +458,43 @@ class TestRegisterConvNet:
             learning_rate=1.0,
             loss=LossConfig(ncc_window=5, reg_weight=0.1),
             convnet=ConvNetConfig(levels=1, base_filters=2),
-            seed=5,
+            seed=3,
         )
+        real_forward = defreg.register.convnet_forward
+        passes = []  # (weights, field) of every forward pass
+
+        def forward(params, *pair):
+            field, cache = real_forward(params, *pair)
+            passes.append((dict(params.tensors), field.data.copy()))
+            return field, cache
+
+        monkeypatch.setattr(defreg.register, "convnet_forward", forward)
         report = register(fixed, moving, cfg)
-        rounds = report.levels
-        assert len(rounds) == 3
-        for prev, nxt in zip(rounds, rounds[1:]):
-            assert nxt.losses[0].total == pytest.approx(prev.losses[-1].total, abs=1e-12)
-        best = min(x.total for r in rounds for x in r.losses)
-        # this setting ends a round above its best, and the best iterate is
-        # not in the last round, so neither the last iterate nor the last
-        # round's best would pass
-        assert any(r.best_iteration < r.iterations for r in rounds)
-        assert min(x.total for x in rounds[-1].losses) > best
+        levels = report.levels
+        assert [t.dims for t in levels] == [(4, 4, 4), (8, 8, 8), (14, 14, 14)]
+        assert report.padded_dims == (14, 14, 14)
+        assert all(t.best_iteration < t.iterations for t in levels)
+        # the padded pyramid, built here from the normalized pair
+        pairs = [(zscore_normalize(fixed), zscore_normalize(moving))]
+        for _ in range(2):
+            pairs.insert(0, tuple(downsample_volume(v) for v in pairs[0]))
+        pairs = [tuple(_pad_to_multiple(v, 2) for v in pair) for pair in pairs]
+        assert [pair[0].dims for pair in pairs] == [t.dims for t in levels]
+        starts = np.cumsum([0] + [len(t.losses) for t in levels])
+        best = [passes[s + t.best_iteration][0] for s, t in zip(starts, levels)]
+        for lvl in (1, 2):
+            weights, entry = passes[starts[lvl]]
+            assert all(np.array_equal(weights[k], w) for k, w in best[lvl - 1].items())
+            want, _ = real_forward(ConvNetParameters(cfg.convnet, best[lvl - 1]), *pairs[lvl])
+            assert entry.tobytes() == want.data.tobytes()
+        # the finest level's best is returned, with its weights
+        finest = levels[-1]
+        assert report.final == finest.losses[finest.best_iteration]
+        assert all(np.array_equal(report.parameters.tensors[k], w) for k, w in best[2].items())
         lv, _ = overall_loss(
             zscore_normalize(fixed), zscore_normalize(moving), report.field, cfg.loss
         )
-        assert lv.total == pytest.approx(best, abs=1e-12)
+        assert lv == report.final
 
     def test_an_earlier_best_field_is_rebuilt_from_its_weights(self, rng, monkeypatch):
         # the loop keeps only the weights of a best iterate it has moved
@@ -493,28 +523,39 @@ class TestRegisterConvNet:
             )
             fields.clear()
             report = register(fixed, moving, cfg)
-            totals = [lv.total for t in report.levels for lv in t.losses]
+            # the best is taken among the finest level's iterates
+            finest = report.levels[-1]
+            totals = [lv.total for lv in finest.losses]
             best = int(np.argmin(totals))
+            assert best == finest.best_iteration
             assert (best < len(totals) - 1) == rebuilt
-            assert len(fields) == len(totals) + rebuilt
-            assert np.array_equal(report.field.data, fields[best])
+            evaluated = sum(len(t.losses) for t in report.levels)
+            assert len(fields) == evaluated + rebuilt
+            assert np.array_equal(report.field.data, fields[evaluated - len(totals) + best])
             assert np.array_equal(report.field.data, fields[-1])
 
     def test_convnet_pads_axes_a_pyramid_refuses(self, rng):
+        # the one-voxel axis stays one voxel on every pyramid level, and each
+        # level pads it to 2
         v = random_volume(rng, (8, 8, 1))
-        cfg = RegistrationConfig(
-            mode="convnet",
-            iterations_per_level=1,
-            loss=LossConfig(ncc_window=5),
-            convnet=ConvNetConfig(levels=1, base_filters=2),
-        )
-        report = register(v, v, cfg)
-        assert report.padded_dims == (8, 8, 2)
-        assert report.field.dims == (8, 8, 1)
-        # the cropped field is scored again on the input grid, whose
-        # one-voxel axis adds no smoothness differences
-        want, _ = overall_loss(zscore_normalize(v), zscore_normalize(v), report.field, cfg.loss)
-        assert report.final == want
+        for levels in (1, 2):
+            cfg = RegistrationConfig(
+                mode="convnet",
+                pyramid_levels=levels,
+                iterations_per_level=1,
+                loss=LossConfig(ncc_window=5),
+                convnet=ConvNetConfig(levels=1, base_filters=2),
+            )
+            report = register(v, v, cfg)
+            assert [t.dims for t in report.levels] == [(4, 4, 2), (8, 8, 2)][-levels:]
+            assert report.padded_dims == (8, 8, 2)
+            assert report.field.dims == (8, 8, 1)
+            # the cropped field is scored again on the input grid, whose
+            # one-voxel axis adds no smoothness differences
+            want, _ = overall_loss(
+                zscore_normalize(v), zscore_normalize(v), report.field, cfg.loss
+            )
+            assert report.final == want
 
     def test_final_is_the_cropped_fields_loss_on_the_input_grid(self, rng):
         # a 13^3 pair runs padded to 16^3; the padded grid's best loss and
@@ -927,7 +968,9 @@ class TestDivergence:
         assert stepped == [True] * 4
         _strict_json(report)
 
-    def test_convnet_returns_the_best_of_all_rounds_cropped(self, rng, monkeypatch):
+    def test_convnet_returns_the_best_carried_onto_the_finest_pair(self, rng, monkeypatch):
+        # 9^3 runs on levels padded to 4^3, 6^3 and 10^3; a non-finite loss
+        # at level 1's first step stops the run before the finest level
         fixed = random_volume(rng, (9, 9, 9))
         moving = random_volume(rng, (9, 9, 9))
         cfg = RegistrationConfig(
@@ -939,26 +982,81 @@ class TestDivergence:
             convnet=ConvNetConfig(levels=1, base_filters=2),
             seed=5,
         )
-        stepped = _fail_loss_at(monkeypatch, 6)  # round 1, first step
+        real_forward = defreg.register.convnet_forward
+        weights = []
+
+        def forward(params, *pair):
+            weights.append(dict(params.tensors))
+            return real_forward(params, *pair)
+
+        monkeypatch.setattr(defreg.register, "convnet_forward", forward)
+        stepped = _fail_loss_at(monkeypatch, 6)  # level 1, first step
         report = register(fixed, moving, cfg)
         assert [t.stop_reason for t in report.levels] == ["max_iters", "diverged"]
+        assert [t.dims for t in report.levels] == [(4, 4, 4), (6, 6, 6)]
         assert stepped == [True] * 4
         assert report.padded_dims == (10, 10, 10)
         assert report.field.dims == (9, 9, 9)
-        # the returned weights regenerate the best field of all rounds on
-        # the padded grid, and the returned field is its crop
-        f, m = (
-            Volume(data=np.pad(zscore_normalize(v).data, [(0, 1)] * 3, mode="edge"))
-            for v in (fixed, moving)
-        )
-        pred, _ = convnet_forward(report.parameters, f, m)
-        best = min(lv.total for t in report.levels for lv in t.losses)
-        assert overall_loss(f, m, pred, cfg.loss)[0].total == best
+        # the best is level 1's entry, level 0's best weights carried
+        coarse, level1 = report.levels
+        assert (level1.best_iteration, len(level1.losses)) == (0, 1)
+        for returned in (weights[4], weights[coarse.best_iteration]):
+            assert all(np.array_equal(report.parameters.tensors[k], w) for k, w in returned.items())
+        # the returned weights regenerate level 1's best field, which scored
+        # its best loss there, and on the finest padded grid a field whose
+        # crop is the returned field
+        fn, mn = zscore_normalize(fixed), zscore_normalize(moving)
+        f1, m1 = (_pad_to_multiple(downsample_volume(v), 2) for v in (fn, mn))
+        pred, _ = real_forward(report.parameters, f1, m1)
+        assert overall_loss(f1, m1, pred, cfg.loss)[0] == level1.losses[0]
+        f, m = (_pad_to_multiple(v, 2) for v in (fn, mn))
+        pred, _ = real_forward(report.parameters, f, m)
         assert np.array_equal(pred.data[:9, :9, :9], report.field.data)
         # ``final`` is the cropped field's loss on the input grid
-        assert report.final == overall_loss(
-            zscore_normalize(fixed), zscore_normalize(moving), report.field, cfg.loss
-        )[0]
+        assert report.final == overall_loss(fn, mn, report.field, cfg.loss)[0]
+
+    @pytest.mark.parametrize("stop", ["budget", "diverged"])
+    def test_convnet_stop_before_the_finest_level(self, rng, monkeypatch, tmp_path, stop):
+        # 13^3 runs on levels padded to 4^3, 8^3 and 16^3.  A budget stop on
+        # level 0, or a non-finite entry loss on level 1, returns the best's
+        # weights predicted on the finest padded pair and cropped
+        fixed = random_volume(rng, (13, 13, 13))
+        moving = random_volume(rng, (13, 13, 13))
+        cfg = RegistrationConfig(
+            mode="convnet",
+            pyramid_levels=3,
+            iterations_per_level=3,
+            learning_rate=1e-2,
+            loss=LossConfig(ncc_window=5, reg_weight=0.1),
+            convnet=ConvNetConfig(levels=2, base_filters=2),
+            max_seconds=1e-9 if stop == "budget" else None,
+        )
+        if stop == "diverged":
+            _fail_loss_at(monkeypatch, 5)  # level 0 is calls 1-4
+        report = register(fixed, moving, cfg)
+        assert report.stop_reason == stop
+        last = report.levels[-1]
+        if stop == "budget":
+            assert (len(report.levels), last.stop_reason, last.iterations) == (1, "budget", 1)
+        else:
+            assert (len(report.levels), last.iterations, last.losses) == (2, 0, [])
+        assert [t.dims for t in report.levels] == [(4, 4, 4), (8, 8, 8)][: len(report.levels)]
+        assert report.padded_dims == (16, 16, 16)
+        assert report.field.dims == (13, 13, 13)
+        assert report.field.data.any()  # not the untrained network's zero field
+        fn, mn = zscore_normalize(fixed), zscore_normalize(moving)
+        f, m = (_pad_to_multiple(v, 4) for v in (fn, mn))
+        pred, _ = convnet_forward(report.parameters, f, m)
+        assert report.field.data.tobytes() == pred.data[:13, :13, :13].tobytes()
+        # a checkpoint stores float32 weights: its field is the returned one
+        # to float32 precision
+        save_checkpoint(tmp_path / "net.ckpt", report.parameters)
+        pred, _ = convnet_forward(load_checkpoint(tmp_path / "net.ckpt"), f, m)
+        np.testing.assert_allclose(
+            pred.data[:13, :13, :13], report.field.data,
+            rtol=0, atol=1e-5 * np.abs(report.field.data).max(),
+        )
+        assert report.final == overall_loss(fn, mn, report.field, cfg.loss)[0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_convnet_forward_overflow_ends_as_diverged(self):
@@ -1057,7 +1155,7 @@ class TestFrontDoorSweep:
         )
         cfg = RegistrationConfig(
             mode=mode,
-            pyramid_levels=levels if mode == "freeform" else 1,
+            pyramid_levels=levels,
             iterations_per_level=iterations,
             loss=LossConfig(ncc_window=window),
             convnet=ConvNetConfig(levels=2, base_filters=2),
@@ -1076,7 +1174,7 @@ class TestFrontDoorSweep:
             try:
                 report = register(fixed, moving, cfg)
             except ValueError as err:
-                assert mode == "freeform" and f"pyramid_levels={levels}" in str(err)
+                assert f"pyramid_levels={levels}" in str(err)
                 return
         assert report.field.dims == dims
         assert np.isfinite(report.field.data).all()

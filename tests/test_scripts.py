@@ -25,6 +25,9 @@ SCRIPTS = [
     # one row per seed and weight
     ("synth_benchmark.py", TINY + ["--seeds", "3", "4", "--lambda", "0", "0.05", "1"], HEADER, 6,
      FREEFORM_LR),
+    # one iteration count per level, passed on as the schedule
+    ("synth_benchmark.py", ["--dims", "16", "--max-disp", "2", "--seeds", "1", "--mode", "convnet",
+                            "--levels", "2", "--iters", "2,1"], HEADER, 1, "iters=2,1"),
     ("convnet_phase_peaks.py", ["--dims", "16"], "phase  ", 6, "traced peak "),  # six phases
     # five kernels and the whole step
     ("freeform_step_times.py", ["--dims", "16", "--repeats", "3"], "kernel  ", 6,
@@ -38,6 +41,7 @@ SCRIPTS = [
 @pytest.mark.parametrize(
     "script,args,header,rows,title", SCRIPTS,
     ids=["synth_benchmark", "synth_benchmark-convnet", "synth_benchmark-lambdas",
+         "synth_benchmark-schedule",
          "convnet_phase_peaks", "freeform_step_times", "code_lines"],
 )
 def test_script_prints_its_table(script, args, header, rows, title):
