@@ -76,7 +76,7 @@ def main():
         t0 = time.perf_counter()
         _, grad = overall_loss(fixed, moving, field, cfg, ws=ws)
         t1 = time.perf_counter()
-        adam_step({"field": field.data}, {"field": grad}, state, {"field": ws.adam})
+        adam_step({"field": field.data}, {"field": grad}, state)
         t2 = time.perf_counter()
         spent["chain_combine"] = t1 - t0 - sum(spent.values())
         for name, seconds in (*spent.items(), ("adam", t2 - t1), ("step", t2 - t0)):

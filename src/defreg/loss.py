@@ -417,21 +417,19 @@ def _smooth_layout(shape):
 
 
 class Workspace:
-    """The whole-volume arrays that the loss evaluations and Adam steps on
-    one fixed image write, allocated once and reused by every evaluation
-    there, and that image's window statistics.
+    """The whole-volume arrays that the loss evaluations on one fixed image
+    write, allocated once and reused by every evaluation there, and that
+    image's window statistics.
 
     The statistics, F's window means and variances (``fixed_stats``), are
     taken once, when the workspace is built; ``similarity_loss`` reads them
     in place of two of the NCC's five window sums, and refuses a workspace
     built for another fixed image.  ``overall_loss(..., ws=ws)`` writes
     every whole-volume array into it and returns its gradient there, valid
-    until the next evaluation; ``adam`` is scratch of the field's shape for
-    ``model.adam_step`` on that gradient.  Arrays of phases that never
-    overlap share one pool: the warped value and the NCC's scratch (see
+    until the next evaluation.  Arrays of phases that never overlap share
+    one pool: the warped value and the NCC's scratch (see
     ``_ncc_scratch``; the statistics' own pass takes its scratch there
-    too), then the smoothness' gradient, differences and gradient slab, and
-    after the evaluation Adam's scratch in place of the differences.  The
+    too), then the smoothness' gradient, differences and gradient slab.  The
     sampling derivative, which becomes the similarity gradient, has its own
     array.  With the moments Adam keeps in place, a 48^3 level holds 19
     image volumes: the pool's 8, the derivative's 3, the statistics' 2 and
@@ -450,7 +448,6 @@ class Workspace:
         self.value = pool[:n].reshape(dims)
         self.ncc = pool[n : n + ncc]
         self.smooth = _carve(pool, smooth)
-        self.adam = self.smooth[1]
         _fill_fixed_mean_var(fixed.data, ncc_window, self.fixed_stats, self.ncc)
 
 

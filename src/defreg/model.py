@@ -562,9 +562,10 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
     """Predict a displacement field from the image pair.
 
     Returns (field, cache); the cache serves one convnet_backward, which
-    consumes it.  Reads the parameters and never modifies them.  Weights
-    that overflow the pass give no field: it is None, and the caller
-    decides what a diverged iterate means.
+    consumes it.  Reads the parameters and never modifies them.  The field
+    is not scanned for finiteness: weights that overflow the pass give a
+    non-finite field, whose loss is non-finite too, and the caller decides
+    what a diverged iterate means.
     """
     cfg = params.config
     if fixed.dims != moving.dims:
@@ -604,14 +605,10 @@ def convnet_forward(params: ConvNetParameters, fixed: Volume, moving: Volume):
         dec.insert(0, block)
     # the head writes its channels straight into the field's layout
     _conv_forward([(x, 1)], t["head_w"], t["head_b"], out=np.moveaxis(field_data, -1, 0))
-    pred = None
-    if np.isfinite(field_data).all():
-        field_data.flags.writeable = False  # lets the field share it uncopied
-        pred = DisplacementField(data=field_data, spacing=fixed.spacing, origin=fixed.origin)
     # the head's block: its input, dec0's output, is computed again
     head = (None, t["head_w"], t["head_b"], None)
     cache = {"dims": fixed.dims, "enc": enc, "dec": dec, "head": head}
-    return pred, cache
+    return DisplacementField._adopt(field_data, fixed.spacing, fixed.origin), cache
 
 
 def convnet_backward(cache) -> dict[str, np.ndarray]:
@@ -698,21 +695,19 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamState,
-    work: dict[str, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One bias-corrected Adam update.
 
     The moments are updated in place, in ``state``'s arrays, and the
     returned state, one step on, holds the same arrays.  The parameters
     come back as fresh arrays in a new dict; the caller's parameter arrays
-    are untouched, since an earlier iterate may still hold them.  ``work``,
-    if given, maps each parameter name to an array of its shape that holds
-    the step's temporaries; otherwise they are allocated.  Every gradient
-    is checked before any moment changes.
+    are untouched, since an earlier iterate may still hold them.  Every
+    gradient is checked before any moment changes.
 
     Each parameter is stepped a chunk of its leading-axis planes at a
     time, cut by ``warp._slab_planes`` within ``warp._SAMPLE_SLAB_VOXELS``
-    elements, so the closed form's passes over a chunk stay in cache.
+    elements, so the closed form's passes over a chunk stay in cache; the
+    step's temporaries take one chunk-sized scratch array per parameter.
     Each element sees the same operations, so the bits are those of
     whole-array passes; an 80x96x80 field steps in 19 ms against 29.
     """
@@ -727,13 +722,14 @@ def adam_step(
     new_params = dict(params)
     for k, g in grads.items():
         m, v, p = state.m[k], state.v[k], params[k]
-        tmp = np.empty_like(m) if work is None else work[k]
         new = new_params[k] = np.empty_like(m)  # laid out like m, not like g
         # chunks of leading-axis planes: each pass over a chunk stays in cache
         step = _slab_planes(len(m), m[:1].size, _SAMPLE_SLAB_VOXELS)
+        tmp = np.empty(m[:step].shape)
         for i in range(0, len(m), step):
             c = slice(i, i + step)
-            m_, v_, g_, tmp_, mhat = m[c], v[c], g[c], tmp[c], new[c]
+            m_, v_, g_, mhat = m[c], v[c], g[c], new[c]
+            tmp_ = tmp[: len(m_)]
             # m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g*g;
             # new = p - alpha*mhat / (sqrt(vhat) + eps): the closed form's
             # products and sums, in its order, each into m, v, tmp or new

@@ -4,9 +4,13 @@ Minimizes windowed-NCC dissimilarity plus displacement-gradient smoothness
 with Adam.  One level loop serves both parameterizations; each level runs
 Adam from a fresh state and tracks its best iterate, with the same
 convergence and time-budget stops.  The loop is also where a diverging
-run is caught: the loss functions do not check finiteness, and the network
-gives no field when its weights overflow the forward pass.  A non-finite
-field or loss value stops the run as ``diverged`` before Adam steps on its
+run is caught, by the loss value alone: neither the loss functions nor
+the fields they score are checked for finiteness, and weights that
+overflow the network's forward pass give a non-finite field.  Such a
+field gives a non-finite total, because its smoothness differences are
+non-finite; the one field without differences, a freeform field of one
+voxel, has an NCC gradient of exactly 0 and so never moves.  A
+non-finite total stops the run as ``diverged`` before Adam steps on its
 gradient.  As after a budget stop, no later level runs and the best
 finite iterate is returned.  The loss gradient is computed only for an
 iterate Adam may step from: a level's last iterate, and so the single
@@ -38,12 +42,12 @@ A level holds its own image pair and the finest pair, which the end of
 the run scores on: the pyramid is built before the first level, and each
 coarser pair is dropped when its level ends.  A freeform level with
 steps evaluates into one ``loss.Workspace``, built for the level's
-fixed image: every whole-volume array of the loss, Adam's
-scratch and the fixed image's window statistics, taken once there, 13
-image volumes at 48^3 beside the 6 of Adam's moments, which
-``adam_step`` updates in place.  Both are built when the level starts and
-freed when it ends, before the next level allocates, so the one
-whole-volume array that a step allocates is its new parameters.  A level
+fixed image: every whole-volume array of the loss and the fixed
+image's window statistics, taken once there, 13 image volumes at 48^3
+beside the 6 of Adam's moments, which ``adam_step`` updates in place
+with one chunk-sized scratch array.  Both are built when the level
+starts and freed when it ends, before the next level allocates, so the
+one whole-volume array that a step allocates is its new parameters.  A level
 without steps builds neither.  A convnet level allocates the loss's arrays
 per evaluation: the loss is a small part of its step
 (``scripts/convnet_phase_peaks.py`` prints the traced peak by phase).
@@ -197,9 +201,11 @@ class RegistrationConfig:
 class LevelTrace:
     """Per-level diagnostics; losses[0] is the entry loss before any step.
 
-    ``iterations`` counts the Adam steps taken.  The iterate whose field or
-    loss is non-finite records no loss, so a level that stops as
-    ``diverged`` holds ``iterations`` losses rather than ``iterations + 1``.
+    ``iterations`` counts the Adam steps taken.  The iterate whose loss is
+    non-finite records no loss, so a level that stops as ``diverged``
+    holds ``iterations`` losses rather than ``iterations + 1``.
+    ``best_iteration`` is the first iterate of least total, 0 for a level
+    that stopped on its entry.
     ``wall_seconds`` runs from the level's start, before its field is
     carried from the coarser level, to the end of its last iterate.  The
     fields are in the order of the report's JSON keys.
@@ -259,9 +265,7 @@ def downsample_volume(v: Volume) -> Volume:
         if n % 2:
             out[ax_slice(m, m + 1)] = data[ax_slice(n - 1, n)]
         data = out
-    data.flags.writeable = False  # fresh array: the volume need not copy it
-    spacing = tuple(2.0 * s for s in v.spacing)
-    return Volume(data=data, spacing=spacing, origin=v.origin)
+    return Volume._adopt(data, tuple(2.0 * s for s in v.spacing), v.origin)
 
 
 def _ensure_normalized(v: Volume) -> Volume:
@@ -324,8 +328,7 @@ def _pad_to_multiple(v: Volume, mult: int) -> Volume:
     pads = [(0, (-d) % mult) for d in v.dims]
     if not any(hi for _, hi in pads):
         return v
-    data = np.pad(v.data, pads, mode="edge")
-    return Volume(data=data, spacing=v.spacing, origin=v.origin)
+    return Volume._adopt(np.pad(v.data, pads, mode="edge"), v.spacing, v.origin)
 
 
 def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> RegistrationReport:
@@ -343,12 +346,9 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
         params = init_convnet_parameters(cfg.convnet, seed=cfg.seed).tensors
 
     def predict(params, f_l, m_l):
-        """Parameters -> (field, cache for the backward pass); the field is
-        None when network weights overflow the forward pass."""
+        """Parameters -> (field, cache for the backward pass)."""
         if freeform:
-            data = params["field"]
-            data.flags.writeable = False  # lets the field share it uncopied
-            return DisplacementField(data=data, spacing=f_l.spacing, origin=f_l.origin), {}
+            return DisplacementField._adopt(params["field"], f_l.spacing, f_l.origin), {}
         return convnet_forward(ConvNetParameters(cfg.convnet, params), f_l, m_l)
 
     def backward(cache):
@@ -389,35 +389,31 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
         state = AdamState.init(params, alpha=cfg.resolved_learning_rate) if n_steps else None
         ws = Workspace(f_l, cfg.loss.ncc_window) if freeform and n_steps else None
         losses: list[LossValue] = []
-        level_best, level_stop = 0, "max_iters"
+        level_stop = "max_iters"
         for it in range(n_steps + 1):  # it 0: the entry iterate
             if not freeform and best is not None:
                 # an earlier best keeps its weights only; its field is not
                 # held beside the next pass's arrays (rebuilt at the end)
                 best, u = best[:2] + (None,), None
             if it:
-                params, state = adam_step(
-                    params, backward(cache), state, ws and {"field": ws.adam}
-                )
+                params, state = adam_step(params, backward(cache), state)
                 cache = None  # not kept alive through the next forward
             u, cache = predict(params, f_l, m_l)
             if it == n_steps:  # no backward pass reads the last iterate's cache
                 cache = {}
-            if u is not None:
-                # the last iterate is only scored: Adam takes no step on it.
-                # The gradient's one reference is the cache's (see backward)
-                lv, cache["grad"] = overall_loss(
-                    f_l, m_l, u, cfg.loss, with_grad=it < n_steps, ws=ws
-                )
-            # a non-finite field or loss: stop before Adam steps on its gradient
-            if u is None or not np.isfinite(lv.total):
+            # the last iterate is only scored: Adam takes no step on it.
+            # The gradient's one reference is the cache's (see backward)
+            lv, cache["grad"] = overall_loss(
+                f_l, m_l, u, cfg.loss, with_grad=it < n_steps, ws=ws
+            )
+            # the one divergence check (see the module docstring): stop
+            # before Adam steps on a non-finite loss's gradient
+            if not np.isfinite(lv.total):
                 level_stop = "diverged"
                 break
             losses.append(lv)
             if not it or lv.total < best[0].total:
                 best = (lv, params, u)
-            if lv.total < losses[level_best].total:
-                level_best = it
             if _converged([x.total for x in losses], cfg.convergence_tol):
                 level_stop = "converged"
                 break
@@ -431,7 +427,7 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
                 dims=f_l.dims,
                 spacing=f_l.spacing,
                 iterations=it,
-                best_iteration=level_best,
+                best_iteration=losses.index(best[0]) if losses else 0,
                 stop_reason=level_stop,
                 wall_seconds=time.monotonic() - level_t0,
                 losses=losses,
@@ -452,9 +448,8 @@ def register(fixed: Volume, moving: Volume, cfg: RegistrationConfig) -> Registra
         out = carry(best, *finest)
     if out.dims != fixed.dims or not on_finest:
         nx, ny, nz = fixed.dims
-        out = DisplacementField(
-            data=out.data[:nx, :ny, :nz], spacing=fixed.spacing, origin=fixed.origin
-        )
+        crop = np.ascontiguousarray(out.data[:nx, :ny, :nz])
+        out = DisplacementField._adopt(crop, fixed.spacing, fixed.origin)
         final, _ = overall_loss(fixed, moving, out, cfg.loss, with_grad=False)
     return RegistrationReport(
         field=out,

@@ -106,7 +106,7 @@ def _blob_image(cfg: SynthConfig, rng: np.random.Generator) -> Volume:
         amp = rng.uniform(0.5, 1.5)
         r2 = (x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2
         data += amp * np.exp(-r2 / (2.0 * sigma * sigma))
-    return zscore_normalize(Volume(data=data, spacing=cfg.spacing))
+    return zscore_normalize(Volume._adopt(data, cfg.spacing, (0.0, 0.0, 0.0)))
 
 
 def _bump_field(cfg: SynthConfig, rng: np.random.Generator) -> DisplacementField:
@@ -132,7 +132,7 @@ def _bump_field(cfg: SynthConfig, rng: np.random.Generator) -> DisplacementField
         peak = float(mag.max())
         if peak > 0.0:
             u *= cfg.max_displacement / peak
-        fld = DisplacementField(data=u, spacing=cfg.spacing)
+        fld = DisplacementField._adopt(u, cfg.spacing, (0.0, 0.0, 0.0))
         if cfg.max_displacement == 0.0 or folding_fraction(jacobian_determinant(fld)) == 0.0:
             return fld
     raise ValueError(
@@ -155,7 +155,7 @@ def _invert_field(u: DisplacementField) -> tuple[DisplacementField, float]:
         v = -u_at(v)
     resid = v + u_at(v)
     residual = float(np.max(np.sqrt(((resid / sp) ** 2).sum(axis=-1))))
-    return DisplacementField(data=v, spacing=u.spacing, origin=u.origin), residual
+    return DisplacementField._adopt(v, u.spacing, u.origin), residual
 
 
 def _pick_landmarks(
@@ -219,7 +219,7 @@ def generate_case(cfg: SynthConfig) -> SynthCase:
     if cfg.noise_sigma > 0.0:
         mdata = mdata + rng.normal(0.0, cfg.noise_sigma, size=cfg.dims)
     if mdata is not moving.data:
-        moving = Volume(data=mdata, spacing=cfg.spacing, origin=moving.origin)
+        moving = Volume._adopt(mdata, cfg.spacing, moving.origin)
 
     return SynthCase(
         fixed=fixed,

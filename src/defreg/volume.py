@@ -4,11 +4,26 @@ A grid holds float64 samples on a regular 3D lattice with physical spacing
 in millimeters.  In memory ``data`` is indexed ``[x, y, z]`` so that axis
 ``i`` lines up with ``dims[i]`` and ``spacing[i]``, with any per-voxel
 channels trailing: none for a ``Volume``, 3 for a ``warp.DisplacementField``.
-Both subclass ``_Grid``, which validates and freezes them with the one
-copy-then-freeze rule (``_frozen``, which ``LandmarkSet`` uses too); they
-differ only in channel shape.  On disk voxels are stored as little-endian
-float32, x-fastest with channels interleaved, next to a JSON sidecar header;
-``_load_grid`` and ``_save_grid`` read and write both kinds.  Because files
+Both subclass ``_Grid``; they differ only in channel shape.  A grid's
+array takes one of two paths, and either way the grid holds it read-only:
+
+* an outside array, passed to the public constructor, is converted to
+  C-order float64, scanned for finiteness and frozen by the one
+  copy-then-freeze rule (``_frozen``, which ``LandmarkSet`` uses too): a
+  caller's writable buffer is copied, a read-only one shared;
+* an array that defreg made from checked grids (a downsampled, padded,
+  warped, resampled or normalized image, a Jacobian map, a predicted
+  field, a loaded payload whose float32 samples were scanned) is adopted
+  (``_Grid._adopt``): frozen in place, neither copied nor scanned.
+
+Both paths check the shape, spacing and origin.  As an adopted array is
+not scanned, arithmetic that overflows leaves its non-finite values in the
+grid: a field that the convnet predicts from overflowing weights is one,
+and the registration loop catches it through its non-finite loss.
+
+On disk voxels are stored as little-endian float32, x-fastest with
+channels interleaved, next to a JSON sidecar header; ``_load_grid`` and
+``_save_grid`` read and write both kinds.  Because files
 hold float32, a grid whose samples are exactly float32-representable
 (anything that came from a file) round-trips bit-exactly through save/load.
 
@@ -89,17 +104,35 @@ class _Grid:
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64, order="C")
+        self._hold(arr, self.spacing, self.origin, given=self.data)
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, spacing, origin):
+        """A grid holding ``data``, a float64 C-order array that defreg
+        made from checked grids: frozen in place, neither copied nor
+        scanned for finiteness."""
+        data.flags.writeable = False
+        grid = object.__new__(cls)
+        grid._hold(data, spacing, origin)
+        return grid
+
+    def _hold(self, arr, spacing, origin, given=None):
+        """Check ``arr``'s shape and keep it, with checked spacing and
+        origin.  An outside array, ``given``, is scanned for finiteness
+        and frozen by ``_frozen``'s rule; an adopted one is kept as it is."""
         cs = self.channel_shape
         if arr.ndim != 3 + len(cs) or arr.shape[3:] != cs or 0 in arr.shape:
             want = ", ".join(("nx", "ny", "nz") + tuple(map(str, cs)))
             raise ValueError(
                 f"{type(self).__name__} data must have non-empty shape ({want}), got {arr.shape}"
             )
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{type(self).__name__} data contains non-finite values")
-        object.__setattr__(self, "data", _frozen(arr, self.data))
-        object.__setattr__(self, "spacing", _check_triple("spacing", self.spacing, positive=True))
-        object.__setattr__(self, "origin", _check_triple("origin", self.origin, positive=False))
+        if given is not None:
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{type(self).__name__} data contains non-finite values")
+            arr = _frozen(arr, given)
+        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "spacing", _check_triple("spacing", spacing, positive=True))
+        object.__setattr__(self, "origin", _check_triple("origin", origin, positive=False))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -174,24 +207,18 @@ def _load_grid(path, cls: type[_Grid]) -> _Grid:
     if header.channels != channels:
         raise ValueError(f"{path}: expected {channels} channel(s), header says {header.channels}")
     data = _read_samples(path, header.dims, cls.channel_shape)
-    # every check of ``_Grid`` has been made: the header's dims, channels,
-    # spacing and origin, and the payload's finiteness in float32, which
-    # the cast to float64 keeps; so the grid is built without a second scan
-    grid = object.__new__(cls)
-    for name, value in (("data", data), ("spacing", header.spacing), ("origin", header.origin)):
-        object.__setattr__(grid, name, value)
-    return grid
+    return cls._adopt(data, header.spacing, header.origin)
 
 
 def _read_samples(path: Path, dims, channel_shape) -> np.ndarray:
-    """The payload of ``path`` as a frozen float64 array of shape
+    """The payload of ``path`` as a fresh float64 array of shape
     ``dims + channel_shape``, after its length and finiteness are checked.
 
     The file is x-fastest, (z, y, x[, c]): each y-plane is cast and
     transposed on its own into the C-order result, so the copy stays in
     cache; the payload is freed on return.  This is a load's one
     finiteness scan: a finite float32 casts to a finite float64, so
-    ``_load_grid`` builds the grid without ``_Grid``'s second scan.
+    ``_load_grid`` adopts the result.
     """
     payload = path.read_bytes()
     nx, ny, nz = dims
@@ -208,7 +235,6 @@ def _read_samples(path: Path, dims, channel_shape) -> np.ndarray:
     data = np.empty((nx, ny, nz) + channel_shape)
     for j in range(ny):
         data[:, j] = planes[:, j].swapaxes(0, 1)
-    data.flags.writeable = False  # fresh array: the grid need not copy it
     return data
 
 
@@ -248,20 +274,26 @@ def save_volume(v: Volume, path) -> None:
 def zscore_normalize(v: Volume) -> Volume:
     """Subtract the mean and divide by the population standard deviation.
 
-    Constant volumes map to all zeros instead of raising.
+    Constant volumes map to all zeros instead of raising; a volume whose
+    mean or standard deviation overflows float64 is refused.
     """
     return _zscore(v, float(np.mean(v.data)), float(np.std(v.data)))
 
 
 def _zscore(v: Volume, mean: float, std: float) -> Volume:
-    """``zscore_normalize`` with the volume's mean and std already known."""
+    """``zscore_normalize`` with the volume's mean and std already known.
+
+    Statistics that overflow are refused: the result, adopted unscanned,
+    could be non-finite, where finite ones keep it finite.
+    """
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ValueError(f"volume too large to normalize: its mean {mean} or std {std} overflows")
     if std < 1e-12 * max(1.0, abs(mean)):
         data = np.zeros(v.dims)
     else:
         data = v.data - mean
         data /= std
-    data.flags.writeable = False  # fresh array: the volume need not copy it
-    return Volume(data=data, spacing=v.spacing, origin=v.origin)
+    return Volume._adopt(data, v.spacing, v.origin)
 
 
 def slice_2d(v: Volume, axis: str, index: int) -> np.ndarray:

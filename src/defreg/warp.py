@@ -78,7 +78,7 @@ class DisplacementField(_Grid):
     @classmethod
     def zeros(cls, dims, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> "DisplacementField":
         nx, ny, nz = (int(d) for d in dims)
-        return cls(data=np.zeros((nx, ny, nz, 3)), spacing=spacing, origin=origin)
+        return cls._adopt(np.zeros((nx, ny, nz, 3)), spacing, origin)
 
 
 # Output voxels per slab of the NCC's window statistics and of field
@@ -265,9 +265,8 @@ def _warp(moving: Volume, field: DisplacementField, want_grad: bool, out=None):
             for c, s in enumerate(spacing):
                 if s != 1.0:
                     g[..., c] /= s
-    data = value.view()
-    data.flags.writeable = False  # a read-only view: the volume need not copy it
-    return Volume(data=data, spacing=field.spacing, origin=field.origin), grad
+    # a view, so that a caller's value array stays writable
+    return Volume._adopt(value.view(), field.spacing, field.origin), grad
 
 
 def warp_volume(moving: Volume, field: DisplacementField) -> Volume:
@@ -305,7 +304,7 @@ def jacobian_determinant(field: DisplacementField) -> Volume:
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
-    return Volume(data=det, spacing=field.spacing, origin=field.origin)
+    return Volume._adopt(det, field.spacing, field.origin)
 
 
 def folding_fraction(jmap: Volume) -> float:
@@ -372,8 +371,7 @@ def resample_field(field: DisplacementField, new_dims, spacing) -> DisplacementF
     for x0 in range(0, new_dims[0], step):
         _lerp_axis(data[x0 : x0 + step], cz, 2, folded[x0 : x0 + step], fold=3)
     del data
-    out.flags.writeable = False  # fresh array: the field need not copy it
-    return DisplacementField(data=out, spacing=spacing, origin=field.origin)
+    return DisplacementField._adopt(out, spacing, field.origin)
 
 
 def load_field(path) -> DisplacementField:

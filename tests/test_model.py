@@ -33,6 +33,7 @@ from defreg.model import (
 )
 from defreg.register import RegistrationConfig, register
 from defreg.volume import Volume, save_volume
+from defreg.warp import DisplacementField
 
 from conftest import cli_peak_rss_kb, random_volume
 
@@ -867,6 +868,19 @@ class TestConvNetForward:
         assert np.array_equal(field.data, np.moveaxis(head, 0, -1))
         assert field.data.flags.c_contiguous and not field.data.flags.writeable
 
+    def test_overflowing_pass_returns_a_non_finite_field(self, rng):
+        # the field is not scanned: weights that overflow the pass give a
+        # non-finite field, never None, and its loss tells the caller
+        params = init_convnet_parameters(tiny_config(), seed=0)
+        params.tensors["head_w"] = np.full(params.tensors["head_w"].shape, 1e308)
+        fixed = random_volume(rng, (8, 8, 8))
+        moving = random_volume(rng, (8, 8, 8))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            field, _ = convnet_forward(params, fixed, moving)
+        assert isinstance(field, DisplacementField) and field.dims == (8, 8, 8)
+        assert np.isinf(field.data).any()
+        assert not field.data.flags.writeable
+
     def test_forward_determinism(self, rng):
         cfg = tiny_config()
         fixed = random_volume(rng, (8, 8, 8))
@@ -1237,11 +1251,10 @@ class TestAdam:
     def test_chunked_steps_equal_whole_array_reference_bitwise(self, rng, shapes):
         params = {k: rng.standard_normal(s) for k, s in shapes.items()}
         state = AdamState.init(params, alpha=0.2)
-        work = {k: np.empty(s) for k, s in shapes.items()}
         for _ in range(3):
             grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
             want, want_m, want_v = whole_array_adam(params, grads, state)
-            params, state = adam_step(params, grads, state, work)
+            params, state = adam_step(params, grads, state)
             for k in shapes:
                 assert np.array_equal(params[k], want[k]), k
                 assert np.array_equal(state.m[k], want_m[k]), k

@@ -1058,6 +1058,18 @@ class TestDivergence:
         )
         assert report.final == overall_loss(fn, mn, report.field, cfg.loss)[0]
 
+    @pytest.mark.parametrize("mode", ["freeform", "convnet"])
+    @pytest.mark.parametrize("overflows", ["mean", "std"])
+    def test_input_too_large_to_normalize_is_refused(self, rng, mode, overflows):
+        # finite samples whose mean or std overflows float64: normalizing
+        # them would give a non-finite image, which no later check scans
+        big = np.full((8, 8, 8), 1.7e308) if overflows == "mean" else np.zeros((8, 8, 8))
+        big[0, 0, 0] = 1.7e308 if overflows == "mean" else 1e200
+        cfg = RegistrationConfig(mode=mode, iterations_per_level=1, pyramid_levels=1)
+        with pytest.raises(ValueError, match="volume too large to normalize"):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                register(Volume(data=big), random_volume(rng, (8, 8, 8)), cfg)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_convnet_forward_overflow_ends_as_diverged(self):
         # the first Adam step sets weights near +-1e308, so the next forward

@@ -87,6 +87,71 @@ class TestFreezeRule:
         assert held(given) is given
 
 
+def internal_producer(name, rng, tmp_path):
+    """A call that makes grids from checked grids, inputs built up front."""
+    from defreg.model import ConvNetConfig, convnet_forward, init_convnet_parameters
+    from defreg.register import _pad_to_multiple, downsample_volume
+    from defreg.synth import SynthConfig, generate_case
+    from defreg.warp import _warp, jacobian_determinant, resample_field
+
+    v = random_volume(rng, (6, 5, 4))
+    field = DisplacementField(data=rng.uniform(-1.0, 1.0, (6, 5, 4, 3)), spacing=(2.0, 1.0, 1.5))
+    save_volume(v, tmp_path / "v.vol")
+    params = init_convnet_parameters(ConvNetConfig(levels=1, base_filters=2), seed=0)
+    pair = random_volume(rng, (6, 4, 4)), random_volume(rng, (6, 4, 4))
+    constant = Volume(data=np.full((3, 3, 3), 2.0))
+
+    def case_grids():
+        case = generate_case(SynthConfig(dims=(12, 12, 12), max_displacement=1.0))
+        return case.fixed, case.moving, case.true_field
+
+    return {
+        "downsample_volume": lambda: downsample_volume(v),
+        "_pad_to_multiple": lambda: _pad_to_multiple(v, 4),
+        "resample_field": lambda: resample_field(field, (7, 3, 5), spacing=(1.0, 3.0, 1.0)),
+        "_warp": lambda: (_warp(v, field, want_grad=False)[0], _warp(v, field, True)[0]),
+        "_zscore": lambda: (_zscore(v, 0.5, 2.0), _zscore(constant, 2.0, 0.0)),
+        "jacobian_determinant": lambda: jacobian_determinant(field),
+        "DisplacementField.zeros": lambda: DisplacementField.zeros((3, 4, 5)),
+        "convnet_forward": lambda: convnet_forward(params, *pair)[0],
+        "load_volume": lambda: load_volume(tmp_path / "v.vol"),
+        "generate_case": case_grids,
+    }[name]
+
+
+@pytest.mark.parametrize("name", [
+    "downsample_volume", "_pad_to_multiple", "resample_field", "_warp", "_zscore",
+    "jacobian_determinant", "DisplacementField.zeros", "convnet_forward", "load_volume",
+    "generate_case",
+])
+def test_internal_producers_adopt_their_grids(rng, tmp_path, monkeypatch, name):
+    # a grid that defreg makes from checked grids holds its array as made:
+    # no copy-then-freeze and no finiteness scan of the grid's samples
+    import defreg.volume
+
+    produce = internal_producer(name, rng, tmp_path)
+    real_frozen, real_isfinite = defreg.volume._frozen, np.isfinite
+    frozen, scanned = [], []
+
+    def spy_frozen(arr, given):
+        frozen.append(arr.shape)
+        return real_frozen(arr, given)
+
+    def spy_isfinite(x, *args, **kwargs):
+        if isinstance(x, np.ndarray):
+            scanned.append((x.shape, x.dtype))
+        return real_isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(defreg.volume, "_frozen", spy_frozen)
+    monkeypatch.setattr(np, "isfinite", spy_isfinite)
+    grids = produce()
+    monkeypatch.undo()
+    assert frozen == []
+    for grid in grids if isinstance(grids, tuple) else (grids,):
+        assert (grid.data.shape, grid.data.dtype) not in scanned
+        assert not grid.data.flags.writeable and grid.data.flags.c_contiguous
+
+
 class TestRoundTrip:
     def test_known_bytes_layout(self, tmp_path):
         # values 0..7 in x-fastest linear order
